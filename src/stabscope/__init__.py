@@ -8,10 +8,10 @@ with at most one square root.
 """
 
 from .surd import QuadReal, Number, nsign
-from .corekit import (AffPt, CharVec, Polygon, ProjLine, Ray, RayOrder,
-                      Segment, collinear, cross2, delta, det3, euler_chi,
-                      format_number, format_rational, parse_rational,
-                      point_in_polygon, ray_above, slope, to_fraction, vec)
+from .corekit import (AffPt, CharVec, Polygon, ProjLine, RayOrder, Segment,
+                      collinear, cross2, cross3, delta, det3, euler_chi,
+                      format_rational, parse_rational, point_in_polygon,
+                      ray_above, slope, to_fraction, vec)
 from .exceptional import (DyadicLabel, ExcBundle, ExcTriple, TriplePattern,
                           char_of, detect_triple, el, eplus, er,
                           is_exceptional_char, mutate_left, mutate_right,
@@ -34,8 +34,8 @@ from .walls import WallLine, clip_line, wall_line, walls_for
 
 __all__ = [
     "QuadReal", "Number", "nsign",
-    "AffPt", "CharVec", "Polygon", "ProjLine", "Ray", "RayOrder", "Segment",
-    "collinear", "cross2", "delta", "det3", "euler_chi", "format_number",
+    "AffPt", "CharVec", "Polygon", "ProjLine", "RayOrder", "Segment",
+    "collinear", "cross2", "cross3", "delta", "det3", "euler_chi",
     "format_rational", "parse_rational", "point_in_polygon",
     "ray_above", "slope", "to_fraction", "vec",
     "DyadicLabel", "ExcBundle", "ExcTriple", "TriplePattern", "char_of",

@@ -25,17 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (CharVec, Polygon, det3, euler_chi,
-                      parse_rational, point_in_polygon)
+from .corekit import (Polygon, cross3, det3, euler_chi, parse_rational,
+                      point_in_polygon)
 from .exceptional import ExcTriple, eplus, mutate_left, mutate_right
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
-                        RatComplex, ShiftedChar, kernel_point, to_upper)
+                        RatComplex, ShiftedChar, in_upper, kernel_point,
+                        to_upper)
 from .lepotier import RegionClass, classify_point
 from .surd import QuadReal
-
-
-def _in_upper(re: Fraction, im: Fraction) -> bool:
-    return im > 0 or (im == 0 and re < 0)
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ class ThetaParams:
             if z.is_zero():
                 continue
             u = -z if k % 2 else z
-            if not _in_upper(u.re, u.im):
+            if not in_upper(u.re, u.im):
                 raise ValueError("branch parity inconsistent with the value direction")
 
     @classmethod
@@ -82,7 +79,7 @@ class ThetaParams:
             s = Fraction(s)
             if c * c + s * s != 1:
                 raise ValueError("exact phase needs a rational point on the unit circle")
-            if not _in_upper(c, s):
+            if not in_upper(c, s):
                 raise ValueError("unit vector must lie in the upper half-plane")
             sign = -1 if k % 2 else 1
             zs.append(RatComplex(sign * m * c, sign * m * s))
@@ -152,50 +149,49 @@ class ThetaParams:
         return cls(zs[0], zs[1], zs[2], ks[0], ks[1], ks[2])
 
 
+def _valid_phases(p: ThetaParams) -> Optional[tuple[Phase, Phase, Phase]]:
+    """The three phases when the parameters are valid, else None."""
+    if any(z.is_zero() for z in p.values()):
+        return None
+    f1, f2, f3 = p.phases()
+    if f1 < f2 < f3 and f1.shifted(1) < f3:
+        return f1, f2, f3
+    return None
+
+
 def validate_params(p: ThetaParams) -> bool:
     """Check positivity of magnitudes and the phase ordering constraints.
 
     The constraints are strict ascending phases with the outer gap
     exceeding one; all comparisons are exact.
     """
-    if any(z.is_zero() for z in p.values()):
-        return False
-    f1, f2, f3 = p.phases()
-    return f1 < f2 < f3 and f1.shifted(1) < f3
+    return _valid_phases(p) is not None
 
 
 def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
-    """The unique charge taking the prescribed values on the triple.
-
-    The three characters form a basis of the character lattice (their
-    determinant is a unit), so the real and imaginary parts of the
-    coefficients each solve a rational 3 x 3 linear system.
-    """
+    """The unique charge taking the prescribed values on the triple."""
     if not validate_params(p):
         raise ValueError("invalid chart parameters")
+    return _charge(t, p)
+
+
+def _charge(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
+    """Solve for the charge through the dual basis of the triple.
+
+    The three characters form a basis of the character lattice (their
+    determinant is a unit).  Since c_i . (c_j x c_k) is det3(c1, c2, c3)
+    for (i, j, k) in cyclic order and zero when i repeats, the charge's
+    coefficients are (z1 c2 x c3 + z2 c3 x c1 + z3 c1 x c2) / det3.
+    """
     c1, c2, c3 = t.chars
     d = det3(c1, c2, c3)
     assert d != 0, "triple characters must form a basis"
-    re = _solve3(c1, c2, c3, tuple(z.re for z in p.values()), d)
-    im = _solve3(c1, c2, c3, tuple(z.im for z in p.values()), d)
-    return GeneralCharge(w0=RatComplex(re[0], im[0]),
-                         w1=RatComplex(re[1], im[1]),
-                         w2=RatComplex(re[2], im[2]))
-
-
-def _solve3(c1: CharVec, c2: CharVec, c3: CharVec,
-            rhs: tuple[Fraction, Fraction, Fraction], d: Fraction
-            ) -> tuple[Fraction, Fraction, Fraction]:
-    def repl(i: int, c: CharVec, r: Fraction) -> CharVec:
-        parts = [c.ch0, c.ch1, c.ch2]
-        parts[i] = r
-        return CharVec(*parts)
-
-    out = []
-    for i in range(3):
-        di = det3(repl(i, c1, rhs[0]), repl(i, c2, rhs[1]), repl(i, c3, rhs[2]))
-        out.append(di / d)
-    return tuple(out)
+    duals = (cross3(c2, c3), cross3(c3, c1), cross3(c1, c2))
+    zs = p.values()
+    return GeneralCharge(*(
+        RatComplex(sum(z.re * e[i] for z, e in zip(zs, duals)) / d,
+                   sum(z.im * e[i] for z, e in zip(zs, duals)) / d)
+        for i in range(3)))
 
 
 def tr_polygon(t: ExcTriple) -> Polygon:
@@ -260,15 +256,16 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     the leg.  The outcome is unknown only when the region test at this
     depth is.
     """
-    if not validate_params(p):
+    phases = _valid_phases(p)
+    if phases is None:
         raise ValueError("invalid chart parameters")
-    f1, f2, f3 = p.phases()
+    f1, f2, f3 = phases
     gap12_ge1 = f1.shifted(1) <= f2
     gap23_ge1 = f2.shifted(1) <= f3
     if gap12_ge1 and gap23_ge1:
         return CellReport(CellLabel.PURE_CELL, depth,
                           reason="both phase gaps are at least one")
-    Z = charge_from_params(t, p)
+    Z = _charge(t, p)
     kp = kernel_point(Z)
     reason = ""
     if not kp.is_finite:

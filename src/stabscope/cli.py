@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,28 +26,14 @@ from .exceptional import (DyadicLabel, ExcBundle, ExcTriple, TriplePattern,
                           mutate_right, triple_from)
 from .lepotier import (DlpResult, RegionClass, build_curve, classify_point,
                        dlp_exists, _labels_between)
-from .geometric import (SQCharge, StabResult, exc_stable_at, z_eval)
+from .geometric import (RatComplex, SQCharge, StabResult, exc_stable_at,
+                        z_eval)
 from .algebraic import (CellLabel, ThetaParams, classify_cell_report,
                         transport_plus_leg, transport_plus_leg_inverse)
 from .walls import wall_line, walls_for
 
 ENV_DEPTH = "STABSCOPE_DEPTH"
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run-wide defaults resolved from the environment."""
-
-    default_depth: int = 8
-    fmt: str = "json"
-    exact: bool = True
-
-    @classmethod
-    def from_env(cls) -> "Config":
-        depth = int(os.environ.get(ENV_DEPTH, "8"))
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        return cls(default_depth=depth)
+DEFAULT_DEPTH = 8
 
 
 class _UsageError(ValueError):
@@ -89,8 +75,15 @@ def _triple(text: str) -> ExcTriple:
     return t
 
 
-def _depth(args, cfg: Config) -> int:
-    return cfg.default_depth if args.depth is None else args.depth
+def _depth(value, source: str) -> int:
+    """A depth given as text or int; it must be a non-negative integer."""
+    try:
+        depth = int(value)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
+    return depth
 
 
 _PATTERNS = {
@@ -125,7 +118,6 @@ def _params_from_args(args) -> tuple[ThetaParams, bool]:
             slots.append((parse_rational(re_s), parse_rational(im_s), int(k_s)))
         if len(slots) != 3:
             raise ValueError("--slots needs three re:im:k entries")
-        from .geometric import RatComplex
         return ThetaParams(RatComplex(slots[0][0], slots[0][1]),
                            RatComplex(slots[1][0], slots[1][1]),
                            RatComplex(slots[2][0], slots[2][1]),
@@ -340,17 +332,20 @@ def _line_text(line: ProjLine) -> Optional[str]:
 
 
 def run(argv: Sequence[str]) -> int:
-    cfg = Config.from_env()
     try:
+        # the variable is checked on every verb, also where --depth overrides it
+        default = _depth(os.environ.get(ENV_DEPTH, DEFAULT_DEPTH), ENV_DEPTH)
         args = _build_parser().parse_args(argv)
-        return _dispatch(args, cfg)
+        if hasattr(args, "depth"):
+            args.depth = default if args.depth is None else _depth(args.depth, "--depth")
+        return _dispatch(args)
     except _UsageError as e:
         return _fail(str(e))
     except (ValueError, AssertionError, OverflowError, ZeroDivisionError) as e:
         return _fail(str(e))
 
 
-def _dispatch(args, cfg: Config) -> int:
+def _dispatch(args) -> int:
     verb = args.verb
 
     if verb == "exc":
@@ -363,12 +358,11 @@ def _dispatch(args, cfg: Config) -> int:
         return 0
 
     if verb == "curve":
-        depth = _depth(args, cfg)
         window = (parse_rational(args.lo), parse_rational(args.hi))
-        segs, excs = _curve_data(depth, window)
+        segs, excs = _curve_data(args.depth, window)
         rows = _curve_rows(segs, excs)
         payload = {
-            "depth": depth,
+            "depth": args.depth,
             "window": [format_rational(w) for w in window],
             "segments": [{"label": str(s.label), "side": s.side,
                           "start": s.start.to_json(), "end": s.end.to_json()}
@@ -382,17 +376,15 @@ def _dispatch(args, cfg: Config) -> int:
         return 0
 
     if verb == "classify-point":
-        depth = _depth(args, cfg)
         result = classify_point(AffPt(parse_rational(args.x),
-                                      parse_rational(args.y)), depth)
+                                      parse_rational(args.y)), args.depth)
         _emit({"class": result.value})
         return 3 if args.strict and result is RegionClass.UNKNOWN else 0
 
     if verb == "dlp":
-        depth = _depth(args, cfg)
         v = CharVec(parse_rational(args.ch0), parse_rational(args.ch1),
                     parse_rational(args.ch2))
-        result = dlp_exists(v, depth)
+        result = dlp_exists(v, args.depth)
         _emit({"result": result.value})
         return 3 if args.strict and result is DlpResult.UNKNOWN else 0
 
@@ -405,7 +397,7 @@ def _dispatch(args, cfg: Config) -> int:
         return 0
 
     if verb == "stab-region":
-        return _stab_region(args, cfg)
+        return _stab_region(args)
 
     if verb == "triple":
         t = triple_from(_PATTERNS[args.pattern], DyadicLabel.parse(args.base))
@@ -419,11 +411,10 @@ def _dispatch(args, cfg: Config) -> int:
         return 0
 
     if verb == "classify-cell":
-        depth = _depth(args, cfg)
         t = _triple(args.triple)
         p, exact = _params_from_args(args)
-        report = classify_cell_report(t, p, depth)
-        payload = {"label": report.label.value, "depth": depth,
+        report = classify_cell_report(t, p, args.depth)
+        payload = {"label": report.label.value, "depth": args.depth,
                    "exact": exact, "reason": report.reason,
                    "kernel": None, "point": None}
         if report.kernel is not None:
@@ -434,11 +425,10 @@ def _dispatch(args, cfg: Config) -> int:
         return 3 if args.strict and report.label is CellLabel.UNKNOWN else 0
 
     if verb == "transport":
-        depth = _depth(args, cfg)
         t = _triple(args.triple)
         p, exact = _params_from_args(args)
         move = transport_plus_leg_inverse if args.inverse else transport_plus_leg
-        t2, p2 = move(t, p, depth)
+        t2, p2 = move(t, p, args.depth)
         _emit({"triple": _triple_json(t2), "params": _params_json(p2),
                "exact": exact})
         return 0
@@ -451,13 +441,12 @@ def _dispatch(args, cfg: Config) -> int:
         return 0
 
     if verb == "walls":
-        return _walls(args, cfg)
+        return _walls(args)
 
     raise _UsageError(f"unknown verb {verb!r}")
 
 
-def _stab_region(args, cfg: Config) -> int:
-    depth = _depth(args, cfg)
+def _stab_region(args) -> int:
     parts = args.grid.split(",")
     if len(parts) != 5:
         raise ValueError("grid must be x0,x1,y0,y1,n")
@@ -473,21 +462,20 @@ def _stab_region(args, cfg: Config) -> int:
         for i in range(n):
             x = x0 + (x1 - x0) * Fraction(i, n - 1)
             point = AffPt(x, y)
-            if classify_point(point, depth) is not RegionClass.GEO_LP:
+            if classify_point(point, args.depth) is not RegionClass.GEO_LP:
                 continue
-            result = exc_stable_at(E, point, depth)
+            result = exc_stable_at(E, point, args.depth)
             saw_unknown = saw_unknown or result is StabResult.UNKNOWN
             lines.append(f"{format_rational(x)},{format_rational(y)},{result.value}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 3 if args.strict and saw_unknown else 0
 
 
-def _walls(args, cfg: Config) -> int:
+def _walls(args) -> int:
     v = _charvec(args.v)
     window = _rats(args.window, 4)
     lo = window[0]
     hi = window[1]
-    import math
     labels = _labels_between(math.floor(lo), math.ceil(hi), args.pool_depth)
     pool = [ExcBundle.of(lab) for lab in labels]
     by_char = {e.char: str(e.label) for e in pool}

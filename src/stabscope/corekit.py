@@ -1,9 +1,10 @@
 """Exact rational arithmetic, rank-three character vectors, and plane geometry.
 
 Everything downstream reduces to predicates defined here: the Euler
-pairing on characters, discriminants, 3x3 determinants, exact ray
-comparison around a base point, and point-in-polygon tests with explicit
-edge and vertex inclusion flags.  No floating point in any decision.
+pairing on characters, discriminants, the 3-vector cross product and
+3x3 determinants, exact ray comparison around a base point, and
+point-in-polygon tests with explicit edge and vertex inclusion flags.
+No floating point in any decision.
 """
 
 from __future__ import annotations
@@ -11,35 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .surd import Number, QuadReal, nsign
-
-Rational = Fraction
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', 'p', or a decimal string into an exact Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational: {text!r}") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def format_number(x: Number) -> str:
-    """Compact display form; exact for rationals, 'a+b*sqrt(d)' for surds."""
-    if isinstance(x, QuadReal):
-        if x.is_rational:
-            return format_rational(x.a)
-        return f"{format_rational(x.a)}+{format_rational(x.b)}*sqrt({x.d})"
-    return format_rational(Fraction(x))
+from .surd import Number, QuadReal, format_rational, nsign, parse_rational
 
 
 def to_fraction(x: Number) -> Fraction:
@@ -78,6 +53,9 @@ class CharVec:
     def __rmul__(self, k) -> "CharVec":
         return self.scale(k)
 
+    def __iter__(self):
+        return iter((self.ch0, self.ch1, self.ch2))
+
     def is_zero(self) -> bool:
         return self.ch0 == 0 and self.ch1 == 0 and self.ch2 == 0
 
@@ -115,10 +93,16 @@ def delta(v: CharVec) -> Fraction:
     return mu * mu / 2 - v.ch2 / v.ch0
 
 
+def cross3(u: Sequence, v: Sequence) -> tuple:
+    """The cross product of two 3-vectors (tuples or characters)."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
 def det3(u: CharVec, v: CharVec, w: CharVec) -> Fraction:
-    return (u.ch0 * (v.ch1 * w.ch2 - v.ch2 * w.ch1)
-            - u.ch1 * (v.ch0 * w.ch2 - v.ch2 * w.ch0)
-            + u.ch2 * (v.ch0 * w.ch1 - v.ch1 * w.ch0))
+    k0, k1, k2 = cross3(v, w)
+    return u.ch0 * k0 + u.ch1 * k1 + u.ch2 * k2
 
 
 @dataclass(frozen=True)
@@ -144,9 +128,6 @@ class AffPt:
             return format_rational(Fraction(c))
         return {"x": one(self.x), "y": one(self.y)}
 
-    def approx(self) -> tuple[float, float]:
-        return float(self.x), float(self.y)
-
 
 def vec(p: AffPt, q: AffPt) -> tuple[Number, Number]:
     """Displacement q - p."""
@@ -159,11 +140,6 @@ def cross2(u: tuple[Number, Number], v: tuple[Number, Number]) -> Number:
 
 def collinear(p: AffPt, q: AffPt, r: AffPt) -> bool:
     return nsign(cross2(vec(p, q), vec(p, r))) == 0
-
-
-def pts_det3(p: AffPt, q: AffPt, r: AffPt) -> Number:
-    """Determinant of the rows (1, x, y) for three affine points."""
-    return cross2(vec(p, q), vec(p, r))
 
 
 @dataclass(frozen=True)
@@ -185,18 +161,14 @@ class ProjLine:
     def through(cls, p: AffPt, q: AffPt) -> "ProjLine":
         if p == q:
             raise ValueError("two distinct points required")
-        px, py = to_fraction(p.x), to_fraction(p.y)
-        qx, qy = to_fraction(q.x), to_fraction(q.y)
-        return cls(px * qy - py * qx, py - qy, qx - px)
+        return cls(*cross3((1, to_fraction(p.x), to_fraction(p.y)),
+                           (1, to_fraction(q.x), to_fraction(q.y))))
 
     def eval_at(self, p: AffPt) -> Number:
         return self.c0 + self.c1 * p.x + self.c2 * p.y
 
     def contains(self, p: AffPt) -> bool:
         return nsign(self.eval_at(p)) == 0
-
-    def eval_char(self, v: CharVec) -> Fraction:
-        return self.c0 * v.ch0 + self.c1 * v.ch1 + self.c2 * v.ch2
 
     def same_line(self, other: "ProjLine") -> bool:
         a = (self.c0, self.c1, self.c2)
@@ -241,15 +213,6 @@ class Segment:
             return nsign(p.x - self.a.x) == su and nsign(self.b.x - p.x) == su
         su = nsign(u[1])
         return nsign(p.y - self.a.y) == su and nsign(self.b.y - p.y) == su
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A ray from a base point in a given direction."""
-
-    base: AffPt
-    direction: tuple[Number, Number]
-    include_base: bool = True
 
 
 class RayOrder(enum.Enum):

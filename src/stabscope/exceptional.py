@@ -4,18 +4,22 @@ Integer labels carry the line bundle characters (1, n, n^2/2).  A label
 p/2^m with odd p is filled in from its two half-depth neighbours by a
 three-term recursion; each resulting character c satisfies the
 exceptionality identity euler_chi(c, c) = 1 and the closed-form
-discriminant (1/2)(1 - 1/ch0^2).
+discriminant (1/2)(1 - 1/ch0^2).  The parabola contact points of each
+label are the closed form of Drezet and Le Potier.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, delta, euler_chi, slope
+from .corekit import AffPt, CharVec, delta, det3, euler_chi, slope
 from .surd import QuadReal
+
+HALF = Fraction(1, 2)
 
 
 class DyadicLabel:
@@ -52,10 +56,6 @@ class DyadicLabel:
     def value(self) -> Fraction:
         return Fraction(self.p, 1 << self.m)
 
-    def ulp(self) -> Fraction:
-        """The step 1 / 2^m at this label's own depth."""
-        return Fraction(1, 1 << self.m)
-
     def shift(self, k: int) -> "DyadicLabel":
         return DyadicLabel(self.p + k * (1 << self.m), self.m)
 
@@ -85,23 +85,48 @@ class DyadicLabel:
         return f"DyadicLabel({self})"
 
 
-@functools.cache
-def char_of(label: DyadicLabel) -> CharVec:
-    """The character of the exceptional bundle at a dyadic label."""
-    if label.m == 0:
-        n = label.p
-        return CharVec(1, n, Fraction(n * n, 2))
+# every character computed so far, by label
+_CHARS: dict[DyadicLabel, CharVec] = {}
+
+
+def _recurrence_terms(label: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
+    """The helper, base and far labels whose characters give this one's."""
     p, m = label.p, label.m
     if p % 4 == 3:
-        helper = char_of(DyadicLabel(p + 1, m))
-        base = char_of(DyadicLabel(p - 1, m))
-        far = char_of(DyadicLabel(p - 3, m))
-    else:
-        helper = char_of(DyadicLabel(p - 1, m))
-        base = char_of(DyadicLabel(p + 1, m))
-        far = char_of(DyadicLabel(p + 3, m))
-    k = 3 * helper.ch0
-    return k * base - far
+        return DyadicLabel(p + 1, m), DyadicLabel(p - 1, m), DyadicLabel(p - 3, m)
+    return DyadicLabel(p - 1, m), DyadicLabel(p + 1, m), DyadicLabel(p + 3, m)
+
+
+def char_of(label: DyadicLabel) -> CharVec:
+    """The character of the exceptional bundle at a dyadic label.
+
+    A non-integer label's character is 3 * rank(helper) * base - far
+    over three labels of smaller depth.  Terms not yet cached are
+    resolved with an explicit stack, so a label may be deeper than the
+    interpreter's recursion limit.
+    """
+    c = _CHARS.get(label)
+    if c is not None:
+        return c
+    stack = [label]
+    while stack:
+        lbl = stack[-1]
+        if lbl in _CHARS:
+            stack.pop()
+        elif lbl.m == 0:
+            n = lbl.p
+            _CHARS[lbl] = CharVec(1, n, Fraction(n * n, 2))
+            stack.pop()
+        else:
+            terms = _recurrence_terms(lbl)
+            missing = [t for t in terms if t not in _CHARS]
+            if missing:
+                stack.extend(missing)
+                continue
+            helper, base, far = (_CHARS[t] for t in terms)
+            _CHARS[lbl] = 3 * helper.ch0 * base - far
+            stack.pop()
+    return _CHARS[label]
 
 
 def twist(label: DyadicLabel, k: int) -> CharVec:
@@ -149,41 +174,30 @@ def eplus(label: DyadicLabel) -> AffPt:
     return AffPt(e.x, e.y - Fraction(1, c.ch0 ** 2))
 
 
-def _parabola_cross(p1: AffPt, p2: AffPt) -> AffPt:
-    """The intersection of the open segment p1-p2 with y = x^2/2 - 1/2.
+def _contact(label: DyadicLabel, side: int) -> AffPt:
+    """The tent's contact point with y = x^2/2 - 1/2 on one side of its apex.
 
-    p1 sits strictly below the parabola and p2 strictly above, so exactly
-    one root of the quadratic lands inside the segment; the root is kept
-    exact as a QuadReal.
+    For slope a and rank r it lies at x = a + side * (3 - sqrt(9 - 4/r^2))/2
+    (Drezet-Le Potier), where the chord from the apex towards the
+    neighbour, of slope a + side * 3/2, meets the parabola.
     """
-    x1, y1 = Fraction(p1.x), Fraction(p1.y)
-    x2, y2 = Fraction(p2.x), Fraction(p2.y)
-    t = (y2 - y1) / (x2 - x1)
-    # x^2 - 2 t x + (2 t x1 - 2 y1 - 1) = 0
-    half_disc = t * t - 2 * t * x1 + 2 * y1 + 1
-    assert half_disc > 0, "segment does not cross the parabola"
-    root = QuadReal(0, 1, half_disc.denominator * half_disc.numerator) / half_disc.denominator
-    lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-    candidates = [QuadReal(t) + root, QuadReal(t) - root]
-    inside = [x for x in candidates if lo < x < hi]
-    assert len(inside) == 1, "expected exactly one crossing inside the segment"
-    x = inside[0]
-    y = x * x * Fraction(1, 2) - Fraction(1, 2)
-    return AffPt(x, y)
+    c = char_of(label)
+    r = int(c.ch0)
+    half_width = QuadReal(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
+    x = c.ch1 / c.ch0 + (half_width if side > 0 else -half_width)
+    return AffPt(x, x * x * HALF - HALF)
 
 
 @functools.cache
 def el(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the left neighbour."""
-    nb = char_of(label.left_neighbor()).proj()
-    return _parabola_cross(eplus(label), nb)
+    return _contact(label, -1)
 
 
 @functools.cache
 def er(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the right neighbour."""
-    nb = char_of(label.right_neighbor()).proj()
-    return _parabola_cross(eplus(label), nb)
+    return _contact(label, 1)
 
 
 class TriplePattern(enum.Enum):
@@ -236,7 +250,6 @@ def triple_from(pattern: TriplePattern, base: DyadicLabel) -> ExcTriple:
     assert labels[0] < labels[1] < labels[2], "triple labels out of order"
     assert euler_chi(c2, c1) == 0 and euler_chi(c3, c1) == 0 and euler_chi(c3, c2) == 0, \
         "pairing does not vanish on the triple"
-    from .corekit import det3
     assert abs(det3(c1, c2, c3)) == 1, "triple characters are not unimodular"
     return ExcTriple(b1, b2, b3, pattern, base)
 
@@ -261,7 +274,6 @@ def slope_to_label(mu: Fraction, max_m: int) -> DyadicLabel | None:
     mu = Fraction(mu)
     if mu.denominator == 1:
         return DyadicLabel(mu.numerator)
-    import math
     n = math.floor(mu)
     lo, hi = DyadicLabel(n), DyadicLabel(n + 1)
     for _ in range(max_m):

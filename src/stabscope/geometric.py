@@ -18,10 +18,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
-from .corekit import AffPt, CharVec, slope, to_fraction
+from .corekit import AffPt, CharVec, cross3, slope, to_fraction
 from .exceptional import ExcBundle
 from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
 
@@ -125,10 +124,6 @@ class GeneralCharge:
         """The charge -ch2 + a*ch1 + b*ch0."""
         return cls(w0=b, w1=a, w2=RatComplex(-1, 0))
 
-    def scale_by(self, u: RatComplex) -> "GeneralCharge":
-        """Multiply the whole functional by a complex scalar."""
-        return GeneralCharge(u * self.w0, u * self.w1, u * self.w2)
-
 
 Charge = Union[SQCharge, GeneralCharge]
 
@@ -198,27 +193,36 @@ def _heart_shift(s: Fraction, v: CharVec) -> int:
     return 1 if pos is HeartPos.NEEDS_SHIFT_ONE else 0
 
 
+def in_upper(re, im) -> bool:
+    """Whether the direction (re, im) has an angle in (0, 1] half-turns.
+
+    These are the vectors with positive imaginary part, or zero
+    imaginary part and negative real part.
+    """
+    return im > 0 or (im == 0 and re < 0)
+
+
 def to_upper(re, im) -> tuple[Fraction, Fraction, int]:
     """Flip a nonzero vector into the upper half (angle in (0, 1]).
 
     Returns (re', im', j) with (-1)^j * (re, im) = (re', im') and the
-    flipped vector having positive imaginary part, or zero imaginary
-    part with negative real part.
+    flipped vector in the upper half-plane of ``in_upper``.
     """
     re = Fraction(re)
     im = Fraction(im)
     if re == 0 and im == 0:
         raise ValueError("zero vector has no direction")
-    if im < 0 or (im == 0 and re > 0):
-        return -re, -im, 1
-    return re, im, 0
+    if in_upper(re, im):
+        return re, im, 0
+    return -re, -im, 1
 
 
-def _primitive(re: Fraction, im: Fraction) -> tuple[int, int]:
-    k = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-    a, b = int(re * k), int(im * k)
-    g = gcd(a, b)
-    return a // g, b // g
+def _coprime_ints(xs: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    den = math.lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (den // x.denominator) for x in xs]
+    g = math.gcd(*ints)
+    return tuple(n // g for n in ints)
 
 
 @dataclass(frozen=True)
@@ -241,18 +245,12 @@ class Phase(object):
         im = Fraction(im)
         if re == 0 and im == 0:
             raise ValueError("zero vector has no phase")
-        if im < 0 or (im == 0 and re > 0):
+        if not in_upper(re, im):
             raise ValueError("phase direction must lie in the upper half-plane")
-        p, q = _primitive(re, im)
+        p, q = _coprime_ints((re, im))
         object.__setattr__(self, "re", p)
         object.__setattr__(self, "im", q)
         object.__setattr__(self, "k", int(k))
-
-    def value_direction(self) -> tuple[int, int]:
-        """Direction of the underlying complex value, (-1)^k times stored."""
-        if self.k % 2:
-            return -self.re, -self.im
-        return self.re, self.im
 
     def shifted(self, n: int) -> "Phase":
         return Phase(self.re, self.im, self.k + n)
@@ -318,7 +316,7 @@ def _phase_of(Z: SQCharge, x: ShiftedChar) -> Phase:
         raise ValueError("class in kernel")
     h = _heart_shift(Z.s, x.char)
     u = -z0 if h % 2 else z0
-    if u.im < 0 or (u.im == 0 and u.re > 0):
+    if not in_upper(u.re, u.im):
         raise ValueError("charge value falls outside the heart half-plane")
     return Phase(u.re, u.im, x.shift - h)
 
@@ -400,21 +398,6 @@ class KernelPoint:
         return self.gen.proj()
 
 
-def _normalize_gen(c0: Fraction, c1: Fraction, c2: Fraction) -> CharVec:
-    den = 1
-    for f in (c0, c1, c2):
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in (c0, c1, c2)]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    ints = [a // g for a in ints]
-    for a in ints:
-        if a:
-            if a < 0:
-                ints = [-b for b in ints]
-            break
-    return CharVec(*ints)
-
-
 def kernel_point(Z: GeneralCharge) -> KernelPoint:
     """The kernel line of the charge, as a projective point.
 
@@ -422,14 +405,13 @@ def kernel_point(Z: GeneralCharge) -> KernelPoint:
     matrix; nondegeneracy means rank two, and the kernel is spanned by
     the cross product of the rows.
     """
-    row_re = (Z.w0.re, Z.w1.re, Z.w2.re)
-    row_im = (Z.w0.im, Z.w1.im, Z.w2.im)
-    k0 = row_re[1] * row_im[2] - row_re[2] * row_im[1]
-    k1 = row_re[2] * row_im[0] - row_re[0] * row_im[2]
-    k2 = row_re[0] * row_im[1] - row_re[1] * row_im[0]
-    if k0 == 0 and k1 == 0 and k2 == 0:
+    k = cross3((Z.w0.re, Z.w1.re, Z.w2.re), (Z.w0.im, Z.w1.im, Z.w2.im))
+    if not any(k):
         raise ValueError("degenerate charge: image lies in a real line")
-    return KernelPoint(_normalize_gen(k0, k1, k2))
+    gen = _coprime_ints(k)
+    if next(a for a in gen if a) < 0:
+        gen = tuple(-a for a in gen)
+    return KernelPoint(CharVec(*gen))
 
 
 @dataclass(frozen=True)

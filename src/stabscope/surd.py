@@ -21,6 +21,21 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 _FACTOR_LIMIT = 10**12
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q', 'p', or a decimal string into an exact Fraction."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational: {text!r}") from exc
+
+
+def format_rational(x: Fraction) -> str:
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _reduce_radicand(b: Fraction, d: int) -> tuple[Fraction, int]:
     """Pull square factors out of d, folding them into b.
 
@@ -104,9 +119,11 @@ def _mixed_sign(r: Fraction, b1: Fraction, d1: int, b2: Fraction, d2: int) -> in
 class QuadReal:
     """a + b*sqrt(d) with rational a, b and a nonnegative integer d.
 
-    Rational values are normalized to b == 0, d == 0.  Arithmetic stays
-    within one quadratic extension; adding surds over distinct radicands
-    raises, but comparisons across radicands are exact.
+    Rational values are normalized to b == 0, d == 0.  The radicand is
+    reduced once, when a value is built from outside; arithmetic keeps
+    its operands' radicand as it is.  Arithmetic stays within one
+    quadratic extension; adding surds over distinct radicands raises,
+    but comparisons across radicands are exact.
     """
 
     __slots__ = ("a", "b", "d")
@@ -125,6 +142,15 @@ class QuadReal:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _over(cls, a: Fraction, b: Fraction, d: int) -> "QuadReal":
+        """a + b*sqrt(d) for a radicand d that is already reduced."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "a", a)
+        object.__setattr__(out, "b", b)
+        object.__setattr__(out, "d", d if b != 0 else 0)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadReal is immutable")
@@ -156,12 +182,12 @@ class QuadReal:
         if o is NotImplemented:
             return NotImplemented
         d = self._compatible(o)
-        return QuadReal(self.a + o.a, self.b + o.b, d)
+        return QuadReal._over(self.a + o.a, self.b + o.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadReal(-self.a, -self.b, self.d)
+        return QuadReal._over(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -180,8 +206,8 @@ class QuadReal:
         if o is NotImplemented:
             return NotImplemented
         d = self._compatible(o)
-        return QuadReal(self.a * o.a + self.b * o.b * d,
-                        self.a * o.b + self.b * o.a, d)
+        return QuadReal._over(self.a * o.a + self.b * o.b * d,
+                              self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -190,7 +216,7 @@ class QuadReal:
             raise ZeroDivisionError("division by zero")
         n = self.a * self.a - self.b * self.b * self.d
         # n == 0 would force a = b sqrt(d) with d square-ish; sign()==0 already caught value 0
-        return QuadReal(self.a / n, -self.b / n, self.d)
+        return QuadReal._over(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -250,12 +276,10 @@ class QuadReal:
         return f"QuadReal({self.a} + {self.b}*sqrt({self.d}))"
 
     def to_json(self) -> dict:
-        from .corekit import format_rational
         return {"a": format_rational(self.a), "b": format_rational(self.b), "d": self.d}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadReal":
-        from .corekit import parse_rational
         return cls(parse_rational(obj["a"]), parse_rational(obj["b"]), int(obj["d"]))
 
 

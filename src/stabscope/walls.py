@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import AffPt, CharVec, ProjLine, Segment, to_fraction
+from .corekit import AffPt, CharVec, ProjLine, Segment, cross3, to_fraction
 from .exceptional import ExcBundle
 
 Rect = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -35,12 +35,10 @@ def wall_line(v: CharVec, w: CharVec) -> WallLine:
     Every point K on the line satisfies det3(K, v, w) = 0; the
     coefficients are the cross product of the two class vectors.
     """
-    c0 = v.ch1 * w.ch2 - v.ch2 * w.ch1
-    c1 = v.ch2 * w.ch0 - v.ch0 * w.ch2
-    c2 = v.ch0 * w.ch1 - v.ch1 * w.ch0
-    if c0 == 0 and c1 == 0 and c2 == 0:
+    coeffs = cross3(v, w)
+    if not any(coeffs):
         raise ValueError("no wall: classes parallel everywhere")
-    return WallLine(v, w, ProjLine(c0, c1, c2))
+    return WallLine(v, w, ProjLine(*coeffs))
 
 
 def _window_rect(window: Sequence) -> Rect:
@@ -95,11 +93,10 @@ def walls_for(v: CharVec, pool: Sequence[ExcBundle],
     rect = _window_rect(window)
     out = []
     for e in pool:
-        c = e.char
-        if v.ch0 * c.ch1 == v.ch1 * c.ch0 and v.ch1 * c.ch2 == v.ch2 * c.ch1 \
-                and v.ch0 * c.ch2 == v.ch2 * c.ch0:
+        try:
+            wl = wall_line(v, e.char)
+        except ValueError:
             continue
-        wl = wall_line(v, c)
         seg = clip_line(wl.line, rect)
         if seg is None:
             continue

@@ -1,7 +1,11 @@
 """End-to-end checks of the command line front end."""
 
+import hashlib
 import json
 import re
+from fractions import Fraction
+
+import pytest
 
 from stabscope.cli import run
 
@@ -182,3 +186,103 @@ def test_walls_json_payload(capsys):
     assert lines == ["s=-2", "s=-1", "s=0", "s=1", "s=2"]
     for w in out["walls"]:
         assert w["clip"]["start"]["x"] == w["clip"]["end"]["x"]
+
+
+# SHA-256 of stdout for the acceptance CLI matrix (check 12) plus the
+# default-depth dlp, as printed before the contact points became closed
+# forms; any change to these bytes is a change of the CLI contract.
+GOLDEN_DIGESTS = [
+    (["exc", "char", "3/2"],
+     "b9d8a677c831025474d126fe3cdfcbe4c5132d76db99e3cd163bd8818e9e8848"),
+    (["curve", "emit", "--from=-2", "--to", "2", "--depth", "3",
+      "--format", "svg"],
+     "2d83c56dad96c092319b936665f17225d835d328e1a5399d882b21c4453ebd4c"),
+    (["classify-point", "--x", "1/2", "--y", "0", "--depth", "4"],
+     "05743d6f96091132205a6dc2bff1187a40c7d30112f720ae3795283d0837e5a1"),
+    (["dlp", "--ch0", "3", "--ch1", "1", "--ch2=-2", "--depth", "4"],
+     "2fd6567a0b1ad14614135e20eb02d05cc4e9fbf942cf0c9a17b01e85b08e1b3f"),
+    (["charge", "eval", "--s", "1/2", "--q", "0",
+      "--ch0", "1", "--ch1", "1", "--ch2", "1/2"],
+     "4db6e4071a88d7987febba5452e8ea147d55b28f8e7575e7b9289e15b3143782"),
+    (["stab-region", "--label", "0", "--grid=-1/2,1/2,-1/8,1/8,3",
+      "--depth", "6"],
+     "521ba79d0fa7ba1bc06cf9968559836fdedd654488deed8013af87c8007d680d"),
+    (["triple", "make", "--pattern", "adj", "--base", "1"],
+     "70c47497ad93ac0e85ac4f408198e481283078e020c7333c66538d3fa11c272a"),
+    (["mutate", "left", "--triple", "0,1,2"],
+     "68353eda7ded34bb668edb4c48ac5d82bd6e54e5e7d6d44b8f92a9b198b1831d"),
+    (["classify-cell", "--triple", "0,1,2", f"--slots={TRANSPORT_SLOTS}",
+      "--depth", "6"],
+     "05cf57a00a05384faf16c05a89ed5ea4ddf13a6b33fc2eed239c786966ca52f8"),
+    (["transport", "--triple", "0,1,2", f"--slots={TRANSPORT_SLOTS}",
+      "--depth", "6"],
+     "a81f2311ac35ddeed16193d2b1182a699b13ba569b3739ebf326748f5092f96a"),
+    (["wall", "--v", "0,0,1", "--w", "1,0,0"],
+     "c8cd923b3a43b209c51e6dc7134258caf70c9b6abf71690d30d7ebc73ffbdf4f"),
+    (["walls", "--v", "0,0,1", "--pool-depth", "1", "--window=-2,2,-1,1",
+      "--format", "csv"],
+     "0eb0a5007d6af49efc0fb46475ef30618afe4d738df16204b674e81ac38deab7"),
+    (["dlp", "--ch0", "3", "--ch1", "1", "--ch2=-2"],
+     "2fd6567a0b1ad14614135e20eb02d05cc4e9fbf942cf0c9a17b01e85b08e1b3f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS,
+                         ids=[" ".join(a[:2]) for a, _ in GOLDEN_DIGESTS])
+def test_golden_digests(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("STABSCOPE_DEPTH", raising=False)
+    out = _ok(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _one_json_error(capsys, argv) -> dict:
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+# one cheap, valid invocation of every verb
+EVERY_VERB = [
+    ["exc", "char", "0"],
+    ["curve", "emit", "--from", "0", "--to", "1"],
+    ["classify-point", "--x", "1/2", "--y", "0"],
+    ["dlp", "--ch0", "1", "--ch1", "0", "--ch2", "0"],
+    ["charge", "eval", "--s", "0", "--q", "0",
+     "--ch0", "1", "--ch1", "0", "--ch2", "0"],
+    ["stab-region", "--label", "0", "--grid=-1/2,1/2,-1/8,1/8,2"],
+    ["triple", "make", "--pattern", "adj", "--base", "1"],
+    ["mutate", "left", "--triple", "0,1,2"],
+    ["classify-cell", "--triple", "0,1,2", f"--slots={TRANSPORT_SLOTS}"],
+    ["transport", "--triple", "0,1,2", f"--slots={TRANSPORT_SLOTS}"],
+    ["wall", "--v", "0,0,1", "--w", "1,0,0"],
+    ["walls", "--v", "0,0,1", "--pool-depth", "0", "--window=-1,1,-1,1"],
+]
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=[a[0] for a in EVERY_VERB])
+def test_bad_env_depth_exits_2(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("STABSCOPE_DEPTH", value)
+    err = _one_json_error(capsys, argv)
+    assert "STABSCOPE_DEPTH" in err["error"]
+
+
+DEPTH_VERBS = [a for a in EVERY_VERB
+               if a[0] in ("curve", "classify-point", "dlp", "stab-region",
+                           "classify-cell", "transport")]
+
+
+@pytest.mark.parametrize("argv", DEPTH_VERBS, ids=[a[0] for a in DEPTH_VERBS])
+def test_negative_depth_exits_2(capsys, argv):
+    err = _one_json_error(capsys, argv + ["--depth=-1"])
+    assert "--depth" in err["error"]
+
+
+def test_exc_char_deep_label(capsys):
+    out = _json(capsys, ["exc", "char", f"1/{2 ** 1200}"])
+    rank, ch1, ch2 = (Fraction(t) for t in out["char"])
+    assert rank > 0 and 0 < ch1 / rank < Fraction(1, 2)
+    assert ch2 == ch1 * ch1 / (2 * rank) - (1 - 1 / rank ** 2) * rank / 2

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from stabscope.corekit import CharVec, collinear, delta, det3, euler_chi, slope
 from stabscope.exceptional import (DyadicLabel, ExcBundle, TriplePattern,
@@ -126,6 +127,35 @@ def test_shoulder_points_on_half_discriminant_parabola():
         assert el(label).delta() == Fraction(1, 2), label
         assert er(label).delta() == Fraction(1, 2), label
         assert el(label).x < eplus(label).x < er(label).x, label
+
+
+def _sympy_contact(label: DyadicLabel, neighbour: DyadicLabel) -> tuple:
+    """The chord from eplus to the neighbour's projected character meets
+    y = x^2/2 - 1/2 here; sympy finds the point on its own."""
+    e, nb = eplus(label), char_of(neighbour).proj()
+    (x1, y1), (x2, y2) = ((sympy.Rational(str(p.x)), sympy.Rational(str(p.y)))
+                          for p in (e, nb))
+    x = sympy.Symbol("x", real=True)
+    chord = y1 + (y2 - y1) / (x2 - x1) * (x - x1)
+    roots = [r for r in sympy.roots(chord - x ** 2 / 2 + sympy.Rational(1, 2), x)
+             if min(x1, x2) < r < max(x1, x2)]
+    assert len(roots) == 1, label
+    return roots[0], chord.subs(x, roots[0])
+
+
+def _sympy_value(q: QuadReal):
+    return sympy.Rational(str(q.a)) + sympy.Rational(str(q.b)) * sympy.sqrt(q.d)
+
+
+def test_contact_points_match_sympy_intersection():
+    labels = all_labels(2, 4)    # every label of depth <= 4 in [-2, 2]
+    assert len(labels) == 65
+    for label in labels:
+        for point, neighbour in ((el(label), label.left_neighbor()),
+                                 (er(label), label.right_neighbor())):
+            x, y = _sympy_contact(label, neighbour)
+            assert sympy.expand(_sympy_value(point.x) - x) == 0, label
+            assert sympy.expand(_sympy_value(point.y) - y) == 0, label
 
 
 def test_triple_patterns():

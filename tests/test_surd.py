@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from stabscope import surd
 from stabscope.surd import QuadReal, nsign
 
 mpmath.mp.dps = 100
@@ -119,3 +120,32 @@ def test_golden_ratio_identity():
     phi = QuadReal(Fraction(1, 2), Fraction(1, 2), 5)
     assert phi * phi == phi + 1
     assert phi.inverse() == phi - 1
+
+
+@given(rationals, rationals, radicands, rationals, rationals)
+def test_arithmetic_keeps_the_reduced_form(a, b, d, a2, b2):
+    """Results carry the (a, b, d) a fresh constructor gives their value."""
+    x = QuadReal(a, b, d)
+    y = QuadReal(a2, b2, d)
+    results = [x + y, x - y, x * y, -x, x * x, x - x]
+    if y.sign() != 0:
+        results += [y.inverse(), x / y]
+    for r in results:
+        fresh = QuadReal(r.a, r.b, r.d)
+        assert (r.a, r.b, r.d) == (fresh.a, fresh.b, fresh.d)
+
+
+def test_arithmetic_does_not_reduce(monkeypatch):
+    # radicands above the trial-division limit and below it, as the
+    # contact points of ranks 7561 and 37666 have
+    values = [QuadReal(Fraction(3, 2), Fraction(-1, 15122), 9 * 7561 ** 2 - 4),
+              QuadReal(1, 2, 12), QuadReal(Fraction(1, 3), 5, 10 ** 13 + 7)]
+
+    def forbidden(b, d):
+        raise AssertionError("radicand reduced again")
+
+    monkeypatch.setattr(surd, "_reduce_radicand", forbidden)
+    for x in values:
+        y = x * x * Fraction(1, 2) - Fraction(1, 2)
+        assert (y - x * x / 2).sign() < 0
+        assert x / (x + 1) < 1 and x.inverse() * x == 1

@@ -476,7 +476,8 @@ def _walls(args) -> int:
     window = _rats(args.window, 4)
     lo = window[0]
     hi = window[1]
-    labels = _labels_between(math.floor(lo), math.ceil(hi), args.pool_depth)
+    labels = _labels_between(math.floor(lo), math.ceil(hi),
+                             _depth(args.pool_depth, "--pool-depth"))
     pool = [ExcBundle.of(lab) for lab in labels]
     by_char = {e.char: str(e.label) for e in pool}
     found = walls_for(v, pool, window)

@@ -274,17 +274,14 @@ def slope_to_label(mu: Fraction, max_m: int) -> DyadicLabel | None:
     mu = Fraction(mu)
     if mu.denominator == 1:
         return DyadicLabel(mu.numerator)
-    n = math.floor(mu)
-    lo, hi = DyadicLabel(n), DyadicLabel(n + 1)
-    for _ in range(max_m):
-        mid = DyadicLabel.from_value((lo.value + hi.value) / 2)
+    # the target lies between the adjacent labels p/2^(m-1) and (p+1)/2^(m-1)
+    p = math.floor(mu)
+    for m in range(1, max_m + 1):
+        mid = DyadicLabel(2 * p + 1, m)
         s = slope(char_of(mid))
         if s == mu:
             return mid
-        if s < mu:
-            lo = mid
-        else:
-            hi = mid
+        p = 2 * p + (s < mu)
     return None
 
 

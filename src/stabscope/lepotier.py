@@ -1,14 +1,21 @@
-"""Depth-bounded exact construction of the Le Potier curve.
+"""Exact decisions against the Le Potier curve by walks down the dyadic tree.
 
-For each dyadic label the curve contributes a "tent": two line segments
-descending from the half-discriminant parabola to the point one
-rank-squared unit below the projected character.  Tents of distinct
-labels occupy disjoint slope intervals, so a tent covering a queried
-slope settles the classification there at every deeper refinement too.
-Vertical exclusion segments hang from each projected character down to
-the tent apex.  What can never be enumerated (labels deeper than the
-budget) is handled by a discriminant threshold certificate or reported
-as Unknown.
+Each dyadic label contributes a "tent", two line segments descending from
+the half-discriminant parabola to the point one rank-squared unit below
+the projected character, and a vertical exclusion segment from that
+character down to the tent apex.  Tents are disjoint and ordered like
+their labels, so no decision needs the whole curve.
+
+A point walks down the label tree of its unit cell: the midpoint label's
+tent either covers the slope or lies on one side of it, so a point costs
+one step per unit of depth.  A segment visits the integer labels of its
+slope span, then the gaps between adjacent labels p/2^k and (p+1)/2^k.
+Every label inside such a gap has depth at least k + 1, hence rank at
+least min_rank(k + 1), so where the segment's discriminant stays below
+delta_safe(k) over the gap the whole subtree is skipped.  Otherwise the
+midpoint label's exclusion and chords are checked and both halves are
+walked; a gap still open at the depth budget makes the answer Unknown.
+build_curve lists every tent of a window; no decision uses it.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ def min_rank(depth: int) -> int:
     return fib(2 * depth + 1)
 
 
+@functools.cache
 def delta_safe(depth: int) -> Fraction:
     """Discriminant bound certifying clearance of all labels deeper than depth.
 
@@ -167,10 +175,19 @@ def _exclusion(label: DyadicLabel) -> ExclusionSegment:
     return ExclusionSegment(label, to_fraction(e.x), top, top - Fraction(1, c.ch0 ** 2))
 
 
+# most labels one curve listing may enumerate
+_MAX_LABELS = 1 << 14
+
+
 def _labels_between(lo: int, hi: int, depth: int) -> list[DyadicLabel]:
     """All canonical labels with value in [lo, hi] and depth at most depth."""
+    # there are (hi - lo) * 2^depth + 1 of them, so deeper levels than
+    # these either break the cap or, when lo == hi, hold no label
+    levels = min(depth, _MAX_LABELS.bit_length())
+    if (hi - lo) << levels >= _MAX_LABELS:
+        raise ValueError(f"more than {_MAX_LABELS} labels in [{lo}, {hi}] at depth {depth}")
     out = [DyadicLabel(n) for n in range(lo, hi + 1)]
-    for m in range(1, depth + 1):
+    for m in range(1, levels + 1):
         step = 1 << m
         out.extend(DyadicLabel(p, m) for p in range(lo * step + 1, hi * step, 2))
     return out
@@ -186,36 +203,21 @@ class CurveApprox:
     segments: tuple[CurveSegment, ...]
     exclusions: tuple[ExclusionSegment, ...]
 
-    def covering_tent(self, x: Number) -> Optional[Tent]:
-        """The unique tent whose closed slope span contains x, if any."""
-        lo, hi = 0, len(self.tents)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.tents[mid].apex.x <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        for t in self.tents[max(0, lo - 1):lo + 1]:
-            if t.x_lo <= x <= t.x_hi:
-                return t
-        return None
 
-
-@functools.lru_cache(maxsize=None)
 def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
-    """Construct every tent and exclusion of depth <= depth near the window.
+    """Construct every tent and exclusion of depth <= depth over the window.
 
-    The slope window is padded by one on each side so that tents whose
-    apex falls slightly outside still appear when they can cover queried
-    slopes inside.  Output is deterministic and sorted by apex slope.
+    A tent lies inside the unit cell of its label, within the distance
+    (3 - sqrt(5))/2 of an integer label's slope, so the labels in
+    [floor(lo), ceil(hi)] reach every tent that meets the window.
+    Output is deterministic and sorted by apex slope.
     """
     if depth < 0:
         raise ValueError("negative depth")
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise ValueError("empty window")
-    labels = _labels_between(math.floor(lo - 1), math.ceil(hi + 1), depth)
-    labels.sort(key=lambda l: to_fraction(char_of(l).proj().x))
+    labels = sorted(_labels_between(math.floor(lo), math.ceil(hi), depth))
     tents = tuple(_tent(l) for l in labels)
     for prev, cur in zip(tents, tents[1:]):
         assert prev.x_hi < cur.x_lo, "tent spans overlap"
@@ -224,9 +226,31 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     return CurveApprox(depth, (lo, hi), tents, segments, exclusions)
 
 
-def _cell_curve(x: Number, depth: int) -> CurveApprox:
-    n = _nfloor(x)
-    return build_curve(depth, (Fraction(n), Fraction(n + 1)))
+def _tent_at(x: Number, depth: int) -> Optional[Tent]:
+    """The tent of depth <= depth whose closed slope span contains x, if any.
+
+    The walk keeps the gap between adjacent labels p/2^m and (p+1)/2^m
+    of x's unit cell that x lies in.  The midpoint label's tent either
+    covers x or lies wholly on one side of it, which picks the half.
+    """
+    if depth < 0:
+        raise ValueError("negative depth")
+    p = _nfloor(x)
+    if x <= er(DyadicLabel(p)).x:
+        return _tent(DyadicLabel(p))
+    if x >= el(DyadicLabel(p + 1)).x:
+        return _tent(DyadicLabel(p + 1))
+    for m in range(1, depth + 1):
+        mid = DyadicLabel(2 * p + 1, m)
+        if x < eplus(mid).x:
+            if x >= el(mid).x:
+                return _tent(mid)
+            p = 2 * p
+        else:
+            if x <= er(mid).x:
+                return _tent(mid)
+            p = 2 * p + 1
+    return None
 
 
 def classify_point(p: AffPt, depth: int) -> RegionClass:
@@ -243,7 +267,7 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
         return RegionClass.ON_EXCLUSION if hit else RegionClass.GEO_LP
     if d > 1:
         return RegionClass.BELOW_CURVE
-    tent = _cell_curve(p.x, depth).covering_tent(p.x)
+    tent = _tent_at(p.x, depth)
     if tent is None:
         return RegionClass.UNKNOWN
     yt = tent.y_on(p.x)
@@ -320,120 +344,68 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         raise ValueError("strip analysis supports rational endpoints only") from None
     if a.delta() > 1 or b.delta() > 1:
         return GeoAnswer.NO
-    safe = delta_safe(depth)
+    if depth < 0:
+        raise ValueError("negative depth")
     if ax == bx:
-        return _contains_vertical(ax, a, b, depth, exclude_a, safe)
+        return _contains_vertical(ax, a, b, depth, exclude_a)
 
     (x0, y0), (x1, y1) = sorted(((ax, ay), (bx, by)))
     line = ProjLine.through(AffPt(x0, y0), AffPt(x1, y1))
-    approx = build_curve(depth, (Fraction(_nfloor(x0)), Fraction(_nceil(x1))))
-
-    for exc in approx.exclusions:
-        if x0 <= exc.x <= x1 and exc.covers_y(line.y_at(exc.x)):
-            if exclude_a and exc.x == ax:
-                continue
-            return GeoAnswer.NO
-
-    unknown = False
     allowed = ax if exclude_a else None
-    for lo, hi in _risky_tails(line, x0, x1, safe):
-        verdict, unk = _walk_strip(line, approx, lo, hi, safe, allowed)
-        if verdict is not None:
-            return verdict
-        unknown = unknown or unk
+
+    def blocks(label: DyadicLabel) -> bool:
+        """Whether the label's exclusion or one of its tent chords stops the segment."""
+        exc = _exclusion(label)
+        if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(line.y_at(exc.x)):
+            return True
+        tent = _tent(label)
+        return not (_above_chord(line, tent.left, x0, x1, allowed)
+                    and _above_chord(line, tent.right, x0, x1, allowed))
+
+    n0, n1 = math.floor(x0), math.ceil(x1)
+    if any(blocks(DyadicLabel(n)) for n in range(n0, n1 + 1)):
+        return GeoAnswer.NO
+    unknown = False
+    # (p, k) is the gap between the adjacent labels p/2^k and (p+1)/2^k
+    gaps = [(n, 0) for n in range(n1 - 1, n0 - 1, -1)]
+    while gaps:
+        p, k = gaps.pop()
+        lo = max(er(DyadicLabel(p, k)).x, x0)
+        hi = min(el(DyadicLabel(p + 1, k)).x, x1)
+        # the discriminant is convex along the segment, so its values at
+        # the two ends bound it over the whole stretch
+        safe = delta_safe(k)
+        if lo > hi or (_delta_along(line, lo) < safe and _delta_along(line, hi) < safe):
+            continue
+        if k == depth:
+            unknown = True
+            continue
+        if blocks(DyadicLabel(2 * p + 1, k + 1)):
+            return GeoAnswer.NO
+        gaps += [(2 * p + 1, k + 1), (2 * p, k + 1)]
     return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
 
 
-def _rational_bounds(x: QuadReal) -> tuple[Fraction, Fraction]:
-    if x.is_rational:
-        v = x.as_fraction()
-        return v, v
-    return x.isolating_interval()
-
-
-def _risky_tails(line: ProjLine, x0: Fraction, x1: Fraction,
-                 safe: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Rational cover of the slopes where the segment's discriminant >= safe.
-
-    Everywhere else the segment clears the whole infinite-depth curve at
-    once, leaving at most two end stretches to compare tent by tent.
-    """
-    beta = -line.c1 / line.c2
-    alpha = -line.c0 / line.c2
-    disc = beta * beta + 2 * (alpha + safe)
-    if disc <= 0:
-        return [(x0, x1)]
-    root = QuadReal(0, 1, disc.numerator * disc.denominator) / disc.denominator
-    eps = Fraction(1, 10 ** 30)
-    _, hi1 = _rational_bounds(QuadReal(beta) - root)
-    lo2, _ = _rational_bounds(QuadReal(beta) + root)
-    left_end = min(hi1 + eps, x1)
-    right_start = max(lo2 - eps, x0)
-    tails = []
-    if x0 <= left_end:
-        tails.append((x0, left_end))
-    if right_start <= x1:
-        tails.append((right_start, x1))
-    if len(tails) == 2 and tails[0][1] >= tails[1][0]:
-        return [(x0, x1)]
-    return tails
-
-
-def _walk_strip(line: ProjLine, approx: CurveApprox, lo: Fraction, hi: Fraction,
-                safe: Fraction, allowed_touch_x) -> tuple[Optional[GeoAnswer], bool]:
-    """Compare the segment against tents and gap certificates over [lo, hi]."""
-    unknown = False
-    cursor: Number = lo
-    for tent in approx.tents:
-        if tent.x_hi < lo:
-            continue
-        if tent.x_lo > hi:
-            break
-        s = tent.x_lo if tent.x_lo > lo else lo
-        h = tent.x_hi if tent.x_hi < hi else hi
-        if cursor < s and not _gap_safe(line, cursor, s, safe):
-            unknown = True
-        for sub_lo, sub_hi, seg in ((s, min(tent.apex.x, h), tent.left),
-                                    (max(tent.apex.x, s), h, tent.right)):
-            if sub_lo > sub_hi:
-                continue
-            verdict = _above_tent(line, seg.line, sub_lo, sub_hi, allowed_touch_x)
-            if verdict is not None:
-                return verdict, unknown
-        cursor = h
-    if cursor < hi and not _gap_safe(line, cursor, hi, safe):
-        unknown = True
-    return None, unknown
-
-
-def _above_tent(line: ProjLine, tent_line: ProjLine, lo: Number, hi: Number,
-                allowed_touch_x) -> Optional[GeoAnswer]:
-    """No when the segment fails to stay strictly above a tent chord.
+def _above_chord(line: ProjLine, chord: CurveSegment, x0: Fraction, x1: Fraction,
+                 allowed_touch_x) -> bool:
+    """Whether the segment stays strictly above a tent chord where both span.
 
     The difference of two lines is linear, so positivity at both ends of
     the shared slope interval is conclusive.  A zero at one end is
     tolerated only at the half-open endpoint's slope.
     """
+    lo, hi = max(chord.x_lo, x0), min(chord.x_hi, x1)
+    if lo > hi:
+        return True
     for x in (lo, hi):
-        sign = nsign(line.y_at(x) - tent_line.y_at(x))
-        if sign < 0:
-            return GeoAnswer.NO
-        if sign == 0 and not (allowed_touch_x is not None and x == allowed_touch_x):
-            return GeoAnswer.NO
-    return None
-
-
-def _gap_safe(line: ProjLine, lo: Number, hi: Number, bound: Fraction) -> bool:
-    """Certify a tent-free slope stretch by the discriminant threshold.
-
-    Discriminant along a line is convex in the slope coordinate, so the
-    two endpoint values bound it over the whole stretch.
-    """
-    return _delta_along(line, lo) < bound and _delta_along(line, hi) < bound
+        sign = nsign(line.y_at(x) - chord.line.y_at(x))
+        if sign < 0 or (sign == 0 and x != allowed_touch_x):
+            return False
+    return True
 
 
 def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
-                       exclude_a: bool, safe: Fraction) -> GeoAnswer:
+                       exclude_a: bool) -> GeoAnswer:
     ay, by = to_fraction(a.y), to_fraction(b.y)
     y_lo, y_hi = min(ay, by), max(ay, by)
     label = slope_to_label(x, depth)
@@ -442,7 +414,7 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
         o_lo, o_hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
         if o_lo <= o_hi and not (exclude_a and o_lo == o_hi == ay):
             return GeoAnswer.NO
-    tent = _cell_curve(x, depth).covering_tent(x)
+    tent = _tent_at(x, depth)
     if tent is not None:
         yt = tent.y_on(x)
         if y_lo < yt:
@@ -451,6 +423,6 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
             return GeoAnswer.NO
         return GeoAnswer.YES
     # uncovered slope: the lower endpoint carries the largest discriminant
-    if x * x * HALF - y_lo < safe:
+    if x * x * HALF - y_lo < delta_safe(depth):
         return GeoAnswer.YES
     return GeoAnswer.UNKNOWN

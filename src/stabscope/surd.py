@@ -39,10 +39,11 @@ def format_rational(x: Fraction) -> str:
 def _reduce_radicand(b: Fraction, d: int) -> tuple[Fraction, int]:
     """Pull square factors out of d, folding them into b.
 
-    Small radicands are made fully square-free.  Huge radicands (they
-    appear at larger recursion depths, where full factorization is not
-    feasible) only get square factors of small primes removed; every
-    predicate in this module is exact regardless of square-freeness.
+    Radicands up to _FACTOR_LIMIT are made fully square-free.  Huge
+    radicands (they appear at larger recursion depths, where full
+    factorization is not feasible) only get square factors of small
+    primes removed; every predicate in this module is exact regardless
+    of square-freeness.
     """
     if d < 0:
         raise ValueError("negative radicand")
@@ -58,16 +59,23 @@ def _reduce_radicand(b: Fraction, d: int) -> tuple[Fraction, int]:
             d //= p2
             s *= p
     if d <= _FACTOR_LIMIT:
-        f = 3
+        # strip every factor up to the cube root of the cofactor, keeping
+        # odd powers in core; the cofactor is then 1, a prime, a prime
+        # squared or a product of two primes
+        core, f = 1, 2
         while f * f * f <= d:
-            f2 = f * f
-            while d % f2 == 0:
-                d //= f2
+            if d % f:
+                f += 1 if f == 2 else 2
+            elif d % (f * f):
+                d //= f
+                core *= f
+            else:
+                d //= f * f
                 s *= f
-            f += 2
         root = math.isqrt(d)
         if root * root == d:
-            return b * s * root, 0
+            s, d = s * root, 1
+        d *= core
     return b * s, d
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -275,10 +276,27 @@ DEPTH_VERBS = [a for a in EVERY_VERB
                            "classify-cell", "transport")]
 
 
-@pytest.mark.parametrize("argv", DEPTH_VERBS, ids=[a[0] for a in DEPTH_VERBS])
-def test_negative_depth_exits_2(capsys, argv):
-    err = _one_json_error(capsys, argv + ["--depth=-1"])
-    assert "--depth" in err["error"]
+NEGATIVE_DEPTHS = [(a + ["--depth=-1"], "--depth") for a in DEPTH_VERBS] + [
+    (["walls", "--v", "0,0,1", "--pool-depth=-3", "--window=-1,1,-1,1"],
+     "--pool-depth")]
+
+
+@pytest.mark.parametrize("argv,flag", NEGATIVE_DEPTHS,
+                         ids=[a[0] for a, _ in NEGATIVE_DEPTHS])
+def test_negative_depth_exits_2(capsys, argv, flag):
+    err = _one_json_error(capsys, argv)
+    assert flag in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "emit", "--from", "0", "--to", "1", "--depth", "30"],
+    ["walls", "--v", "0,0,1", "--pool-depth", "30", "--window=-1,1,-1,1"],
+], ids=["curve", "walls"])
+def test_label_enumeration_is_capped(capsys, argv):
+    start = time.perf_counter()
+    err = _one_json_error(capsys, argv)
+    assert "labels" in err["error"]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exc_char_deep_label(capsys):

@@ -1,11 +1,14 @@
 """Boundary-curve construction and region classification."""
 
+import functools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from stabscope.corekit import AffPt, CharVec
-from stabscope.exceptional import DyadicLabel, char_of
+from stabscope.exceptional import DyadicLabel, char_of, eplus
 from stabscope.lepotier import (DlpResult, GeoAnswer, RegionClass,
                                 build_curve, classify_point, delta_safe,
                                 dlp_exists, fib, geo_contains_segment,
@@ -27,7 +30,7 @@ def test_fibonacci_certificate():
 
 
 def test_min_rank_matches_enumeration():
-    for depth in range(6):
+    for depth in range(11):
         step = 1 << depth
         ranks = [char_of(DyadicLabel(p, depth)).ch0
                  for p in range(1, 4 * step, 2 if depth else 1)]
@@ -98,7 +101,7 @@ def test_classify_monotone_refinement():
            for i in range(-8, 9) for j in range(0, 17)]
     for p in pts:
         decided = None
-        for depth in range(0, 7):
+        for depth in [*range(0, 7), 40]:
             got = classify_point(p, depth)
             if decided is None:
                 if got is not RegionClass.UNKNOWN:
@@ -174,3 +177,122 @@ def test_unknown_in_uncovered_gap_on_contact_parabola():
     later = classify_point(p, depth + 4)
     assert later in (RegionClass.UNKNOWN, RegionClass.GEO_LP,
                      RegionClass.ON_CURVE)
+
+
+# Reference decisions from every tent and exclusion that build_curve
+# enumerates over the query's unit cells, with nothing pruned.
+
+@functools.cache
+def _cells(depth, lo, hi):
+    return build_curve(depth, (Fraction(lo), Fraction(hi)))
+
+
+def _curve_near(x0, x1, depth):
+    return _cells(depth, math.floor(x0), math.ceil(x1))
+
+
+def _reference_point(p, depth):
+    half = Fraction(1, 2)
+    approx = _curve_near(p.x, p.x, depth)
+    if p.delta() < half:
+        on = any(e.x == p.x and e.covers_y(p.y) for e in approx.exclusions)
+        return RegionClass.ON_EXCLUSION if on else RegionClass.GEO_LP
+    if p.delta() > 1:
+        return RegionClass.BELOW_CURVE
+    tents = [t for t in approx.tents if t.x_lo <= p.x <= t.x_hi]
+    if not tents:
+        return RegionClass.UNKNOWN
+    yt = tents[0].y_on(p.x)
+    if p.y == yt:
+        return RegionClass.ON_CURVE
+    if p.y < yt:
+        return RegionClass.BELOW_CURVE
+    exc = [e for e in approx.exclusions if e.label == tents[0].label][0]
+    if p.x == exc.x and p.y <= exc.y_top:
+        return RegionClass.ON_EXCLUSION
+    return RegionClass.GEO_LP
+
+
+def _reference_segment(a, b, depth, exclude_a):
+    if a.delta() > 1 or b.delta() > 1:
+        return GeoAnswer.NO
+    x0, x1 = sorted((a.x, b.x))
+    approx = _curve_near(x0, x1, depth)
+
+    def ys(x):
+        """The lowest and highest segment height over slope x."""
+        if a.x == b.x:
+            return min(a.y, b.y), max(a.y, b.y)
+        y = a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
+        return y, y
+
+    def only_a(x, y):
+        return exclude_a and AffPt(x, y) == a
+
+    for e in approx.exclusions:
+        if x0 <= e.x <= x1:
+            lo, hi = ys(e.x)
+            lo, hi = max(lo, e.y_bottom), min(hi, e.y_top)
+            if lo <= hi and not (lo == hi and only_a(e.x, lo)):
+                return GeoAnswer.NO
+    for seg in approx.segments:
+        lo, hi = max(seg.x_lo, x0), min(seg.x_hi, x1)
+        for x in ((lo, hi) if lo <= hi else ()):
+            y = ys(x)[0]
+            sign = nsign(y - seg.line.y_at(x))
+            if sign < 0 or (sign == 0 and not only_a(x, y)):
+                return GeoAnswer.NO
+    safe = delta_safe(depth)
+    for left, right in zip(approx.tents, approx.tents[1:]):
+        lo, hi = max(left.x_hi, x0), min(right.x_lo, x1)
+        if lo <= hi and any(x * x / 2 - ys(x)[0] >= safe for x in (lo, hi)):
+            return GeoAnswer.UNKNOWN
+    return GeoAnswer.YES
+
+
+def _random_point(rng, x_lo, x_hi):
+    den = rng.choice([1, 2, 3, 8, 13, 64, 101, 4096])
+    x = Fraction(rng.randint(math.floor(x_lo * den), math.ceil(x_hi * den)), den)
+    lo, hi = rng.choice([(-0.3, 1.2), (0.3, 0.6), (0.45, 0.52), (0.49, 0.51)])
+    delta = Fraction(rng.randint(int(lo * 4096), int(hi * 4096)), 4096)
+    return AffPt(x, x * x / 2 - delta)
+
+
+def _exceptional_point(rng):
+    m = rng.randint(0, 4)
+    return char_of(DyadicLabel(rng.randint(-2 << m, 2 << m), m)).proj()
+
+
+def _chord_point(rng):
+    """A rational point inside a tent chord of a label of depth <= 3."""
+    m = rng.randint(0, 3)
+    label = DyadicLabel(rng.randint(-2 << m, 2 << m), m)
+    r = char_of(label).ch0
+    x = eplus(label).x + rng.choice([-1, 1]) * Fraction(1, 4 * r * r)
+    tent = [t for t in _curve_near(x, x, 3).tents if t.label == label][0]
+    return AffPt(x, tent.y_on(x))
+
+
+def test_walk_matches_enumeration():
+    rng = random.Random(2024)
+    for _ in range(700):
+        depth = rng.randint(0, 7)
+        p = _random_point(rng, -2, 2)
+        assert classify_point(p, depth) is _reference_point(p, depth), (p, depth)
+        kind = rng.choice(["plain", "cross", "vertical", "exceptional", "chord"])
+        a = p
+        if kind == "exceptional":
+            a = _exceptional_point(rng)
+        elif kind == "chord":
+            a = _chord_point(rng)
+        if kind == "vertical":
+            b = AffPt(a.x, a.y + Fraction(rng.randint(-64, 64), 64))
+        else:
+            width = Fraction(2) if kind == "cross" else Fraction(1, 4)
+            b = _random_point(rng, a.x - width, a.x + width)
+        if a == b:
+            continue
+        exclude_a = rng.random() < 0.5
+        want = _reference_segment(a, b, depth, exclude_a)
+        got = geo_contains_segment(a, b, depth, exclude_a=exclude_a)
+        assert got is want, (a, b, depth, exclude_a)

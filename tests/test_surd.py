@@ -43,6 +43,10 @@ def test_square_factor_extraction():
     assert (q.b, q.d) == (2, 2)
     q = QuadReal(0, 3, 50)
     assert (q.b, q.d) == (15, 2)
+    # 30603 = 3 * 101^2: the square's prime lies above the cube root
+    q = QuadReal(0, 1, 30603)
+    assert (q.b, q.d) == (101, 3)
+    assert q + QuadReal(0, 1, 3) == QuadReal(0, 102, 3)
 
 
 def test_negative_radicand_rejected():

@@ -9,6 +9,11 @@ realizes the universal-cover group action on parameters with exact
 branch bookkeeping, and transports plus-leg points to the chart of the
 left-mutated triple and back.
 
+The classifier never solves for the charge: its kernel is written
+directly in the triple's characters and the three values, and the
+pentagon and dual basis of a triple are built once and kept in a
+bounded cache.
+
 Exactness convention: a phase is entered as an integer branch plus a
 rational point on the unit circle lying in the upper half-plane, so the
 phase value is branch + angle with the angle in (0, 1].  Charge values
@@ -20,6 +25,7 @@ constructor for convenience.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +35,7 @@ from .corekit import (Polygon, cross3, det3, euler_chi, parse_rational,
                       point_in_polygon)
 from .exceptional import ExcTriple, eplus, mutate_left, mutate_right
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
-                        RatComplex, ShiftedChar, in_upper, kernel_point,
-                        to_upper)
+                        RatComplex, ShiftedChar, in_upper, to_upper)
 from .lepotier import RegionClass, classify_point
 from .surd import QuadReal
 
@@ -169,29 +174,39 @@ def validate_params(p: ThetaParams) -> bool:
 
 
 def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
-    """The unique charge taking the prescribed values on the triple."""
-    if not validate_params(p):
-        raise ValueError("invalid chart parameters")
-    return _charge(t, p)
-
-
-def _charge(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
-    """Solve for the charge through the dual basis of the triple.
+    """The unique charge taking the prescribed values on the triple.
 
     The three characters form a basis of the character lattice (their
     determinant is a unit).  Since c_i . (c_j x c_k) is det3(c1, c2, c3)
     for (i, j, k) in cyclic order and zero when i repeats, the charge's
     coefficients are (z1 c2 x c3 + z2 c3 x c1 + z3 c1 x c2) / det3.
     """
-    c1, c2, c3 = t.chars
-    d = det3(c1, c2, c3)
-    assert d != 0, "triple characters must form a basis"
-    duals = (cross3(c2, c3), cross3(c3, c1), cross3(c1, c2))
+    if not validate_params(p):
+        raise ValueError("invalid chart parameters")
+    d, duals, _ = _triple_data(t)
     zs = p.values()
     return GeneralCharge(*(
         RatComplex(sum(z.re * e[i] for z, e in zip(zs, duals)) / d,
                    sum(z.im * e[i] for z, e in zip(zs, duals)) / d)
         for i in range(3)))
+
+
+# triples whose determinant, dual basis and pentagon are kept
+_TRIPLE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
+def _triple_data(t: ExcTriple) -> tuple[Fraction, tuple, Polygon]:
+    """The determinant, dual basis and pentagon of a triple."""
+    c1, c2, c3 = t.chars
+    d = det3(c1, c2, c3)
+    assert d != 0, "triple characters must form a basis"
+    duals = (cross3(c2, c3), cross3(c3, c1), cross3(c1, c2))
+    e1, e2, e3 = (c.proj() for c in t.chars)
+    pentagon = Polygon((e1, eplus(t.E1.label), e2, eplus(t.E3.label), e3),
+                       edge_included=(False,) * 5,
+                       vertex_included=(False,) * 5)
+    return d, duals, pentagon
 
 
 def tr_polygon(t: ExcTriple) -> Polygon:
@@ -214,12 +229,7 @@ def mz_polygon(t: ExcTriple) -> Polygon:
     point, and the last projection.  No edge or vertex belongs to the
     region.
     """
-    e1, e2, e3 = (b.char.proj() for b in (t.E1, t.E2, t.E3))
-    p1 = eplus(t.E1.label)
-    p3 = eplus(t.E3.label)
-    return Polygon((e1, p1, e2, p3, e3),
-                   edge_included=(False,) * 5,
-                   vertex_included=(False,) * 5)
+    return _triple_data(t)[2]
 
 
 class CellLabel(enum.Enum):
@@ -249,12 +259,19 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
 
     Order of decision: the pure tail is recognized first from the two
     phase gaps (this also collects every degenerate charge, since
-    collinear values force integer gaps); otherwise the charge is
-    reconstructed and the geometric head is certified by its kernel
-    point lying inside the open pentagon, inside the geometric region,
-    with positive orientation.  Failing that, the small outer gap picks
-    the leg.  The outcome is unknown only when the region test at this
-    depth is.
+    collinear values force integer gaps); otherwise the geometric head
+    is certified by the kernel point lying inside the open pentagon,
+    inside the geometric region, with positive orientation.  Failing
+    that, the small outer gap picks the leg.  The outcome is unknown
+    only when the region test at this depth is.
+
+    The charge is never solved for.  It sends sum a_j c_j to
+    sum a_j z_j, which vanishes exactly when a is proportional to
+    Re z x Im z, so the kernel is spanned by
+    v = (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3.  The orientation
+    determinant w1 x w2 of the charge's coefficients is the rank
+    coordinate of the cross product Re w x Im w, which is
+    ch0(v) / det3(c1, c2, c3).
     """
     phases = _valid_phases(p)
     if phases is None:
@@ -265,14 +282,17 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     if gap12_ge1 and gap23_ge1:
         return CellReport(CellLabel.PURE_CELL, depth,
                           reason="both phase gaps are at least one")
-    Z = _charge(t, p)
-    kp = kernel_point(Z)
+    d, _, pentagon = _triple_data(t)
+    z1, z2, z3 = p.values()
+    a1, a2, a3 = z2.cross(z3), z3.cross(z1), z1.cross(z2)
+    v = tuple(a1 * x1 + a2 * x2 + a3 * x3 for x1, x2, x3 in zip(*t.chars))
+    kp = KernelPoint.spanned_by(v)
     reason = ""
     if not kp.is_finite:
         reason = "kernel line has rank zero"
     else:
         pt = kp.point()
-        if not point_in_polygon(pt, mz_polygon(t)):
+        if not point_in_polygon(pt, pentagon):
             reason = "kernel point outside the open pentagon"
         else:
             region = classify_point(pt, depth)
@@ -281,7 +301,7 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
                                   "region test undecided at this depth")
             if region is not RegionClass.GEO_LP:
                 reason = "kernel point not in the geometric region"
-            elif Z.w1.re * Z.w2.im - Z.w1.im * Z.w2.re <= 0:
+            elif v[0] * d <= 0:
                 reason = "orientation determinant not positive"
             else:
                 return CellReport(CellLabel.GEO_CELL, depth, kp,
@@ -330,18 +350,15 @@ def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     turn adds two to every phase).  Phase gaps relative to integers are
     preserved, so validity is preserved.
     """
-    psi0 = _base_angle(g)
+    lo = _base_angle(g)
+    hi = lo.shifted(1)
     new_z = []
     new_k = []
     for z, k in p.slots():
         if z.is_zero():
             raise ValueError("cannot act on a zero value")
         w = g.act(z)
-        u = -z if k % 2 else z
-        wu = g.act(u)
-        cand = _ang2_phase(wu)
-        lo = psi0
-        hi = psi0.shifted(1)
+        cand = _ang2_phase(-w if k % 2 else w)
         if not (lo < cand <= hi):
             cand = cand.shifted(2)
         assert lo < cand <= hi, "lift window missed"

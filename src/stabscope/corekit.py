@@ -10,7 +10,8 @@ No floating point in any decision.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -267,24 +268,32 @@ class Polygon:
 
     Edge i joins vertices[i] to vertices[i+1] (cyclically).  The region
     may be star-shaped; membership is decided by exact crossing parity.
+    The vertices are rational; ``scaled`` holds a common positive
+    denominator and the integer vertices it makes.
     """
 
     vertices: tuple[AffPt, ...]
     edge_included: tuple[bool, ...]
     vertex_included: tuple[bool, ...]
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vertices)
         if n < 3 or len(self.edge_included) != n or len(self.vertex_included) != n:
             raise ValueError("degenerate polygon")
+        qs = [(to_fraction(v.x), to_fraction(v.y)) for v in self.vertices]
         area2 = Fraction(0)
         for i in range(n):
-            p, q = self.vertices[i], self.vertices[(i + 1) % n]
-            if p == q:
+            (px, py), (qx, qy) = qs[i], qs[(i + 1) % n]
+            if (px, py) == (qx, qy):
                 raise ValueError("degenerate polygon: repeated vertex")
-            area2 += to_fraction(p.x) * to_fraction(q.y) - to_fraction(q.x) * to_fraction(p.y)
+            area2 += px * qy - qx * py
         if area2 == 0:
             raise ValueError("degenerate polygon: zero area")
+        den = math.lcm(*(c.denominator for q in qs for c in q))
+        object.__setattr__(self, "scaled", (den, tuple(
+            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in qs)))
 
     def edges(self) -> Iterable[tuple[AffPt, AffPt, bool]]:
         n = len(self.vertices)
@@ -295,31 +304,33 @@ class Polygon:
 def point_in_polygon(p: AffPt, poly: Polygon) -> bool:
     """Exact membership with the polygon's inclusion flags.
 
-    Boundary cases are resolved first (vertices, then open edges); the
-    interior test is even-odd crossing counting with a horizontal ray,
-    exact because the point is strictly off the boundary there.
+    Every vertex is taken relative to p, and the doubled signed area of
+    p with an edge (a, b) is cross2(a - p, b - p).  Boundary cases are
+    resolved first: a vertex at p, then an edge of zero area whose ends
+    lie on opposite sides of p.  The interior test is even-odd crossing
+    counting with a horizontal ray to the right: an edge spanning the
+    ray's level (half-open rule) crosses it exactly when its area has
+    the sign of its rise, since p is strictly off the boundary there.
+    A rational p is handled in integers: scaling every relative vertex
+    by one positive number keeps all of these signs.
     """
-    for v, flag in zip(poly.vertices, poly.vertex_included):
-        if p == v:
-            return flag
-    for a, b, flag in poly.edges():
-        u, w = vec(a, b), vec(a, p)
-        if nsign(cross2(u, w)) != 0:
-            continue
-        t_num = u[0] * w[0] + u[1] * w[1]
-        t_den = u[0] * u[0] + u[1] * u[1]
-        if nsign(t_num) > 0 and nsign(t_den - t_num) > 0:
+    if p.is_rational():
+        x, y = to_fraction(p.x), to_fraction(p.y)
+        den, verts = poly.scaled
+        m = x.denominator * y.denominator
+        px, py = x.numerator * y.denominator * den, y.numerator * x.denominator * den
+        rel = [(vx * m - px, vy * m - py) for vx, vy in verts]
+    else:
+        rel = [(v.x - p.x, v.y - p.y) for v in poly.vertices]
+    for (dx, dy), flag in zip(rel, poly.vertex_included):
+        if nsign(dx) == 0 and nsign(dy) == 0:
             return flag
     crossings = 0
-    for a, b, _ in poly.edges():
-        ya, yb = a.y - p.y, b.y - p.y
-        sa, sb = nsign(ya), nsign(yb)
-        # half-open rule: an edge counts when it spans the ray level
-        if (sa > 0) == (sb > 0):
-            continue
-        # x-coordinate where the edge meets the horizontal through p
-        t = ya / (ya - yb)
-        x_hit = a.x + t * (b.x - a.x)
-        if nsign(x_hit - p.x) > 0:
+    for (ax, ay), (bx, by), flag in zip(rel, rel[1:] + rel[:1], poly.edge_included):
+        area = nsign(ax * by - ay * bx)
+        if area == 0 and nsign(ax * bx + ay * by) < 0:
+            return flag
+        rises = nsign(by) > 0
+        if (nsign(ay) > 0) != rises and (area > 0) == rises:
             crossings += 1
     return crossings % 2 == 1

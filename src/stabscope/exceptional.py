@@ -157,6 +157,11 @@ class ExcBundle:
             "closed-form discriminant failed"
         return cls(label, c)
 
+    def __hash__(self):
+        # equal bundles share a label; hashing the character's fractions
+        # would cost more than the rest of a cache lookup keyed by a triple
+        return hash(self.label)
+
     @property
     def rank(self) -> Fraction:
         return self.char.ch0
@@ -250,7 +255,9 @@ def triple_from(pattern: TriplePattern, base: DyadicLabel) -> ExcTriple:
     assert labels[0] < labels[1] < labels[2], "triple labels out of order"
     assert euler_chi(c2, c1) == 0 and euler_chi(c3, c1) == 0 and euler_chi(c3, c2) == 0, \
         "pairing does not vanish on the triple"
-    assert abs(det3(c1, c2, c3)) == 1, "triple characters are not unimodular"
+    # every standard triple comes from (O, O(1), O(2)), of determinant 1,
+    # by twists and mutations, which keep the determinant
+    assert det3(c1, c2, c3) == 1, "triple characters are not unimodular"
     return ExcTriple(b1, b2, b3, pattern, base)
 
 

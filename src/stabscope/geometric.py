@@ -253,7 +253,12 @@ class Phase(object):
         object.__setattr__(self, "k", int(k))
 
     def shifted(self, n: int) -> "Phase":
-        return Phase(self.re, self.im, self.k + n)
+        # the direction is already primitive and in the upper half-plane
+        out = object.__new__(Phase)
+        object.__setattr__(out, "re", self.re)
+        object.__setattr__(out, "im", self.im)
+        object.__setattr__(out, "k", self.k + n)
+        return out
 
     def exact_value(self) -> Optional[Fraction]:
         """The value as a rational, when the angle is a quarter multiple."""
@@ -397,6 +402,16 @@ class KernelPoint:
             raise ValueError("kernel direction has rank zero: point at infinity")
         return self.gen.proj()
 
+    @classmethod
+    def spanned_by(cls, k: tuple) -> "KernelPoint":
+        """The kernel point of the line through a rational 3-vector."""
+        if not any(k):
+            raise ValueError("degenerate charge: image lies in a real line")
+        gen = _coprime_ints(k)
+        if next(a for a in gen if a) < 0:
+            gen = tuple(-a for a in gen)
+        return cls(CharVec(*gen))
+
 
 def kernel_point(Z: GeneralCharge) -> KernelPoint:
     """The kernel line of the charge, as a projective point.
@@ -405,13 +420,8 @@ def kernel_point(Z: GeneralCharge) -> KernelPoint:
     matrix; nondegeneracy means rank two, and the kernel is spanned by
     the cross product of the rows.
     """
-    k = cross3((Z.w0.re, Z.w1.re, Z.w2.re), (Z.w0.im, Z.w1.im, Z.w2.im))
-    if not any(k):
-        raise ValueError("degenerate charge: image lies in a real line")
-    gen = _coprime_ints(k)
-    if next(a for a in gen if a) < 0:
-        gen = tuple(-a for a in gen)
-    return KernelPoint(CharVec(*gen))
+    return KernelPoint.spanned_by(
+        cross3((Z.w0.re, Z.w1.re, Z.w2.re), (Z.w0.im, Z.w1.im, Z.w2.im)))
 
 
 @dataclass(frozen=True)

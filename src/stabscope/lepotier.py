@@ -8,14 +8,18 @@ their labels, so no decision needs the whole curve.
 
 A point walks down the label tree of its unit cell: the midpoint label's
 tent either covers the slope or lies on one side of it, so a point costs
-one step per unit of depth.  A segment visits the integer labels of its
-slope span, then the gaps between adjacent labels p/2^k and (p+1)/2^k.
-Every label inside such a gap has depth at least k + 1, hence rank at
-least min_rank(k + 1), so where the segment's discriminant stays below
-delta_safe(k) over the gap the whole subtree is skipped.  Otherwise the
-midpoint label's exclusion and chords are checked and both halves are
-walked; a gap still open at the depth budget makes the answer Unknown.
-build_curve lists every tent of a window; no decision uses it.
+one step per unit of depth.  A segment visits the integer labels of the
+unit cells of its slope span where its discriminant reaches 0, at most a
+few cells at each end, then the gaps between adjacent labels p/2^k and
+(p+1)/2^k in those cells.  Every label inside such a gap has depth at
+least k + 1, hence rank at least min_rank(k + 1), so where the segment's
+discriminant stays below delta_safe(k) over the gap the whole subtree is
+skipped.  Otherwise the midpoint label's exclusion and chords are
+checked and both halves are walked; a gap still open at the depth budget
+makes the answer Unknown.  Above the strip, a point's exclusion search
+likewise stops at the first depth k with its discriminant below
+delta_safe(k).  build_curve lists every tent of a window; no decision
+uses it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .corekit import AffPt, CharVec, ProjLine, Segment, to_fraction
+from .corekit import AffPt, CharVec, ProjLine, to_fraction
 from .exceptional import DyadicLabel, char_of, eplus, el, er, is_exceptional_char, slope_to_label
 from .surd import Number, QuadReal, nsign
 
@@ -72,10 +76,6 @@ def _nfloor(x: Number) -> int:
             f -= 1
         return f
     return math.floor(x)
-
-
-def _nceil(x: Number) -> int:
-    return -_nfloor(-x)
 
 
 class RegionClass(enum.Enum):
@@ -263,7 +263,7 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     """
     d = p.delta()
     if d < HALF:
-        hit = _exclusion_at(p, depth)
+        hit = _exclusion_at(p, d, depth)
         return RegionClass.ON_EXCLUSION if hit else RegionClass.GEO_LP
     if d > 1:
         return RegionClass.BELOW_CURVE
@@ -280,10 +280,18 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     return RegionClass.GEO_LP
 
 
-def _exclusion_at(p: AffPt, depth: int) -> bool:
+def _exclusion_at(p: AffPt, d: Number, depth: int) -> bool:
+    """Whether p, of discriminant d < 1/2, is on an exclusion of depth <= depth.
+
+    Below delta_safe(k) the point clears every exclusion deeper than k,
+    so the label search stops at the first such k.
+    """
     if isinstance(p.x, QuadReal) and not p.x.is_rational:
         return False
-    label = slope_to_label(to_fraction(p.x), depth)
+    k = 0
+    while k < depth and d >= delta_safe(k):
+        k += 1
+    label = slope_to_label(to_fraction(p.x), k)
     return label is not None and _exclusion(label).covers_y(p.y)
 
 
@@ -319,17 +327,21 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
 def _contains_fast(a: AffPt, b: AffPt, exclude_a: bool) -> GeoAnswer:
     """Nonpositive discriminant at both ends: only integer apexes obstruct.
 
-    Discriminant is convex along the segment, so it stays nonpositive;
-    such points are above the curve and can only meet an exclusion at
+    Such points are above the curve and can only meet an exclusion at
     its top endpoint on the zero-discriminant parabola, which happens at
-    rank one, i.e. at integer slopes n with height n^2/2.
+    rank one, i.e. at integer slopes n with height n^2/2.  Along the
+    segment the discriminant is strictly convex (or, on a vertical
+    segment, linear and not constant), so it is negative strictly
+    between the ends and only an endpoint can be such a point.
     """
-    seg = Segment(a, b, include_a=not exclude_a, include_b=True)
-    x0, x1 = seg.x_range()
-    for n in range(_nceil(x0), _nfloor(x1) + 1):
-        if seg.contains(AffPt(Fraction(n), Fraction(n * n, 2))):
-            return GeoAnswer.NO
+    if _is_integer_apex(b) or (not exclude_a and _is_integer_apex(a)):
+        return GeoAnswer.NO
     return GeoAnswer.YES
+
+
+def _is_integer_apex(p: AffPt) -> bool:
+    """Whether p is (n, n^2/2) for an integer n."""
+    return p.is_rational() and to_fraction(p.x).denominator == 1 and p.delta() == 0
 
 
 def _delta_along(line: ProjLine, x: Number) -> Number:
@@ -362,12 +374,29 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         return not (_above_chord(line, tent.left, x0, x1, allowed)
                     and _above_chord(line, tent.right, x0, x1, allowed))
 
+    def reaches_zero(n: int) -> bool:
+        """Whether the discriminant reaches 0 over the unit cell [n, n + 1]."""
+        return (_delta_along(line, max(n, x0)) >= 0
+                or _delta_along(line, min(n + 1, x1)) >= 0)
+
+    # Every exclusion and chord lies at discriminant >= 0, so only the
+    # unit cells where the segment reaches 0 hold labels that can stop it.
+    # The discriminant is convex along the segment, so these cells are a
+    # prefix and a suffix of the span, at most a few cells each (the ends
+    # are at discriminant <= 1).
     n0, n1 = math.floor(x0), math.ceil(x1)
-    if any(blocks(DyadicLabel(n)) for n in range(n0, n1 + 1)):
+    left = n0
+    while left < n1 and reaches_zero(left):
+        left += 1
+    right = n1
+    while right > left and reaches_zero(right - 1):
+        right -= 1
+    cells = [*range(n0, left), *range(right, n1)]
+    if any(blocks(DyadicLabel(n)) for n in {n for c in cells for n in (c, c + 1)}):
         return GeoAnswer.NO
     unknown = False
     # (p, k) is the gap between the adjacent labels p/2^k and (p+1)/2^k
-    gaps = [(n, 0) for n in range(n1 - 1, n0 - 1, -1)]
+    gaps = [(n, 0) for n in reversed(cells)]
     while gaps:
         p, k = gaps.pop()
         lo = max(er(DyadicLabel(p, k)).x, x0)

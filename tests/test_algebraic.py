@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import UPPER_UNITS, random_triple, random_valid_params
-from stabscope.algebraic import (CellLabel, ThetaParams, charge_from_params,
-                                 classify_cell, classify_cell_report, gl_act,
-                                 gl_inverse, mz_polygon, stable_set_pure,
-                                 tr_polygon, transport_plus_leg,
+from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
+                                 charge_from_params, classify_cell,
+                                 classify_cell_report, gl_act, gl_inverse,
+                                 mz_polygon, stable_set_pure, tr_polygon,
+                                 transport_plus_leg,
                                  transport_plus_leg_inverse, validate_params)
 from stabscope.corekit import AffPt, CharVec, point_in_polygon
 from stabscope.exceptional import DyadicLabel, TriplePattern, detect_triple, triple_from
 from stabscope.geometric import (GLElement, RatComplex, SQCharge,
-                                 kernel_point, z_eval)
+                                 kernel_point, to_upper, z_eval)
+from stabscope.lepotier import RegionClass, classify_point
 
 OOO = triple_from(TriplePattern.ADJACENT, DyadicLabel(1))
 
@@ -382,3 +384,97 @@ def test_geo_sufficient_condition_cross_check():
             continue
         assert label is CellLabel.GEO_CELL, (t.labels, p)
         done += 1
+
+
+def _report_by_charge_solve(t, p, depth):
+    """classify_cell_report's decisions taken on the solved charge."""
+    f1, f2, f3 = p.phases()
+    gap12_ge1, gap23_ge1 = f1.shifted(1) <= f2, f2.shifted(1) <= f3
+    if gap12_ge1 and gap23_ge1:
+        return CellReport(CellLabel.PURE_CELL, depth,
+                          reason="both phase gaps are at least one")
+    Z = charge_from_params(t, p)
+    kp = kernel_point(Z)
+    reason = ""
+    if not kp.is_finite:
+        reason = "kernel line has rank zero"
+    elif not point_in_polygon(kp.point(), mz_polygon(t)):
+        reason = "kernel point outside the open pentagon"
+    else:
+        region = classify_point(kp.point(), depth)
+        if region is RegionClass.UNKNOWN:
+            return CellReport(CellLabel.UNKNOWN, depth, kp,
+                              "region test undecided at this depth")
+        if region is not RegionClass.GEO_LP:
+            reason = "kernel point not in the geometric region"
+        elif Z.w1.re * Z.w2.im - Z.w1.im * Z.w2.re <= 0:
+            reason = "orientation determinant not positive"
+        else:
+            return CellReport(CellLabel.GEO_CELL, depth, kp,
+                              "kernel point in the pentagon and region")
+    if not gap23_ge1:
+        return CellReport(CellLabel.PLUS_LEG, depth, kp,
+                          reason + "; upper phase gap below one")
+    return CellReport(CellLabel.MINUS_LEG, depth, kp,
+                      reason + "; lower phase gap below one")
+
+
+def _strip_params(rng, t):
+    """Valid non-pure parameters whose kernel point lies near an apex.
+
+    The point is a weighted mean of the first or last character's
+    dropped point, which is in the curve strip, and the two pentagon
+    vertices next to it, so a depth below that label's leaves its slope
+    uncovered.  The values are those of a random orientation-preserving
+    transform of the normal-form charge at that point, or of its mirror
+    image, and the branches are the first that make the phases valid
+    with a gap below one.
+    """
+    vs = mz_polygon(t).vertices
+    left, apex, right = vs[:3] if rng.random() < 0.5 else vs[2:]
+    w = rng.randint(6, 30)
+    x = (w * apex.x + left.x + right.x) / (w + 2)
+    y = (w * apex.y + left.y + right.y) / (w + 2)
+    while True:
+        a, b, c, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        if a * d - b * c > 0:
+            break
+    Z = GLElement(a, b, c, d).act_charge(SQCharge(x, y).as_general())
+    zs = [z_eval(Z, ch) for ch in t.chars]
+    if rng.random() < 0.3:
+        zs = [RatComplex(z.re, -z.im) for z in zs]
+    if any(z.is_zero() for z in zs):
+        return None
+    parity = [to_upper(z.re, z.im)[2] for z in zs]
+    for n1 in range(-1, 2):
+        for n2 in range(-1, 3):
+            for n3 in range(-1, 4):
+                ks = [j + 2 * n for j, n in zip(parity, (n1, n2, n3))]
+                p = ThetaParams(*zs, *ks)
+                if not validate_params(p):
+                    continue
+                f1, f2, f3 = p.phases()
+                if f2 < f1.shifted(1) or f3 < f2.shifted(1):
+                    return p
+    return None
+
+
+def test_closed_form_kernel_matches_the_charge_solve():
+    rng = random.Random(5150)
+    patterns, labels, reasons = set(), set(), set()
+    for i in range(700):
+        depth = rng.randint(0, 6)
+        t = random_triple(rng, max_m=4)
+        if i % 3:
+            p = random_valid_params(rng)
+        else:
+            p = _strip_params(rng, t)
+            if p is None:
+                continue
+        report = classify_cell_report(t, p, depth)
+        assert report == _report_by_charge_solve(t, p, depth), (t.labels, p, depth)
+        patterns.add(t.pattern)
+        labels.add(report.label)
+        reasons.add(report.reason)
+    assert patterns == set(TriplePattern) and labels == set(CellLabel)
+    assert any("orientation" in r for r in reasons)

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import stabscope
 from stabscope.cli import run
 
 TRANSPORT_SLOTS = "1:0:-1,-21/29:-20/29:1,119/169:-120/169:1"
@@ -304,3 +309,20 @@ def test_exc_char_deep_label(capsys):
     rank, ch1, ch2 = (Fraction(t) for t in out["char"])
     assert rank > 0 and 0 < ch1 / rank < Fraction(1, 2)
     assert ch2 == ch1 * ch1 / (2 * rank) - (1 - 1 / rank ** 2) * rank / 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-point", "--x", "117/100", "--y", "103/100"],
+    ["classify-cell", "--triple", "0,1,2", "--m", "1,1,1", "--phi", "0.1,0.5,1.3"],
+], ids=["classify-point", "classify-cell"])
+def test_huge_depth_above_the_strip_in_a_fresh_process(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(stabscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "stabscope.cli", *argv,
+                           "--depth", "100000"],
+                          env=env, capture_output=True, timeout=30)
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout)

@@ -1,5 +1,6 @@
 """Character vectors, pairings, and exact plane geometry predicates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,45 @@ def test_nonconvex_polygon_parity():
     assert point_in_polygon(AffPt(1, 1), poly)
     assert point_in_polygon(AffPt(3, 1), poly)
     assert not point_in_polygon(AffPt(2, 3), poly)
+
+
+def _crossing_reference(p, poly):
+    """Membership by the vertex, open-edge and interpolated-crossing tests."""
+    for v, flag in zip(poly.vertices, poly.vertex_included):
+        if p == v:
+            return flag
+    for a, b, flag in poly.edges():
+        u, w = vec(a, b), vec(a, p)
+        if cross2(u, w) == 0 and 0 < u[0] * w[0] + u[1] * w[1] < u[0] ** 2 + u[1] ** 2:
+            return flag
+    crossings = 0
+    for a, b, _ in poly.edges():
+        ya, yb = a.y - p.y, b.y - p.y
+        if (ya > 0) != (yb > 0) and a.x + ya / (ya - yb) * (b.x - a.x) > p.x:
+            crossings += 1
+    return crossings % 2 == 1
+
+
+def test_polygon_membership_matches_crossing_reference():
+    rng = random.Random(808)
+    grid = [Fraction(n, 2) for n in range(-4, 5)]
+    inside = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        pts = tuple(AffPt(rng.choice(grid), rng.choice(grid)) for _ in range(n))
+        flags = tuple(rng.random() < 0.5 for _ in range(n))
+        try:
+            poly = Polygon(pts, flags, tuple(rng.random() < 0.5 for _ in range(n)))
+        except ValueError:
+            continue
+        for i in range(24):
+            p = AffPt(Fraction(rng.randint(-10, 10), 4), Fraction(rng.randint(-10, 10), 4))
+            if i % 6 == 0:
+                p = AffPt(p.x + QuadReal(0, Fraction(1, rng.randint(1, 9)), 2), p.y)
+            want = _crossing_reference(p, poly)
+            inside += want
+            assert point_in_polygon(p, poly) is want, (p, poly)
+    assert inside > 300
 
 
 def test_cross_and_vec_helpers():

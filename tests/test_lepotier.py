@@ -3,12 +3,15 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from stabscope.corekit import AffPt, CharVec
-from stabscope.exceptional import DyadicLabel, char_of, eplus
+from stabscope.corekit import AffPt, CharVec, Segment
+from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, eplus,
+                                   slope_to_label)
+from stabscope.geometric import StabResult, exc_stable_at
 from stabscope.lepotier import (DlpResult, GeoAnswer, RegionClass,
                                 build_curve, classify_point, delta_safe,
                                 dlp_exists, fib, geo_contains_segment,
@@ -296,3 +299,112 @@ def test_walk_matches_enumeration():
         want = _reference_segment(a, b, depth, exclude_a)
         got = geo_contains_segment(a, b, depth, exclude_a=exclude_a)
         assert got is want, (a, b, depth, exclude_a)
+
+
+def _uncut_exclusion_hit(p, depth):
+    """The exclusion test with the label search run to the full depth."""
+    label = slope_to_label(p.x, depth)
+    if label is None:
+        return False
+    c = char_of(label)
+    top = c.ch2 / c.ch0
+    return top - 1 / c.ch0 ** 2 <= p.y <= top
+
+
+def test_exclusion_search_stops_at_safe_depth():
+    rng = random.Random(909)
+    hits = 0
+    for _ in range(3000):
+        depth = rng.randint(0, 10)
+        m = rng.randint(0, 8)
+        c = char_of(DyadicLabel(rng.randint(-4 << m, 4 << m), m))
+        x = c.ch1 / c.ch0
+        if rng.random() < 0.2:
+            x += Fraction(rng.choice([-1, 1]), rng.randint(2, 1 << 12))
+        y = c.ch2 / c.ch0 - Fraction(rng.randint(-8, 16), 16) / c.ch0 ** 2
+        p = AffPt(x, y)
+        if p.delta() >= Fraction(1, 2):
+            continue
+        hit = _uncut_exclusion_hit(p, depth)
+        hits += hit
+        want = RegionClass.ON_EXCLUSION if hit else RegionClass.GEO_LP
+        assert classify_point(p, depth) is want, (p, depth)
+    assert hits > 500
+
+
+def test_depth_is_cheap_above_the_strip():
+    start = time.perf_counter()
+    p = pt("117/100", "103/100")
+    assert p.delta() < 0
+    assert classify_point(p, 100000) is RegionClass.GEO_LP
+    top = char_of(DyadicLabel(5, 3)).proj()
+    assert classify_point(top, 100000) is RegionClass.ON_EXCLUSION
+    assert time.perf_counter() - start < 1.0
+
+
+def _apexes_on_segment(a, b, exclude_a):
+    """GeoAnswer from every integer point (n, n^2/2) of the segment's span."""
+    seg = Segment(a, b, include_a=not exclude_a, include_b=True)
+    x0, x1 = seg.x_range()
+    for n in range(math.ceil(x0), math.floor(x1) + 1):
+        if seg.contains(AffPt(Fraction(n), Fraction(n * n, 2))):
+            return GeoAnswer.NO
+    return GeoAnswer.YES
+
+
+def test_nonpositive_discriminant_segments_match_the_apex_scan():
+    rng = random.Random(4141)
+    blocked = 0
+    for _ in range(2000):
+        ends = []
+        for _ in range(2):
+            if rng.random() < 0.4:
+                n = rng.randint(-20, 20)
+                ends.append(pt(n, Fraction(n * n, 2)))
+            else:
+                x = Fraction(rng.randint(-80, 80), rng.randint(1, 8))
+                ends.append(AffPt(x, x * x / 2 + Fraction(rng.randint(0, 40), rng.randint(1, 9))))
+        a, b = ends
+        if rng.random() < 0.1:
+            b = AffPt(a.x, a.y + rng.randint(-3, 3))
+        if a == b or b.delta() > 0:
+            continue
+        exclude_a = rng.random() < 0.5
+        want = _apexes_on_segment(a, b, exclude_a)
+        blocked += want is GeoAnswer.NO
+        assert geo_contains_segment(a, b, 4, exclude_a=exclude_a) is want, (a, b, exclude_a)
+    assert blocked > 300
+
+
+def test_wide_nonpositive_discriminant_segment_is_constant_time():
+    start = time.perf_counter()
+    x = Fraction(10 ** 6) + Fraction(1, 2)
+    E = ExcBundle.of(DyadicLabel(0))
+    assert exc_stable_at(E, AffPt(x, x * x / 2), 4) is StabResult.STABLE_SHIFTED
+    assert time.perf_counter() - start < 1.0
+
+
+def test_wide_segments_match_enumeration():
+    rng = random.Random(3131)
+    for _ in range(80):
+        depth = rng.randint(0, 3)
+        a = _random_point(rng, -6, 6)
+        b = _random_point(rng, a.x - 12, a.x + 12)
+        if a == b:
+            continue
+        exclude_a = rng.random() < 0.5
+        want = _reference_segment(a, b, depth, exclude_a)
+        assert geo_contains_segment(a, b, depth, exclude_a=exclude_a) is want, (a, b, depth)
+
+
+def test_wide_segment_with_positive_discriminant_ends_is_constant_time():
+    start = time.perf_counter()
+    x0, x1 = -Fraction(10 ** 6) - Fraction(1, 2), Fraction(10 ** 6) + Fraction(1, 2)
+    a, b = pt(x0, x0 * x0 / 2 - Fraction(1, 4)), pt(x1, x1 * x1 / 2 - Fraction(1, 4))
+    assert geo_contains_segment(a, b, 4) is GeoAnswer.YES
+    n = 10 ** 6
+    for apex, end in ((pt(n, Fraction(n * n, 2)), a), (pt(-n, Fraction(n * n, 2)), b)):
+        assert geo_contains_segment(end, apex, 4) is GeoAnswer.NO
+        assert geo_contains_segment(apex, end, 4) is GeoAnswer.NO
+        assert geo_contains_segment(apex, end, 4, exclude_a=True) is GeoAnswer.YES
+    assert time.perf_counter() - start < 1.0

@@ -34,6 +34,7 @@ from .walls import wall_line, walls_for
 
 ENV_DEPTH = "STABSCOPE_DEPTH"
 DEFAULT_DEPTH = 8
+MAX_GRID_POINTS = 4096
 
 
 class _UsageError(ValueError):
@@ -339,8 +340,6 @@ def run(argv: Sequence[str]) -> int:
         if hasattr(args, "depth"):
             args.depth = default if args.depth is None else _depth(args.depth, "--depth")
         return _dispatch(args)
-    except _UsageError as e:
-        return _fail(str(e))
     except (ValueError, AssertionError, OverflowError, ZeroDivisionError) as e:
         return _fail(str(e))
 
@@ -454,6 +453,8 @@ def _stab_region(args) -> int:
     n = int(parts[4])
     if n < 2:
         raise ValueError("grid needs at least two samples per axis")
+    if n * n > MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
     E = ExcBundle.of(DyadicLabel.parse(args.label))
     lines = ["x,y,result"]
     saw_unknown = False

@@ -303,37 +303,38 @@ def is_exceptional_char(v: CharVec, max_m: int) -> bool:
     return (v.ch0 / c.ch0) * c == v
 
 
-def _label_of_char(c: CharVec, max_m: int) -> DyadicLabel:
-    lbl = slope_to_label(slope(c), max_m)
-    if lbl is None or char_of(lbl) != c:
-        raise ValueError("mutation result is not an exceptional character")
-    return lbl
+def _between(a: DyadicLabel, b: DyadicLabel) -> DyadicLabel:
+    """The label a mutation puts between the labels a < b < a + 3 it keeps.
+
+    Modulo 3, a and b are adjacent at depth k = max(a.m, b.m): the new
+    label halves a short gap, or else is the depth-k label next to a
+    (or to b, if a is shallower) across the long one.
+    """
+    k = max(a.m, b.m)
+    p, q = a.p << (k - a.m), b.p << (k - b.m)
+    if q - p == 1:
+        return DyadicLabel(2 * p + 1, k + 1)
+    return DyadicLabel(p + 1 if a.m == k else q - 1, k)
 
 
-def _rebuild(old: ExcTriple, chars: tuple[CharVec, CharVec, CharVec]) -> ExcTriple:
-    depth = max(l.m for l in old.labels) + 2
-    labels = tuple(_label_of_char(c, depth) for c in chars)
-    out = detect_triple(*labels)
-    if out is None:
-        raise ValueError("mutated labels do not form a standard triple pattern")
-    assert out.chars == chars, "mutated characters disagree with labels"
+def _standard(l1: DyadicLabel, l2: DyadicLabel, l3: DyadicLabel) -> ExcTriple:
+    out = detect_triple(l1, l2, l3)
+    assert out is not None, "mutated labels do not form a standard triple pattern"
     return out
 
 
 def mutate_left(t: ExcTriple, slot: int = 2) -> ExcTriple:
-    """Left mutation at positions (slot, slot+1).
+    """Left mutation at positions (slot, slot+1), computed on labels.
 
     The default acts on the last two slots, (E1, E2, E3) -> (E1, L, E2),
     where the new character is chi(E2, E3) * v(E2) - v(E3); slot 1 acts
     on the first pair the same way.
     """
-    c1, c2, c3 = t.chars
+    l1, l2, l3 = t.labels
     if slot == 2:
-        middle = euler_chi(c2, c3) * c2 - c3
-        return _rebuild(t, (c1, middle, c2))
+        return _standard(l1, _between(l1, l2), l2)
     if slot == 1:
-        first = euler_chi(c1, c2) * c1 - c2
-        return _rebuild(t, (first, c1, c3))
+        return _standard(_between(l3.shift(-3), l1), l1, l3)
     raise ValueError("mutation slot must be 1 or 2")
 
 
@@ -343,11 +344,9 @@ def mutate_right(t: ExcTriple, slot: int = 2) -> ExcTriple:
     The default acts on the last two slots, (E1, E2, E3) -> (E1, E3, R),
     where the new character is chi(E2, E3) * v(E3) - v(E2).
     """
-    c1, c2, c3 = t.chars
+    l1, l2, l3 = t.labels
     if slot == 2:
-        last = euler_chi(c2, c3) * c3 - c2
-        return _rebuild(t, (c1, c3, last))
+        return _standard(l1, l3, _between(l3, l1.shift(3)))
     if slot == 1:
-        second = euler_chi(c1, c2) * c2 - c1
-        return _rebuild(t, (c2, second, c3))
+        return _standard(l2, _between(l2, l3), l3)
     raise ValueError("mutation slot must be 1 or 2")

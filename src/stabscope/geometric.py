@@ -76,17 +76,15 @@ class SQCharge:
 
     Constructing through ``at`` verifies that (s, q) lies in the
     geometric region at the requested depth; the plain constructor
-    leaves the instance flagged as unchecked.
+    does not.
     """
 
     s: Fraction
     q: Fraction
-    checked: bool = False
 
-    def __init__(self, s, q, checked: bool = False):
+    def __init__(self, s, q):
         object.__setattr__(self, "s", Fraction(s))
         object.__setattr__(self, "q", Fraction(q))
-        object.__setattr__(self, "checked", bool(checked))
 
     @classmethod
     def at(cls, s, q, depth: int) -> "SQCharge":
@@ -94,7 +92,7 @@ class SQCharge:
         q = Fraction(q)
         if classify_point(AffPt(s, q), depth) is not RegionClass.GEO_LP:
             raise ValueError("(s, q) is not inside the geometric region")
-        return cls(s, q, checked=True)
+        return cls(s, q)
 
     @property
     def point(self) -> AffPt:

@@ -11,15 +11,15 @@ tent either covers the slope or lies on one side of it, so a point costs
 one step per unit of depth.  A segment visits the integer labels of the
 unit cells of its slope span where its discriminant reaches 0, at most a
 few cells at each end, then the gaps between adjacent labels p/2^k and
-(p+1)/2^k in those cells.  Every label inside such a gap has depth at
-least k + 1, hence rank at least min_rank(k + 1), so where the segment's
-discriminant stays below delta_safe(k) over the gap the whole subtree is
-skipped.  Otherwise the midpoint label's exclusion and chords are
+(p+1)/2^k in those cells.  The midpoint of the gap between slopes a < b
+<= a + 1 of ranks r_a, r_b has rank r = r_a * r_b * (3 - (b - a)), at least
+2 * r_a * r_b, so by induction no label of the gap ranks below it, and a
+segment whose discriminant stays below (1/2)(1 - 1/r^2) over the gap clears
+it at any depth.  Otherwise the midpoint label's exclusion and chords are
 checked and both halves are walked; a gap still open at the depth budget
 makes the answer Unknown.  Above the strip, a point's exclusion search
-likewise stops at the first depth k with its discriminant below
-delta_safe(k).  build_curve lists every tent of a window; no decision
-uses it.
+stops at the first depth k with its discriminant below delta_safe(k).
+build_curve lists every tent of a window; no decision uses it.
 """
 
 from __future__ import annotations
@@ -401,15 +401,16 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         p, k = gaps.pop()
         lo = max(er(DyadicLabel(p, k)).x, x0)
         hi = min(el(DyadicLabel(p + 1, k)).x, x1)
-        # the discriminant is convex along the segment, so its values at
-        # the two ends bound it over the whole stretch
-        safe = delta_safe(k)
+        mid = DyadicLabel(2 * p + 1, k + 1)
+        # the discriminant is convex along the segment, so its values at the
+        # two ends bound it over the stretch; no label of the gap ranks below mid
+        safe = HALF * (1 - 1 / char_of(mid).ch0 ** 2)
         if lo > hi or (_delta_along(line, lo) < safe and _delta_along(line, hi) < safe):
             continue
         if k == depth:
             unknown = True
             continue
-        if blocks(DyadicLabel(2 * p + 1, k + 1)):
+        if blocks(mid):
             return GeoAnswer.NO
         gaps += [(2 * p + 1, k + 1), (2 * p, k + 1)]
     return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
@@ -437,14 +438,14 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
                        exclude_a: bool) -> GeoAnswer:
     ay, by = to_fraction(a.y), to_fraction(b.y)
     y_lo, y_hi = min(ay, by), max(ay, by)
-    label = slope_to_label(x, depth)
-    if label is not None:
-        exc = _exclusion(label)
-        o_lo, o_hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
-        if o_lo <= o_hi and not (exclude_a and o_lo == o_hi == ay):
-            return GeoAnswer.NO
     tent = _tent_at(x, depth)
     if tent is not None:
+        # tents are disjoint, so x is a label's slope iff it is x's tent's apex
+        if tent.apex.x == x:
+            exc = _exclusion(tent.label)
+            o_lo, o_hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
+            if o_lo <= o_hi and not (exclude_a and o_lo == o_hi == ay):
+                return GeoAnswer.NO
         yt = tent.y_on(x)
         if y_lo < yt:
             return GeoAnswer.NO

@@ -304,6 +304,14 @@ def test_label_enumeration_is_capped(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
+def test_stab_region_grid_is_capped(capsys):
+    start = time.perf_counter()
+    err = _one_json_error(capsys, ["stab-region", "--label", "0",
+                                   "--grid=-1,1,-1,1,100000"])
+    assert "4096 points" in err["error"]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_exc_char_deep_label(capsys):
     out = _json(capsys, ["exc", "char", f"1/{2 ** 1200}"])
     rank, ch1, ch2 = (Fraction(t) for t in out["char"])

@@ -267,3 +267,75 @@ def test_is_exceptional_char():
     assert not is_exceptional_char(CharVec(2, 1, 1), 4)
     assert is_exceptional_char(CharVec(5, 7, Fraction(5, 2)), 2)
     assert not is_exceptional_char(CharVec(-5, -7, Fraction(-5, 2)), 2)
+
+
+def _label_bases(max_m: int, span: int):
+    """Every base p/2^m in lowest terms with m <= max_m and |p| <= span."""
+    return [DyadicLabel(p, m) for m in range(max_m + 1)
+            for p in range(-span, span + 1) if m == 0 or p % 2]
+
+
+MUTATIONS = [(way, slot) for way in (mutate_left, mutate_right) for slot in (1, 2)]
+
+
+def _neg(label: DyadicLabel) -> DyadicLabel:
+    return DyadicLabel(-label.p, label.m)
+
+
+def _mutation_cases(bases):
+    triples = [triple_from(pattern, base) for base in bases for pattern in TriplePattern]
+    return [(t, way, slot) for t in triples for way, slot in MUTATIONS]
+
+
+def test_mutation_commutes_with_twist():
+    rng = random.Random(61)
+    cases = _mutation_cases(_label_bases(4, 20))
+    assert len(cases) == 1452
+    for t, way, slot in cases:
+        n = rng.choice([-3, -2, -1, 1, 2, 3])
+        twisted = detect_triple(*(l.shift(n) for l in t.labels))
+        want = tuple(l.shift(n) for l in way(t, slot).labels)
+        assert way(twisted, slot).labels == want, (t.labels, way.__name__, slot, n)
+
+
+def test_mutation_commutes_with_duality():
+    # the dual of (A, B, C) is (-C, -B, -A); it swaps left and right
+    # mutations and slots 1 and 2
+    other = {mutate_left: mutate_right, mutate_right: mutate_left}
+    cases = _mutation_cases(_label_bases(4, 20))
+    assert len(cases) == 1452
+    for t, way, slot in cases:
+        l1, l2, l3 = t.labels
+        dual = detect_triple(_neg(l3), _neg(l2), _neg(l1))
+        m1, m2, m3 = other[way](dual, 3 - slot).labels
+        assert way(t, slot).labels == (_neg(m3), _neg(m2), _neg(m1)), \
+            (t.labels, way.__name__, slot)
+
+
+def _mutation_by_characters(t, way, slot):
+    """The braid-formula mutation: characters from chi, labels by slope search."""
+    c1, c2, c3 = t.chars
+    if way is mutate_left:
+        chars = ((c1, euler_chi(c2, c3) * c2 - c3, c2) if slot == 2
+                 else (euler_chi(c1, c2) * c1 - c2, c1, c3))
+    else:
+        chars = ((c1, c3, euler_chi(c2, c3) * c3 - c2) if slot == 2
+                 else (c2, euler_chi(c1, c2) * c2 - c1, c3))
+    depth = max(l.m for l in t.labels) + 2
+    labels = [slope_to_label(slope(c), depth) for c in chars]
+    assert all(l is not None and char_of(l) == c for l, c in zip(labels, chars))
+    out = detect_triple(*labels)
+    assert out is not None and out.chars == chars
+    return out
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_label_rule_matches_braid_formula(m):
+    # over m = 0..5 these are 281 bases, three patterns and four mutations
+    assert len(_label_bases(5, 40)) * len(TriplePattern) * len(MUTATIONS) == 3372
+    for t, way, slot in _mutation_cases(b for b in _label_bases(5, 40) if b.m == m):
+        got = way(t, slot)
+        want = _mutation_by_characters(t, way, slot)
+        assert (got.labels, got.pattern, got.base, got.chars) == \
+            (want.labels, want.pattern, want.base, want.chars), \
+            (t.labels, way.__name__, slot)

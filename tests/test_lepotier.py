@@ -40,6 +40,20 @@ def test_min_rank_matches_enumeration():
         assert min_rank(depth) == min(ranks)
 
 
+def test_gap_midpoint_has_the_smallest_rank_of_its_gap():
+    # the midpoint of the gap between adjacent slopes a < b of depth <= 9
+    # has rank r_a * r_b * (3 - (b - a)), so no label of the gap ranks below it
+    top = 10
+    ranks = {p: char_of(DyadicLabel(p, top)).ch0 for p in range(1 << top)}
+    for k in range(top):
+        step = 1 << (top - k)
+        for p in range(1 << k):
+            lo, hi = char_of(DyadicLabel(p, k)), char_of(DyadicLabel(p + 1, k))
+            mid = ranks[p * step + step // 2]
+            assert mid == lo.ch0 * hi.ch0 * (3 - (hi.ch1 / hi.ch0 - lo.ch1 / lo.ch0))
+            assert min(ranks[q] for q in range(p * step + 1, (p + 1) * step)) == mid
+
+
 def test_build_curve_depth_zero():
     approx = build_curve(0, (Fraction(-1, 2), Fraction(3, 2)))
     xs = sorted({e.x for e in approx.exclusions})
@@ -408,3 +422,14 @@ def test_wide_segment_with_positive_discriminant_ends_is_constant_time():
         assert geo_contains_segment(apex, end, 4) is GeoAnswer.NO
         assert geo_contains_segment(apex, end, 4, exclude_a=True) is GeoAnswer.YES
     assert time.perf_counter() - start < 1.0
+
+
+def test_boundary_slice_segment_is_decided_by_the_local_bound():
+    # a segment from the benchmark's boundary slice: at budget 3 its
+    # discriminant over the open gap is above delta_safe(3) but below the
+    # bound of the gap's midpoint label
+    a = char_of(DyadicLabel(-91, 2)).proj()
+    b = pt(Fraction(-4387, 194), Fraction(2775579467, 10876804))
+    assert _reference_segment(a, b, 3, True) is GeoAnswer.UNKNOWN
+    assert _reference_segment(a, b, 4, True) is GeoAnswer.YES
+    assert geo_contains_segment(a, b, 3, exclude_a=True) is GeoAnswer.YES

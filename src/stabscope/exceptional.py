@@ -4,8 +4,11 @@ Integer labels carry the line bundle characters (1, n, n^2/2).  A label
 p/2^m with odd p is filled in from its two half-depth neighbours by a
 three-term recursion; each resulting character c satisfies the
 exceptionality identity euler_chi(c, c) = 1 and the closed-form
-discriminant (1/2)(1 - 1/ch0^2).  The parabola contact points of each
-label are the closed form of Drezet and Le Potier.
+discriminant (1/2)(1 - 1/ch0^2).  Rank and degree are coprime, so a
+slope c/r in lowest terms can only be the slope of a label of rank r,
+and the search for it stops there.  Ranks above MAX_RANK_BITS bits are
+refused.  The parabola contact points of each label are the closed form
+of Drezet and Le Potier.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ class DyadicLabel:
         return f"DyadicLabel({self})"
 
 
+# a rank of more bits no longer prints as decimal text (Python's default
+# limit of 4300 digits is about 14 300 bits)
+MAX_RANK_BITS = 1 << 14
+
 # every character computed so far, by label
 _CHARS: dict[DyadicLabel, CharVec] = {}
 
@@ -103,7 +110,8 @@ def char_of(label: DyadicLabel) -> CharVec:
     A non-integer label's character is 3 * rank(helper) * base - far
     over three labels of smaller depth.  Terms not yet cached are
     resolved with an explicit stack, so a label may be deeper than the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  A rank above MAX_RANK_BITS bits
+    raises ValueError.
     """
     c = _CHARS.get(label)
     if c is not None:
@@ -124,7 +132,10 @@ def char_of(label: DyadicLabel) -> CharVec:
                 stack.extend(missing)
                 continue
             helper, base, far = (_CHARS[t] for t in terms)
-            _CHARS[lbl] = 3 * helper.ch0 * base - far
+            c = 3 * helper.ch0 * base - far
+            if c.ch0.numerator.bit_length() > MAX_RANK_BITS:
+                raise ValueError(f"rank at label {lbl} exceeds {MAX_RANK_BITS} bits")
+            _CHARS[lbl] = c
             stack.pop()
     return _CHARS[label]
 
@@ -275,8 +286,9 @@ def slope_to_label(mu: Fraction, max_m: int) -> DyadicLabel | None:
     """Invert the label-to-slope map by monotone bisection, if possible.
 
     The slope map fixes integers and is strictly increasing, so a target
-    slope in (n, n+1) is chased down the dyadic midpoint tree until the
-    depth budget runs out.
+    slope in (n, n+1) is chased down the dyadic midpoint tree.  Only rank
+    den(mu) can have slope mu, as chi(E, E) = r^2 + 2r*ch2 - c1^2 = 1 makes r
+    and c1 coprime, and a midpoint ranks below its gap, so the chase stops there.
     """
     mu = Fraction(mu)
     if mu.denominator == 1:
@@ -288,6 +300,8 @@ def slope_to_label(mu: Fraction, max_m: int) -> DyadicLabel | None:
         s = slope(char_of(mid))
         if s == mu:
             return mid
+        if char_of(mid).ch0 >= mu.denominator:
+            return None
         p = 2 * p + (s < mu)
     return None
 

@@ -17,9 +17,12 @@ few cells at each end, then the gaps between adjacent labels p/2^k and
 segment whose discriminant stays below (1/2)(1 - 1/r^2) over the gap clears
 it at any depth.  Otherwise the midpoint label's exclusion and chords are
 checked and both halves are walked; a gap still open at the depth budget
-makes the answer Unknown.  Above the strip, a point's exclusion search
-stops at the first depth k with its discriminant below delta_safe(k).
-build_curve lists every tent of a window; no decision uses it.
+makes the answer Unknown, and a vertical segment at a slope the walk left
+uncovered clears under the same bound of its open gap's midpoint.  Above
+the strip only the label of rank den(x) can have the slope x, so a point
+is on an exclusion exactly when its discriminant reaches (1/2)(1 - 1/den(x)^2)
+and slope_to_label finds that label.  build_curve lists every tent of a
+window; no decision uses it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
 from .exceptional import DyadicLabel, char_of, eplus, el, er, is_exceptional_char, slope_to_label
@@ -226,15 +228,14 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     return CurveApprox(depth, (lo, hi), tents, segments, exclusions)
 
 
-def _tent_at(x: Number, depth: int) -> Optional[Tent]:
-    """The tent of depth <= depth whose closed slope span contains x, if any.
+def _tent_at(x: Number, depth: int) -> Tent | DyadicLabel:
+    """The tent of depth <= depth whose closed slope span contains x.
 
     The walk keeps the gap between adjacent labels p/2^m and (p+1)/2^m
     of x's unit cell that x lies in.  The midpoint label's tent either
     covers x or lies wholly on one side of it, which picks the half.
+    Without a covering tent, the open gap's midpoint label is returned.
     """
-    if depth < 0:
-        raise ValueError("negative depth")
     p = _nfloor(x)
     if x <= er(DyadicLabel(p)).x:
         return _tent(DyadicLabel(p))
@@ -250,7 +251,7 @@ def _tent_at(x: Number, depth: int) -> Optional[Tent]:
             if x <= er(mid).x:
                 return _tent(mid)
             p = 2 * p + 1
-    return None
+    return DyadicLabel(2 * p + 1, depth + 1)
 
 
 def classify_point(p: AffPt, depth: int) -> RegionClass:
@@ -261,6 +262,8 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     depth) settles the answer for good, and uncovered strip slopes
     remain Unknown because deeper tents accumulate there.
     """
+    if depth < 0:
+        raise ValueError("negative depth")
     d = p.delta()
     if d < HALF:
         hit = _exclusion_at(p, d, depth)
@@ -268,7 +271,7 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     if d > 1:
         return RegionClass.BELOW_CURVE
     tent = _tent_at(p.x, depth)
-    if tent is None:
+    if not isinstance(tent, Tent):
         return RegionClass.UNKNOWN
     yt = tent.y_on(p.x)
     if p.y == yt:
@@ -283,25 +286,22 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
 def _exclusion_at(p: AffPt, d: Number, depth: int) -> bool:
     """Whether p, of discriminant d < 1/2, is on an exclusion of depth <= depth.
 
-    Below delta_safe(k) the point clears every exclusion deeper than k,
-    so the label search stops at the first such k.
+    Only a label of rank r = den(x) can have slope x, and its exclusion
+    spans the discriminants from (1/2)(1 - 1/r^2) to (1/2)(1 + 1/r^2).
     """
     if isinstance(p.x, QuadReal) and not p.x.is_rational:
         return False
-    k = 0
-    while k < depth and d >= delta_safe(k):
-        k += 1
-    label = slope_to_label(to_fraction(p.x), k)
-    return label is not None and _exclusion(label).covers_y(p.y)
+    x = to_fraction(p.x)
+    return d >= HALF - HALF / x.denominator ** 2 and slope_to_label(x, depth) is not None
 
 
 def dlp_exists(v: CharVec, depth: int) -> DlpResult:
     """Whether a semistable sheaf with this positive-rank character exists."""
     if v.ch0 <= 0:
         raise ValueError("existence test requires positive rank")
-    if is_exceptional_char(v, depth):
-        return DlpResult.YES_EXCEPTIONAL
     cls = classify_point(v.proj(), depth)
+    if cls is RegionClass.ON_EXCLUSION and is_exceptional_char(v, depth):
+        return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
     if cls is RegionClass.UNKNOWN:
@@ -317,6 +317,8 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
     exclusion segment.  With exclude_a the endpoint a itself is allowed
     to sit on an exclusion or on the curve (half-open segment).
     """
+    if depth < 0:
+        raise ValueError("negative depth")
     if a == b:
         raise ValueError("degenerate segment")
     if a.delta() <= 0 and b.delta() <= 0:
@@ -356,8 +358,6 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         raise ValueError("strip analysis supports rational endpoints only") from None
     if a.delta() > 1 or b.delta() > 1:
         return GeoAnswer.NO
-    if depth < 0:
-        raise ValueError("negative depth")
     if ax == bx:
         return _contains_vertical(ax, a, b, depth, exclude_a)
 
@@ -439,7 +439,7 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
     ay, by = to_fraction(a.y), to_fraction(b.y)
     y_lo, y_hi = min(ay, by), max(ay, by)
     tent = _tent_at(x, depth)
-    if tent is not None:
+    if isinstance(tent, Tent):
         # tents are disjoint, so x is a label's slope iff it is x's tent's apex
         if tent.apex.x == x:
             exc = _exclusion(tent.label)
@@ -452,7 +452,7 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
         if y_lo == yt and not (exclude_a and ay == y_lo):
             return GeoAnswer.NO
         return GeoAnswer.YES
-    # uncovered slope: the lower endpoint carries the largest discriminant
-    if x * x * HALF - y_lo < delta_safe(depth):
+    # tent is the open gap's midpoint; the lower end has the larger discriminant
+    if x * x * HALF - y_lo < HALF * (1 - 1 / char_of(tent).ch0 ** 2):
         return GeoAnswer.YES
     return GeoAnswer.UNKNOWN

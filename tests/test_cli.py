@@ -319,18 +319,41 @@ def test_exc_char_deep_label(capsys):
     assert ch2 == ch1 * ch1 / (2 * rank) - (1 - 1 / rank ** 2) * rank / 2
 
 
+def _fresh_run(argv):
+    """Run the CLI in a new interpreter; return the result and the seconds taken."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(stabscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "stabscope.cli", *argv],
+                          env=env, capture_output=True, timeout=30)
+    return done, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("argv", [
     ["classify-point", "--x", "117/100", "--y", "103/100"],
     ["classify-cell", "--triple", "0,1,2", "--m", "1,1,1", "--phi", "0.1,0.5,1.3"],
 ], ids=["classify-point", "classify-cell"])
 def test_huge_depth_above_the_strip_in_a_fresh_process(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(stabscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "stabscope.cli", *argv,
-                           "--depth", "100000"],
-                          env=env, capture_output=True, timeout=30)
-    assert time.perf_counter() - start < 2.0
+    done, seconds = _fresh_run([*argv, "--depth", "100000"])
+    assert seconds < 2.0
     assert done.returncode == 0 and done.stderr == b""
     assert json.loads(done.stdout)
+
+
+def test_huge_depth_dlp_in_a_fresh_process():
+    # the slope 1/3 is not exceptional, and the search for it stops at rank 3
+    done, seconds = _fresh_run(["dlp", "--ch0", "3", "--ch1", "1", "--ch2=-2",
+                                "--depth", "100000"])
+    assert seconds < 2.0
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout) == {"result": "Yes"}
+
+
+def test_exc_char_rank_is_bounded():
+    # ranks near 2/3 grow by a factor phi^2 in bit length per level
+    d = 40
+    done, seconds = _fresh_run(["exc", "char", f"{(2 ** (d + 1) + 1) // 3}/{2 ** d}"])
+    assert seconds < 2.0
+    assert done.returncode == 2 and done.stdout == b""
+    assert "bits" in json.loads(done.stderr)["error"]

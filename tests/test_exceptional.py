@@ -1,5 +1,6 @@
 """Dyadic labels, recursive characters, triples, and mutations."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -260,6 +261,16 @@ def test_slope_to_label():
     assert slope_to_label(Fraction(2, 5), 2) == lab("1/4")
     assert slope_to_label(Fraction(2, 5), 1) is None
     assert slope_to_label(Fraction(1, 3), 8) is None
+
+
+def test_rank_and_degree_are_coprime():
+    # so the denominator of a label's slope in lowest terms is its rank
+    for label in all_labels(2, 10):
+        c = char_of(label)
+        r, c1 = c.ch0.numerator, c.ch1.numerator
+        assert c.ch0.denominator == c.ch1.denominator == 1
+        assert math.gcd(r, c1) == 1, label
+        assert slope(c).denominator == r, label
 
 
 def test_is_exceptional_char():

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from stabscope.corekit import AffPt, CharVec, Segment
-from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, eplus,
-                                   slope_to_label)
+from stabscope.corekit import AffPt, CharVec, Segment, slope
+from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, el, eplus,
+                                   er, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
 from stabscope.lepotier import (DlpResult, GeoAnswer, RegionClass,
                                 build_curve, classify_point, delta_safe,
@@ -315,9 +315,23 @@ def test_walk_matches_enumeration():
         assert got is want, (a, b, depth, exclude_a)
 
 
+def _bisect_label(mu, depth):
+    """The label of slope mu and depth <= depth, by bisection to the full depth."""
+    p = math.floor(mu)
+    if p == mu:
+        return DyadicLabel(p)
+    for m in range(1, depth + 1):
+        mid = DyadicLabel(2 * p + 1, m)
+        c = char_of(mid)
+        if c.ch1 / c.ch0 == mu:
+            return mid
+        p = 2 * p + (c.ch1 / c.ch0 < mu)
+    return None
+
+
 def _uncut_exclusion_hit(p, depth):
     """The exclusion test with the label search run to the full depth."""
-    label = slope_to_label(p.x, depth)
+    label = _bisect_label(p.x, depth)
     if label is None:
         return False
     c = char_of(label)
@@ -433,3 +447,65 @@ def test_boundary_slice_segment_is_decided_by_the_local_bound():
     assert _reference_segment(a, b, 3, True) is GeoAnswer.UNKNOWN
     assert _reference_segment(a, b, 4, True) is GeoAnswer.YES
     assert geo_contains_segment(a, b, 3, exclude_a=True) is GeoAnswer.YES
+
+
+def test_slope_search_stops_by_rank():
+    # exceptional slopes, their neighbours at distance 1/q, and plain
+    # rationals; the search of unbounded depth answers as full bisection
+    rng = random.Random(1717)
+    found = 0
+    for _ in range(1500):
+        m = rng.randint(0, 12)
+        c = char_of(DyadicLabel(rng.randint(-2 << m, 2 << m), m))
+        kind = rng.choice(["exceptional", "neighbour", "plain"])
+        if kind == "exceptional":
+            x = c.ch1 / c.ch0
+        elif kind == "neighbour":
+            x = c.ch1 / c.ch0 + Fraction(rng.choice([-1, 1]), rng.randint(2, 1 << 20))
+        else:
+            x = Fraction(rng.randint(-1 << 16, 1 << 16), rng.randint(1, 1 << 14))
+        want = _bisect_label(x, 12)
+        got = slope_to_label(x, 10 ** 6)
+        if want is None:
+            assert got is None or (got.m > 12 and slope(char_of(got)) == x), x
+        else:
+            found += 1
+            assert got == want, x
+            assert all(slope_to_label(x, k) == (want if k >= want.m else None)
+                       for k in range(13)), x
+    assert found > 400
+
+
+@pytest.mark.parametrize("call,args", [
+    (classify_point, (pt("1/2", 0), -3)),
+    (classify_point, (pt("1/2", -3), -3)),
+    (classify_point, (pt("1/3", "-25/36"), -1)),
+    (dlp_exists, (CharVec(1, 0, 0), -1)),
+    (dlp_exists, (CharVec(3, 1, -2), -1)),
+    (geo_contains_segment, (pt(0, 0), pt("1/3", 1), -2)),
+    (geo_contains_segment, (pt(0, "-3/5"), pt("1/3", "-1/2"), -1)),
+    (geo_contains_segment, (pt("1/3", "-1/2"), pt("1/3", 0), -1)),
+], ids=["point-above", "point-below", "point-strip", "dlp-exceptional",
+        "dlp-strip", "segment-above", "segment-strip", "segment-vertical"])
+def test_negative_depth_raises(call, args):
+    with pytest.raises(ValueError, match="negative depth"):
+        call(*args)
+
+
+def test_vertical_segment_at_uncovered_slope_uses_the_local_bound():
+    # the slope lies in the gap between the depth-3 tents of 1/8 and 1/4,
+    # and the lower end's discriminant is above delta_safe(3) but below the
+    # bound of the gap's midpoint label
+    a = pt(Fraction(1933, 5000), Fraction(-6139529679, 14450000000))
+    b = pt(a.x, a.y + 1)
+    assert er(DyadicLabel(1, 3)).x < a.x < el(DyadicLabel(1, 2)).x
+    assert delta_safe(3) < a.delta() < Fraction(1, 2)
+    assert _reference_segment(a, b, 3, False) is GeoAnswer.UNKNOWN
+    assert _reference_segment(a, b, 4, False) is GeoAnswer.YES
+    assert geo_contains_segment(a, b, 3) is GeoAnswer.YES
+    # the gap's midpoint is 3/16; a lower end at its bound leaves the gap open
+    r = char_of(DyadicLabel(3, 4)).ch0
+    bound = Fraction(1, 2) * (1 - 1 / r ** 2)
+    for d, want in ((bound - Fraction(1, 10 ** 9), GeoAnswer.YES), (bound, GeoAnswer.UNKNOWN)):
+        a = pt(a.x, a.x * a.x / 2 - d)
+        assert geo_contains_segment(a, pt(a.x, a.y + 1), 3) is want, d

@@ -16,21 +16,18 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# every verb needs these; handlers import the rest, so a run loads only those
 from .surd import nsign
 from .corekit import (AffPt, CharVec, ProjLine, format_rational,
                       parse_rational)
 from .exceptional import (DyadicLabel, ExcBundle, ExcTriple, TriplePattern,
                           detect_triple, el, eplus, er, mutate_left,
                           mutate_right, triple_from)
-from .lepotier import (DlpResult, RegionClass, build_curve, classify_point,
-                       dlp_exists, _labels_between)
-from .geometric import (RatComplex, SQCharge, StabResult, exc_stable_at,
-                        z_eval)
-from .algebraic import (CellLabel, ThetaParams, classify_cell_report,
-                        transport_plus_leg, transport_plus_leg_inverse)
-from .walls import wall_line, walls_for
+
+if TYPE_CHECKING:
+    from .algebraic import ThetaParams
 
 ENV_DEPTH = "STABSCOPE_DEPTH"
 DEFAULT_DEPTH = 8
@@ -105,6 +102,8 @@ def _triple_json(t: ExcTriple) -> dict:
 
 def _params_from_args(args) -> tuple[ThetaParams, bool]:
     """Build chart parameters from one of the three input forms."""
+    from .algebraic import ThetaParams
+    from .geometric import RatComplex
     given = [name for name, val in
              (("--slots", args.slots), ("--exact-units", args.exact_units),
               ("--phi", args.phi)) if val is not None]
@@ -153,6 +152,7 @@ def _params_json(p: ThetaParams) -> dict:
 
 def _curve_data(depth: int, window: tuple[Fraction, Fraction]):
     """Segments and exclusions whose slope span meets the window."""
+    from .lepotier import build_curve
     approx = build_curve(depth, window)
     lo, hi = window
     segs = [s for s in approx.segments
@@ -337,6 +337,8 @@ def run(argv: Sequence[str]) -> int:
         # the variable is checked on every verb, also where --depth overrides it
         default = _depth(os.environ.get(ENV_DEPTH, DEFAULT_DEPTH), ENV_DEPTH)
         args = _build_parser().parse_args(argv)
+        if [] in vars(args).values():   # argparse reads --opt=-- as no values
+            raise _UsageError("an option needs one value, not '--'")
         if hasattr(args, "depth"):
             args.depth = default if args.depth is None else _depth(args.depth, "--depth")
         return _dispatch(args)
@@ -375,12 +377,14 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "classify-point":
+        from .lepotier import RegionClass, classify_point
         result = classify_point(AffPt(parse_rational(args.x),
                                       parse_rational(args.y)), args.depth)
         _emit({"class": result.value})
         return 3 if args.strict and result is RegionClass.UNKNOWN else 0
 
     if verb == "dlp":
+        from .lepotier import DlpResult, dlp_exists
         v = CharVec(parse_rational(args.ch0), parse_rational(args.ch1),
                     parse_rational(args.ch2))
         result = dlp_exists(v, args.depth)
@@ -388,6 +392,7 @@ def _dispatch(args) -> int:
         return 3 if args.strict and result is DlpResult.UNKNOWN else 0
 
     if verb == "charge":
+        from .geometric import SQCharge, z_eval
         Z = SQCharge(parse_rational(args.s), parse_rational(args.q))
         v = CharVec(parse_rational(args.ch0), parse_rational(args.ch1),
                     parse_rational(args.ch2))
@@ -410,6 +415,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "classify-cell":
+        from .algebraic import CellLabel, classify_cell_report
         t = _triple(args.triple)
         p, exact = _params_from_args(args)
         report = classify_cell_report(t, p, args.depth)
@@ -424,6 +430,7 @@ def _dispatch(args) -> int:
         return 3 if args.strict and report.label is CellLabel.UNKNOWN else 0
 
     if verb == "transport":
+        from .algebraic import transport_plus_leg, transport_plus_leg_inverse
         t = _triple(args.triple)
         p, exact = _params_from_args(args)
         move = transport_plus_leg_inverse if args.inverse else transport_plus_leg
@@ -433,6 +440,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "wall":
+        from .walls import wall_line
         wl = wall_line(_charvec(args.v), _charvec(args.w))
         _emit({"line": _line_text(wl.line),
                "coeffs": [format_rational(c) for c in
@@ -446,6 +454,8 @@ def _dispatch(args) -> int:
 
 
 def _stab_region(args) -> int:
+    from .lepotier import RegionClass, classify_point
+    from .geometric import StabResult, exc_stable_at
     parts = args.grid.split(",")
     if len(parts) != 5:
         raise ValueError("grid must be x0,x1,y0,y1,n")
@@ -473,6 +483,8 @@ def _stab_region(args) -> int:
 
 
 def _walls(args) -> int:
+    from .lepotier import _labels_between
+    from .walls import walls_for
     v = _charvec(args.v)
     window = _rats(args.window, 4)
     lo = window[0]

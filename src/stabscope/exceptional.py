@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, delta, det3, euler_chi, slope
-from .surd import QuadReal
+from .surd import QuadReal, parse_rational
 
 HALF = Fraction(1, 2)
 
@@ -53,7 +53,7 @@ class DyadicLabel:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicLabel":
-        return cls.from_value(Fraction(text.strip()))
+        return cls.from_value(parse_rational(text))
 
     @property
     def value(self) -> Fraction:

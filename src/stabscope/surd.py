@@ -20,10 +20,17 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 _FACTOR_LIMIT = 10**12
 
+# the digit limit Python puts on int text; a decimal exponent above it would
+# make Fraction build a power of ten of that many digits
+MAX_EXPONENT = 4300
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', 'p', or a decimal string into an exact Fraction."""
     try:
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError("decimal exponent out of range")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational: {text!r}") from exc

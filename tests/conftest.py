@@ -1,12 +1,18 @@
-"""Shared randomized-input builders for the test suite.
+"""Shared randomized-input builders and helpers for the test suite.
 
 Exact phase inputs are built from rational points on the unit circle
 (Pythagorean unit vectors) so every generated parameter set is exact.
 """
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
+import stabscope
 from stabscope.algebraic import ThetaParams, validate_params
 from stabscope.exceptional import DyadicLabel, ExcTriple, TriplePattern, triple_from
 
@@ -43,3 +49,18 @@ def random_valid_params(rng: random.Random) -> ThetaParams:
         p = ThetaParams.from_units(ms, units, branches)
         if validate_params(p):
             return p
+
+
+def fresh_run(argv, program=None):
+    """Run the CLI, or a Python program, with argv in a new interpreter.
+
+    Returns the completed process and the seconds it took.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(stabscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    head = ["-m", "stabscope.cli"] if program is None else ["-c", program]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *head, *argv],
+                          env=env, capture_output=True, timeout=30)
+    return done, time.perf_counter() - start

@@ -1,18 +1,19 @@
 """End-to-end checks of the command line front end."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
-import os
 import re
-import subprocess
-import sys
 import time
+import xml.etree.ElementTree as ET
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
-import stabscope
+from conftest import fresh_run
 from stabscope.cli import run
 
 TRANSPORT_SLOTS = "1:0:-1,-21/29:-20/29:1,119/169:-120/169:1"
@@ -319,23 +320,12 @@ def test_exc_char_deep_label(capsys):
     assert ch2 == ch1 * ch1 / (2 * rank) - (1 - 1 / rank ** 2) * rank / 2
 
 
-def _fresh_run(argv):
-    """Run the CLI in a new interpreter; return the result and the seconds taken."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(stabscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "stabscope.cli", *argv],
-                          env=env, capture_output=True, timeout=30)
-    return done, time.perf_counter() - start
-
-
 @pytest.mark.parametrize("argv", [
     ["classify-point", "--x", "117/100", "--y", "103/100"],
     ["classify-cell", "--triple", "0,1,2", "--m", "1,1,1", "--phi", "0.1,0.5,1.3"],
 ], ids=["classify-point", "classify-cell"])
 def test_huge_depth_above_the_strip_in_a_fresh_process(argv):
-    done, seconds = _fresh_run([*argv, "--depth", "100000"])
+    done, seconds = fresh_run([*argv, "--depth", "100000"])
     assert seconds < 2.0
     assert done.returncode == 0 and done.stderr == b""
     assert json.loads(done.stdout)
@@ -343,7 +333,7 @@ def test_huge_depth_above_the_strip_in_a_fresh_process(argv):
 
 def test_huge_depth_dlp_in_a_fresh_process():
     # the slope 1/3 is not exceptional, and the search for it stops at rank 3
-    done, seconds = _fresh_run(["dlp", "--ch0", "3", "--ch1", "1", "--ch2=-2",
+    done, seconds = fresh_run(["dlp", "--ch0", "3", "--ch1", "1", "--ch2=-2",
                                 "--depth", "100000"])
     assert seconds < 2.0
     assert done.returncode == 0 and done.stderr == b""
@@ -353,7 +343,163 @@ def test_huge_depth_dlp_in_a_fresh_process():
 def test_exc_char_rank_is_bounded():
     # ranks near 2/3 grow by a factor phi^2 in bit length per level
     d = 40
-    done, seconds = _fresh_run(["exc", "char", f"{(2 ** (d + 1) + 1) // 3}/{2 ** d}"])
+    done, seconds = fresh_run(["exc", "char", f"{(2 ** (d + 1) + 1) // 3}/{2 ** d}"])
     assert seconds < 2.0
     assert done.returncode == 2 and done.stdout == b""
     assert "bits" in json.loads(done.stderr)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exc", "char", "1e100000000"],
+    ["classify-point", "--x", "1e100000000", "--y", "0"],
+    ["wall", "--v", "0,0,1", "--w", "1e100000000,0,0"],
+], ids=["exc", "classify-point", "wall"])
+def test_huge_decimal_exponent_exits_2_in_a_fresh_process(argv):
+    # Fraction alone spends seconds building 10**100000000
+    done, seconds = fresh_run(argv)
+    assert seconds < 2.0
+    assert done.returncode == 2 and done.stdout == b""
+    assert "malformed rational" in json.loads(done.stderr)["error"]
+
+
+# runs stabscope.cli.run(argv) and reports its stdout digest and the
+# stabscope modules the process loaded
+_LOADED_MODULES = """
+import contextlib, hashlib, io, json, sys
+from stabscope.cli import run
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run(sys.argv[1:])
+print(json.dumps({"code": code,
+                  "sha": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                  "modules": sorted(m for m in sys.modules
+                                    if m.startswith("stabscope."))}))
+"""
+
+_BASE = ["cli", "corekit", "exceptional", "surd"]
+VERB_MODULES = [
+    (GOLDEN_DIGESTS[0], _BASE),
+    (GOLDEN_DIGESTS[3], _BASE + ["lepotier"]),
+    (GOLDEN_DIGESTS[4], _BASE + ["geometric", "lepotier"]),
+    (GOLDEN_DIGESTS[8], _BASE + ["algebraic", "geometric", "lepotier"]),
+    (GOLDEN_DIGESTS[11], _BASE + ["lepotier", "walls"]),
+]
+
+
+@pytest.mark.parametrize("golden,modules", VERB_MODULES,
+                         ids=[g[0][0] for g, _ in VERB_MODULES])
+def test_each_verb_loads_only_its_modules(golden, modules):
+    argv, digest = golden
+    done, _ = fresh_run(argv, program=_LOADED_MODULES)
+    assert done.stderr == b""
+    report = json.loads(done.stdout)
+    assert report["code"] == 0 and report["sha"] == digest
+    assert report["modules"] == sorted(f"stabscope.{m}" for m in modules)
+
+
+_BAD_TOKENS = st.sampled_from([
+    "1e100000000", "-1e-100000000", "1e4300", "1e4301", "9" * 5000, "", "abc",
+    "1/0", "nan", "--", "1e", "0x10", "1//2", ","])
+
+
+def _rationals(span):
+    """Rational text of size up to span, one token in twenty malformed."""
+    good = st.one_of(
+        st.builds("{}/{}".format, st.integers(-span, span),
+                  st.sampled_from([1, 2, 3, 4, 8, 16])),
+        st.builds("{}e{}".format, st.integers(-9, 9),
+                  st.integers(-3, len(str(span)) - 1)))
+    return st.integers(0, 19).flatmap(lambda k: _BAD_TOKENS if k == 0 else good)
+
+
+_TRIPLES = ("0,1,2", "0,1/2,1", "-1,0,1/2", "1/2,1,3/2")
+_DEPTHS = st.one_of(st.integers(-2, 12), st.integers(-2, 10 ** 5))
+# curve emit and walls cost about a millisecond per label of the window at
+# the depth, so their slope windows stay within [-9, 9] and their depths
+# out of 5..13, where a run takes seconds below the label cap
+_LABEL_DEPTHS = st.one_of(st.integers(-2, 4), st.integers(14, 10 ** 5))
+
+
+@st.composite
+def _cli_argv(draw):
+    def rats(n, span=40):
+        return ",".join(draw(_rationals(span)) for _ in range(n))
+
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    depth = f"--depth={draw(_DEPTHS)}"
+    fmt = ["--format", pick("json", "csv", "svg")]
+    verb = pick("exc", "curve", "classify-point", "dlp", "charge",
+                "stab-region", "triple", "mutate", "classify-cell",
+                "transport", "wall", "walls")
+    if verb == "exc":
+        argv = [pick("char", "eplus", "el", "er"), rats(1)]
+    elif verb == "curve":
+        argv = ["emit", f"--from={rats(1, 4)}", f"--to={rats(1, 4)}",
+                f"--depth={draw(_LABEL_DEPTHS)}", *fmt]
+    elif verb == "classify-point":
+        argv = [f"--x={rats(1)}", f"--y={rats(1)}", depth]
+    elif verb == "dlp":
+        argv = [f"--ch0={rats(1)}", f"--ch1={rats(1)}", f"--ch2={rats(1)}",
+                depth]
+    elif verb == "charge":
+        argv = ["eval", f"--s={rats(1)}", f"--q={rats(1)}",
+                f"--ch0={rats(1)}", f"--ch1={rats(1)}", f"--ch2={rats(1)}"]
+    elif verb == "stab-region":
+        argv = [f"--label={rats(1)}", depth,
+                f"--grid={rats(4)},{draw(st.integers(-1, 4))}"]
+    elif verb == "triple":
+        argv = ["make", "--pattern", pick("adj", "left", "right"),
+                f"--base={rats(1)}"]
+    elif verb == "mutate":
+        argv = [pick("left", "right"), f"--triple={pick(*_TRIPLES, rats(3))}",
+                "--slot", pick("1", "2")]
+    elif verb in ("classify-cell", "transport"):
+        slots = ",".join(f"{rats(2).replace(',', ':')}:{draw(st.integers(-2, 2))}"
+                         for _ in range(3))
+        argv = [f"--triple={pick(*_TRIPLES, rats(3))}", depth,
+                *pick([f"--slots={TRANSPORT_SLOTS}"], [f"--slots={slots}"],
+                      [f"--m={rats(3)}", f"--phi={rats(3)}"])]
+        if verb == "transport" and draw(st.booleans()):
+            argv.append("--inverse")
+    elif verb == "wall":
+        argv = [f"--v={rats(3)}", f"--w={rats(3)}"]
+    else:
+        argv = [f"--v={rats(3)}", f"--pool-depth={draw(_LABEL_DEPTHS)}",
+                f"--window={rats(2, 4)},{rats(2)}", *fmt]
+    if verb in ("classify-point", "dlp", "stab-region", "classify-cell") \
+            and draw(st.booleans()):
+        argv.append("--strict")
+    return [verb, *argv]
+
+
+def _parse_stdout(argv, text):
+    """Parse stdout by the verb's format; raises when it does not parse."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if argv[0] == "stab-region" or fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) >= 1 and all(len(r) == len(rows[0]) for r in rows)
+    elif fmt == "svg":
+        ET.fromstring(text)
+    else:
+        json.loads(text)
+
+
+@seed(8)
+@settings(max_examples=60, deadline=None)
+@given(_cli_argv())
+@example(["triple", "make", "--pattern=--", "--base", "1"])
+@example(["curve", "emit", "--from=--", "--to", "1"])
+def test_cli_contract_holds_for_drawn_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+    else:
+        assert err.getvalue() == ""
+        _parse_stdout(argv, out.getvalue())

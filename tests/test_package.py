@@ -1,0 +1,45 @@
+"""The package loads its modules lazily and keeps every public name."""
+
+import importlib
+import json
+
+import pytest
+
+import stabscope
+from conftest import fresh_run
+
+MODULES = ("surd", "corekit", "exceptional", "lepotier", "geometric",
+           "algebraic", "walls")
+
+
+def test_import_loads_no_submodule():
+    done, _ = fresh_run([], program=(
+        "import json, sys, stabscope; print(json.dumps(sorted("
+        "m for m in sys.modules if m.startswith('stabscope.'))))"))
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout) == []
+
+
+def test_every_public_name_is_its_home_object():
+    assert len(stabscope.__all__) == len(set(stabscope.__all__)) == 87
+    modules = [importlib.import_module(f"stabscope.{m}") for m in MODULES]
+    for name in stabscope.__all__:
+        value = getattr(stabscope, name)
+        holders = [m for m in modules if hasattr(m, name)]
+        assert holders, name
+        assert all(getattr(m, name) is value for m in holders), name
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from stabscope import *", namespace)
+    assert set(stabscope.__all__) <= set(namespace)
+    assert set(stabscope.__all__) <= set(dir(stabscope))
+    assert "__version__" in dir(stabscope)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stabscope.no_such_name
+    with pytest.raises(ImportError):
+        exec("from stabscope import no_such_name", {})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stabscope import surd
+from stabscope.exceptional import DyadicLabel
 from stabscope.surd import QuadReal, nsign
 
 mpmath.mp.dps = 100
@@ -47,6 +48,17 @@ def test_square_factor_extraction():
     q = QuadReal(0, 1, 30603)
     assert (q.b, q.d) == (101, 3)
     assert q + QuadReal(0, 1, 3) == QuadReal(0, 102, 3)
+
+
+def test_decimal_exponent_is_bounded():
+    bound = surd.MAX_EXPONENT
+    assert surd.parse_rational(f"1e{bound}") == 10 ** bound
+    assert surd.parse_rational(f"-2.5E-{bound}") == Fraction(-25, 10 ** (bound + 1))
+    for text in (f"1e{bound + 1}", f"1e-{bound + 1}", "1e100000000"):
+        with pytest.raises(ValueError, match="malformed rational"):
+            surd.parse_rational(text)
+    with pytest.raises(ValueError, match="malformed rational"):
+        DyadicLabel.parse(f"1e-{bound + 1}")
 
 
 def test_negative_radicand_rejected():

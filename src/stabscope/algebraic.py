@@ -10,9 +10,11 @@ branch bookkeeping, and transports plus-leg points to the chart of the
 left-mutated triple and back.
 
 The classifier never solves for the charge: its kernel is written
-directly in the triple's characters and the three values, and the
-pentagon and dual basis of a triple are built once and kept in a
-bounded cache.
+directly in the triple's characters and the three values, in integers,
+and the pentagon and dual basis of a triple are built once and kept in
+a bounded cache.  A parameter point's phases are computed once, as
+primitive integer directions, and the group action maps them by each
+element's integer matrix.
 
 Exactness convention: a phase is entered as an integer branch plus a
 rational point on the unit circle lying in the upper half-plane, so the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,7 +37,7 @@ from .corekit import (Polygon, cross3, det3, euler_chi, parse_rational,
                       point_in_polygon)
 from .exceptional import ExcTriple, eplus, mutate_left, mutate_right
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
-                        RatComplex, ShiftedChar, in_upper, to_upper)
+                        RatComplex, ShiftedChar, _upper_ray, in_upper)
 from .lepotier import RegionClass, classify_point
 from .surd import QuadReal
 
@@ -50,6 +52,8 @@ class ThetaParams:
     must therefore lie in the closed upper half-plane minus the
     positive real axis.  Magnitudes and phases are derived views; the
     stored data stays rational under the group action and transport.
+    The phases are computed once, on construction, and kept in
+    ``_phases`` (None when a value is zero).
     """
 
     z1: RatComplex
@@ -58,14 +62,18 @@ class ThetaParams:
     k1: int = 0
     k2: int = 0
     k3: int = 0
+    _phases: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        phases = []
         for z, k in self.slots():
             if z.is_zero():
                 continue
-            u = -z if k % 2 else z
-            if not in_upper(u.re, u.im):
+            p, q, j = _upper_ray(z.re, z.im)
+            if j != k % 2:
                 raise ValueError("branch parity inconsistent with the value direction")
+            phases.append(Phase._of(p, q, k))
+        object.__setattr__(self, "_phases", tuple(phases) if len(phases) == 3 else None)
 
     @classmethod
     def from_units(cls, ms: Sequence, units: Sequence[tuple], branches: Sequence[int]
@@ -103,11 +111,12 @@ class ThetaParams:
         branches = []
         for phi in phis:
             k = math.ceil(phi) - 1
-            a = phi - k
-            if a == 1.0:
+            # exact, since phi - k rounds in floats once |phi| >= 2^53
+            a = Fraction(phi) - k
+            if a == 1:
                 units.append((-1, 0))
             else:
-                t = math.tan(math.pi * a / 2)
+                t = math.tan(math.pi * float(a) / 2)
                 th = Fraction(t).limit_denominator(max_den)
                 if th <= 0:
                     th = Fraction(1, max_den)
@@ -125,13 +134,9 @@ class ThetaParams:
         return (self.z1, self.z2, self.z3)
 
     def phases(self) -> tuple[Phase, Phase, Phase]:
-        out = []
-        for z, k in self.slots():
-            if z.is_zero():
-                raise ValueError("zero value has no phase")
-            u = -z if k % 2 else z
-            out.append(Phase(u.re, u.im, k))
-        return tuple(out)
+        if self._phases is None:
+            raise ValueError("zero value has no phase")
+        return self._phases
 
     def magnitudes(self) -> tuple[QuadReal, QuadReal, QuadReal]:
         out = []
@@ -156,9 +161,9 @@ class ThetaParams:
 
 def _valid_phases(p: ThetaParams) -> Optional[tuple[Phase, Phase, Phase]]:
     """The three phases when the parameters are valid, else None."""
-    if any(z.is_zero() for z in p.values()):
+    if p._phases is None:
         return None
-    f1, f2, f3 = p.phases()
+    f1, f2, f3 = p._phases
     if f1 < f2 < f3 and f1.shifted(1) < f3:
         return f1, f2, f3
     return None
@@ -183,7 +188,7 @@ def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
     """
     if not validate_params(p):
         raise ValueError("invalid chart parameters")
-    d, duals, _ = _triple_data(t)
+    d, duals, _, _ = _triple_data(t)
     zs = p.values()
     return GeneralCharge(*(
         RatComplex(sum(z.re * e[i] for z, e in zip(zs, duals)) / d,
@@ -196,8 +201,13 @@ _TRIPLE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
-def _triple_data(t: ExcTriple) -> tuple[Fraction, tuple, Polygon]:
-    """The determinant, dual basis and pentagon of a triple."""
+def _triple_data(t: ExcTriple) -> tuple[Fraction, tuple, Polygon, tuple]:
+    """The determinant, dual basis and pentagon of a triple.
+
+    Last come the coordinates of the three characters scaled by 2, as
+    one integer tuple per coordinate: ch2 is in (1/2)Z on the plane,
+    since chi(O, E) = r + 3c/2 + ch2 is an integer.
+    """
     c1, c2, c3 = t.chars
     d = det3(c1, c2, c3)
     assert d != 0, "triple characters must form a basis"
@@ -206,7 +216,10 @@ def _triple_data(t: ExcTriple) -> tuple[Fraction, tuple, Polygon]:
     pentagon = Polygon((e1, eplus(t.E1.label), e2, eplus(t.E3.label), e3),
                        edge_included=(False,) * 5,
                        vertex_included=(False,) * 5)
-    return d, duals, pentagon
+    assert all((2 * x).denominator == 1 for c in t.chars for x in c), \
+        "ch2 must lie in (1/2)Z"
+    doubled = tuple(tuple(int(2 * x) for x in coord) for coord in zip(c1, c2, c3))
+    return d, duals, pentagon, doubled
 
 
 def tr_polygon(t: ExcTriple) -> Polygon:
@@ -271,7 +284,10 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     v = (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3.  The orientation
     determinant w1 x w2 of the charge's coefficients is the rank
     coordinate of the cross product Re w x Im w, which is
-    ch0(v) / det3(c1, c2, c3).
+    ch0(v) / det3(c1, c2, c3).  It is computed in integers, on the
+    values scaled by a common denominator and the characters scaled by
+    2; a positive scale changes neither the kernel line's primitive
+    generator nor the sign of ch0(v).
     """
     phases = _valid_phases(p)
     if phases is None:
@@ -282,10 +298,8 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     if gap12_ge1 and gap23_ge1:
         return CellReport(CellLabel.PURE_CELL, depth,
                           reason="both phase gaps are at least one")
-    d, _, pentagon = _triple_data(t)
-    z1, z2, z3 = p.values()
-    a1, a2, a3 = z2.cross(z3), z3.cross(z1), z1.cross(z2)
-    v = tuple(a1 * x1 + a2 * x2 + a3 * x3 for x1, x2, x3 in zip(*t.chars))
+    d, _, pentagon, doubled = _triple_data(t)
+    v = _kernel_ints(p.values(), doubled)
     kp = KernelPoint.spanned_by(v)
     reason = ""
     if not kp.is_finite:
@@ -315,6 +329,16 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     raise AssertionError("unreachable: non-pure point with both gaps at least one")
 
 
+def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, int, int]:
+    """A positive integer multiple of (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3."""
+    den = math.lcm(*(x.denominator for z in zs for x in (z.re, z.im)))
+    (x1, y1), (x2, y2), (x3, y3) = (
+        (z.re.numerator * (den // z.re.denominator),
+         z.im.numerator * (den // z.im.denominator)) for z in zs)
+    a1, a2, a3 = x2 * y3 - y2 * x3, x3 * y1 - y3 * x1, x1 * y2 - y1 * x2
+    return tuple(a1 * u1 + a2 * u2 + a3 * u3 for u1, u2, u3 in doubled)
+
+
 def stable_set_pure(t: ExcTriple) -> tuple[ShiftedChar, ShiftedChar, ShiftedChar]:
     """Generators of the stable objects over the pure tail.
 
@@ -326,20 +350,6 @@ def stable_set_pure(t: ExcTriple) -> tuple[ShiftedChar, ShiftedChar, ShiftedChar
             ShiftedChar(t.E3.char, 0))
 
 
-def _ang2_phase(z: RatComplex) -> Phase:
-    """The direction of a value as a phase in [0, 2)."""
-    re, im, j = to_upper(z.re, z.im)
-    if j == 0:
-        return Phase(re, im, 0)
-    if im == 0:
-        return Phase(re, im, -1)
-    return Phase(re, im, 1)
-
-
-def _base_angle(g: GLElement) -> Phase:
-    return _ang2_phase(g.act(RatComplex(1, 0)))
-
-
 def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     """Act on chart parameters by a universal-cover element.
 
@@ -348,21 +358,27 @@ def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     zero sends the phase of the positive real direction into [0, 2),
     then offset by two per unit of the element's own branch (a full
     turn adds two to every phase).  Phase gaps relative to integers are
-    preserved, so validity is preserved.
+    preserved, so validity is preserved.  The lifted phase of a slot is
+    found in integers: the element's integer matrix maps the slot's
+    primitive direction onto the ray of the new value.
     """
-    lo = _base_angle(g)
+    if p._phases is None:
+        raise ValueError("cannot act on a zero value")
+    _, (a, b, c, d) = g.scaled
+    lo = g.base
     hi = lo.shifted(1)
     new_z = []
     new_k = []
-    for z, k in p.slots():
-        if z.is_zero():
-            raise ValueError("cannot act on a zero value")
-        w = g.act(z)
-        cand = _ang2_phase(-w if k % 2 else w)
-        if not (lo < cand <= hi):
+    for (z, k), f in zip(p.slots(), p._phases):
+        x, y = f.re, f.im
+        re, im, j = _upper_ray(a * x + b * y, c * x + d * y)
+        cand = Phase._of(re, im, j)
+        if cand <= lo:
             cand = cand.shifted(2)
+        elif cand > hi:
+            cand = cand.shifted(-2)
         assert lo < cand <= hi, "lift window missed"
-        new_z.append(w)
+        new_z.append(g.act(z))
         new_k.append(k + 2 * g.k + cand.k)
     return ThetaParams(new_z[0], new_z[1], new_z[2],
                        new_k[0], new_k[1], new_k[2])
@@ -376,8 +392,7 @@ def gl_inverse(g: GLElement) -> GLElement:
     which case it gives the identity; the branch compensates.
     """
     det = g.det
-    base = _base_angle(g)
-    delta = 0 if base.exact_value() == 0 else 1
+    delta = 0 if g.base.exact_value() == 0 else 1
     return GLElement(g.d / det, -g.b / det, -g.c / det, g.a / det,
                      -g.k - delta)
 
@@ -435,11 +450,10 @@ def _branch_in_window(z: RatComplex, lo: Phase, hi: Phase) -> int:
     """
     if z.is_zero():
         raise ValueError("transported value vanishes")
-    re, im, j = to_upper(z.re, z.im)
-    for k in range(lo.k - 2, hi.k + 3):
-        if (k - j) % 2:
-            continue
-        cand = Phase(re, im, k)
+    re, im, j = _upper_ray(z.re, z.im)
+    cand = Phase._of(re, im, lo.k - 2 + (lo.k - j) % 2)
+    while cand.k <= hi.k + 2:
         if lo < cand < hi:
-            return k
+            return cand.k
+        cand = cand.shifted(2)
     raise ValueError("no phase branch lands in the transport window")

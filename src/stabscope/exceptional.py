@@ -92,7 +92,11 @@ class DyadicLabel:
 # limit of 4300 digits is about 14 300 bits)
 MAX_RANK_BITS = 1 << 14
 
-# every character computed so far, by label
+# entries kept by each cache of this module and of lepotier; char_of's
+# dict is emptied when a lookup misses with this many entries in it
+CACHE_SIZE = 1 << 12
+
+# characters computed so far, by label
 _CHARS: dict[DyadicLabel, CharVec] = {}
 
 
@@ -110,12 +114,16 @@ def char_of(label: DyadicLabel) -> CharVec:
     A non-integer label's character is 3 * rank(helper) * base - far
     over three labels of smaller depth.  Terms not yet cached are
     resolved with an explicit stack, so a label may be deeper than the
-    interpreter's recursion limit.  A rank above MAX_RANK_BITS bits
-    raises ValueError.
+    interpreter's recursion limit.  The cache is emptied when it has
+    CACHE_SIZE entries and misses, so it holds at most that many plus
+    the ancestors of one label.  A rank above MAX_RANK_BITS bits raises
+    ValueError.
     """
     c = _CHARS.get(label)
     if c is not None:
         return c
+    if len(_CHARS) >= CACHE_SIZE:
+        _CHARS.clear()
     stack = [label]
     while stack:
         lbl = stack[-1]
@@ -182,7 +190,7 @@ class ExcBundle:
         return slope(self.char)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def eplus(label: DyadicLabel) -> AffPt:
     """The point one rank-squared unit below the projected character."""
     c = char_of(label)
@@ -204,13 +212,13 @@ def _contact(label: DyadicLabel, side: int) -> AffPt:
     return AffPt(x, x * x * HALF - HALF)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def el(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the left neighbour."""
     return _contact(label, -1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def er(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the right neighbour."""
     return _contact(label, 1)

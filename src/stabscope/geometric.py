@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -33,8 +33,8 @@ class RatComplex:
     im: Fraction
 
     def __init__(self, re, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __add__(self, other: "RatComplex") -> "RatComplex":
         return RatComplex(self.re + other.re, self.im + other.im)
@@ -200,19 +200,22 @@ def in_upper(re, im) -> bool:
     return im > 0 or (im == 0 and re < 0)
 
 
-def to_upper(re, im) -> tuple[Fraction, Fraction, int]:
-    """Flip a nonzero vector into the upper half (angle in (0, 1]).
+def _upper_ray(re, im) -> tuple[int, int, int]:
+    """Flip a nonzero rational pair into the upper half-plane, in integers.
 
-    Returns (re', im', j) with (-1)^j * (re, im) = (re', im') and the
-    flipped vector in the upper half-plane of ``in_upper``.
+    Returns (p, q, j): (p, q) is the primitive integer vector on the ray
+    of (-1)^j * (re, im), which lies in the upper half-plane of
+    ``in_upper``.  Integers and fractions are both accepted.
     """
-    re = Fraction(re)
-    im = Fraction(im)
-    if re == 0 and im == 0:
+    p = re.numerator * im.denominator
+    q = im.numerator * re.denominator
+    if p == 0 and q == 0:
         raise ValueError("zero vector has no direction")
-    if in_upper(re, im):
-        return re, im, 0
-    return -re, -im, 1
+    j = 0
+    if not in_upper(p, q):
+        p, q, j = -p, -q, 1
+    g = math.gcd(p, q)
+    return p // g, q // g, j
 
 
 def _coprime_ints(xs: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -245,18 +248,22 @@ class Phase(object):
             raise ValueError("zero vector has no phase")
         if not in_upper(re, im):
             raise ValueError("phase direction must lie in the upper half-plane")
-        p, q = _coprime_ints((re, im))
+        p, q, _ = _upper_ray(re, im)
         object.__setattr__(self, "re", p)
         object.__setattr__(self, "im", q)
         object.__setattr__(self, "k", int(k))
 
-    def shifted(self, n: int) -> "Phase":
-        # the direction is already primitive and in the upper half-plane
-        out = object.__new__(Phase)
-        object.__setattr__(out, "re", self.re)
-        object.__setattr__(out, "im", self.im)
-        object.__setattr__(out, "k", self.k + n)
+    @classmethod
+    def _of(cls, re: int, im: int, k: int) -> "Phase":
+        """A phase from a primitive upper direction, without the checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", im)
+        object.__setattr__(out, "k", k)
         return out
+
+    def shifted(self, n: int) -> "Phase":
+        return Phase._of(self.re, self.im, self.k + n)
 
     def exact_value(self) -> Optional[Fraction]:
         """The value as a rational, when the angle is a quarter multiple."""
@@ -429,7 +436,9 @@ class GLElement:
     The matrix acts on charge values (re, im); the branch integer picks
     the lift of the induced circle action to phases, pinned down by the
     convention that branch zero moves phases by less than a full turn
-    upward from the base angle of the first column.
+    upward from the base angle of the first column.  ``scaled`` holds a
+    common positive denominator and the integer matrix it makes, and
+    ``base`` the phase in [0, 2) of the first column's direction.
     """
 
     a: Fraction
@@ -437,15 +446,22 @@ class GLElement:
     c: Fraction
     d: Fraction
     k: int = 0
+    scaled: tuple = field(init=False, repr=False, compare=False)
+    base: Phase = field(init=False, repr=False, compare=False)
 
     def __init__(self, a, b, c, d, k: int = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        entries = tuple(Fraction(x) for x in (a, b, c, d))
+        for name, x in zip("abcd", entries):
+            object.__setattr__(self, name, x)
         object.__setattr__(self, "k", int(k))
         if self.det <= 0:
             raise ValueError("matrix must preserve orientation")
+        den = math.lcm(*(x.denominator for x in entries))
+        ints = tuple(x.numerator * (den // x.denominator) for x in entries)
+        object.__setattr__(self, "scaled", (den, ints))
+        # the positive real direction has phase 0 here, not 2
+        p, q, j = _upper_ray(ints[0], ints[2])
+        object.__setattr__(self, "base", Phase._of(p, q, -1 if j and q == 0 else j))
 
     @property
     def det(self) -> Fraction:
@@ -465,8 +481,12 @@ class GLElement:
         return cls(co, -si, si, co, k)
 
     def act(self, z: RatComplex) -> RatComplex:
-        return RatComplex(self.a * z.re + self.b * z.im,
-                          self.c * z.re + self.d * z.im)
+        den, (a, b, c, d) = self.scaled
+        re, im = z.re, z.im
+        x = re.numerator * im.denominator
+        y = im.numerator * re.denominator
+        den *= re.denominator * im.denominator
+        return RatComplex(Fraction(a * x + b * y, den), Fraction(c * x + d * y, den))
 
     def act_charge(self, Z: GeneralCharge) -> GeneralCharge:
         return GeneralCharge(self.act(Z.w0), self.act(Z.w1), self.act(Z.w2))

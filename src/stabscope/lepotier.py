@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
-from .exceptional import DyadicLabel, char_of, eplus, el, er, is_exceptional_char, slope_to_label
+from .exceptional import (CACHE_SIZE, DyadicLabel, char_of, eplus, el, er,
+                          is_exceptional_char, slope_to_label)
 from .surd import Number, QuadReal, nsign
 
 HALF = Fraction(1, 2)
@@ -52,7 +53,7 @@ def min_rank(depth: int) -> int:
     return fib(2 * depth + 1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def delta_safe(depth: int) -> Fraction:
     """Discriminant bound certifying clearance of all labels deeper than depth.
 
@@ -155,7 +156,7 @@ class Tent:
         return seg.line.y_at(x)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _tent(label: DyadicLabel) -> Tent:
     apex = eplus(label)
     pl, pr = el(label), er(label)
@@ -169,7 +170,7 @@ def _tent(label: DyadicLabel) -> Tent:
     return Tent(label, apex, left, right)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _exclusion(label: DyadicLabel) -> ExclusionSegment:
     c = char_of(label)
     e = c.proj()

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from conftest import UPPER_UNITS, random_triple, random_valid_params
 from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
+                                 _kernel_ints, _triple_data,
                                  charge_from_params, classify_cell,
                                  classify_cell_report, gl_act, gl_inverse,
                                  mz_polygon, stable_set_pure, tr_polygon,
@@ -14,8 +16,8 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
                                  transport_plus_leg_inverse, validate_params)
 from stabscope.corekit import AffPt, CharVec, point_in_polygon
 from stabscope.exceptional import DyadicLabel, TriplePattern, detect_triple, triple_from
-from stabscope.geometric import (GLElement, RatComplex, SQCharge,
-                                 kernel_point, to_upper, z_eval)
+from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex,
+                                 SQCharge, in_upper, kernel_point, z_eval)
 from stabscope.lepotier import RegionClass, classify_point
 
 OOO = triple_from(TriplePattern.ADJACENT, DyadicLabel(1))
@@ -58,6 +60,15 @@ def test_from_floats_approximates():
     assert abs(f[1] - 0.5) < 1e-6
     assert abs(f[2] - 1.2) < 1e-6
     assert validate_params(p)
+
+
+def test_from_floats_keeps_huge_phases_exact():
+    phis = (2.0 ** 53 + 2, 2.0 ** 53 + 4, 2.0 ** 53 + 8)
+    p = ThetaParams.from_floats((1, 1, 1), phis)
+    assert [f.exact_value() for f in p.phases()] == [Fraction(phi) for phi in phis]
+    assert validate_params(p)
+    q = ThetaParams.from_floats((1, 1, 1), (-(2.0 ** 60), 0.5, 1.0))
+    assert [f.exact_value() for f in q.phases()] == [-(2 ** 60), Fraction(1, 2), 1]
 
 
 def test_validate_params_examples():
@@ -445,7 +456,7 @@ def _strip_params(rng, t):
         zs = [RatComplex(z.re, -z.im) for z in zs]
     if any(z.is_zero() for z in zs):
         return None
-    parity = [to_upper(z.re, z.im)[2] for z in zs]
+    parity = [0 if in_upper(z.re, z.im) else 1 for z in zs]
     for n1 in range(-1, 2):
         for n2 in range(-1, 3):
             for n3 in range(-1, 4):
@@ -478,3 +489,60 @@ def test_closed_form_kernel_matches_the_charge_solve():
         reasons.add(report.reason)
     assert patterns == set(TriplePattern) and labels == set(CellLabel)
     assert any("orientation" in r for r in reasons)
+
+
+def _lift_by_fractions(g, p):
+    """Values and branches of gl_act by the rational formula, phase by phase."""
+    def phase_in_0_2(z):
+        if in_upper(z.re, z.im):
+            return Phase(z.re, z.im, 0)
+        return Phase(-z.re, -z.im, -1 if z.im == 0 else 1)
+
+    lo = phase_in_0_2(RatComplex(g.a, g.c))
+    hi = lo.shifted(1)
+    ws, ks = [], []
+    for z, k in p.slots():
+        w = RatComplex(g.a * z.re + g.b * z.im, g.c * z.re + g.d * z.im)
+        cand = phase_in_0_2(-w if k % 2 else w)
+        if not lo < cand <= hi:
+            cand = cand.shifted(2)
+        assert lo < cand <= hi
+        ws.append(w)
+        ks.append(k + 2 * g.k + cand.k)
+    return ws, ks
+
+
+def _kernel_by_fractions(t, p):
+    z1, z2, z3 = p.values()
+    a1, a2, a3 = z2.cross(z3), z3.cross(z1), z1.cross(z2)
+    return tuple(a1 * x1 + a2 * x2 + a3 * x3 for x1, x2, x3 in zip(*t.chars))
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@seed(9)
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 6), st.tuples(_entries, _entries, _entries, _entries),
+       st.integers(-2, 2))
+def test_carried_phases_match_rebuilt_ones(case, entries, branch):
+    rng = random.Random(case)
+    t = random_triple(rng, max_m=4)
+    p = random_valid_params(rng)
+    a, b, c, d = entries
+    if a * d - b * c < 0:
+        a, b, c, d = b, a, d, c
+    assume(a * d - b * c != 0)
+    g = GLElement(a, b, c, d, branch)
+    q = gl_act(g, p)
+    ws, ks = _lift_by_fractions(g, p)
+    assert list(q.values()) == ws and [q.k1, q.k2, q.k3] == ks
+    for params in (p, q):
+        by_fields = ThetaParams(*params.values(), params.k1, params.k2, params.k3)
+        public = tuple(Phase(*((-z.re, -z.im) if k % 2 else (z.re, z.im)), k)
+                       for z, k in params.slots())
+        assert params.phases() == by_fields.phases() == public
+        v = _kernel_ints(params.values(), _triple_data(t)[3])
+        w = _kernel_by_fractions(t, params)
+        assert KernelPoint.spanned_by(v) == KernelPoint.spanned_by(w)
+        assert (v[0] > 0) == (w[0] > 0) and (v[0] == 0) == (w[0] == 0)

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import stabscope.exceptional as ex
+import stabscope.lepotier as lp
 from stabscope.corekit import CharVec, collinear, delta, det3, euler_chi, slope
 from stabscope.exceptional import (DyadicLabel, ExcBundle, TriplePattern,
                                    char_of, detect_triple, el, eplus, er,
@@ -350,3 +352,24 @@ def test_label_rule_matches_braid_formula(m):
         assert (got.labels, got.pattern, got.base, got.chars) == \
             (want.labels, want.pattern, want.base, want.chars), \
             (t.labels, way.__name__, slot)
+
+
+def test_caches_stay_bounded_and_rebuild_evicted_characters():
+    cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._exclusion, lp.delta_safe)
+    assert all(f.cache_info().maxsize == ex.CACHE_SIZE for f in cached)
+    # 4 224 labels of depth 6 in 132 unit cells, more than any cache keeps
+    labels = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]
+    assert len(labels) > ex.CACHE_SIZE
+    first = {lbl: (char_of(lbl), eplus(lbl)) for lbl in labels[:50]}
+    largest = 0
+    for lbl in labels:
+        eplus(lbl)
+        lp._exclusion(lbl)
+        largest = max(largest, len(ex._CHARS))
+    # a depth-6 label adds itself and at most a few ancestors at once
+    assert largest <= ex.CACHE_SIZE + 16
+    assert all(f.cache_info().currsize <= ex.CACHE_SIZE for f in cached)
+    assert not any(lbl in ex._CHARS for lbl in first)
+    for lbl, (c, apex) in first.items():
+        assert char_of(lbl) == c and eplus(lbl) == apex
+        assert euler_chi(c, c) == 1

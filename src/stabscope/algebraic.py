@@ -37,7 +37,8 @@ from .corekit import (Polygon, cross3, det3, euler_chi, parse_rational,
                       point_in_polygon)
 from .exceptional import ExcTriple, eplus, mutate_left, mutate_right
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
-                        RatComplex, ShiftedChar, _upper_ray, in_upper)
+                        RatComplex, ShiftedChar, _scaled_ints, _upper_ray,
+                        in_upper)
 from .lepotier import RegionClass, classify_point
 from .surd import QuadReal
 
@@ -331,10 +332,7 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
 
 def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, int, int]:
     """A positive integer multiple of (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3."""
-    den = math.lcm(*(x.denominator for z in zs for x in (z.re, z.im)))
-    (x1, y1), (x2, y2), (x3, y3) = (
-        (z.re.numerator * (den // z.re.denominator),
-         z.im.numerator * (den // z.im.denominator)) for z in zs)
+    _, (x1, y1, x2, y2, x3, y3) = _scaled_ints([x for z in zs for x in (z.re, z.im)])
     a1, a2, a3 = x2 * y3 - y2 * x3, x3 * y1 - y3 * x1, x1 * y2 - y1 * x2
     return tuple(a1 * u1 + a2 * u2 + a3 * u3 for u1, u2, u3 in doubled)
 

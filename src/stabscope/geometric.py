@@ -218,10 +218,15 @@ def _upper_ray(re, im) -> tuple[int, int, int]:
     return p // g, q // g, j
 
 
+def _scaled_ints(xs: tuple) -> tuple[int, tuple[int, ...]]:
+    """A common positive denominator of rationals and the integers it makes."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, tuple(x.numerator * (den // x.denominator) for x in xs)
+
+
 def _coprime_ints(xs: tuple[Fraction, ...]) -> tuple[int, ...]:
     """The primitive integer vector on the ray of a nonzero rational vector."""
-    den = math.lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (den // x.denominator) for x in xs]
+    ints = _scaled_ints(xs)[1]
     g = math.gcd(*ints)
     return tuple(n // g for n in ints)
 
@@ -456,11 +461,10 @@ class GLElement:
         object.__setattr__(self, "k", int(k))
         if self.det <= 0:
             raise ValueError("matrix must preserve orientation")
-        den = math.lcm(*(x.denominator for x in entries))
-        ints = tuple(x.numerator * (den // x.denominator) for x in entries)
-        object.__setattr__(self, "scaled", (den, ints))
+        object.__setattr__(self, "scaled", _scaled_ints(entries))
         # the positive real direction has phase 0 here, not 2
-        p, q, j = _upper_ray(ints[0], ints[2])
+        a, _, c, _ = self.scaled[1]
+        p, q, j = _upper_ray(a, c)
         object.__setattr__(self, "base", Phase._of(p, q, -1 if j and q == 0 else j))
 
     @property

@@ -33,14 +33,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (Polygon, cross3, det3, euler_chi, parse_rational,
-                      point_in_polygon)
-from .exceptional import ExcTriple, eplus, mutate_left, mutate_right
+from .corekit import (Polygon, _scaled_ints, cross3, det3, euler_chi,
+                      parse_rational, point_in_polygon)
+from .exceptional import CACHE_SIZE, ExcTriple, eplus, mutate_left, mutate_right
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
-                        RatComplex, ShiftedChar, _scaled_ints, _upper_ray,
-                        in_upper)
+                        RatComplex, ShiftedChar, _upper_ray, in_upper)
 from .lepotier import RegionClass, classify_point
 from .surd import QuadReal
+
+# largest tangent denominator of a rationalized float phase
+_MAX_DEN = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,7 @@ class ThetaParams:
         return cls(zs[0], zs[1], zs[2], int(branches[0]), int(branches[1]), int(branches[2]))
 
     @classmethod
-    def from_floats(cls, ms: Sequence[float], phis: Sequence[float],
-                    max_den: int = 10 ** 6) -> "ThetaParams":
+    def from_floats(cls, ms: Sequence[float], phis: Sequence[float]) -> "ThetaParams":
         """Rationalize floating magnitudes and phases to a nearby exact point.
 
         The unit vector for each phase is produced by the half-angle
@@ -118,9 +119,9 @@ class ThetaParams:
                 units.append((-1, 0))
             else:
                 t = math.tan(math.pi * float(a) / 2)
-                th = Fraction(t).limit_denominator(max_den)
+                th = Fraction(t).limit_denominator(_MAX_DEN)
                 if th <= 0:
-                    th = Fraction(1, max_den)
+                    th = Fraction(1, _MAX_DEN)
                 c = (1 - th * th) / (1 + th * th)
                 s = 2 * th / (1 + th * th)
                 units.append((c, s))
@@ -197,11 +198,7 @@ def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
         for i in range(3)))
 
 
-# triples whose determinant, dual basis and pentagon are kept
-_TRIPLE_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _triple_data(t: ExcTriple) -> tuple[Fraction, tuple, Polygon, tuple]:
     """The determinant, dual basis and pentagon of a triple.
 
@@ -363,19 +360,13 @@ def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     if p._phases is None:
         raise ValueError("cannot act on a zero value")
     _, (a, b, c, d) = g.scaled
-    lo = g.base
-    hi = lo.shifted(1)
+    hi = g.base.shifted(1)
     new_z = []
     new_k = []
     for (z, k), f in zip(p.slots(), p._phases):
         x, y = f.re, f.im
-        re, im, j = _upper_ray(a * x + b * y, c * x + d * y)
-        cand = Phase._of(re, im, j)
-        if cand <= lo:
-            cand = cand.shifted(2)
-        elif cand > hi:
-            cand = cand.shifted(-2)
-        assert lo < cand <= hi, "lift window missed"
+        cand = _lift(*_upper_ray(a * x + b * y, c * x + d * y), g.base)
+        assert cand <= hi, "lift window missed"
         new_z.append(g.act(z))
         new_k.append(k + 2 * g.k + cand.k)
     return ThetaParams(new_z[0], new_z[1], new_z[2],
@@ -440,18 +431,25 @@ def transport_plus_leg_inverse(t2: ExcTriple, p2: ThetaParams, depth: int
     return t1, p1
 
 
+def _lift(re: int, im: int, j: int, lo: Phase) -> Phase:
+    """The least phase above lo of the upper direction (re, im) with branch parity j.
+
+    Branches of one parity differ by two, and a phase of branch k lies
+    in (k, k + 1], so the least such branch is lo.k or one of the next two.
+    """
+    cand = Phase._of(re, im, lo.k + (lo.k - j) % 2)
+    return cand if cand > lo else cand.shifted(2)
+
+
 def _branch_in_window(z: RatComplex, lo: Phase, hi: Phase) -> int:
     """The unique branch putting the value's phase in the open window.
 
     The window must be shorter than one; candidate branches differ by
-    two, so at most one parity-compatible branch can land inside.
+    two, so only the least one above lo can land inside.
     """
     if z.is_zero():
         raise ValueError("transported value vanishes")
-    re, im, j = _upper_ray(z.re, z.im)
-    cand = Phase._of(re, im, lo.k - 2 + (lo.k - j) % 2)
-    while cand.k <= hi.k + 2:
-        if lo < cand < hi:
-            return cand.k
-        cand = cand.shifted(2)
+    cand = _lift(*_upper_ray(z.re, z.im), lo)
+    if cand < hi:
+        return cand.k
     raise ValueError("no phase branch lands in the transport window")

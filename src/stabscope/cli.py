@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -466,6 +465,8 @@ def _stab_region(args) -> int:
     if n * n > MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
     E = ExcBundle.of(DyadicLabel.parse(args.label))
+    # exc_stable_at decides at the label's depth when it is deeper
+    depth = max(args.depth, E.label.m)
     lines = ["x,y,result"]
     saw_unknown = False
     for j in range(n):
@@ -473,7 +474,7 @@ def _stab_region(args) -> int:
         for i in range(n):
             x = x0 + (x1 - x0) * Fraction(i, n - 1)
             point = AffPt(x, y)
-            if classify_point(point, args.depth) is not RegionClass.GEO_LP:
+            if classify_point(point, depth) is not RegionClass.GEO_LP:
                 continue
             result = exc_stable_at(E, point, args.depth)
             saw_unknown = saw_unknown or result is StabResult.UNKNOWN
@@ -487,9 +488,7 @@ def _walls(args) -> int:
     from .walls import walls_for
     v = _charvec(args.v)
     window = _rats(args.window, 4)
-    lo = window[0]
-    hi = window[1]
-    labels = _labels_between(math.floor(lo), math.ceil(hi),
+    labels = _labels_between(window[0], window[1],
                              _depth(args.pool_depth, "--pool-depth"))
     pool = [ExcBundle.of(lab) for lab in labels]
     by_char = {e.char: str(e.label) for e in pool}

@@ -74,6 +74,12 @@ class CharVec:
         return cls(*(parse_rational(s) for s in items))
 
 
+def _scaled_ints(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """A common positive denominator of rationals and the integers it makes."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, tuple(x.numerator * (den // x.denominator) for x in xs)
+
+
 def euler_chi(v: CharVec, w: CharVec) -> Fraction:
     """The (non-symmetric) Euler pairing of two characters."""
     return (v.ch0 * w.ch0
@@ -290,10 +296,8 @@ class Polygon:
             area2 += px * qy - qx * py
         if area2 == 0:
             raise ValueError("degenerate polygon: zero area")
-        den = math.lcm(*(c.denominator for q in qs for c in q))
-        object.__setattr__(self, "scaled", (den, tuple(
-            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-            for x, y in qs)))
+        den, ints = _scaled_ints([c for q in qs for c in q])
+        object.__setattr__(self, "scaled", (den, tuple(zip(ints[::2], ints[1::2]))))
 
     def edges(self) -> Iterable[tuple[AffPt, AffPt, bool]]:
         n = len(self.vertices)

@@ -25,6 +25,11 @@ from .surd import QuadReal, parse_rational
 HALF = Fraction(1, 2)
 
 
+def _exc_delta(r) -> Fraction:
+    """The discriminant (1/2)(1 - 1/r^2) of a rank-r exceptional bundle."""
+    return HALF - HALF / (r * r)
+
+
 class DyadicLabel:
     """An index p / 2^m, stored in lowest terms (m == 0 or p odd)."""
 
@@ -92,7 +97,7 @@ class DyadicLabel:
 # limit of 4300 digits is about 14 300 bits)
 MAX_RANK_BITS = 1 << 14
 
-# entries kept by each cache of this module and of lepotier; char_of's
+# entries kept by each cache of this module, lepotier and algebraic; char_of's
 # dict is emptied when a lookup misses with this many entries in it
 CACHE_SIZE = 1 << 12
 
@@ -172,8 +177,7 @@ class ExcBundle:
         c = char_of(label)
         assert c.ch0 > 0, "exceptional rank must be positive"
         assert euler_chi(c, c) == 1, "exceptionality pairing failed"
-        assert delta(c) == Fraction(1, 2) * (1 - Fraction(1, c.ch0 ** 2)), \
-            "closed-form discriminant failed"
+        assert delta(c) == _exc_delta(c.ch0), "closed-form discriminant failed"
         return cls(label, c)
 
     def __hash__(self):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .corekit import AffPt, CharVec, cross3, slope, to_fraction
+from .corekit import AffPt, CharVec, _scaled_ints, cross3, slope, to_fraction
 from .exceptional import ExcBundle
 from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
 
@@ -218,12 +218,6 @@ def _upper_ray(re, im) -> tuple[int, int, int]:
     return p // g, q // g, j
 
 
-def _scaled_ints(xs: tuple) -> tuple[int, tuple[int, ...]]:
-    """A common positive denominator of rationals and the integers it makes."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return den, tuple(x.numerator * (den // x.denominator) for x in xs)
-
-
 def _coprime_ints(xs: tuple[Fraction, ...]) -> tuple[int, ...]:
     """The primitive integer vector on the ray of a nonzero rational vector."""
     ints = _scaled_ints(xs)[1]
@@ -377,11 +371,12 @@ def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     of E exceeds the point's first coordinate the bundle itself is the
     stable object, otherwise its single shift is.  The refinement depth
     is raised to the label's own depth so the bundle's anchoring data
-    is always present in the approximation.
+    is always present in the approximation; P is classified at that
+    depth too, so a point on the bundle's own exclusion is refused.
     """
-    if classify_point(P, depth) is not RegionClass.GEO_LP:
-        raise ValueError("stability test requires a point in the geometric region")
     eff = max(depth, E.label.m)
+    if classify_point(P, eff) is not RegionClass.GEO_LP:
+        raise ValueError("stability test requires a point in the geometric region")
     answer = geo_contains_segment(E.char.proj(), P, eff, exclude_a=True)
     if answer is GeoAnswer.UNKNOWN:
         return StabResult.UNKNOWN

@@ -34,11 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
-from .exceptional import (CACHE_SIZE, DyadicLabel, char_of, eplus, el, er,
-                          is_exceptional_char, slope_to_label)
+from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, char_of,
+                          eplus, el, er, is_exceptional_char, slope_to_label)
 from .surd import Number, QuadReal, nsign
-
-HALF = Fraction(1, 2)
 
 
 def fib(n: int) -> int:
@@ -53,7 +51,6 @@ def min_rank(depth: int) -> int:
     return fib(2 * depth + 1)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def delta_safe(depth: int) -> Fraction:
     """Discriminant bound certifying clearance of all labels deeper than depth.
 
@@ -63,22 +60,7 @@ def delta_safe(depth: int) -> Fraction:
     label is deeper than the given depth, because such labels have rank
     at least min_rank(depth + 1).
     """
-    r = min_rank(depth + 1)
-    return HALF * (1 - Fraction(1, r * r))
-
-
-def _nfloor(x: Number) -> int:
-    if isinstance(x, QuadReal):
-        if x.is_rational:
-            return math.floor(x.as_fraction())
-        lo, _ = x.isolating_interval()
-        f = math.floor(lo)
-        while f + 1 <= x:
-            f += 1
-        while f > x:
-            f -= 1
-        return f
-    return math.floor(x)
+    return _exc_delta(min_rank(depth + 1))
 
 
 class RegionClass(enum.Enum):
@@ -182,8 +164,14 @@ def _exclusion(label: DyadicLabel) -> ExclusionSegment:
 _MAX_LABELS = 1 << 14
 
 
-def _labels_between(lo: int, hi: int, depth: int) -> list[DyadicLabel]:
-    """All canonical labels with value in [lo, hi] and depth at most depth."""
+def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]:
+    """All canonical labels of depth at most depth in [floor(lo), ceil(hi)].
+
+    A tent lies inside the unit cell of its label, within the distance
+    (3 - sqrt(5))/2 of an integer label's slope, so these labels reach
+    every tent that meets [lo, hi].
+    """
+    lo, hi = math.floor(lo), math.ceil(hi)
     # there are (hi - lo) * 2^depth + 1 of them, so deeper levels than
     # these either break the cap or, when lo == hi, hold no label
     levels = min(depth, _MAX_LABELS.bit_length())
@@ -210,9 +198,6 @@ class CurveApprox:
 def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     """Construct every tent and exclusion of depth <= depth over the window.
 
-    A tent lies inside the unit cell of its label, within the distance
-    (3 - sqrt(5))/2 of an integer label's slope, so the labels in
-    [floor(lo), ceil(hi)] reach every tent that meets the window.
     Output is deterministic and sorted by apex slope.
     """
     if depth < 0:
@@ -220,7 +205,7 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo > hi:
         raise ValueError("empty window")
-    labels = sorted(_labels_between(math.floor(lo), math.ceil(hi), depth))
+    labels = sorted(_labels_between(lo, hi, depth))
     tents = tuple(_tent(l) for l in labels)
     for prev, cur in zip(tents, tents[1:]):
         assert prev.x_hi < cur.x_lo, "tent spans overlap"
@@ -237,7 +222,7 @@ def _tent_at(x: Number, depth: int) -> Tent | DyadicLabel:
     covers x or lies wholly on one side of it, which picks the half.
     Without a covering tent, the open gap's midpoint label is returned.
     """
-    p = _nfloor(x)
+    p = math.floor(x)
     if x <= er(DyadicLabel(p)).x:
         return _tent(DyadicLabel(p))
     if x >= el(DyadicLabel(p + 1)).x:
@@ -293,7 +278,7 @@ def _exclusion_at(p: AffPt, d: Number, depth: int) -> bool:
     if isinstance(p.x, QuadReal) and not p.x.is_rational:
         return False
     x = to_fraction(p.x)
-    return d >= HALF - HALF / x.denominator ** 2 and slope_to_label(x, depth) is not None
+    return d >= _exc_delta(x.denominator) and slope_to_label(x, depth) is not None
 
 
 def dlp_exists(v: CharVec, depth: int) -> DlpResult:
@@ -405,7 +390,7 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         mid = DyadicLabel(2 * p + 1, k + 1)
         # the discriminant is convex along the segment, so its values at the
         # two ends bound it over the stretch; no label of the gap ranks below mid
-        safe = HALF * (1 - 1 / char_of(mid).ch0 ** 2)
+        safe = _exc_delta(char_of(mid).ch0)
         if lo > hi or (_delta_along(line, lo) < safe and _delta_along(line, hi) < safe):
             continue
         if k == depth:
@@ -454,6 +439,6 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
             return GeoAnswer.NO
         return GeoAnswer.YES
     # tent is the open gap's midpoint; the lower end has the larger discriminant
-    if x * x * HALF - y_lo < HALF * (1 - 1 / char_of(tent).ch0 ** 2):
+    if x * x * HALF - y_lo < _exc_delta(char_of(tent).ch0):
         return GeoAnswer.YES
     return GeoAnswer.UNKNOWN

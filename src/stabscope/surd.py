@@ -20,6 +20,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 _FACTOR_LIMIT = 10**12
 
+_ISOLATION_SCALE = 10**30
+
 # the digit limit Python puts on int text; a decimal exponent above it would
 # make Fraction build a power of ten of that many digits
 MAX_EXPONENT = 4300
@@ -104,11 +106,7 @@ def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
 
 
 def _mixed_sign(r: Fraction, b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
-    """Exact sign of r + b1*sqrt(d1) + b2*sqrt(d2) by repeated squaring."""
-    if b1 == 0 or d1 == 0:
-        return _surd_sign(r, b2, d2)
-    if b2 == 0 or d2 == 0:
-        return _surd_sign(r, b1, d1)
+    """Exact sign of r + b1*sqrt(d1) + b2*sqrt(d2), b's nonzero, d's positive."""
     # sign of u = b1*sqrt(d1) + b2*sqrt(d2)
     if _sign_of(b1) == _sign_of(b2):
         su = _sign_of(b1)
@@ -151,8 +149,6 @@ class QuadReal:
                 # the radicand was a perfect square: fold into the rational part
                 a, b = a + b, Fraction(0)
         else:
-            d = 0
-        if b == 0:
             d = 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -271,16 +267,28 @@ class QuadReal:
             return hash(self.a)
         raise TypeError("irrational QuadReal is unhashable")
 
-    def isolating_interval(self, scale: int = 10**30) -> tuple[Fraction, Fraction]:
-        """A rational interval containing the value (width 1/scale)."""
+    def isolating_interval(self) -> tuple[Fraction, Fraction]:
+        """A rational interval containing the value (width 1/_ISOLATION_SCALE)."""
         if self.b == 0:
             return self.a, self.a
+        scale = _ISOLATION_SCALE
         q = self.b * self.b * self.d * scale * scale
         root = math.isqrt(q.numerator // q.denominator)  # floor(|b| sqrt(d) scale)
         approx = Fraction(root, scale)
         if self.b < 0:
             return self.a - approx - Fraction(1, scale), self.a - approx
         return self.a + approx, self.a + approx + Fraction(1, scale)
+
+    def __floor__(self) -> int:
+        if self.b == 0:
+            return math.floor(self.a)
+        lo, _ = self.isolating_interval()
+        f = math.floor(lo)
+        while f + 1 <= self:
+            f += 1
+        while f > self:
+            f -= 1
+        return f
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)

@@ -503,3 +503,83 @@ def test_cli_contract_holds_for_drawn_argv(argv):
     else:
         assert err.getvalue() == ""
         _parse_stdout(argv, out.getvalue())
+
+
+# TRANSPORT_SLOTS as magnitudes 1 and k:c:s unit directions
+TRANSPORT_UNITS = "-1:-1:0,1:21/29:20/29,1:-119/169:120/169"
+
+
+@pytest.mark.parametrize("verb", ["classify-cell", "transport"])
+def test_exact_units_match_the_equal_slots(capsys, verb):
+    argv = [verb, "--triple", "0,1,2", "--depth", "6"]
+    assert _json(capsys, argv + ["--m", "1,1,1", f"--exact-units={TRANSPORT_UNITS}"]) \
+        == _json(capsys, argv + [f"--slots={TRANSPORT_SLOTS}"])
+    # the same directions at other magnitudes: the value is m * (-1)^k * (c, s)
+    ms = [Fraction(2), Fraction(3), Fraction(1, 2)]
+    slots = []
+    for m, part in zip(ms, TRANSPORT_UNITS.split(",")):
+        k, c, s = part.split(":")
+        sign = -m if int(k) % 2 else m
+        slots.append(f"{sign * Fraction(c)}:{sign * Fraction(s)}:{k}")
+    assert _json(capsys, argv + ["--m", "2,3,1/2", f"--exact-units={TRANSPORT_UNITS}"]) \
+        == _json(capsys, argv + ["--slots=" + ",".join(slots)])
+
+
+@pytest.mark.parametrize("extra,message", [
+    ([f"--exact-units={TRANSPORT_UNITS}"], "--m is required"),
+    (["--m", "1,1,1", f"--exact-units={TRANSPORT_UNITS}", f"--slots={TRANSPORT_SLOTS}"],
+     "exactly one of"),
+    (["--m", "1,1,1", "--exact-units=-1:-1:0,1:21/29:20/29"], "three k:c:s entries"),
+    (["--m", "1,1", f"--exact-units={TRANSPORT_UNITS}"], "expected 3"),
+    (["--m", "1,-1,1", f"--exact-units={TRANSPORT_UNITS}"], "nonnegative"),
+    (["--m", "1,1,1", "--exact-units=-1:1:1,1:21/29:20/29,1:-119/169:120/169"],
+     "unit circle"),
+    (["--m", "1,1,1", "--exact-units=-1:1:0,1:21/29:20/29,1:-119/169:120/169"],
+     "upper half-plane"),
+    (["--m", "1,1,1", "--exact-units=-1:-1,1:21/29:20/29,1:-119/169:120/169"], ""),
+    (["--m", "1,1,1", "--exact-units=-1:x:0,1:21/29:20/29,1:-119/169:120/169"],
+     "malformed rational"),
+])
+@pytest.mark.parametrize("verb", ["classify-cell", "transport"])
+def test_exact_units_usage_errors_exit_2(capsys, verb, extra, message):
+    err = _one_json_error(capsys, [verb, "--triple", "0,1,2", *extra])
+    assert message in err["error"]
+
+
+@pytest.mark.parametrize("v,w,line", [
+    ("0,1,0", "1,0,0", "q=0"),
+    ("0,1,0", "0,0,1", None),
+    ("1,1,0", "0,1,1", "q=1*s-1"),
+    ("1,0,1", "0,1,1", "q=1*s+1"),
+])
+def test_wall_line_texts(capsys, v, w, line):
+    assert _json(capsys, ["wall", "--v", v, "--w", w])["line"] == line
+
+
+def test_walls_skip_a_bundle_parallel_to_the_class(capsys):
+    out = _json(capsys, ["walls", "--v", "1,0,0", "--pool-depth", "0",
+                         "--window=-1,1,-1,1"])
+    assert [w["label"] for w in out["walls"]] == ["1", "-1"]
+
+
+def test_unknown_verdicts_exit_3_under_strict(capsys):
+    argv = ["dlp", "--ch0", "2", "--ch1", "1", "--ch2=-3/2", "--strict"]
+    assert run(argv + ["--depth", "0"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"result": "Unknown"}
+    assert _json(capsys, argv + ["--depth", "1"]) == {"result": "Yes"}
+    argv = ["stab-region", "--label", "0", "--grid=-7/10,-6/10,-16/75,-16/75,2", "--strict"]
+    # the grid's one row of y is sampled twice
+    assert run(argv + ["--depth", "0"]) == 3
+    assert capsys.readouterr().out.splitlines()[1:3] == \
+        ["-7/10,-16/75,Unknown", "-3/5,-16/75,Unknown"]
+    assert _ok(capsys, argv + ["--depth", "1"]).splitlines()[1:3] == \
+        ["-7/10,-16/75,StableUnshifted", "-3/5,-16/75,StableUnshifted"]
+
+
+def test_stab_region_skips_the_bundles_own_character_below_its_depth(capsys):
+    # (1/2, -1/4) is the character of label 1/2; depth 0 used to test the
+    # degenerate segment from it to itself and exit 2
+    argv = ["stab-region", "--label", "1/2", "--grid=0,1,-1/2,0,3"]
+    want = "x,y,result\n1/2,0,StableShifted\n"
+    assert _ok(capsys, argv + ["--depth", "0"]) == want
+    assert _ok(capsys, argv + ["--depth", "1"]) == want

@@ -183,6 +183,14 @@ def test_exc_stable_not_stable_case():
     assert exc_stable_at(ExcBundle.of("1"), P, 2) is StabResult.STABLE_SHIFTED
 
 
+def test_exc_stable_refuses_its_own_exclusion_below_its_depth():
+    # (1/2, -5/16) lies on the exclusion of label 1/2, which depth 0 cannot see
+    E, P = ExcBundle.of("1/2"), AffPt(Fraction(1, 2), Fraction(-5, 16))
+    for depth in (0, 1, 2):
+        with pytest.raises(ValueError, match="geometric region"):
+            exc_stable_at(E, P, depth)
+
+
 def test_exc_stable_twist_equivariance():
     rng = random.Random(9)
     labels = ["0", "1", "1/2", "-1/2", "3/4"]

@@ -10,7 +10,7 @@ import pytest
 
 from stabscope.corekit import AffPt, CharVec, Segment, slope
 from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, el, eplus,
-                                   er, slope_to_label)
+                                   er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
 from stabscope.lepotier import (DlpResult, GeoAnswer, RegionClass,
                                 build_curve, classify_point, delta_safe,
@@ -509,3 +509,61 @@ def test_vertical_segment_at_uncovered_slope_uses_the_local_bound():
     for d, want in ((bound - Fraction(1, 10 ** 9), GeoAnswer.YES), (bound, GeoAnswer.UNKNOWN)):
         a = pt(a.x, a.x * a.x / 2 - d)
         assert geo_contains_segment(a, pt(a.x, a.y + 1), 3) is want, d
+
+
+def test_unknown_verdicts_are_decided_by_a_larger_budget():
+    v = CharVec(2, 1, Fraction(-3, 2))
+    assert dlp_exists(v, 0) is DlpResult.UNKNOWN
+    assert all(dlp_exists(v, d) is DlpResult.YES for d in (1, 2, 3))
+    E, P = ExcBundle.of("0"), pt("-7/10", "-16/75")
+    assert exc_stable_at(E, P, 0) is StabResult.UNKNOWN
+    assert all(exc_stable_at(E, P, d) is StabResult.STABLE_UNSHIFTED for d in (1, 2, 3))
+
+
+def test_a_larger_budget_keeps_dlp_verdicts():
+    # The one exception is test_classify_monotone_refinement's: a multiple
+    # of an exceptional character deeper than the budget is classified off
+    # its exclusion, so No can turn into YesExceptional.
+    unknowns = 0
+    for r in range(1, 9):
+        for c in range(r + 1):
+            for k in range(-40, 41):
+                v = CharVec(r, c, Fraction(k, 2))
+                if not Fraction(1, 4) <= v.proj().delta() <= Fraction(11, 10):
+                    continue
+                got = [dlp_exists(v, d) for d in range(6)]
+                unknowns += DlpResult.UNKNOWN in got
+                decided = [g for g in got if g is not DlpResult.UNKNOWN]
+                assert decided == decided[-1:] * len(decided) or (
+                    set(decided) == {DlpResult.NO, DlpResult.YES_EXCEPTIONAL}
+                    and is_exceptional_char(v, 40)), (v, got)
+    assert unknowns > 20
+
+
+def test_a_larger_budget_keeps_stability_verdicts():
+    rng = random.Random(5)
+    unknowns = 0
+    for text in ("0", "1/2", "3/4"):
+        E = ExcBundle.of(text)
+        for _ in range(40):
+            P = pt(Fraction(rng.randint(-40, 60), 40), Fraction(rng.randint(-60, 20), 40))
+            if any(classify_point(P, d) is not RegionClass.GEO_LP for d in range(6)):
+                continue
+            got = [exc_stable_at(E, P, d) for d in range(6)]
+            unknowns += StabResult.UNKNOWN in got
+            decided = [g for g in got if g is not StabResult.UNKNOWN]
+            assert decided == decided[-1:] * len(decided), (text, P, got)
+    assert unknowns > 0
+
+
+def test_contact_points_classify_on_the_curve():
+    # el and er are surds on y = x^2/2 - 1/2; 1/1000 above the curve is the
+    # geometric region and 1/1000 below is under the curve
+    eps = Fraction(1, 1000)
+    labels = [DyadicLabel(p, m) for m in range(5) for p in range(-(1 << m), 1 << m)]
+    for label in labels:
+        for p in (el(label), er(label)):
+            assert not p.is_rational()
+            assert classify_point(p, label.m) is RegionClass.ON_CURVE, (label, p)
+            assert classify_point(AffPt(p.x, p.y + eps), label.m) is RegionClass.GEO_LP
+            assert classify_point(AffPt(p.x, p.y - eps), label.m) is RegionClass.BELOW_CURVE

@@ -1,7 +1,10 @@
 """The package loads its modules lazily and keeps every public name."""
 
+import ast
 import importlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +46,20 @@ def test_unknown_name_raises_attribute_error():
         stabscope.no_such_name
     with pytest.raises(ImportError):
         exec("from stabscope import no_such_name", {})
+
+
+def test_sources_are_python_3_10_and_standard_library_only():
+    files = sorted(Path(stabscope.__file__).parent.glob("*.py"))
+    assert len(files) == len(MODULES) + 2  # with __init__ and cli
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "stabscope" or top in sys.stdlib_module_names, (path.name, name)

@@ -1,5 +1,7 @@
 """Exactness checks for quadratic surd arithmetic against mpmath."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -165,3 +167,83 @@ def test_arithmetic_does_not_reduce(monkeypatch):
         y = x * x * Fraction(1, 2) - Fraction(1, 2)
         assert (y - x * x / 2).sign() < 0
         assert x / (x + 1) < 1 and x.inverse() * x == 1
+
+
+# a prime above the trial-division limit: radicands k^2 * _BIG with k > 97
+# stay unreduced
+_BIG = 10**12 + 39
+
+
+def _radicand(rng):
+    return rng.choice([rng.choice([2, 3, 5, 6, 7, 10, 11, 101 * 103]),
+                       rng.randint(2, 10**6),
+                       rng.choice([101, 103, 211]) ** 2 * _BIG,
+                       _BIG + 2 * rng.randint(1, 10**6)])
+
+
+def _rational(rng, span=10**3):
+    return Fraction(rng.randint(-span * 64, span * 64), rng.randint(1, 64))
+
+
+def test_cross_radicand_comparisons_match_mpmath():
+    rng = random.Random(20)
+    pairs = []
+    for _ in range(400):
+        x = QuadReal(_rational(rng), _rational(rng) or 1, _radicand(rng))
+        y = QuadReal(_rational(rng), _rational(rng) or 1, _radicand(rng))
+        pairs.append((x, y, None))
+        # y's rational part moved to within 10^-30 of x, on either side
+        with mpmath.workdps(60):
+            gap = _mp(x) - _mp(QuadReal(0, y.b, y.d))
+        near = Fraction(int(mpmath.nint(gap * 10**30)) + rng.choice([-1, 1]), 10**30)
+        pairs.append((x, QuadReal(near, y.b, y.d), None))
+        # one value under an unreduced radicand and under its reduced one
+        k, b = rng.choice([101, 103, 211]), _rational(rng) or 1
+        a = _rational(rng)
+        pairs.append((QuadReal(a, b, k * k * _BIG), QuadReal(a, b * k, _BIG), 0))
+        pairs.append((QuadReal(a, b, k * k * _BIG),
+                      QuadReal(a + Fraction(1, 10**20), b * k, _BIG), -1))
+    with mpmath.workdps(60):
+        for x, y, want in pairs:
+            if want is None:
+                diff = _mp(x) - _mp(y)
+                assert abs(diff) > mpmath.mpf(10) ** -40, (x, y)
+                want = int(mpmath.sign(diff))
+            assert ((x > y) - (x < y), x == y) == (want, want == 0), (x, y)
+            assert ((y > x) - (y < x)) == -want
+
+
+def test_reduce_radicand_matches_sympy_core():
+    from sympy.ntheory.factor_ import core
+    rng = random.Random(21)
+    cases = [101**2 * 103 * 107, 103**2 * 5, 997**2 * 2 * 3, 9973**2 * 7,
+             2**4 * 101**2 * 103, rng.choice([101, 211]) ** 2 * _BIG]
+    cases += [rng.randint(2, 10**12) for _ in range(300)]
+    cases += [rng.randint(2, 10**4) ** 2 * rng.randint(2, 10**4) for _ in range(200)]
+    for d in cases:
+        s, rest = surd._reduce_radicand(Fraction(1), d)
+        assert s.denominator == 1 and s * s * (rest or 1) == d, d
+        if d <= surd._FACTOR_LIMIT:
+            assert rest == (0 if core(d) == 1 else core(d)), d
+        else:
+            assert rest % core(d) == 0 and math.isqrt(rest // core(d)) ** 2 == rest // core(d)
+            assert all(rest % (p * p) for p in surd._SMALL_PRIMES), d
+
+
+def test_floor_matches_mpmath():
+    rng = random.Random(22)
+    values = []
+    for _ in range(300):
+        b, d = _rational(rng) or 1, _radicand(rng)
+        values.append(QuadReal(_rational(rng), b, d))
+        # within 10^-20 of an integer, on either side
+        with mpmath.workdps(60):
+            near = Fraction(int(mpmath.nint(_mp(QuadReal(0, b, d)) * 10**20)), 10**20)
+        values.append(QuadReal(rng.randint(-5, 5) - near, b, d))
+    values += [QuadReal(Fraction(7, 2)), QuadReal(-3), QuadReal(Fraction(-1, 3))]
+    with mpmath.workdps(60):
+        for q in values:
+            want = mpmath.floor(_mp(q))
+            if not q.is_rational:
+                assert abs(_mp(q) - want) > mpmath.mpf(10) ** -40
+            assert math.floor(q) == int(want), q

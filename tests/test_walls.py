@@ -115,3 +115,18 @@ def test_walls_for_deterministic_order():
     one = walls_for(SKY, pool, window)
     two = walls_for(SKY, list(reversed(pool)), window)
     assert [w.w for w in one] == [w.w for w in two]
+
+
+def test_horizontal_walls_sort_after_all_others():
+    pool = [ExcBundle.of(DyadicLabel(p, 1)) for p in range(-4, 5)]
+    window = (-2, 2, -1, 1)
+    # every wall passes through (0, 1/2), horizontally for the labels -1 and 1
+    found = walls_for(CharVec(2, 0, 1), pool, window)
+    flat = [wl.line.c1 == 0 for wl in found]
+    assert flat == [False] * 7 + [True] * 2
+    # a rank-zero class of degree one has a horizontal wall with every bundle,
+    # at the bundle's height, and they come ordered by it
+    found = walls_for(CharVec(0, 1, 0), pool, window)
+    heights = [-wl.line.c0 / wl.line.c2 for wl in found]
+    assert len(found) == 7 and all(wl.line.c1 == 0 for wl in found)
+    assert heights == sorted(heights) and heights[0] < heights[-1]

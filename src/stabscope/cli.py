@@ -467,12 +467,13 @@ def _stab_region(args) -> int:
     E = ExcBundle.of(DyadicLabel.parse(args.label))
     # exc_stable_at decides at the label's depth when it is deeper
     depth = max(args.depth, E.label.m)
+    # each distinct sample once: a grid with x0 == x1 or y0 == y1 has one column or row
+    xs, ys = (dict.fromkeys(lo + (hi - lo) * Fraction(i, n - 1) for i in range(n))
+              for lo, hi in ((x0, x1), (y0, y1)))
     lines = ["x,y,result"]
     saw_unknown = False
-    for j in range(n):
-        y = y0 + (y1 - y0) * Fraction(j, n - 1)
-        for i in range(n):
-            x = x0 + (x1 - x0) * Fraction(i, n - 1)
+    for y in ys:
+        for x in xs:
             point = AffPt(x, y)
             if classify_point(point, depth) is not RegionClass.GEO_LP:
                 continue

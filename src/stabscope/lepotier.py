@@ -23,6 +23,14 @@ the strip only the label of rank den(x) can have the slope x, so a point
 is on an exclusion exactly when its discriminant reaches (1/2)(1 - 1/den(x)^2)
 and slope_to_label finds that label.  build_curve lists every tent of a
 window; no decision uses it.
+
+The segment walk decides without floats.  Along y = m x + c the gap and
+chord tests are signs of rational polynomials of degree <= 2, evaluated
+at a contact slope a + b*sqrt(d) in Q(sqrt(d)).  Contact slopes are
+ordered against the segment's ends and each other by rational brackets
+lo < x < hi, cached per label: disjoint brackets are conclusive, as each
+holds its value, and only overlapping ones fall back to the exact surd
+comparison.  The point walk compares surds directly.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from fractions import Fraction
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, char_of,
                           eplus, el, er, is_exceptional_char, slope_to_label)
-from .surd import Number, QuadReal, nsign
+from .surd import Number, QuadReal, _poly_sign
 
 
 def fib(n: int) -> int:
@@ -332,8 +340,34 @@ def _is_integer_apex(p: AffPt) -> bool:
     return p.is_rational() and to_fraction(p.x).denominator == 1 and p.delta() == 0
 
 
-def _delta_along(line: ProjLine, x: Number) -> Number:
-    return x * x * HALF - line.y_at(x)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _tent_ends(label: DyadicLabel) -> tuple[tuple, tuple, tuple]:
+    """The slopes of el, the apex and er, each as (x, lo, hi) with lo <= x <= hi.
+
+    The bounds are rational: x's own for the rational apex, and the
+    isolating interval of width 10^-30 for a contact point.
+    """
+    return tuple((x, *QuadReal._coerce(x).isolating_interval())
+                 for x in (el(label).x, eplus(label).x, er(label).x))
+
+
+def _compare(u: tuple, v: tuple) -> int:
+    """Sign of u - v for slopes given as (x, lo, hi).
+
+    Disjoint rational brackets decide; otherwise the surds are compared
+    exactly.
+    """
+    if u[2] < v[1]:
+        return -1
+    if u[1] > v[2]:
+        return 1
+    return QuadReal._coerce(u[0])._cmp(v[0])
+
+
+def _span(lo: tuple, hi: tuple, ends: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
+    """The slope interval [lo, hi] cut to the segment's ends, possibly empty."""
+    return (lo if _compare(lo, ends[0]) > 0 else ends[0],
+            hi if _compare(hi, ends[1]) < 0 else ends[1])
 
 
 def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAnswer:
@@ -348,22 +382,25 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         return _contains_vertical(ax, a, b, depth, exclude_a)
 
     (x0, y0), (x1, y1) = sorted(((ax, ay), (bx, by)))
-    line = ProjLine.through(AffPt(x0, y0), AffPt(x1, y1))
+    # the segment is y = m x + c, and x^2/2 - m x - c its discriminant
+    m = (y1 - y0) / (x1 - x0)
+    c = y0 - m * x0
+    ends = (x0, x0, x0), (x1, x1, x1)
     allowed = ax if exclude_a else None
 
     def blocks(label: DyadicLabel) -> bool:
         """Whether the label's exclusion or one of its tent chords stops the segment."""
         exc = _exclusion(label)
-        if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(line.y_at(exc.x)):
+        if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(m * exc.x + c):
             return True
         tent = _tent(label)
-        return not (_above_chord(line, tent.left, x0, x1, allowed)
-                    and _above_chord(line, tent.right, x0, x1, allowed))
+        return not (_above_chord(m, c, tent.left, ends, allowed)
+                    and _above_chord(m, c, tent.right, ends, allowed))
 
     def reaches_zero(n: int) -> bool:
         """Whether the discriminant reaches 0 over the unit cell [n, n + 1]."""
-        return (_delta_along(line, max(n, x0)) >= 0
-                or _delta_along(line, min(n + 1, x1)) >= 0)
+        return (_poly_sign(max(n, x0), HALF, -m, -c) >= 0
+                or _poly_sign(min(n + 1, x1), HALF, -m, -c) >= 0)
 
     # Every exclusion and chord lies at discriminant >= 0, so only the
     # unit cells where the segment reaches 0 hold labels that can stop it.
@@ -385,13 +422,14 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
     gaps = [(n, 0) for n in reversed(cells)]
     while gaps:
         p, k = gaps.pop()
-        lo = max(er(DyadicLabel(p, k)).x, x0)
-        hi = min(el(DyadicLabel(p + 1, k)).x, x1)
+        lo, hi = _span(_tent_ends(DyadicLabel(p, k))[2],
+                       _tent_ends(DyadicLabel(p + 1, k))[0], ends)
         mid = DyadicLabel(2 * p + 1, k + 1)
         # the discriminant is convex along the segment, so its values at the
         # two ends bound it over the stretch; no label of the gap ranks below mid
-        safe = _exc_delta(char_of(mid).ch0)
-        if lo > hi or (_delta_along(line, lo) < safe and _delta_along(line, hi) < safe):
+        q0 = -c - _exc_delta(char_of(mid).ch0)
+        if _compare(lo, hi) > 0 or (_poly_sign(lo[0], HALF, -m, q0) < 0
+                                and _poly_sign(hi[0], HALF, -m, q0) < 0):
             continue
         if k == depth:
             unknown = True
@@ -402,20 +440,25 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
     return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
 
 
-def _above_chord(line: ProjLine, chord: CurveSegment, x0: Fraction, x1: Fraction,
+def _above_chord(m: Fraction, c: Fraction, chord: CurveSegment, ends: tuple[tuple, tuple],
                  allowed_touch_x) -> bool:
-    """Whether the segment stays strictly above a tent chord where both span.
+    """Whether the segment y = m x + c stays strictly above a tent chord where both span.
 
     The difference of two lines is linear, so positivity at both ends of
     the shared slope interval is conclusive.  A zero at one end is
     tolerated only at the half-open endpoint's slope.
     """
-    lo, hi = max(chord.x_lo, x0), min(chord.x_hi, x1)
-    if lo > hi:
+    el_x, apex_x, er_x = _tent_ends(chord.label)
+    lo, hi = _span(*((el_x, apex_x) if chord.side == "left" else (apex_x, er_x)), ends)
+    if _compare(lo, hi) > 0:
         return True
+    # segment minus chord is (m - m_c) x + (c - c_c), with the chord y = m_c x + c_c
+    line = chord.line
+    slope, offset = m + line.c1 / line.c2, c + line.c0 / line.c2
     for x in (lo, hi):
-        sign = nsign(line.y_at(x) - chord.line.y_at(x))
-        if sign < 0 or (sign == 0 and x != allowed_touch_x):
+        sign = _poly_sign(x[0], 0, slope, offset)
+        if sign < 0 or (sign == 0 and (allowed_touch_x is None
+                                       or _compare(x, (allowed_touch_x,) * 3) != 0)):
             return False
     return True
 

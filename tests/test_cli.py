@@ -568,12 +568,22 @@ def test_unknown_verdicts_exit_3_under_strict(capsys):
     assert json.loads(capsys.readouterr().out) == {"result": "Unknown"}
     assert _json(capsys, argv + ["--depth", "1"]) == {"result": "Yes"}
     argv = ["stab-region", "--label", "0", "--grid=-7/10,-6/10,-16/75,-16/75,2", "--strict"]
-    # the grid's one row of y is sampled twice
+    # the grid's one row of y
     assert run(argv + ["--depth", "0"]) == 3
-    assert capsys.readouterr().out.splitlines()[1:3] == \
+    assert capsys.readouterr().out.splitlines()[1:] == \
         ["-7/10,-16/75,Unknown", "-3/5,-16/75,Unknown"]
-    assert _ok(capsys, argv + ["--depth", "1"]).splitlines()[1:3] == \
+    assert _ok(capsys, argv + ["--depth", "1"]).splitlines()[1:] == \
         ["-7/10,-16/75,StableUnshifted", "-3/5,-16/75,StableUnshifted"]
+
+
+@pytest.mark.parametrize("grid", ["-7/10,-6/10,-16/75,-16/75,3",
+                                  "-7/10,-7/10,-16/75,-1/5,3",
+                                  "-7/10,-7/10,-16/75,-16/75,4"])
+def test_stab_region_prints_each_point_of_a_flat_grid_once(capsys, grid):
+    rows = _ok(capsys, ["stab-region", "--label", "0", f"--grid={grid}",
+                        "--depth", "1"]).splitlines()[1:]
+    x0, x1, y0, y1, n = grid.split(",")
+    assert len(rows) == len(set(rows)) == (1 if x0 == x1 else int(n)) * (1 if y0 == y1 else int(n))
 
 
 def test_stab_region_skips_the_bundles_own_character_below_its_depth(capsys):

@@ -355,7 +355,7 @@ def test_label_rule_matches_braid_formula(m):
 
 
 def test_caches_stay_bounded_and_rebuild_evicted_characters():
-    cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._exclusion)
+    cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._exclusion, lp._tent_ends)
     assert all(f.cache_info().maxsize == ex.CACHE_SIZE for f in cached)
     # 4 224 labels of depth 6 in 132 unit cells, more than any cache keeps
     labels = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from stabscope.corekit import AffPt, CharVec, Segment, slope
+from stabscope import lepotier
+from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, slope
 from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
@@ -567,3 +568,169 @@ def test_contact_points_classify_on_the_curve():
             assert classify_point(p, label.m) is RegionClass.ON_CURVE, (label, p)
             assert classify_point(AffPt(p.x, p.y + eps), label.m) is RegionClass.GEO_LP
             assert classify_point(AffPt(p.x, p.y - eps), label.m) is RegionClass.BELOW_CURVE
+
+
+# The segment walk decided with QuadReal arithmetic alone, without rational
+# brackets or the componentwise polynomial sign, and over every unit cell of
+# the slope span: the exact reference of the filtered walk.
+
+def _exact_segment(a, b, depth, exclude_a):
+    if a.delta() <= 0 and b.delta() <= 0:
+        return lepotier._contains_fast(a, b, exclude_a)
+    if a.delta() > 1 or b.delta() > 1:
+        return GeoAnswer.NO
+    if a.x == b.x:
+        return lepotier._contains_vertical(a.x, a, b, depth, exclude_a)
+    (x0, y0), (x1, y1) = sorted(((a.x, a.y), (b.x, b.y)))
+    line = ProjLine.through(AffPt(x0, y0), AffPt(x1, y1))
+    allowed = a.x if exclude_a else None
+
+    def above(chord):
+        lo, hi = max(chord.x_lo, x0), min(chord.x_hi, x1)
+        for x in ((lo, hi) if lo <= hi else ()):
+            sign = nsign(line.y_at(x) - chord.line.y_at(x))
+            if sign < 0 or (sign == 0 and x != allowed):
+                return False
+        return True
+
+    def blocks(label):
+        exc, tent = lepotier._exclusion(label), lepotier._tent(label)
+        if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(line.y_at(exc.x)):
+            return True
+        return not (above(tent.left) and above(tent.right))
+
+    cells = range(math.floor(x0), math.ceil(x1))
+    if any(blocks(DyadicLabel(n)) for n in range(cells.start, cells.stop + 1)):
+        return GeoAnswer.NO
+    unknown = False
+    gaps = [(n, 0) for n in cells]
+    while gaps:
+        p, k = gaps.pop()
+        lo = max(er(DyadicLabel(p, k)).x, x0)
+        hi = min(el(DyadicLabel(p + 1, k)).x, x1)
+        mid = DyadicLabel(2 * p + 1, k + 1)
+        r = char_of(mid).ch0
+        safe = Fraction(1, 2) - Fraction(1, 2) / (r * r)
+        if lo > hi or all(x * x / 2 - line.y_at(x) < safe for x in (lo, hi)):
+            continue
+        if k == depth:
+            unknown = True
+        elif blocks(mid):
+            return GeoAnswer.NO
+        else:
+            gaps += [(2 * p, k + 1), (2 * p + 1, k + 1)]
+    return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
+
+
+def _exact_stability(E, P, depth):
+    answer = _exact_segment(E.char.proj(), P, max(depth, E.label.m), True)
+    if answer is GeoAnswer.NO:
+        return StabResult.NOT_STABLE
+    if answer is GeoAnswer.UNKNOWN:
+        return StabResult.UNKNOWN
+    return StabResult.STABLE_UNSHIFTED if P.x < E.slope else StabResult.STABLE_SHIFTED
+
+
+def _in_contact_bracket(rng):
+    """A strip point whose slope is the midpoint of a contact's rational bracket."""
+    m = rng.randint(0, 3)
+    label = DyadicLabel(rng.randint(-2 << m, 2 << m), m)
+    lo, hi = rng.choice((el, er))(label).x.isolating_interval()
+    x = (lo + hi) / 2
+    return AffPt(x, x * x / 2 - Fraction(rng.randint(1600, 2100), 4096))
+
+
+def _segment_start(rng, kind):
+    if kind == "bracket":
+        return _in_contact_bracket(rng)
+    if kind == "chord":
+        return _chord_point(rng)
+    if kind == "exceptional":
+        return _exceptional_point(rng)
+    return _random_point(rng, -2, 2)
+
+
+def test_filtered_walk_matches_the_exact_walk(monkeypatch):
+    exact_cmp = QuadReal._cmp
+    calls = []
+    monkeypatch.setattr(QuadReal, "_cmp",
+                        lambda self, other: calls.append(1) or exact_cmp(self, other))
+    rng = random.Random(77)
+    fallbacks = 0
+    seen = set()
+    for _ in range(160):
+        depth = rng.randint(0, 6)
+        kind = rng.choice(["plain", "bracket", "chord", "exceptional"])
+        a = _segment_start(rng, kind)
+        b = (_in_contact_bracket(rng) if rng.random() < 0.3
+             else _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2)))
+        if a.x == b.x:
+            continue
+        exclude_a = kind in ("chord", "exceptional") or rng.random() < 0.5
+        want = _exact_segment(a, b, depth, exclude_a)
+        assert geo_contains_segment(a, b, depth, exclude_a=exclude_a) is want, (a, b, depth)
+        seen.add(want)
+        if kind == "bracket":
+            # the caches are warm now, so every exact comparison left is a
+            # bracket that did not decide
+            before = len(calls)
+            geo_contains_segment(a, b, depth, exclude_a=exclude_a)
+            fallbacks += len(calls) - before
+    assert seen == set(GeoAnswer) and fallbacks > 0
+    results = set()
+    for _ in range(60):
+        m = rng.randint(0, 3)
+        E = ExcBundle.of(DyadicLabel(rng.randint(-2 << m, 2 << m), m))
+        P = _in_contact_bracket(rng) if rng.random() < 0.5 else \
+            _random_point(rng, E.slope - 1, E.slope + 1)
+        depth = rng.randint(0, 5)
+        if classify_point(P, max(depth, E.label.m)) is not RegionClass.GEO_LP:
+            continue
+        want = _exact_stability(E, P, depth)
+        assert exc_stable_at(E, P, depth) is want, (E.label, P, depth)
+        results.add(want)
+    assert len(results) >= 3
+
+
+def _mirror(p):
+    return AffPt(-p.x, p.y)
+
+
+_DUAL = {StabResult.STABLE_SHIFTED: StabResult.STABLE_UNSHIFTED,
+         StabResult.STABLE_UNSHIFTED: StabResult.STABLE_SHIFTED}
+
+
+def test_duality_mirrors_segment_and_stability_verdicts():
+    # the dual bundle of label l is at -l, and (x, y) -> (-x, y) maps the
+    # curve, the exclusions and the gaps onto themselves; el of l is -er of -l
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(120):
+        depth = rng.randint(0, 6)
+        a = _segment_start(rng, rng.choice(["plain", "bracket", "chord", "exceptional"]))
+        b = _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2))
+        if a == b:
+            continue
+        exclude_a = rng.random() < 0.5
+        got = geo_contains_segment(a, b, depth, exclude_a=exclude_a)
+        assert geo_contains_segment(_mirror(a), _mirror(b), depth,
+                                    exclude_a=exclude_a) is got, (a, b, depth)
+        seen.add(got)
+    assert seen == set(GeoAnswer)
+    seen = set()
+    for _ in range(60):
+        m = rng.randint(0, 3)
+        label = DyadicLabel(rng.randint(-2 << m, 2 << m), m)
+        E, dual = ExcBundle.of(label), ExcBundle.of(DyadicLabel(-label.p, label.m))
+        assert dual.char.proj() == _mirror(E.char.proj())
+        P = _in_contact_bracket(rng) if rng.random() < 0.5 else \
+            _random_point(rng, E.slope - 1, E.slope + 1)
+        depth = rng.randint(0, 5)
+        if classify_point(P, max(depth, E.label.m)) is not RegionClass.GEO_LP:
+            continue
+        got = exc_stable_at(E, P, depth)
+        # on E's own vertical both sides answer StableShifted
+        want = got if P.x == E.slope else _DUAL.get(got, got)
+        assert exc_stable_at(dual, _mirror(P), depth) is want, (label, P, depth)
+        seen.add(got)
+    assert seen == set(StabResult)

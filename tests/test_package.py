@@ -63,3 +63,29 @@ def test_sources_are_python_3_10_and_standard_library_only():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "stabscope" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def _float_uses(node):
+    """Lines of float() and sqrt() calls and float literals, skipping __float__."""
+    if isinstance(node, ast.FunctionDef) and node.name == "__float__":
+        return []
+    here = []
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        here.append(node.lineno)
+    elif isinstance(node, ast.Call):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name in ("float", "sqrt"):
+            here.append(node.lineno)
+    return here + [n for child in ast.iter_child_nodes(node) for n in _float_uses(child)]
+
+
+def test_no_float_in_a_decision():
+    # every verdict is exact: the decision modules never compute a float,
+    # and surd converts to one only for display
+    root = Path(stabscope.__file__).parent
+    for name in ("lepotier", "exceptional", "surd"):
+        tree = ast.parse((root / f"{name}.py").read_text())
+        assert _float_uses(tree) == [], name
+    assert _float_uses(ast.parse("x = math.sqrt(2) + float(y) + 0.5")) == [1, 1, 1]
+    assert _float_uses(ast.parse("class Q:\n    def __float__(self):\n        return 1.0")) == []

@@ -18,8 +18,8 @@ _NAMES = (
      "detect_triple el eplus er is_exceptional_char mutate_left mutate_right "
      "slope_to_label triple_from twist"),
     ("lepotier", "CurveApprox CurveSegment DlpResult ExclusionSegment "
-     "GeoAnswer RegionClass Tent build_curve classify_point delta_safe "
-     "dlp_exists fib geo_contains_segment min_rank"),
+     "GeoAnswer RegionClass Tent build_curve classify_point dlp_exists "
+     "geo_contains_segment"),
     ("geometric", "Charge GeneralCharge GLElement HeartPos KernelPoint Phase "
      "PhaseOrder RatComplex ShiftedChar SQCharge StabResult exc_stable_at "
      "heart_position kernel_point normalize_charge phase phase_less z_eval"),

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, delta, det3, euler_chi, slope
+from .corekit import AffPt, CharVec, det3, euler_chi, slope
 from .surd import QuadReal, parse_rational
 
 HALF = Fraction(1, 2)
@@ -177,7 +177,6 @@ class ExcBundle:
         c = char_of(label)
         assert c.ch0 > 0, "exceptional rank must be positive"
         assert euler_chi(c, c) == 1, "exceptionality pairing failed"
-        assert delta(c) == _exc_delta(c.ch0), "closed-form discriminant failed"
         return cls(label, c)
 
     def __hash__(self):

@@ -3,8 +3,8 @@
 Each dyadic label contributes a "tent", two line segments descending from
 the half-discriminant parabola to the point one rank-squared unit below
 the projected character, and a vertical exclusion segment from that
-character down to the tent apex.  Tents are disjoint and ordered like
-their labels, so no decision needs the whole curve.
+character down to the tent apex, cached with the tent.  Tents are
+disjoint and ordered like their labels, so no decision needs the whole curve.
 
 A point walks down the label tree of its unit cell: the midpoint label's
 tent either covers the slope or lies on one side of it, so a point costs
@@ -21,8 +21,9 @@ makes the answer Unknown, and a vertical segment at a slope the walk left
 uncovered clears under the same bound of its open gap's midpoint.  Above
 the strip only the label of rank den(x) can have the slope x, so a point
 is on an exclusion exactly when its discriminant reaches (1/2)(1 - 1/den(x)^2)
-and slope_to_label finds that label.  build_curve lists every tent of a
-window; no decision uses it.
+and slope_to_label finds that label.  A character on an exclusion is a
+multiple of its label's own exactly when it projects to the top, at equality.
+build_curve lists every tent of a window; no decision uses it.
 
 The segment walk decides without floats.  Along y = m x + c the gap and
 chord tests are signs of rational polynomials of degree <= 2, evaluated
@@ -43,32 +44,8 @@ from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, char_of,
-                          eplus, el, er, is_exceptional_char, slope_to_label)
+                          eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _poly_sign
-
-
-def fib(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def min_rank(depth: int) -> int:
-    """Smallest rank among exceptional characters at exactly this depth."""
-    return fib(2 * depth + 1)
-
-
-def delta_safe(depth: int) -> Fraction:
-    """Discriminant bound certifying clearance of all labels deeper than depth.
-
-    A plane point with discriminant below this value lies strictly above
-    the half-discriminant parabola (hence above every curve tent) and
-    strictly above the top endpoint of every vertical exclusion whose
-    label is deeper than the given depth, because such labels have rank
-    at least min_rank(depth + 1).
-    """
-    return _exc_delta(min_rank(depth + 1))
 
 
 class RegionClass(enum.Enum):
@@ -126,12 +103,13 @@ class ExclusionSegment:
 
 @dataclass(frozen=True)
 class Tent:
-    """The two curve segments of one label, meeting at the apex below it."""
+    """A label's two curve segments, meeting at the apex below it, and its exclusion."""
 
     label: DyadicLabel
     apex: AffPt
     left: CurveSegment
     right: CurveSegment
+    exclusion: ExclusionSegment
 
     @property
     def x_lo(self) -> Number:
@@ -157,15 +135,10 @@ def _tent(label: DyadicLabel) -> Tent:
     assert left_line.contains(pl) and right_line.contains(pr), "contact point off its chord"
     left = CurveSegment(label, "left", pl, apex, left_line)
     right = CurveSegment(label, "right", apex, pr, right_line)
-    return Tent(label, apex, left, right)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _exclusion(label: DyadicLabel) -> ExclusionSegment:
-    c = char_of(label)
-    e = c.proj()
-    top = to_fraction(e.y)
-    return ExclusionSegment(label, to_fraction(e.x), top, top - Fraction(1, c.ch0 ** 2))
+    # the exclusion runs from the projected character down to the apex
+    r = char_of(label).ch0
+    exclusion = ExclusionSegment(label, apex.x, apex.y + Fraction(1, r * r), apex.y)
+    return Tent(label, apex, left, right, exclusion)
 
 
 # most labels one curve listing may enumerate
@@ -196,8 +169,6 @@ def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]
 class CurveApprox:
     """All tents and exclusions of bounded depth over a slope window."""
 
-    depth: int
-    window: tuple[Fraction, Fraction]
     tents: tuple[Tent, ...]
     segments: tuple[CurveSegment, ...]
     exclusions: tuple[ExclusionSegment, ...]
@@ -218,8 +189,7 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     for prev, cur in zip(tents, tents[1:]):
         assert prev.x_hi < cur.x_lo, "tent spans overlap"
     segments = tuple(s for t in tents for s in (t.left, t.right))
-    exclusions = tuple(_exclusion(l) for l in labels)
-    return CurveApprox(depth, (lo, hi), tents, segments, exclusions)
+    return CurveApprox(tents, segments, tuple(t.exclusion for t in tents))
 
 
 def _tent_at(x: Number, depth: int) -> Tent | DyadicLabel:
@@ -272,7 +242,7 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
         return RegionClass.ON_CURVE
     if p.y < yt:
         return RegionClass.BELOW_CURVE
-    if p.x == tent.apex.x and p.y <= _exclusion(tent.label).y_top:
+    if p.x == tent.apex.x and p.y <= tent.exclusion.y_top:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
 
@@ -290,11 +260,16 @@ def _exclusion_at(p: AffPt, d: Number, depth: int) -> bool:
 
 
 def dlp_exists(v: CharVec, depth: int) -> DlpResult:
-    """Whether a semistable sheaf with this positive-rank character exists."""
+    """Whether a semistable sheaf with this positive-rank character exists.
+
+    On an exclusion at slope x, v is a multiple of an exceptional character
+    exactly when it projects to the top, of discriminant (1/2)(1 - 1/den(x)^2).
+    """
     if v.ch0 <= 0:
         raise ValueError("existence test requires positive rank")
-    cls = classify_point(v.proj(), depth)
-    if cls is RegionClass.ON_EXCLUSION and is_exceptional_char(v, depth):
+    p = v.proj()
+    cls = classify_point(p, depth)
+    if cls is RegionClass.ON_EXCLUSION and p.delta() == _exc_delta(p.x.denominator):
         return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
@@ -390,10 +365,10 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
 
     def blocks(label: DyadicLabel) -> bool:
         """Whether the label's exclusion or one of its tent chords stops the segment."""
-        exc = _exclusion(label)
+        tent = _tent(label)
+        exc = tent.exclusion
         if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(m * exc.x + c):
             return True
-        tent = _tent(label)
         return not (_above_chord(m, c, tent.left, ends, allowed)
                     and _above_chord(m, c, tent.right, ends, allowed))
 
@@ -471,7 +446,7 @@ def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
     if isinstance(tent, Tent):
         # tents are disjoint, so x is a label's slope iff it is x's tent's apex
         if tent.apex.x == x:
-            exc = _exclusion(tent.label)
+            exc = tent.exclusion
             o_lo, o_hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
             if o_lo <= o_hi and not (exclude_a and o_lo == o_hi == ay):
                 return GeoAnswer.NO

@@ -355,7 +355,7 @@ def test_label_rule_matches_braid_formula(m):
 
 
 def test_caches_stay_bounded_and_rebuild_evicted_characters():
-    cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._exclusion, lp._tent_ends)
+    cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._tent_ends)
     assert all(f.cache_info().maxsize == ex.CACHE_SIZE for f in cached)
     # 4 224 labels of depth 6 in 132 unit cells, more than any cache keeps
     labels = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]
@@ -364,7 +364,6 @@ def test_caches_stay_bounded_and_rebuild_evicted_characters():
     largest = 0
     for lbl in labels:
         eplus(lbl)
-        lp._exclusion(lbl)
         largest = max(largest, len(ex._CHARS))
     # a depth-6 label adds itself and at most a few ancestors at once
     assert largest <= ex.CACHE_SIZE + 16

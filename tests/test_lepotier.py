@@ -13,15 +13,36 @@ from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, slope
 from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
-from stabscope.lepotier import (DlpResult, GeoAnswer, RegionClass,
-                                build_curve, classify_point, delta_safe,
-                                dlp_exists, fib, geo_contains_segment,
-                                min_rank)
+from stabscope.lepotier import (DlpResult, ExclusionSegment, GeoAnswer,
+                                RegionClass, build_curve, classify_point,
+                                dlp_exists, geo_contains_segment)
 from stabscope.surd import QuadReal, nsign
 
 
 def pt(x, y) -> AffPt:
     return AffPt(Fraction(x), Fraction(y))
+
+
+def fib(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def min_rank(depth: int) -> int:
+    """Smallest rank among exceptional characters at exactly this depth."""
+    return fib(2 * depth + 1)
+
+
+def delta_safe(depth: int) -> Fraction:
+    """The discriminant below which a point clears every label deeper than depth.
+
+    Such a point is above the half-discriminant parabola and above the
+    top of every exclusion of rank at least min_rank(depth + 1).
+    """
+    r = min_rank(depth + 1)
+    return Fraction(1, 2) * (1 - Fraction(1, r * r))
 
 
 def test_fibonacci_certificate():
@@ -541,6 +562,51 @@ def test_a_larger_budget_keeps_dlp_verdicts():
     assert unknowns > 20
 
 
+def _old_dlp(v, depth):
+    """dlp_exists by the label search: classify, then look for v's label."""
+    cls = classify_point(v.proj(), depth)
+    if cls is RegionClass.ON_EXCLUSION and is_exceptional_char(v, depth):
+        return DlpResult.YES_EXCEPTIONAL
+    if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
+        return DlpResult.YES
+    return DlpResult.UNKNOWN if cls is RegionClass.UNKNOWN else DlpResult.NO
+
+
+def _integral_chars(cell, max_rank, lo, hi):
+    """Characters with ch2 in Z - 3c/2, slope in [cell, cell + 1) and lo <= Delta <= hi."""
+    for r in range(1, max_rank + 1):
+        for c in range(cell * r, (cell + 1) * r):
+            mu, off = Fraction(c, r), Fraction(c % 2, 2)
+            k_lo = math.ceil(r * (mu * mu / 2 - hi) - off)
+            k_hi = math.floor(r * (mu * mu / 2 - lo) - off)
+            yield from (CharVec(r, c, k + off) for k in range(k_lo, k_hi + 1))
+
+
+def test_dlp_reads_exceptionality_off_the_exclusion_top():
+    chars = [v for cell in (-2, 0) for v in _integral_chars(cell, 12, Fraction(-1, 4),
+                                                               Fraction(11, 10))]
+    half = Fraction(1, 2)
+    above, strip = 0, 0
+    for depth in (0, 1, 8):
+        for v in chars:
+            got = dlp_exists(v, depth)
+            assert got is _old_dlp(v, depth), (v, depth)
+            d = v.proj().delta()
+            above += got is DlpResult.YES_EXCEPTIONAL and d < half
+            strip += d >= half and classify_point(v.proj(), depth) is RegionClass.ON_EXCLUSION
+    assert above > 20 and strip > 20
+
+
+def test_tent_exclusion_is_the_characters_vertical():
+    for m in range(5):
+        for p in range(-2 << m, (2 << m) + 1, 2 if m else 1):
+            label = DyadicLabel(p, m)
+            c = char_of(label)
+            top = c.proj()
+            want = ExclusionSegment(label, top.x, top.y, top.y - Fraction(1, c.ch0 ** 2))
+            assert lepotier._tent(label).exclusion == want, label
+
+
 def test_a_larger_budget_keeps_stability_verdicts():
     rng = random.Random(5)
     unknowns = 0
@@ -594,7 +660,8 @@ def _exact_segment(a, b, depth, exclude_a):
         return True
 
     def blocks(label):
-        exc, tent = lepotier._exclusion(label), lepotier._tent(label)
+        tent = lepotier._tent(label)
+        exc = tent.exclusion
         if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(line.y_at(exc.x)):
             return True
         return not (above(tent.left) and above(tent.right))
@@ -734,3 +801,53 @@ def test_duality_mirrors_segment_and_stability_verdicts():
         assert exc_stable_at(dual, _mirror(P), depth) is want, (label, P, depth)
         seen.add(got)
     assert seen == set(StabResult)
+
+
+def _twist(p, n):
+    """The image of a plane point under the twist by O(n)."""
+    return AffPt(p.x + n, p.y + n * p.x + Fraction(n * n, 2))
+
+
+def _twist_char(v, n):
+    return CharVec(v.ch0, v.ch1 + n * v.ch0, v.ch2 + n * v.ch1 + Fraction(n * n, 2) * v.ch0)
+
+
+def _exclusion_point(rng):
+    """A rational point on the exclusion of a label of depth <= 4."""
+    m = rng.randint(0, 4)
+    c = char_of(DyadicLabel(rng.randint(-2 << m, 2 << m), m))
+    top = c.proj()
+    return AffPt(top.x, top.y - Fraction(rng.randint(0, 8), 8 * c.ch0 ** 2))
+
+
+def test_twist_by_a_line_bundle_keeps_every_verdict():
+    # O(n) maps (x, y) to (x + n, y + n x + n^2/2), keeps the discriminant
+    # and moves each label by n, so each tent, exclusion and gap onto another
+    rng = random.Random(12)
+    classes, dlps, answers = set(), set(), set()
+    for _ in range(400):
+        depth = rng.randint(0, 6)
+        n = rng.choice([-3, -2, -1, 1, 2, 5])
+        kind = rng.choice(["plain", "exceptional", "exclusion", "chord"])
+        a = _exclusion_point(rng) if kind == "exclusion" else _segment_start(rng, kind)
+        got = classify_point(a, depth)
+        assert classify_point(_twist(a, n), depth) is got, (a, n, depth)
+        classes.add(got)
+        k = rng.randint(1, 3)
+        v = CharVec(k, k * a.x, k * a.y)
+        assert _twist_char(v, n).proj() == _twist(a, n)
+        got = dlp_exists(v, depth)
+        assert dlp_exists(_twist_char(v, n), depth) is got, (v, n, depth)
+        dlps.add(got)
+        b = _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2))
+        if rng.random() < 0.2:
+            b = AffPt(a.x, b.y)
+        if a == b:
+            continue
+        exclude_a = kind != "plain" or rng.random() < 0.5
+        got = geo_contains_segment(a, b, depth, exclude_a=exclude_a)
+        assert geo_contains_segment(_twist(a, n), _twist(b, n), depth,
+                                    exclude_a=exclude_a) is got, (a, b, n, depth)
+        answers.add(got)
+    assert classes == set(RegionClass) and dlps == set(DlpResult)
+    assert answers == set(GeoAnswer)

@@ -24,7 +24,7 @@ def test_import_loads_no_submodule():
 
 
 def test_every_public_name_is_its_home_object():
-    assert len(stabscope.__all__) == len(set(stabscope.__all__)) == 87
+    assert len(stabscope.__all__) == len(set(stabscope.__all__)) == 84
     modules = [importlib.import_module(f"stabscope.{m}") for m in MODULES]
     for name in stabscope.__all__:
         value = getattr(stabscope, name)
@@ -65,9 +65,18 @@ def test_sources_are_python_3_10_and_standard_library_only():
                 assert top == "stabscope" or top in sys.stdlib_module_names, (path.name, name)
 
 
+# the functions that make floats for display or for input, nothing else
+FLOAT_MAKERS = ("__float__", "approx", "from_floats")
+FLOAT_CALLS = ("float", "complex", "sqrt")
+# math functions that stay exact on integers and fractions
+EXACT_MATH = ("ceil", "floor", "gcd", "isqrt", "lcm")
+
+
 def _float_uses(node):
-    """Lines of float() and sqrt() calls and float literals, skipping __float__."""
-    if isinstance(node, ast.FunctionDef) and node.name == "__float__":
+    """Lines of float(), complex() and sqrt() calls, inexact math names and
+    float literals, skipping the functions named in FLOAT_MAKERS.
+    """
+    if isinstance(node, ast.FunctionDef) and node.name in FLOAT_MAKERS:
         return []
     here = []
     if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -75,17 +84,25 @@ def _float_uses(node):
     elif isinstance(node, ast.Call):
         f = node.func
         name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-        if name in ("float", "sqrt"):
+        if name in FLOAT_CALLS:
             here.append(node.lineno)
+    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+          and node.value.id == "math" and node.attr not in EXACT_MATH + FLOAT_CALLS):
+        # math.sqrt(...) is counted once, as a call
+        here.append(node.lineno)
     return here + [n for child in ast.iter_child_nodes(node) for n in _float_uses(child)]
 
 
 def test_no_float_in_a_decision():
-    # every verdict is exact: the decision modules never compute a float,
-    # and surd converts to one only for display
+    # every verdict is exact: no module below the CLI computes a float,
+    # except to display a value or to read a float input
     root = Path(stabscope.__file__).parent
-    for name in ("lepotier", "exceptional", "surd"):
+    for name in MODULES:
         tree = ast.parse((root / f"{name}.py").read_text())
         assert _float_uses(tree) == [], name
     assert _float_uses(ast.parse("x = math.sqrt(2) + float(y) + 0.5")) == [1, 1, 1]
-    assert _float_uses(ast.parse("class Q:\n    def __float__(self):\n        return 1.0")) == []
+    assert _float_uses(ast.parse("t = math.tan(math.pi * a) + complex(a, b)")) == [1, 1, 1]
+    assert _float_uses(ast.parse("n = math.floor(x) + math.gcd(a, b) + d.sqrt()")) == [1]
+    for name in FLOAT_MAKERS:
+        assert _float_uses(ast.parse(f"class Q:\n    def {name}(self):\n        return 1.0")) == []
+    assert _float_uses(ast.parse("class Q:\n    def phase(self):\n        return 1.0")) == [3]

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (Polygon, _scaled_ints, cross3, det3, euler_chi,
+from .corekit import (Polygon, _chi2, _scaled_ints, cross3, det3,
                       parse_rational, point_in_polygon)
-from .exceptional import CACHE_SIZE, ExcTriple, eplus, mutate_left, mutate_right
+from .exceptional import (CACHE_SIZE, ExcTriple, _int_char, eplus, mutate_left,
+                          mutate_right)
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
                         RatComplex, ShiftedChar, _upper_ray, in_upper)
 from .lepotier import RegionClass, classify_point
@@ -56,7 +57,9 @@ class ThetaParams:
     positive real axis.  Magnitudes and phases are derived views; the
     stored data stays rational under the group action and transport.
     The phases are computed once, on construction, and kept in
-    ``_phases`` (None when a value is zero).
+    ``_phases`` (None when a value is zero); the group action and
+    transport, which find the new phases themselves, pass them to
+    ``_of`` instead.
     """
 
     z1: RatComplex
@@ -77,6 +80,16 @@ class ThetaParams:
                 raise ValueError("branch parity inconsistent with the value direction")
             phases.append(Phase._of(p, q, k))
         object.__setattr__(self, "_phases", tuple(phases) if len(phases) == 3 else None)
+
+    @classmethod
+    def _of(cls, zs: Sequence[RatComplex], ks: Sequence[int], phases: tuple
+            ) -> "ThetaParams":
+        """Parameters with their three phases already found, without the checks."""
+        out = object.__new__(cls)
+        for name, x in zip(("z1", "z2", "z3", "k1", "k2", "k3", "_phases"),
+                           (*zs, *ks, phases)):
+            object.__setattr__(out, name, x)
+        return out
 
     @classmethod
     def from_units(cls, ms: Sequence, units: Sequence[tuple], branches: Sequence[int]
@@ -183,40 +196,42 @@ def validate_params(p: ThetaParams) -> bool:
 def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
     """The unique charge taking the prescribed values on the triple.
 
-    The three characters form a basis of the character lattice (their
-    determinant is a unit).  Since c_i . (c_j x c_k) is det3(c1, c2, c3)
-    for (i, j, k) in cyclic order and zero when i repeats, the charge's
-    coefficients are (z1 c2 x c3 + z2 c3 x c1 + z3 c1 x c2) / det3.
+    The three integer characters v_j = (ch0, ch1, 2 ch2) form a basis
+    (their determinant is twice a unit).  Since v_i . (v_j x v_k) is
+    det3(v1, v2, v3) for (i, j, k) in cyclic order and zero when i
+    repeats, the charge's coefficients against (ch0, ch1, 2 ch2) are
+    (z1 v2 x v3 + z2 v3 x v1 + z3 v1 x v2) / det3; the ch2 coefficient
+    is twice the last one.
     """
     if not validate_params(p):
         raise ValueError("invalid chart parameters")
     d, duals, _, _ = _triple_data(t)
     zs = p.values()
     return GeneralCharge(*(
-        RatComplex(sum(z.re * e[i] for z, e in zip(zs, duals)) / d,
-                   sum(z.im * e[i] for z, e in zip(zs, duals)) / d)
-        for i in range(3)))
+        RatComplex(s * sum(z.re * e[i] for z, e in zip(zs, duals)) / d,
+                   s * sum(z.im * e[i] for z, e in zip(zs, duals)) / d)
+        for i, s in enumerate((1, 1, 2))))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _triple_data(t: ExcTriple) -> tuple[Fraction, tuple, Polygon, tuple]:
+def _triple_data(t: ExcTriple) -> tuple[int, tuple, Polygon, tuple]:
     """The determinant, dual basis and pentagon of a triple.
 
-    Last come the coordinates of the three characters scaled by 2, as
-    one integer tuple per coordinate: ch2 is in (1/2)Z on the plane,
-    since chi(O, E) = r + 3c/2 + ch2 is an integer.
+    The determinant and dual basis are those of the integer characters
+    v_j = (ch0, ch1, 2 ch2), so the determinant is twice det3 of the
+    characters.  Last come the coordinates of the three characters
+    scaled by 2, (2 ch0, 2 ch1, 2 ch2), as one integer tuple per
+    coordinate.
     """
-    c1, c2, c3 = t.chars
-    d = det3(c1, c2, c3)
+    v1, v2, v3 = (_int_char(lbl) for lbl in t.labels)
+    d = det3(v1, v2, v3)
     assert d != 0, "triple characters must form a basis"
-    duals = (cross3(c2, c3), cross3(c3, c1), cross3(c1, c2))
+    duals = (cross3(v2, v3), cross3(v3, v1), cross3(v1, v2))
     e1, e2, e3 = (c.proj() for c in t.chars)
     pentagon = Polygon((e1, eplus(t.E1.label), e2, eplus(t.E3.label), e3),
                        edge_included=(False,) * 5,
                        vertex_included=(False,) * 5)
-    assert all((2 * x).denominator == 1 for c in t.chars for x in c), \
-        "ch2 must lie in (1/2)Z"
-    doubled = tuple(tuple(int(2 * x) for x in coord) for coord in zip(c1, c2, c3))
+    doubled = tuple(zip(*((2 * r, 2 * c, e) for r, c, e in (v1, v2, v3))))
     return d, duals, pentagon, doubled
 
 
@@ -284,8 +299,9 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     coordinate of the cross product Re w x Im w, which is
     ch0(v) / det3(c1, c2, c3).  It is computed in integers, on the
     values scaled by a common denominator and the characters scaled by
-    2; a positive scale changes neither the kernel line's primitive
-    generator nor the sign of ch0(v).
+    2, against the determinant of the integer characters, which is
+    twice det3; a positive scale changes neither the kernel line's
+    primitive generator nor the sign of ch0(v).
     """
     phases = _valid_phases(p)
     if phases is None:
@@ -355,22 +371,22 @@ def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     turn adds two to every phase).  Phase gaps relative to integers are
     preserved, so validity is preserved.  The lifted phase of a slot is
     found in integers: the element's integer matrix maps the slot's
-    primitive direction onto the ray of the new value.
+    primitive direction onto the ray of the new value, and that
+    direction with the new branch is the new slot's phase.
     """
     if p._phases is None:
         raise ValueError("cannot act on a zero value")
     _, (a, b, c, d) = g.scaled
     hi = g.base.shifted(1)
-    new_z = []
-    new_k = []
+    slots = []
     for (z, k), f in zip(p.slots(), p._phases):
         x, y = f.re, f.im
         cand = _lift(*_upper_ray(a * x + b * y, c * x + d * y), g.base)
         assert cand <= hi, "lift window missed"
-        new_z.append(g.act(z))
-        new_k.append(k + 2 * g.k + cand.k)
-    return ThetaParams(new_z[0], new_z[1], new_z[2],
-                       new_k[0], new_k[1], new_k[2])
+        k2 = k + 2 * g.k + cand.k
+        slots.append((g.act(z), k2, Phase._of(cand.re, cand.im, k2)))
+    zs, ks, phases = zip(*slots)
+    return ThetaParams._of(zs, ks, phases)
 
 
 def gl_inverse(g: GLElement) -> GLElement:
@@ -401,12 +417,11 @@ def transport_plus_leg(t: ExcTriple, p: ThetaParams, depth: int
     f1, f2, f3 = p.phases()
     if not f1.shifted(1) < f2:
         raise ValueError("not in the identified patch")
-    c1, c2, c3 = t.chars
-    chi = euler_chi(c2, c3)
+    chi = _chi2(_int_char(t.E2.label), _int_char(t.E3.label)) // 2
     z2n = chi * p.z2 - p.z3
-    k2n = _branch_in_window(z2n, f3.shifted(-1), f2)
+    f2n = _branch_in_window(z2n, f3.shifted(-1), f2)
     t2 = mutate_left(t)
-    p2 = ThetaParams(p.z1, z2n, p.z2, p.k1, k2n, p.k2)
+    p2 = ThetaParams._of((p.z1, z2n, p.z2), (p.k1, f2n.k, p.k2), (f1, f2n, f2))
     return t2, p2
 
 
@@ -422,12 +437,11 @@ def transport_plus_leg_inverse(t2: ExcTriple, p2: ThetaParams, depth: int
     if classify_cell(t2, p2, depth) is not CellLabel.PLUS_LEG:
         raise ValueError("not in the identified patch")
     g1, g2, g3 = p2.phases()
-    d1, d2, d3 = t2.chars
-    chi = euler_chi(d2, d3)
+    chi = _chi2(_int_char(t2.E2.label), _int_char(t2.E3.label)) // 2
     z3o = chi * p2.z3 - p2.z2
-    k3o = _branch_in_window(z3o, g3, g2.shifted(1))
+    f3o = _branch_in_window(z3o, g3, g2.shifted(1))
     t1 = mutate_right(t2)
-    p1 = ThetaParams(p2.z1, p2.z3, z3o, p2.k1, p2.k3, k3o)
+    p1 = ThetaParams._of((p2.z1, p2.z3, z3o), (p2.k1, p2.k3, f3o.k), (g1, g3, f3o))
     return t1, p1
 
 
@@ -441,8 +455,8 @@ def _lift(re: int, im: int, j: int, lo: Phase) -> Phase:
     return cand if cand > lo else cand.shifted(2)
 
 
-def _branch_in_window(z: RatComplex, lo: Phase, hi: Phase) -> int:
-    """The unique branch putting the value's phase in the open window.
+def _branch_in_window(z: RatComplex, lo: Phase, hi: Phase) -> Phase:
+    """The value's phase on the unique branch putting it in the open window.
 
     The window must be shorter than one; candidate branches differ by
     two, so only the least one above lo can land inside.
@@ -451,5 +465,5 @@ def _branch_in_window(z: RatComplex, lo: Phase, hi: Phase) -> int:
         raise ValueError("transported value vanishes")
     cand = _lift(*_upper_ray(z.re, z.im), lo)
     if cand < hi:
-        return cand.k
+        return cand
     raise ValueError("no phase branch lands in the transport window")

@@ -88,6 +88,17 @@ def euler_chi(v: CharVec, w: CharVec) -> Fraction:
             - v.ch1 * w.ch1)
 
 
+def _chi2(v: Sequence[int], w: Sequence[int]) -> int:
+    """Twice the Euler pairing, on integer characters (ch0, ch1, 2 ch2).
+
+    For v = (r, c, e) and w = (R, C, E) this is
+    2rR + 3(rC - Rc) + rE + Re - 2cC.
+    """
+    r, c, e = v
+    R, C, E = w
+    return 2 * r * R + 3 * (r * C - R * c) + r * E + R * e - 2 * c * C
+
+
 def slope(v: CharVec) -> Fraction:
     if v.ch0 == 0:
         raise ValueError("slope undefined: ch0 = 0")
@@ -107,9 +118,11 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
     return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
 
 
-def det3(u: CharVec, v: CharVec, w: CharVec) -> Fraction:
+def det3(u: Sequence, v: Sequence, w: Sequence):
+    """The determinant of three 3-vectors (tuples or characters)."""
+    u0, u1, u2 = u
     k0, k1, k2 = cross3(v, w)
-    return u.ch0 * k0 + u.ch1 * k1 + u.ch2 * k2
+    return u0 * k0 + u1 * k1 + u2 * k2
 
 
 @dataclass(frozen=True)

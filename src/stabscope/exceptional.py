@@ -9,6 +9,13 @@ slope c/r in lowest terms can only be the slope of a label of rank r,
 and the search for it stops there.  Ranks above MAX_RANK_BITS bits are
 refused.  The parabola contact points of each label are the closed form
 of Drezet and Le Potier.
+
+Each cached character is held in two forms, both built when its entry
+is added: the integers (r, c, e) = (ch0, ch1, 2 ch2), which are integral
+since chi(O, E) = r + 3c/2 + ch2 is, and the CharVec.  The recursion
+runs on the integers, and the checks of bundles and triples use the one
+integer pairing corekit._chi2, which is twice euler_chi, and det3 of
+the integer triples, which is twice det3 of the characters.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, det3, euler_chi, slope
+from .corekit import AffPt, CharVec, _chi2, det3, slope
 from .surd import QuadReal, parse_rational
 
 HALF = Fraction(1, 2)
@@ -76,11 +83,12 @@ class DyadicLabel:
     def __eq__(self, other):
         return isinstance(other, DyadicLabel) and self.p == other.p and self.m == other.m
 
+    # p/2^m < q/2^n exactly when p*2^n < q*2^m
     def __lt__(self, other: "DyadicLabel") -> bool:
-        return self.value < other.value
+        return self.p << other.m < other.p << self.m
 
     def __le__(self, other: "DyadicLabel") -> bool:
-        return self.value <= other.value
+        return self.p << other.m <= other.p << self.m
 
     def __hash__(self):
         return hash((self.p, self.m))
@@ -101,8 +109,9 @@ MAX_RANK_BITS = 1 << 14
 # dict is emptied when a lookup misses with this many entries in it
 CACHE_SIZE = 1 << 12
 
-# characters computed so far, by label
-_CHARS: dict[DyadicLabel, CharVec] = {}
+# characters computed so far, by label: the integers (r, c, e = 2 ch2)
+# and the CharVec (r, c, e/2)
+_CHARS: dict[DyadicLabel, tuple[tuple[int, int, int], CharVec]] = {}
 
 
 def _recurrence_terms(label: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
@@ -117,16 +126,24 @@ def char_of(label: DyadicLabel) -> CharVec:
     """The character of the exceptional bundle at a dyadic label.
 
     A non-integer label's character is 3 * rank(helper) * base - far
-    over three labels of smaller depth.  Terms not yet cached are
-    resolved with an explicit stack, so a label may be deeper than the
-    interpreter's recursion limit.  The cache is emptied when it has
-    CACHE_SIZE entries and misses, so it holds at most that many plus
-    the ancestors of one label.  A rank above MAX_RANK_BITS bits raises
-    ValueError.
+    over three labels of smaller depth, computed on the integer
+    characters (r, c, 2 ch2); an integer label n has (1, n, n^2).  Terms
+    not yet cached are resolved with an explicit stack, so a label may
+    be deeper than the interpreter's recursion limit.  The cache is
+    emptied when it has CACHE_SIZE entries and misses, so it holds at
+    most that many plus the ancestors of one label.  A rank above
+    MAX_RANK_BITS bits raises ValueError.
     """
-    c = _CHARS.get(label)
-    if c is not None:
-        return c
+    return (_CHARS.get(label) or _fill(label))[1]
+
+
+def _int_char(label: DyadicLabel) -> tuple[int, int, int]:
+    """The integer character (ch0, ch1, 2 ch2) of a label."""
+    return (_CHARS.get(label) or _fill(label))[0]
+
+
+def _fill(label: DyadicLabel) -> tuple[tuple[int, int, int], CharVec]:
+    """Compute and cache the characters of a label missing from the cache."""
     if len(_CHARS) >= CACHE_SIZE:
         _CHARS.clear()
     stack = [label]
@@ -134,22 +151,22 @@ def char_of(label: DyadicLabel) -> CharVec:
         lbl = stack[-1]
         if lbl in _CHARS:
             stack.pop()
-        elif lbl.m == 0:
-            n = lbl.p
-            _CHARS[lbl] = CharVec(1, n, Fraction(n * n, 2))
-            stack.pop()
+            continue
+        if lbl.m == 0:
+            v = (1, lbl.p, lbl.p * lbl.p)
         else:
             terms = _recurrence_terms(lbl)
             missing = [t for t in terms if t not in _CHARS]
             if missing:
                 stack.extend(missing)
                 continue
-            helper, base, far = (_CHARS[t] for t in terms)
-            c = 3 * helper.ch0 * base - far
-            if c.ch0.numerator.bit_length() > MAX_RANK_BITS:
+            helper, base, far = (_CHARS[t][0] for t in terms)
+            k = 3 * helper[0]
+            v = tuple(k * b - f for b, f in zip(base, far))
+            if v[0].bit_length() > MAX_RANK_BITS:
                 raise ValueError(f"rank at label {lbl} exceeds {MAX_RANK_BITS} bits")
-            _CHARS[lbl] = c
-            stack.pop()
+        _CHARS[lbl] = (v, CharVec(v[0], v[1], Fraction(v[2], 2)))
+        stack.pop()
     return _CHARS[label]
 
 
@@ -174,9 +191,9 @@ class ExcBundle:
             label = DyadicLabel.parse(label)
         elif not isinstance(label, DyadicLabel):
             label = DyadicLabel.from_value(label)
-        c = char_of(label)
-        assert c.ch0 > 0, "exceptional rank must be positive"
-        assert euler_chi(c, c) == 1, "exceptionality pairing failed"
+        v, c = _CHARS.get(label) or _fill(label)
+        assert v[0] > 0, "exceptional rank must be positive"
+        assert _chi2(v, v) == 2, "exceptionality pairing failed"
         return cls(label, c)
 
     def __hash__(self):
@@ -273,13 +290,14 @@ def triple_from(pattern: TriplePattern, base: DyadicLabel) -> ExcTriple:
         mid = labels[1]
         return triple_from(TriplePattern.ADJACENT, mid)
     b1, b2, b3 = (ExcBundle.of(l) for l in labels)
-    c1, c2, c3 = b1.char, b2.char, b3.char
+    v1, v2, v3 = (_int_char(l) for l in labels)
     assert labels[0] < labels[1] < labels[2], "triple labels out of order"
-    assert euler_chi(c2, c1) == 0 and euler_chi(c3, c1) == 0 and euler_chi(c3, c2) == 0, \
+    assert _chi2(v2, v1) == 0 and _chi2(v3, v1) == 0 and _chi2(v3, v2) == 0, \
         "pairing does not vanish on the triple"
     # every standard triple comes from (O, O(1), O(2)), of determinant 1,
-    # by twists and mutations, which keep the determinant
-    assert det3(c1, c2, c3) == 1, "triple characters are not unimodular"
+    # by twists and mutations, which keep the determinant; doubling ch2
+    # doubles it
+    assert det3(v1, v2, v3) == 2, "triple characters are not unimodular"
     return ExcTriple(b1, b2, b3, pattern, base)
 
 

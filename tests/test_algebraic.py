@@ -546,3 +546,35 @@ def test_carried_phases_match_rebuilt_ones(case, entries, branch):
         w = _kernel_by_fractions(t, params)
         assert KernelPoint.spanned_by(v) == KernelPoint.spanned_by(w)
         assert (v[0] > 0) == (w[0] > 0) and (v[0] == 0) == (w[0] == 0)
+
+
+@seed(13)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.tuples(_entries, _entries, _entries, _entries),
+       st.integers(-2, 2))
+def test_transport_carries_its_phases(case, entries, branch):
+    rng = random.Random(case)
+    while True:
+        t = random_triple(rng, max_m=3)
+        p = random_valid_params(rng)
+        f1, f2, _ = p.phases()
+        if f1.shifted(1) < f2 and classify_cell(t, p, 6) is CellLabel.PLUS_LEG:
+            break
+    a, b, c, d = entries
+    if a * d - b * c < 0:
+        a, b, c, d = b, a, d, c
+    assume(a * d - b * c != 0)
+    g = GLElement(a, b, c, d, branch)
+    back = gl_inverse(g)
+    t2, p2 = transport_plus_leg(t, p, 6)
+    t1, p1 = transport_plus_leg_inverse(t2, p2, 6)
+    assert (t1, p1) == (t, p) and p1.phases() == p.phases()
+    for tt, params in ((t2, p2), (t1, p1)):
+        by_fields = ThetaParams(*params.values(), params.k1, params.k2, params.k3)
+        public = tuple(Phase(*((-z.re, -z.im) if k % 2 else (z.re, z.im)), k)
+                       for z, k in params.slots())
+        assert params.phases() == by_fields.phases() == public
+        moved = gl_act(back, params)
+        assert classify_cell(tt, moved, 6) is classify_cell(tt, params, 6)
+        again = gl_act(g, moved)
+        assert again == params and again.phases() == params.phases()

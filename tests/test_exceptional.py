@@ -1,5 +1,6 @@
 """Dyadic labels, recursive characters, triples, and mutations."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import sympy
 
 import stabscope.exceptional as ex
 import stabscope.lepotier as lp
-from stabscope.corekit import CharVec, collinear, delta, det3, euler_chi, slope
+from stabscope.corekit import (CharVec, _chi2, collinear, cross3, delta, det3,
+                               euler_chi, slope)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, TriplePattern,
                                    char_of, detect_triple, el, eplus, er,
                                    is_exceptional_char, mutate_left,
@@ -372,3 +374,23 @@ def test_caches_stay_bounded_and_rebuild_evicted_characters():
     for lbl, (c, apex) in first.items():
         assert char_of(lbl) == c and eplus(lbl) == apex
         assert euler_chi(c, c) == 1
+
+
+def test_integer_characters_match_the_fraction_ones():
+    # the 64 labels p/16 in [-2, 2), all those of depth at most 4
+    labels = [DyadicLabel(p, 4) for p in range(-32, 32)]
+    chars = [char_of(lbl) for lbl in labels]
+    ints = [ex._int_char(lbl) for lbl in labels]
+    for lbl, c, v in zip(labels, chars, ints):
+        assert v == (c.ch0, c.ch1, 2 * c.ch2) and all(type(x) is int for x in v), lbl
+        assert char_of(lbl) is char_of(lbl)
+    for a, b in itertools.product(range(64), repeat=2):
+        assert _chi2(ints[a], ints[b]) == 2 * euler_chi(chars[a], chars[b]), (labels[a], labels[b])
+    # every ordered triple (x, a, b): the determinant of the characters is
+    # x . (a x b), which swapping a and b negates and a = b makes zero
+    for a, b in itertools.combinations(range(64), 2):
+        k = cross3(chars[a], chars[b])
+        want = [2 * (c.ch0 * k[0] + c.ch1 * k[1] + c.ch2 * k[2]) for c in chars]
+        assert [det3(v, ints[a], ints[b]) for v in ints] == want, (labels[a], labels[b])
+        assert [-det3(v, ints[b], ints[a]) for v in ints] == want, (labels[b], labels[a])
+    assert all(det3(v, w, w) == 0 for v in ints for w in ints)

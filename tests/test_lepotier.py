@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from stabscope import lepotier
 from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, slope
@@ -158,6 +159,25 @@ def test_classify_slope_negation_symmetry():
             p = pt(Fraction(i, 16), Fraction(j, 16))
             q = pt(-p.x, p.y)
             assert classify_point(p, 5) is classify_point(q, 5), p
+
+
+@seed(21)
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_duality_for_points_and_characters(case):
+    # dualising negates the slope and keeps the discriminant; around the
+    # curve, the strip and the exclusions at random slopes and ranks
+    rng = random.Random(case)
+    x = Fraction(rng.randint(-96, 96), rng.randint(1, 32))
+    y = x * x / 2 - Fraction(rng.randint(-8, 48), 32)
+    depth = rng.randint(0, 6)
+    assert classify_point(pt(x, y), depth) is classify_point(pt(-x, y), depth), (x, y, depth)
+    r = rng.randint(1, 12)
+    c = rng.randint(-3 * r, 3 * r)
+    # ch2 in (1/2)Z with the discriminant in about [-0.25, 1.5]
+    k = rng.randint(c * c // r - 3 * r, c * c // r + r // 2)
+    v = CharVec(r, c, Fraction(k, 2))
+    assert dlp_exists(v, depth) is dlp_exists(CharVec(r, -c, v.ch2), depth), (v, depth)
 
 
 def test_dlp_examples():

@@ -25,13 +25,17 @@ and slope_to_label finds that label.  A character on an exclusion is a
 multiple of its label's own exactly when it projects to the top, at equality.
 build_curve lists every tent of a window; no decision uses it.
 
-The segment walk decides without floats.  Along y = m x + c the gap and
-chord tests are signs of rational polynomials of degree <= 2, evaluated
-at a contact slope a + b*sqrt(d) in Q(sqrt(d)).  Contact slopes are
+The segment walk takes its signs on integers.  It scales the segment
+y = m x + c once, to (L, L m, L c) with L = lcm(den m, den c), and each
+label keeps, from its integer character, its slopes el, apex and er as
+(P + Q*sqrt(D))/S and its chords and exclusion ends as integer lines.
+The cell, gap, chord and exclusion tests are each the sign of an integer
+polynomial of degree <= 2 at such a slope; times S^2 it is U + V*sqrt(D)
+with integers U and V, decided by comparing U^2 with V^2 D.  Slopes are
 ordered against the segment's ends and each other by rational brackets
-lo < x < hi, cached per label: disjoint brackets are conclusive, as each
-holds its value, and only overlapping ones fall back to the exact surd
-comparison.  The point walk compares surds directly.
+lo <= x <= hi, cached per label: disjoint brackets are conclusive, as
+each holds its value, and only overlapping ones fall back to the exact
+surd comparison.  The point walk compares surds directly.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
-from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, char_of,
+from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, _int_char, char_of,
                           eplus, el, er, slope_to_label)
-from .surd import Number, QuadReal, _poly_sign
+from .surd import Number, QuadReal
 
 
 class RegionClass(enum.Enum):
@@ -316,18 +320,32 @@ def _is_integer_apex(p: AffPt) -> bool:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _tent_ends(label: DyadicLabel) -> tuple[tuple, tuple, tuple]:
-    """The slopes of el, the apex and er, each as (x, lo, hi) with lo <= x <= hi.
+def _tent_ends(label: DyadicLabel) -> tuple[tuple, ...]:
+    """The label's slopes el, apex and er, and its chords and exclusion, in integers.
 
-    The bounds are rational: x's own for the rational apex, and the
-    isolating interval of width 10^-30 for a contact point.
+    From the integer character (r, c, e = 2 ch2), with D = 9 r^2 - 4, el
+    is (2c - 3r + sqrt(D))/(2r), the apex c/r and er (2c + 3r - sqrt(D))/(2r)
+    (Drezet-Le Potier).  Each slope is (x, lo, hi, (P, Q, D, S)): the value,
+    a rational bracket lo <= x <= hi (x's own for the apex, the isolating
+    interval of width 10^-30 for a contact point) and x = (P + Q sqrt(D))/S
+    with S > 0.  Then come the left and right chords, of slopes c/r -+ 3/2
+    through the apex (c/r, e/(2r) - 1/r^2), and the exclusion's bottom and
+    top heights, each as a line (K, A, B), y = (A x + B)/K with K = 2r^2.
     """
-    return tuple((x, *QuadReal._coerce(x).isolating_interval())
-                 for x in (el(label).x, eplus(label).x, er(label).x))
+    r, c, e = _int_char(label)
+    d, k = 9 * r * r - 4, 2 * r * r
+    forms = (2 * c - 3 * r, 1, d, 2 * r), (c, 0, 0, r), (2 * c + 3 * r, -1, d, 2 * r)
+    slopes = tuple((x, *QuadReal._coerce(x).isolating_interval(), form)
+                   for x, form in zip((el(label).x, eplus(label).x, er(label).x), forms))
+    bottom = e * r - 2
+    return (*slopes,
+            (k, r * (2 * c - 3 * r), bottom - 2 * c * c + 3 * r * c),
+            (k, r * (2 * c + 3 * r), bottom - 2 * c * c - 3 * r * c),
+            (k, 0, bottom), (k, 0, e * r))
 
 
 def _compare(u: tuple, v: tuple) -> int:
-    """Sign of u - v for slopes given as (x, lo, hi).
+    """Sign of u - v for slopes given as (x, lo, hi, ...).
 
     Disjoint rational brackets decide; otherwise the surds are compared
     exactly.
@@ -345,6 +363,41 @@ def _span(lo: tuple, hi: tuple, ends: tuple[tuple, tuple]) -> tuple[tuple, tuple
             hi if _compare(hi, ends[1]) < 0 else ends[1])
 
 
+def _root_sign(u: int, v: int, d: int) -> int:
+    """Sign of u + v sqrt(d) for integers u, v and d >= 0, by one comparison of squares."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    t = u * u - v * v * d
+    return su if t > 0 else -su if t < 0 else 0
+
+
+def _disc_sign(seg: tuple[int, int, int], r2: int, x: tuple) -> int:
+    """Sign of the segment's discriminant less (1/2)(1 - 1/r2) at a slope form x.
+
+    For the segment (L, Lm, Lc), y = m x + c, the discriminant is
+    x^2/2 - m x - c.  Less the bound and times 2 r2 L it is the integer
+    quadratic a2 x^2 + a1 x + a0 below, and at x = (P + Q sqrt(D))/S,
+    times S^2, it is U + V sqrt(D) with integers U and V.
+    """
+    (lcd, lm, lc), (p, q, d, s) = seg, x
+    a2, a1, a0 = r2 * lcd, -2 * r2 * lm, -2 * r2 * lc - (r2 - 1) * lcd
+    k = a2 * p + a1 * s
+    return _root_sign(p * k + a2 * q * q * d + a0 * s * s, q * (k + a2 * p), d)
+
+
+def _line_sign(seg: tuple[int, int, int], line: tuple[int, int, int], x: tuple) -> int:
+    """Sign of the segment's height less a line's at a slope form x.
+
+    Both are (K, A, B) for y = (A x + B)/K; the difference times K L is
+    linear with integer coefficients, and at x = (P + Q sqrt(D))/S, times
+    S, it is U + V sqrt(D).
+    """
+    (lcd, lm, lc), (k, a, b), (p, q, d, s) = seg, line, x
+    a1 = lm * k - lcd * a
+    return _root_sign(a1 * p + (lc * k - lcd * b) * s, a1 * q, d)
+
+
 def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAnswer:
     try:
         ax, ay = to_fraction(a.x), to_fraction(a.y)
@@ -357,25 +410,28 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         return _contains_vertical(ax, a, b, depth, exclude_a)
 
     (x0, y0), (x1, y1) = sorted(((ax, ay), (bx, by)))
-    # the segment is y = m x + c, and x^2/2 - m x - c its discriminant
+    # the segment is y = m x + c, and x^2/2 - m x - c its discriminant;
+    # every sign below is taken on seg = (L, L m, L c), L = lcm(den m, den c)
     m = (y1 - y0) / (x1 - x0)
     c = y0 - m * x0
-    ends = (x0, x0, x0), (x1, x1, x1)
-    allowed = ax if exclude_a else None
+    lcd = math.lcm(m.denominator, c.denominator)
+    seg = (lcd, m.numerator * (lcd // m.denominator), c.numerator * (lcd // c.denominator))
+    ends = tuple((x, x, x, (x.numerator, 0, 0, x.denominator)) for x in (x0, x1))
+    allowed = ends[ax == x1] if exclude_a else None
 
     def blocks(label: DyadicLabel) -> bool:
         """Whether the label's exclusion or one of its tent chords stops the segment."""
-        tent = _tent(label)
-        exc = tent.exclusion
-        if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(m * exc.x + c):
+        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = _tent_ends(label)
+        if (_line_sign(seg, bottom, apex_x[3]) >= 0 >= _line_sign(seg, top, apex_x[3])
+                and x0 <= apex_x[0] <= x1 and (allowed is None or apex_x[0] != allowed[0])):
             return True
-        return not (_above_chord(m, c, tent.left, ends, allowed)
-                    and _above_chord(m, c, tent.right, ends, allowed))
+        return not (_above_chord(seg, chord_l, _span(el_x, apex_x, ends), allowed)
+                    and _above_chord(seg, chord_r, _span(apex_x, er_x, ends), allowed))
 
     def reaches_zero(n: int) -> bool:
         """Whether the discriminant reaches 0 over the unit cell [n, n + 1]."""
-        return (_poly_sign(max(n, x0), HALF, -m, -c) >= 0
-                or _poly_sign(min(n + 1, x1), HALF, -m, -c) >= 0)
+        return (_disc_sign(seg, 1, ends[0][3] if x0 > n else (n, 0, 0, 1)) >= 0
+                or _disc_sign(seg, 1, ends[1][3] if x1 < n + 1 else (n + 1, 0, 0, 1)) >= 0)
 
     # Every exclusion and chord lies at discriminant >= 0, so only the
     # unit cells where the segment reaches 0 hold labels that can stop it.
@@ -402,9 +458,9 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         mid = DyadicLabel(2 * p + 1, k + 1)
         # the discriminant is convex along the segment, so its values at the
         # two ends bound it over the stretch; no label of the gap ranks below mid
-        q0 = -c - _exc_delta(char_of(mid).ch0)
-        if _compare(lo, hi) > 0 or (_poly_sign(lo[0], HALF, -m, q0) < 0
-                                and _poly_sign(hi[0], HALF, -m, q0) < 0):
+        r2 = _int_char(mid)[0] ** 2
+        if _compare(lo, hi) > 0 or (_disc_sign(seg, r2, lo[3]) < 0
+                                and _disc_sign(seg, r2, hi[3]) < 0):
             continue
         if k == depth:
             unknown = True
@@ -415,25 +471,20 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
     return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
 
 
-def _above_chord(m: Fraction, c: Fraction, chord: CurveSegment, ends: tuple[tuple, tuple],
-                 allowed_touch_x) -> bool:
-    """Whether the segment y = m x + c stays strictly above a tent chord where both span.
+def _above_chord(seg: tuple[int, int, int], chord: tuple[int, int, int],
+                 span: tuple[tuple, tuple], allowed: tuple | None) -> bool:
+    """Whether the segment stays strictly above a tent chord over a slope span.
 
     The difference of two lines is linear, so positivity at both ends of
-    the shared slope interval is conclusive.  A zero at one end is
-    tolerated only at the half-open endpoint's slope.
+    the span is conclusive.  A zero at one end is tolerated only at the
+    half-open endpoint's slope.
     """
-    el_x, apex_x, er_x = _tent_ends(chord.label)
-    lo, hi = _span(*((el_x, apex_x) if chord.side == "left" else (apex_x, er_x)), ends)
+    lo, hi = span
     if _compare(lo, hi) > 0:
         return True
-    # segment minus chord is (m - m_c) x + (c - c_c), with the chord y = m_c x + c_c
-    line = chord.line
-    slope, offset = m + line.c1 / line.c2, c + line.c0 / line.c2
-    for x in (lo, hi):
-        sign = _poly_sign(x[0], 0, slope, offset)
-        if sign < 0 or (sign == 0 and (allowed_touch_x is None
-                                       or _compare(x, (allowed_touch_x,) * 3) != 0)):
+    for x in span:
+        sign = _line_sign(seg, chord, x[3])
+        if sign < 0 or (sign == 0 and (allowed is None or _compare(x, allowed) != 0)):
             return False
     return True
 

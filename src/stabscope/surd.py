@@ -2,11 +2,10 @@
 
 Values of this shape show up as intersection points of rational lines
 with the rank-normalized discriminant parabolas.  All predicates here
-(sign, comparison, equality, the sign of a rational quadratic at a surd)
-are decided by rational arithmetic alone; floating point is used only for
-display.  isolating_interval gives a rational bracket of a value, so a
-caller may order two values by disjoint brackets first and fall back to
-an exact comparison when the brackets meet.
+(sign, comparison, equality) are decided by rational arithmetic alone;
+floating point is used only for display.  isolating_interval gives a
+rational bracket of a value, so a caller may order two values by disjoint
+brackets first and fall back to an exact comparison when the brackets meet.
 """
 
 from __future__ import annotations
@@ -317,16 +316,3 @@ def nsign(x: Number) -> int:
     if isinstance(x, QuadReal):
         return x.sign()
     return (x > 0) - (x < 0)
-
-
-def _poly_sign(x: Number, q2: Fraction, q1: Fraction, q0: Fraction) -> int:
-    """Exact sign of q2*x^2 + q1*x + q0 for rational q's at a rational or quadratic x.
-
-    At x = a + b*sqrt(d) the value is evaluated componentwise in Q(sqrt(d)),
-    so no QuadReal is built and one _surd_sign decides.
-    """
-    if isinstance(x, QuadReal):
-        a, b, d = x.a, x.b, x.d
-        u, v = q2 * a + q1, q2 * b  # q2*x + q1 = u + v*sqrt(d)
-        return _surd_sign(u * a + v * b * d + q0, u * b + v * a, d)
-    return _sign_of((q2 * x + q1) * x + q0)

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -17,7 +18,7 @@ from stabscope.geometric import StabResult, exc_stable_at
 from stabscope.lepotier import (DlpResult, ExclusionSegment, GeoAnswer,
                                 RegionClass, build_curve, classify_point,
                                 dlp_exists, geo_contains_segment)
-from stabscope.surd import QuadReal, nsign
+from stabscope.surd import QuadReal, _surd_sign, nsign
 
 
 def pt(x, y) -> AffPt:
@@ -657,8 +658,8 @@ def test_contact_points_classify_on_the_curve():
 
 
 # The segment walk decided with QuadReal arithmetic alone, without rational
-# brackets or the componentwise polynomial sign, and over every unit cell of
-# the slope span: the exact reference of the filtered walk.
+# brackets or integer signs, and over every unit cell of the slope span: the
+# exact reference of the filtered walk.
 
 def _exact_segment(a, b, depth, exclude_a):
     if a.delta() <= 0 and b.delta() <= 0:
@@ -871,3 +872,136 @@ def test_twist_by_a_line_bundle_keeps_every_verdict():
         answers.add(got)
     assert classes == set(RegionClass) and dlps == set(DlpResult)
     assert answers == set(GeoAnswer)
+
+
+# The integer forms of the segment walk against the surd and rational ones.
+
+def _labels_in(n0, n1, depth):
+    """Every label of depth <= depth in [n0, n1]."""
+    return sorted({DyadicLabel(p, m) for m in range(depth + 1)
+                   for p in range(n0 << m, (n1 << m) + 1)})
+
+
+_FORM_LABELS = _labels_in(-2, 2, 4) + _labels_in(300, 301, 3) + _labels_in(-9003, -9002, 3)
+
+
+def _surd(form):
+    p, q, d, s = form
+    return QuadReal(Fraction(p, s), Fraction(q, s), d)
+
+
+def _slope_intercept(line):
+    k, a, b = line
+    return Fraction(a, k), Fraction(b, k)
+
+
+def test_integer_forms_match_the_surd_ones():
+    for label in _FORM_LABELS:
+        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = lepotier._tent_ends(label)
+        assert _surd(el_x[3]) == el(label).x and _surd(er_x[3]) == er(label).x, label
+        assert _surd(apex_x[3]) == eplus(label).x, label
+        tent = lepotier._tent(label)
+        for chord, seg in ((chord_l, tent.left), (chord_r, tent.right)):
+            line = seg.line
+            assert _slope_intercept(chord) == (-line.c1 / line.c2, -line.c0 / line.c2), label
+        exc = tent.exclusion
+        assert _slope_intercept(bottom) == (0, exc.y_bottom), label
+        assert _slope_intercept(top) == (0, exc.y_top), label
+
+
+def _poly_sign(x, q2, q1, q0):
+    """Sign of q2 x^2 + q1 x + q0 for rational q's at a rational or surd x,
+    evaluated componentwise in Q(sqrt(d)): the reference of the integer signs.
+    """
+    if isinstance(x, QuadReal):
+        a, b, d = x.a, x.b, x.d
+        u, v = q2 * a + q1, q2 * b
+        return _surd_sign(u * a + v * b * d + q0, u * b + v * a, d)
+    return nsign((q2 * x + q1) * x + q0)
+
+
+def _mp(form):
+    p, q, d, s = form
+    return (p + q * mpmath.sqrt(d)) / s
+
+
+def _mpq(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _seg(m, c):
+    lcd = math.lcm(m.denominator, c.denominator)
+    return lcd, m.numerator * (lcd // m.denominator), c.numerator * (lcd // c.denominator)
+
+
+def _mp_sign(value, exact_zero):
+    if exact_zero:
+        assert abs(value) < mpmath.mpf(10) ** -40
+        return 0
+    assert abs(value) > mpmath.mpf(10) ** -40
+    return int(mpmath.sign(value))
+
+
+def test_integer_discriminant_sign_matches_mpmath_and_the_surd_polynomial():
+    # x^2/2 - m x - c less (1/2)(1 - 1/r2) at contact slopes and apexes,
+    # a third of them made to vanish exactly there
+    rng = random.Random(41)
+    signs = set()
+    with mpmath.workdps(50):
+        for _ in range(600):
+            label = rng.choice(_FORM_LABELS)
+            x = rng.choice(lepotier._tent_ends(label)[:3])
+            r2 = rng.choice((1, char_of(rng.choice(_FORM_LABELS)).ch0 ** 2))
+            bound = Fraction(1, 2) - Fraction(1, 2 * r2)
+            m = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+            zero = rng.random() < 1 / 3
+            p, q, d, s = x[3]
+            if zero and q:
+                # half the minimal polynomial of x: (S x - P)^2 = Q^2 D
+                m, c = Fraction(p, s), -Fraction(p * p - q * q * d, 2 * s * s) - bound
+            elif zero:
+                c = x[0] * x[0] / 2 - m * x[0] - bound
+            else:
+                c = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
+                if rng.random() < 0.5:
+                    # a segment 10^-12 off vanishing at x
+                    near = QuadReal._coerce(x[0] * x[0] / 2 - m * x[0] - bound)
+                    c = near.isolating_interval()[0] + Fraction(rng.choice((-1, 1)), 10 ** 12)
+            got = lepotier._disc_sign(_seg(m, c), r2, x[3])
+            assert got == _poly_sign(x[0], Fraction(1, 2), -m, -c - bound), (label, x, m, c)
+            t = _mp(x[3])
+            want = _mp_sign(t * t / 2 - _mpq(m) * t - _mpq(c) - _mpq(bound), zero)
+            assert got == want, (label, x, m, c)
+            signs.add(got)
+    assert signs == {-1, 0, 1}
+
+
+def test_integer_line_sign_matches_mpmath_and_the_surd_polynomial():
+    # a segment's height less a chord's or an exclusion end's, at contact
+    # slopes and apexes; the chord itself, and lines through the apex, vanish
+    rng = random.Random(43)
+    signs = set()
+    with mpmath.workdps(50):
+        for _ in range(600):
+            label = rng.choice(_FORM_LABELS)
+            ends = lepotier._tent_ends(label)
+            x = rng.choice(ends[:3])
+            line = rng.choice(ends[3:])
+            a, b = _slope_intercept(line)
+            kind = rng.random()
+            if kind < 0.2:
+                m, c = a, b
+            else:
+                m = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+                if kind < 0.4 and x is ends[1]:
+                    c = a * x[0] + b - m * x[0]
+                else:
+                    c = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
+            zero = kind < 0.2 or (kind < 0.4 and x is ends[1])
+            got = lepotier._line_sign(_seg(m, c), line, x[3])
+            assert got == _poly_sign(x[0], 0, m - a, c - b), (label, x, line, m, c)
+            t = _mp(x[3])
+            diff = _mpq(m - a) * t + _mpq(c - b)
+            assert got == _mp_sign(diff, zero), (label, x, line, m, c)
+            signs.add(got)
+    assert signs == {-1, 0, 1}

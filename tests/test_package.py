@@ -106,3 +106,35 @@ def test_no_float_in_a_decision():
     for name in FLOAT_MAKERS:
         assert _float_uses(ast.parse(f"class Q:\n    def {name}(self):\n        return 1.0")) == []
     assert _float_uses(ast.parse("class Q:\n    def phase(self):\n        return 1.0")) == [3]
+
+
+# the segment walk's sign tests and the walk that holds them, which take
+# every sign on integers
+INTEGER_SIGNS = ("_root_sign", "_disc_sign", "_line_sign", "_above_chord", "_contains_general")
+NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign")
+
+
+def _non_integer_names(tree):
+    """Lines where a function named in INTEGER_SIGNS, or one nested in it,
+    names Fraction, QuadReal or _poly_sign.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_SIGNS:
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name in NOT_INTEGER:
+                    lines.append(sub.lineno)
+    return lines
+
+
+def test_the_segment_walk_signs_stay_on_integers():
+    tree = ast.parse((Path(stabscope.__file__).parent / "lepotier.py").read_text())
+    assert set(INTEGER_SIGNS) <= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert _non_integer_names(tree) == []
+    assert _non_integer_names(ast.parse("def _line_sign(s, l, x):\n    return QuadReal(x).sign()")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _contains_general(a, b):\n    def blocks(n):\n        return surd._poly_sign(n)")) == [3]
+    assert _non_integer_names(ast.parse("def _disc_sign(s, r: Fraction, x):\n    pass")) == [1]
+    assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == []

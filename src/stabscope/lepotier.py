@@ -32,10 +32,11 @@ label keeps, from its integer character, its slopes el, apex and er as
 The cell, gap, chord and exclusion tests are each the sign of an integer
 polynomial of degree <= 2 at such a slope; times S^2 it is U + V*sqrt(D)
 with integers U and V, decided by comparing U^2 with V^2 D.  Slopes are
-ordered against the segment's ends and each other by rational brackets
-lo <= x <= hi, cached per label: disjoint brackets are conclusive, as
-each holds its value, and only overlapping ones fall back to the exact
-surd comparison.  The point walk compares surds directly.
+ordered against the segment's ends and each other by integer brackets
+lo <= x 2^96 <= hi, cached per label: disjoint brackets are conclusive, as
+each holds its value, and only overlapping ones fall back to an exact
+sign on the integer forms, so the walk reads nothing of a label but its
+integer character.  The point walk compares surds directly.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from fractions import Fraction
 from .corekit import AffPt, CharVec, ProjLine, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, _int_char, char_of,
                           eplus, el, er, slope_to_label)
-from .surd import Number, QuadReal
+from .surd import Number, QuadReal, _mixed_sign
 
 
 class RegionClass(enum.Enum):
@@ -294,9 +295,10 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
         raise ValueError("negative depth")
     if a == b:
         raise ValueError("degenerate segment")
-    if a.delta() <= 0 and b.delta() <= 0:
+    da, db = a.delta(), b.delta()
+    if da <= 0 and db <= 0:
         return _contains_fast(a, b, exclude_a)
-    return _contains_general(a, b, depth, exclude_a)
+    return _contains_general(a, b, da, db, depth, exclude_a)
 
 
 def _contains_fast(a: AffPt, b: AffPt, exclude_a: bool) -> GeoAnswer:
@@ -319,42 +321,70 @@ def _is_integer_apex(p: AffPt) -> bool:
     return p.is_rational() and to_fraction(p.x).denominator == 1 and p.delta() == 0
 
 
+# bits of the integer brackets of the segment walk's slopes
+_BRACKET_BITS = 96
+
+
+def _slope(p: int, q: int, d: int, s: int) -> tuple[int, int, tuple[int, int, int, int]]:
+    """The slope entry (lo, hi, (P, Q, D, S)) of x = (P + Q sqrt(D))/S, S > 0.
+
+    lo <= x 2^B <= hi are integers, B = _BRACKET_BITS, from the floor of
+    |Q| sqrt(D) 2^B; a rational x has Q = D = 0.
+    """
+    n, form = p << _BRACKET_BITS, (p, q, d, s)
+    if q == 0:
+        return n // s, -(-n // s), form
+    root = math.isqrt(q * q * d << 2 * _BRACKET_BITS)
+    # |Q| sqrt(D) 2^B lies in [root, root + 1]
+    lo, hi = (n + root, n + root + 1) if q > 0 else (n - root - 1, n - root)
+    return lo // s, -(-hi // s), form
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _tent_ends(label: DyadicLabel) -> tuple[tuple, ...]:
     """The label's slopes el, apex and er, and its chords and exclusion, in integers.
 
     From the integer character (r, c, e = 2 ch2), with D = 9 r^2 - 4, el
     is (2c - 3r + sqrt(D))/(2r), the apex c/r and er (2c + 3r - sqrt(D))/(2r)
-    (Drezet-Le Potier).  Each slope is (x, lo, hi, (P, Q, D, S)): the value,
-    a rational bracket lo <= x <= hi (x's own for the apex, the isolating
-    interval of width 10^-30 for a contact point) and x = (P + Q sqrt(D))/S
-    with S > 0.  Then come the left and right chords, of slopes c/r -+ 3/2
-    through the apex (c/r, e/(2r) - 1/r^2), and the exclusion's bottom and
-    top heights, each as a line (K, A, B), y = (A x + B)/K with K = 2r^2.
+    (Drezet-Le Potier), each a slope entry of _slope.  Then come the left
+    and right chords, of slopes c/r -+ 3/2 through the apex
+    (c/r, e/(2r) - 1/r^2), and the exclusion's bottom and top heights,
+    each as a line (K, A, B), y = (A x + B)/K with K = 2r^2.
     """
     r, c, e = _int_char(label)
     d, k = 9 * r * r - 4, 2 * r * r
-    forms = (2 * c - 3 * r, 1, d, 2 * r), (c, 0, 0, r), (2 * c + 3 * r, -1, d, 2 * r)
-    slopes = tuple((x, *QuadReal._coerce(x).isolating_interval(), form)
-                   for x, form in zip((el(label).x, eplus(label).x, er(label).x), forms))
     bottom = e * r - 2
-    return (*slopes,
+    return (_slope(2 * c - 3 * r, 1, d, 2 * r), _slope(c, 0, 0, r),
+            _slope(2 * c + 3 * r, -1, d, 2 * r),
             (k, r * (2 * c - 3 * r), bottom - 2 * c * c + 3 * r * c),
             (k, r * (2 * c + 3 * r), bottom - 2 * c * c - 3 * r * c),
             (k, 0, bottom), (k, 0, e * r))
 
 
 def _compare(u: tuple, v: tuple) -> int:
-    """Sign of u - v for slopes given as (x, lo, hi, ...).
+    """Sign of u - v for slope entries (lo, hi, form).
 
-    Disjoint rational brackets decide; otherwise the surds are compared
-    exactly.
+    Disjoint brackets decide; otherwise the forms are compared exactly.
     """
-    if u[2] < v[1]:
+    if u[1] < v[0]:
         return -1
-    if u[1] > v[2]:
+    if u[0] > v[1]:
         return 1
-    return QuadReal._coerce(u[0])._cmp(v[0])
+    return _form_sign(u[2], v[2])
+
+
+def _form_sign(u: tuple, v: tuple) -> int:
+    """Sign of u - v for slope forms (P, Q, D, S), on integers.
+
+    Times S_u S_v the difference is T + B_u sqrt(D_u) + B_v sqrt(D_v).
+    """
+    (p1, q1, d1, s1), (p2, q2, d2, s2) = u, v
+    t, b1, b2 = p1 * s2 - p2 * s1, q1 * s2, -q2 * s1
+    if q1 == 0:
+        return _root_sign(t, b2, d2)
+    if q2 == 0 or d1 == d2:
+        return _root_sign(t, b1 + b2, d1)
+    return _mixed_sign(t, b1, d1, b2, d2)
 
 
 def _span(lo: tuple, hi: tuple, ends: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
@@ -398,13 +428,15 @@ def _line_sign(seg: tuple[int, int, int], line: tuple[int, int, int], x: tuple) 
     return _root_sign(a1 * p + (lc * k - lcd * b) * s, a1 * q, d)
 
 
-def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAnswer:
+def _contains_general(a: AffPt, b: AffPt, da: Number, db: Number, depth: int,
+                      exclude_a: bool) -> GeoAnswer:
+    """The segment walk, for ends a and b of discriminants da and db."""
     try:
         ax, ay = to_fraction(a.x), to_fraction(a.y)
         bx, by = to_fraction(b.x), to_fraction(b.y)
     except ValueError:
         raise ValueError("strip analysis supports rational endpoints only") from None
-    if a.delta() > 1 or b.delta() > 1:
+    if da > 1 or db > 1:
         return GeoAnswer.NO
     if ax == bx:
         return _contains_vertical(ax, a, b, depth, exclude_a)
@@ -416,22 +448,23 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
     c = y0 - m * x0
     lcd = math.lcm(m.denominator, c.denominator)
     seg = (lcd, m.numerator * (lcd // m.denominator), c.numerator * (lcd // c.denominator))
-    ends = tuple((x, x, x, (x.numerator, 0, 0, x.denominator)) for x in (x0, x1))
+    ends = tuple(_slope(x.numerator, 0, 0, x.denominator) for x in (x0, x1))
     allowed = ends[ax == x1] if exclude_a else None
 
     def blocks(label: DyadicLabel) -> bool:
         """Whether the label's exclusion or one of its tent chords stops the segment."""
         el_x, apex_x, er_x, chord_l, chord_r, bottom, top = _tent_ends(label)
-        if (_line_sign(seg, bottom, apex_x[3]) >= 0 >= _line_sign(seg, top, apex_x[3])
-                and x0 <= apex_x[0] <= x1 and (allowed is None or apex_x[0] != allowed[0])):
+        if (_compare(ends[0], apex_x) <= 0 <= _compare(ends[1], apex_x)
+                and (allowed is None or _compare(apex_x, allowed) != 0)
+                and _line_sign(seg, bottom, apex_x[2]) >= 0 >= _line_sign(seg, top, apex_x[2])):
             return True
         return not (_above_chord(seg, chord_l, _span(el_x, apex_x, ends), allowed)
                     and _above_chord(seg, chord_r, _span(apex_x, er_x, ends), allowed))
 
     def reaches_zero(n: int) -> bool:
         """Whether the discriminant reaches 0 over the unit cell [n, n + 1]."""
-        return (_disc_sign(seg, 1, ends[0][3] if x0 > n else (n, 0, 0, 1)) >= 0
-                or _disc_sign(seg, 1, ends[1][3] if x1 < n + 1 else (n + 1, 0, 0, 1)) >= 0)
+        return (_disc_sign(seg, 1, ends[0][2] if x0 > n else (n, 0, 0, 1)) >= 0
+                or _disc_sign(seg, 1, ends[1][2] if x1 < n + 1 else (n + 1, 0, 0, 1)) >= 0)
 
     # Every exclusion and chord lies at discriminant >= 0, so only the
     # unit cells where the segment reaches 0 hold labels that can stop it.
@@ -459,8 +492,8 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         # the discriminant is convex along the segment, so its values at the
         # two ends bound it over the stretch; no label of the gap ranks below mid
         r2 = _int_char(mid)[0] ** 2
-        if _compare(lo, hi) > 0 or (_disc_sign(seg, r2, lo[3]) < 0
-                                and _disc_sign(seg, r2, hi[3]) < 0):
+        if _compare(lo, hi) > 0 or (_disc_sign(seg, r2, lo[2]) < 0
+                                and _disc_sign(seg, r2, hi[2]) < 0):
             continue
         if k == depth:
             unknown = True
@@ -483,7 +516,7 @@ def _above_chord(seg: tuple[int, int, int], chord: tuple[int, int, int],
     if _compare(lo, hi) > 0:
         return True
     for x in span:
-        sign = _line_sign(seg, chord, x[3])
+        sign = _line_sign(seg, chord, x[2])
         if sign < 0 or (sign == 0 and (allowed is None or _compare(x, allowed) != 0)):
             return False
     return True

@@ -720,11 +720,11 @@ def _exact_stability(E, P, depth):
 
 
 def _in_contact_bracket(rng):
-    """A strip point whose slope is the midpoint of a contact's rational bracket."""
+    """A strip point whose slope is the midpoint of a contact's integer bracket."""
     m = rng.randint(0, 3)
     label = DyadicLabel(rng.randint(-2 << m, 2 << m), m)
-    lo, hi = rng.choice((el, er))(label).x.isolating_interval()
-    x = (lo + hi) / 2
+    lo, hi, _ = lepotier._tent_ends(label)[rng.choice((0, 2))]
+    x = Fraction(lo + hi, 2 << lepotier._BRACKET_BITS)
     return AffPt(x, x * x / 2 - Fraction(rng.randint(1600, 2100), 4096))
 
 
@@ -739,10 +739,10 @@ def _segment_start(rng, kind):
 
 
 def test_filtered_walk_matches_the_exact_walk(monkeypatch):
-    exact_cmp = QuadReal._cmp
+    exact_sign = lepotier._form_sign
     calls = []
-    monkeypatch.setattr(QuadReal, "_cmp",
-                        lambda self, other: calls.append(1) or exact_cmp(self, other))
+    monkeypatch.setattr(lepotier, "_form_sign",
+                        lambda u, v: calls.append(1) or exact_sign(u, v))
     rng = random.Random(77)
     fallbacks = 0
     seen = set()
@@ -759,8 +759,7 @@ def test_filtered_walk_matches_the_exact_walk(monkeypatch):
         assert geo_contains_segment(a, b, depth, exclude_a=exclude_a) is want, (a, b, depth)
         seen.add(want)
         if kind == "bracket":
-            # the caches are warm now, so every exact comparison left is a
-            # bracket that did not decide
+            # every exact comparison is a pair of brackets that did not decide
             before = len(calls)
             geo_contains_segment(a, b, depth, exclude_a=exclude_a)
             fallbacks += len(calls) - before
@@ -898,8 +897,8 @@ def _slope_intercept(line):
 def test_integer_forms_match_the_surd_ones():
     for label in _FORM_LABELS:
         el_x, apex_x, er_x, chord_l, chord_r, bottom, top = lepotier._tent_ends(label)
-        assert _surd(el_x[3]) == el(label).x and _surd(er_x[3]) == er(label).x, label
-        assert _surd(apex_x[3]) == eplus(label).x, label
+        assert _surd(el_x[2]) == el(label).x and _surd(er_x[2]) == er(label).x, label
+        assert _surd(apex_x[2]) == eplus(label).x, label
         tent = lepotier._tent(label)
         for chord, seg in ((chord_l, tent.left), (chord_r, tent.right)):
             line = seg.line
@@ -950,26 +949,27 @@ def test_integer_discriminant_sign_matches_mpmath_and_the_surd_polynomial():
     with mpmath.workdps(50):
         for _ in range(600):
             label = rng.choice(_FORM_LABELS)
-            x = rng.choice(lepotier._tent_ends(label)[:3])
+            x = rng.choice(lepotier._tent_ends(label)[:3])[2]
+            v = _surd(x)
             r2 = rng.choice((1, char_of(rng.choice(_FORM_LABELS)).ch0 ** 2))
             bound = Fraction(1, 2) - Fraction(1, 2 * r2)
             m = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
             zero = rng.random() < 1 / 3
-            p, q, d, s = x[3]
+            p, q, d, s = x
             if zero and q:
                 # half the minimal polynomial of x: (S x - P)^2 = Q^2 D
                 m, c = Fraction(p, s), -Fraction(p * p - q * q * d, 2 * s * s) - bound
             elif zero:
-                c = x[0] * x[0] / 2 - m * x[0] - bound
+                c = Fraction(p * p, 2 * s * s) - m * Fraction(p, s) - bound
             else:
                 c = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
                 if rng.random() < 0.5:
                     # a segment 10^-12 off vanishing at x
-                    near = QuadReal._coerce(x[0] * x[0] / 2 - m * x[0] - bound)
+                    near = QuadReal._coerce(v * v / 2 - m * v - bound)
                     c = near.isolating_interval()[0] + Fraction(rng.choice((-1, 1)), 10 ** 12)
-            got = lepotier._disc_sign(_seg(m, c), r2, x[3])
-            assert got == _poly_sign(x[0], Fraction(1, 2), -m, -c - bound), (label, x, m, c)
-            t = _mp(x[3])
+            got = lepotier._disc_sign(_seg(m, c), r2, x)
+            assert got == _poly_sign(v, Fraction(1, 2), -m, -c - bound), (label, x, m, c)
+            t = _mp(x)
             want = _mp_sign(t * t / 2 - _mpq(m) * t - _mpq(c) - _mpq(bound), zero)
             assert got == want, (label, x, m, c)
             signs.add(got)
@@ -994,14 +994,83 @@ def test_integer_line_sign_matches_mpmath_and_the_surd_polynomial():
             else:
                 m = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
                 if kind < 0.4 and x is ends[1]:
-                    c = a * x[0] + b - m * x[0]
+                    apex = Fraction(x[2][0], x[2][3])
+                    c = a * apex + b - m * apex
                 else:
                     c = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
             zero = kind < 0.2 or (kind < 0.4 and x is ends[1])
-            got = lepotier._line_sign(_seg(m, c), line, x[3])
-            assert got == _poly_sign(x[0], 0, m - a, c - b), (label, x, line, m, c)
-            t = _mp(x[3])
+            got = lepotier._line_sign(_seg(m, c), line, x[2])
+            assert got == _poly_sign(_surd(x[2]), 0, m - a, c - b), (label, x, line, m, c)
+            t = _mp(x[2])
             diff = _mpq(m - a) * t + _mpq(c - b)
             assert got == _mp_sign(diff, zero), (label, x, line, m, c)
             signs.add(got)
     assert signs == {-1, 0, 1}
+
+
+def _bracket_cases(label):
+    """Slope entries near a label, each with a key that entries of equal value share.
+
+    They are the label's and its neighbours' slopes, rational ends at its
+    apex and inside its contact brackets, its contacts written over the
+    radicand 4D, and forms 2^-100 off its contacts over D and over a
+    second radicand.
+    """
+    slope, k = lepotier._slope, 1 << 100
+    out = [((lbl, i), e) for lbl in (label.left_neighbor(), label, label.right_neighbor())
+           for i, e in enumerate(lepotier._tent_ends(lbl)[:3])]
+    el_x, apex_x, er_x = lepotier._tent_ends(label)[:3]
+    p, _, _, s = apex_x[2]
+    out.append(((label, 1), slope(3 * p, 0, 0, 3 * s)))
+    for i, (lo, hi, (p, q, d, s)) in ((0, el_x), (2, er_x)):
+        x = Fraction(lo + hi, 2 << lepotier._BRACKET_BITS)
+        out += [(("inside", i), slope(x.numerator, 0, 0, x.denominator)),
+                ((label, i), slope(2 * p, q, 4 * d, 2 * s)),
+                (("one radicand", i), slope(p * k + 1, q * k, d, s * k)),
+                (("two radicands", i), slope(p * k - 2 * q, q, d * k * k + 1, s * k))]
+    return out
+
+
+def test_bracket_order_matches_the_surd_order_and_mpmath(monkeypatch):
+    exact_sign = lepotier._form_sign
+    paths = []
+
+    def counted(u, v):
+        paths.append("rational" if 0 in (u[1], v[1]) else
+                     "one radicand" if u[2] == v[2] else "two radicands")
+        return exact_sign(u, v)
+
+    monkeypatch.setattr(lepotier, "_form_sign", counted)
+    scale = 1 << lepotier._BRACKET_BITS
+    decided = 0
+    with mpmath.workdps(50):
+        for label in _FORM_LABELS:
+            cases = [(key, e, _surd(e[2]), _mp(e[2])) for key, e in _bracket_cases(label)]
+            # each bracket holds its value, also for S = 1 and either sign of Q
+            d = lepotier._tent_ends(label)[0][2][2]
+            for lo, hi, form in [e for _, e, _, _ in cases] + [lepotier._slope(0, q, d, 1)
+                                                             for q in (-1, 1)]:
+                assert Fraction(lo, scale) <= _surd(form) <= Fraction(hi, scale), form
+            for ku, u, su, mu in cases:
+                for kv, v, sv, mv in cases:
+                    before = len(paths)
+                    got = lepotier._compare(u, v)
+                    decided += len(paths) == before
+                    assert got == su._cmp(sv) == _mp_sign(mu - mv, ku == kv), (label, u, v)
+    assert decided and set(paths) == {"rational", "one radicand", "two radicands"}
+
+
+def test_the_segment_walk_leaves_the_surd_points_alone():
+    rng = random.Random(5)
+    segments = []
+    for _ in range(60):
+        a = _segment_start(rng, rng.choice(["plain", "bracket", "chord", "exceptional"]))
+        b = _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2))
+        if a.x != b.x:
+            segments.append((a, b, rng.randint(0, 6)))
+    caches = (el, er, eplus, lepotier._tent, lepotier._tent_ends)
+    for cache in caches:
+        cache.cache_clear()
+    answers = {geo_contains_segment(a, b, depth, exclude_a=True) for a, b, depth in segments}
+    assert answers == set(GeoAnswer) and lepotier._tent_ends.cache_info().currsize > 0
+    assert [cache.cache_info().currsize for cache in caches[:4]] == [0, 0, 0, 0]

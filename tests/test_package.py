@@ -108,9 +108,10 @@ def test_no_float_in_a_decision():
     assert _float_uses(ast.parse("class Q:\n    def phase(self):\n        return 1.0")) == [3]
 
 
-# the segment walk's sign tests and the walk that holds them, which take
-# every sign on integers
-INTEGER_SIGNS = ("_root_sign", "_disc_sign", "_line_sign", "_above_chord", "_contains_general")
+# the segment walk's sign tests, its slope entries and their ordering, and
+# the walk that holds them, which take every sign and order on integers
+INTEGER_SIGNS = ("_root_sign", "_disc_sign", "_line_sign", "_above_chord", "_contains_general",
+                 "_slope", "_tent_ends", "_compare", "_form_sign", "_span")
 NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign")
 
 
@@ -137,4 +138,6 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert _non_integer_names(ast.parse(
         "def _contains_general(a, b):\n    def blocks(n):\n        return surd._poly_sign(n)")) == [3]
     assert _non_integer_names(ast.parse("def _disc_sign(s, r: Fraction, x):\n    pass")) == [1]
-    assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == []
+    assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]
+    assert _non_integer_names(ast.parse("def _slope(p, q, d, s):\n    return Fraction(p, s)")) == [2]
+    assert _non_integer_names(ast.parse("def _tent(label):\n    return QuadReal(label)")) == []

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, ProjLine, to_fraction
+from .corekit import AffPt, CharVec, ProjLine, _scaled_ints, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, _int_char, char_of,
                           eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _mixed_sign
@@ -289,36 +289,17 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
 
     The region consists of points strictly above the curve and off every
     exclusion segment.  With exclude_a the endpoint a itself is allowed
-    to sit on an exclusion or on the curve (half-open segment).
+    to sit on an exclusion or on the curve (half-open segment).  Every
+    rational segment takes the one segment walk, also where both ends
+    are at discriminant <= 0: there an integer apex (n, n^2/2) is the top
+    of the rank-1 exclusion at slope n, which the walk checks like any
+    other exclusion.
     """
     if depth < 0:
         raise ValueError("negative depth")
     if a == b:
         raise ValueError("degenerate segment")
-    da, db = a.delta(), b.delta()
-    if da <= 0 and db <= 0:
-        return _contains_fast(a, b, exclude_a)
-    return _contains_general(a, b, da, db, depth, exclude_a)
-
-
-def _contains_fast(a: AffPt, b: AffPt, exclude_a: bool) -> GeoAnswer:
-    """Nonpositive discriminant at both ends: only integer apexes obstruct.
-
-    Such points are above the curve and can only meet an exclusion at
-    its top endpoint on the zero-discriminant parabola, which happens at
-    rank one, i.e. at integer slopes n with height n^2/2.  Along the
-    segment the discriminant is strictly convex (or, on a vertical
-    segment, linear and not constant), so it is negative strictly
-    between the ends and only an endpoint can be such a point.
-    """
-    if _is_integer_apex(b) or (not exclude_a and _is_integer_apex(a)):
-        return GeoAnswer.NO
-    return GeoAnswer.YES
-
-
-def _is_integer_apex(p: AffPt) -> bool:
-    """Whether p is (n, n^2/2) for an integer n."""
-    return p.is_rational() and to_fraction(p.x).denominator == 1 and p.delta() == 0
+    return _contains_general(a, b, depth, exclude_a)
 
 
 # bits of the integer brackets of the segment walk's slopes
@@ -428,15 +409,14 @@ def _line_sign(seg: tuple[int, int, int], line: tuple[int, int, int], x: tuple) 
     return _root_sign(a1 * p + (lc * k - lcd * b) * s, a1 * q, d)
 
 
-def _contains_general(a: AffPt, b: AffPt, da: Number, db: Number, depth: int,
-                      exclude_a: bool) -> GeoAnswer:
-    """The segment walk, for ends a and b of discriminants da and db."""
+def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAnswer:
+    """The segment walk from a to b."""
     try:
         ax, ay = to_fraction(a.x), to_fraction(a.y)
         bx, by = to_fraction(b.x), to_fraction(b.y)
     except ValueError:
         raise ValueError("strip analysis supports rational endpoints only") from None
-    if da > 1 or db > 1:
+    if a.delta() > 1 or b.delta() > 1:
         return GeoAnswer.NO
     if ax == bx:
         return _contains_vertical(ax, a, b, depth, exclude_a)
@@ -446,8 +426,8 @@ def _contains_general(a: AffPt, b: AffPt, da: Number, db: Number, depth: int,
     # every sign below is taken on seg = (L, L m, L c), L = lcm(den m, den c)
     m = (y1 - y0) / (x1 - x0)
     c = y0 - m * x0
-    lcd = math.lcm(m.denominator, c.denominator)
-    seg = (lcd, m.numerator * (lcd // m.denominator), c.numerator * (lcd // c.denominator))
+    lcd, (lm, lc) = _scaled_ints((m, c))
+    seg = (lcd, lm, lc)
     ends = tuple(_slope(x.numerator, 0, 0, x.denominator) for x in (x0, x1))
     allowed = ends[ax == x1] if exclude_a else None
 

@@ -3,9 +3,7 @@
 Values of this shape show up as intersection points of rational lines
 with the rank-normalized discriminant parabolas.  All predicates here
 (sign, comparison, equality) are decided by rational arithmetic alone;
-floating point is used only for display.  isolating_interval gives a
-rational bracket of a value, so a caller may order two values by disjoint
-brackets first and fall back to an exact comparison when the brackets meet.
+floating point is used only for display.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                  61, 67, 71, 73, 79, 83, 89, 97)
 
 _FACTOR_LIMIT = 10**12
-
-_ISOLATION_SCALE = 10**30
 
 # the digit limit Python puts on int text; a decimal exponent above it would
 # make Fraction build a power of ten of that many digits
@@ -269,28 +265,17 @@ class QuadReal:
             return hash(self.a)
         raise TypeError("irrational QuadReal is unhashable")
 
-    def isolating_interval(self) -> tuple[Fraction, Fraction]:
-        """A rational interval containing the value (width 1/_ISOLATION_SCALE)."""
-        if self.b == 0:
-            return self.a, self.a
-        scale = _ISOLATION_SCALE
-        q = self.b * self.b * self.d * scale * scale
-        root = math.isqrt(q.numerator // q.denominator)  # floor(|b| sqrt(d) scale)
-        approx = Fraction(root, scale)
-        if self.b < 0:
-            return self.a - approx - Fraction(1, scale), self.a - approx
-        return self.a + approx, self.a + approx + Fraction(1, scale)
-
     def __floor__(self) -> int:
         if self.b == 0:
             return math.floor(self.a)
-        lo, _ = self.isolating_interval()
-        f = math.floor(lo)
-        while f + 1 <= self:
-            f += 1
-        while f > self:
-            f -= 1
-        return f
+        # the value is (P + Q sqrt(d))/S in integers, S > 0, so its floor is
+        # that of (P + floor(Q sqrt(d)))/S; floor(Q sqrt(d)) is isqrt(Q^2 d)
+        # for Q > 0 and -ceil(sqrt(Q^2 d)) = -1 - isqrt(Q^2 d - 1) for Q < 0
+        s = math.lcm(self.a.denominator, self.b.denominator)
+        p = self.a.numerator * (s // self.a.denominator)
+        q = self.b.numerator * (s // self.b.denominator)
+        n = q * q * self.d
+        return (p + (math.isqrt(n) if q > 0 else -1 - math.isqrt(n - 1))) // s
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)

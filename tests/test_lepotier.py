@@ -228,8 +228,9 @@ def test_unknown_in_uncovered_gap_on_contact_parabola():
     tents = [t for t in approx.tents if nsign(t.apex.x) >= 0]
     left, right = tents[0], tents[1]
     lo, hi = left.x_hi, right.x_lo
-    _, lo_above = QuadReal._coerce(lo).isolating_interval()
-    hi_below, _ = QuadReal._coerce(hi).isolating_interval()
+    scale = 10 ** 30
+    lo_above = Fraction(math.floor(lo * scale) + 1, scale)
+    hi_below = Fraction(math.floor(hi * scale), scale)
     x = (lo_above + hi_below) / 2
     assert nsign(x - lo) > 0 and nsign(hi - x) > 0
     p = AffPt(x, x * x / 2 - Fraction(1, 2))
@@ -535,6 +536,19 @@ def test_negative_depth_raises(call, args):
         call(*args)
 
 
+def test_a_surd_end_raises_at_any_discriminant():
+    # the segment walk takes rational ends only: el is a surd point at
+    # discriminant 1/2, and above it its slope has surd points at 0 and -1
+    c = el(DyadicLabel(1, 1))
+    zero, above = AffPt(c.x, c.x * c.x / 2), AffPt(c.x, c.x * c.x / 2 + 1)
+    nonpositive = ((zero, pt(1, 2)), (pt(0, 1), above), (zero, above), (above, pt(0, 0)))
+    positive = ((c, pt(0, 0)), (pt(0, "-1/4"), c), (AffPt(c.x, c.y - 2), pt(0, 1)))
+    assert all(a.delta() <= 0 and b.delta() <= 0 for a, b in nonpositive)
+    for a, b in nonpositive + positive:
+        with pytest.raises(ValueError, match="rational endpoints only"):
+            geo_contains_segment(a, b, 3)
+
+
 def test_vertical_segment_at_uncovered_slope_uses_the_local_bound():
     # the slope lies in the gap between the depth-3 tents of 1/8 and 1/4,
     # and the lower end's discriminant is above delta_safe(3) but below the
@@ -552,6 +566,19 @@ def test_vertical_segment_at_uncovered_slope_uses_the_local_bound():
     for d, want in ((bound - Fraction(1, 10 ** 9), GeoAnswer.YES), (bound, GeoAnswer.UNKNOWN)):
         a = pt(a.x, a.x * a.x / 2 - d)
         assert geo_contains_segment(a, pt(a.x, a.y + 1), 3) is want, d
+    # both ends at discriminant <= 0, at the uncovered slope, at a covered
+    # one and at integers: only a rank-1 exclusion top, an integer apex
+    # (n, n^2/2), stops the segment, unless it is the half-open end
+    top = a.x * a.x / 2
+    cases = [(pt(a.x, top), pt(a.x, top + 1), False, GeoAnswer.YES),
+             (pt("1/2", "1/8"), pt("1/2", 1), False, GeoAnswer.YES),
+             (pt(0, 0), pt(0, 1), False, GeoAnswer.NO),
+             (pt(0, 0), pt(0, 1), True, GeoAnswer.YES),
+             (pt(0, 1), pt(0, 0), True, GeoAnswer.NO),
+             (pt(-2, 3), pt(-2, 5), False, GeoAnswer.YES)]
+    for a, b, exclude_a, want in cases:
+        assert geo_contains_segment(a, b, 3, exclude_a=exclude_a) is want, (a, b, exclude_a)
+        assert _reference_segment(a, b, 3, exclude_a) is want, (a, b, exclude_a)
 
 
 def test_unknown_verdicts_are_decided_by_a_larger_budget():
@@ -661,9 +688,17 @@ def test_contact_points_classify_on_the_curve():
 # brackets or integer signs, and over every unit cell of the slope span: the
 # exact reference of the filtered walk.
 
+def _integer_apex(p):
+    """Whether p is (n, n^2/2) for an integer n, the top of the rank-1 exclusion at n."""
+    return p.x.denominator == 1 and p.delta() == 0
+
+
 def _exact_segment(a, b, depth, exclude_a):
     if a.delta() <= 0 and b.delta() <= 0:
-        return lepotier._contains_fast(a, b, exclude_a)
+        # every exclusion and chord lies at discriminant >= 0, which the
+        # segment reaches only at its ends, and there only at a rank-1 top
+        blocked = _integer_apex(b) or (not exclude_a and _integer_apex(a))
+        return GeoAnswer.NO if blocked else GeoAnswer.YES
     if a.delta() > 1 or b.delta() > 1:
         return GeoAnswer.NO
     if a.x == b.x:
@@ -729,6 +764,12 @@ def _in_contact_bracket(rng):
 
 
 def _segment_start(rng, kind):
+    if kind == "apex":
+        n = rng.randint(-2, 2)
+        return AffPt(Fraction(n), Fraction(n * n, 2))
+    if kind == "zero":
+        x = Fraction(2 * rng.randint(-20, 20) + 1, rng.choice([2, 6, 8, 26]))
+        return AffPt(x, x * x / 2)
     if kind == "bracket":
         return _in_contact_bracket(rng)
     if kind == "chord":
@@ -745,12 +786,16 @@ def test_filtered_walk_matches_the_exact_walk(monkeypatch):
                         lambda u, v: calls.append(1) or exact_sign(u, v))
     rng = random.Random(77)
     fallbacks = 0
-    seen = set()
-    for _ in range(160):
+    seen, nonpositive = set(), set()
+    for _ in range(240):
         depth = rng.randint(0, 6)
-        kind = rng.choice(["plain", "bracket", "chord", "exceptional"])
+        # apex and zero starts are at discriminant 0: an integer apex
+        # (n, n^2/2), or a point of non-integer slope
+        kind = rng.choice(["plain", "bracket", "chord", "exceptional", "apex", "zero"])
         a = _segment_start(rng, kind)
-        b = (_in_contact_bracket(rng) if rng.random() < 0.3
+        u = rng.random()
+        b = (_in_contact_bracket(rng) if u < 0.25
+             else _segment_start(rng, "apex") if u < 0.45
              else _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2)))
         if a.x == b.x:
             continue
@@ -758,12 +803,18 @@ def test_filtered_walk_matches_the_exact_walk(monkeypatch):
         want = _exact_segment(a, b, depth, exclude_a)
         assert geo_contains_segment(a, b, depth, exclude_a=exclude_a) is want, (a, b, depth)
         seen.add(want)
+        if a.delta() <= 0 and b.delta() <= 0:
+            nonpositive.add((_integer_apex(a), _integer_apex(b), want))
         if kind == "bracket":
             # every exact comparison is a pair of brackets that did not decide
             before = len(calls)
             geo_contains_segment(a, b, depth, exclude_a=exclude_a)
             fallbacks += len(calls) - before
     assert seen == set(GeoAnswer) and fallbacks > 0
+    # both ends at discriminant <= 0: an apex at either end, both or neither
+    assert {(a, b) for a, b, _ in nonpositive} == {(True, True), (True, False),
+                                                   (False, True), (False, False)}
+    assert {want for _, _, want in nonpositive} == {GeoAnswer.YES, GeoAnswer.NO}
     results = set()
     for _ in range(60):
         m = rng.randint(0, 3)
@@ -965,8 +1016,8 @@ def test_integer_discriminant_sign_matches_mpmath_and_the_surd_polynomial():
                 c = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
                 if rng.random() < 0.5:
                     # a segment 10^-12 off vanishing at x
-                    near = QuadReal._coerce(v * v / 2 - m * v - bound)
-                    c = near.isolating_interval()[0] + Fraction(rng.choice((-1, 1)), 10 ** 12)
+                    near = Fraction(math.floor((v * v / 2 - m * v - bound) * 10 ** 30), 10 ** 30)
+                    c = near + Fraction(rng.choice((-1, 1)), 10 ** 12)
             got = lepotier._disc_sign(_seg(m, c), r2, x)
             assert got == _poly_sign(v, Fraction(1, 2), -m, -c - bound), (label, x, m, c)
             t = _mp(x)

@@ -108,10 +108,10 @@ def test_no_float_in_a_decision():
     assert _float_uses(ast.parse("class Q:\n    def phase(self):\n        return 1.0")) == [3]
 
 
-# the segment walk's sign tests, its slope entries and their ordering, and
-# the walk that holds them, which take every sign and order on integers
+# the segment walk's sign tests, its slope entries and their ordering, the
+# walk that holds them and its entry, which take every sign and order on integers
 INTEGER_SIGNS = ("_root_sign", "_disc_sign", "_line_sign", "_above_chord", "_contains_general",
-                 "_slope", "_tent_ends", "_compare", "_form_sign", "_span")
+                 "_slope", "_tent_ends", "_compare", "_form_sign", "_span", "geo_contains_segment")
 NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign")
 
 

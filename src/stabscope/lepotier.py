@@ -31,12 +31,13 @@ label keeps, from its integer character, its slopes el, apex and er as
 (P + Q*sqrt(D))/S and its chords and exclusion ends as integer lines.
 The cell, gap, chord and exclusion tests are each the sign of an integer
 polynomial of degree <= 2 at such a slope; times S^2 it is U + V*sqrt(D)
-with integers U and V, decided by comparing U^2 with V^2 D.  Slopes are
-ordered against the segment's ends and each other by integer brackets
-lo <= x 2^96 <= hi, cached per label: disjoint brackets are conclusive, as
-each holds its value, and only overlapping ones fall back to an exact
-sign on the integer forms, so the walk reads nothing of a label but its
-integer character.  The point walk compares surds directly.
+with integers U and V, whose sign is surd._root_sign.  Slopes are ordered
+against the segment's ends and each other by integer brackets, lo =
+floor(x 2^96) and hi = lo, or lo + 1 when x 2^96 is not an integer, from
+surd._floor_form and cached per label: disjoint brackets are conclusive,
+as each holds its value, and only overlapping ones fall back to the exact
+order surd._form_sign of the integer forms, so the walk reads nothing of a
+label but its integer character.  The point walk compares surds directly.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from fractions import Fraction
 from .corekit import AffPt, CharVec, ProjLine, _scaled_ints, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, _int_char, char_of,
                           eplus, el, er, slope_to_label)
-from .surd import Number, QuadReal, _mixed_sign
+from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
 
 
 class RegionClass(enum.Enum):
@@ -309,16 +310,13 @@ _BRACKET_BITS = 96
 def _slope(p: int, q: int, d: int, s: int) -> tuple[int, int, tuple[int, int, int, int]]:
     """The slope entry (lo, hi, (P, Q, D, S)) of x = (P + Q sqrt(D))/S, S > 0.
 
-    lo <= x 2^B <= hi are integers, B = _BRACKET_BITS, from the floor of
-    |Q| sqrt(D) 2^B; a rational x has Q = D = 0.
+    lo = floor(x 2^B), B = _BRACKET_BITS, by surd._floor_form.  hi = lo
+    when x 2^B is an integer, which is checked only for a rational x,
+    written with Q = D = 0, and hi = lo + 1 otherwise, so lo <= x 2^B <= hi.
     """
-    n, form = p << _BRACKET_BITS, (p, q, d, s)
-    if q == 0:
-        return n // s, -(-n // s), form
-    root = math.isqrt(q * q * d << 2 * _BRACKET_BITS)
-    # |Q| sqrt(D) 2^B lies in [root, root + 1]
-    lo, hi = (n + root, n + root + 1) if q > 0 else (n - root - 1, n - root)
-    return lo // s, -(-hi // s), form
+    n = p << _BRACKET_BITS
+    lo = _floor_form(n, q, d << 2 * _BRACKET_BITS, s)
+    return lo, lo + (q != 0 or lo * s != n), (p, q, d, s)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -354,33 +352,10 @@ def _compare(u: tuple, v: tuple) -> int:
     return _form_sign(u[2], v[2])
 
 
-def _form_sign(u: tuple, v: tuple) -> int:
-    """Sign of u - v for slope forms (P, Q, D, S), on integers.
-
-    Times S_u S_v the difference is T + B_u sqrt(D_u) + B_v sqrt(D_v).
-    """
-    (p1, q1, d1, s1), (p2, q2, d2, s2) = u, v
-    t, b1, b2 = p1 * s2 - p2 * s1, q1 * s2, -q2 * s1
-    if q1 == 0:
-        return _root_sign(t, b2, d2)
-    if q2 == 0 or d1 == d2:
-        return _root_sign(t, b1 + b2, d1)
-    return _mixed_sign(t, b1, d1, b2, d2)
-
-
 def _span(lo: tuple, hi: tuple, ends: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
     """The slope interval [lo, hi] cut to the segment's ends, possibly empty."""
     return (lo if _compare(lo, ends[0]) > 0 else ends[0],
             hi if _compare(hi, ends[1]) < 0 else ends[1])
-
-
-def _root_sign(u: int, v: int, d: int) -> int:
-    """Sign of u + v sqrt(d) for integers u, v and d >= 0, by one comparison of squares."""
-    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
-    if su * sv >= 0:
-        return su or sv
-    t = u * u - v * v * d
-    return su if t > 0 else -su if t < 0 else 0
 
 
 def _disc_sign(seg: tuple[int, int, int], r2: int, x: tuple) -> int:

@@ -4,6 +4,11 @@ Values of this shape show up as intersection points of rational lines
 with the rank-normalized discriminant parabolas.  All predicates here
 (sign, comparison, equality) are decided by rational arithmetic alone;
 floating point is used only for display.
+
+The exact kernels live here alone: the signs of u + v*sqrt(d) (_root_sign)
+and of r + b1*sqrt(d1) + b2*sqrt(d2) (_mixed_sign) on ints or Fractions,
+and the order (_form_sign) and floor (_floor_form) of integer forms
+(P + Q*sqrt(D))/S.  QuadReal and the segment walk of lepotier call them.
 """
 
 from __future__ import annotations
@@ -86,44 +91,48 @@ def _reduce_radicand(b: Fraction, d: int) -> tuple[Fraction, int]:
     return b * s, d
 
 
-def _sign_of(x: Fraction | int) -> int:
-    return (x > 0) - (x < 0)
+def _root_sign(u: RationalLike, v: RationalLike, d: int) -> int:
+    """Sign of u + v*sqrt(d) for rational u, v and an integer d >= 0, by comparing squares."""
+    su, sv = (u > 0) - (u < 0), ((v > 0) - (v < 0)) if d else 0
+    if su * sv >= 0:
+        return su or sv
+    t = u * u - v * v * d
+    return su if t > 0 else -su if t < 0 else 0
 
 
-def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for a nonnegative integer d."""
-    if b == 0 or d == 0:
-        return _sign_of(a)
-    if a == 0:
-        return _sign_of(b)
-    sa, sb = _sign_of(a), _sign_of(b)
-    if sa == sb:
-        return sa
-    # opposite signs: compare a^2 with b^2 d
-    return sa if a * a > b * b * d else sb if a * a < b * b * d else 0
-
-
-def _mixed_sign(r: Fraction, b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
-    """Exact sign of r + b1*sqrt(d1) + b2*sqrt(d2), b's nonzero, d's positive."""
-    # sign of u = b1*sqrt(d1) + b2*sqrt(d2)
-    if _sign_of(b1) == _sign_of(b2):
-        su = _sign_of(b1)
-    else:
-        lhs, rhs = b1 * b1 * d1, b2 * b2 * d2
-        su = _sign_of(b1) if lhs > rhs else _sign_of(b2) if lhs < rhs else 0
-    if r == 0:
-        return su
-    sr = _sign_of(r)
-    if su == 0 or sr == su:
-        return sr
+def _mixed_sign(r: RationalLike, b1: RationalLike, d1: int, b2: RationalLike, d2: int) -> int:
+    """Exact sign of r + b1*sqrt(d1) + b2*sqrt(d2) for d1 > 0 and d2 >= 0."""
+    # u = b1*sqrt(d1) + b2*sqrt(d2) has the sign of sqrt(d1) u = b1 d1 + b2 sqrt(d1 d2)
+    su, sr = _root_sign(b1 * d1, b2, d1 * d2), (r > 0) - (r < 0)
+    if su * sr >= 0:
+        return sr or su
     # r and u have opposite signs: compare r^2 with u^2 = b1^2 d1 + b2^2 d2 + 2 b1 b2 sqrt(d1 d2)
-    t = r * r - b1 * b1 * d1 - b2 * b2 * d2
-    s_t = _surd_sign(t, -2 * b1 * b2, d1 * d2)
-    if s_t > 0:
-        return sr
-    if s_t < 0:
-        return su
-    return 0
+    return sr * _root_sign(r * r - b1 * b1 * d1 - b2 * b2 * d2, -2 * b1 * b2, d1 * d2)
+
+
+def _form_sign(u: tuple, v: tuple) -> int:
+    """Sign of u - v for forms (P, Q, D, S) = (P + Q*sqrt(D))/S, S > 0, on integers.
+
+    Times S_u S_v the difference is T + B_u sqrt(D_u) + B_v sqrt(D_v).
+    """
+    (p1, q1, d1, s1), (p2, q2, d2, s2) = u, v
+    t, b1, b2 = p1 * s2 - p2 * s1, q1 * s2, -q2 * s1
+    if q1 == 0:
+        return _root_sign(t, b2, d2)
+    if q2 == 0 or d1 == d2:
+        return _root_sign(t, b1 + b2, d1)
+    return _mixed_sign(t, b1, d1, b2, d2)
+
+
+def _floor_form(p: int, q: int, d: int, s: int) -> int:
+    """Floor of (P + Q*sqrt(D))/S for integers P, Q, D >= 0 and S > 0, D > 0 if Q < 0.
+
+    It is the floor of (P + floor(Q sqrt(D)))/S, and floor(Q sqrt(D)) is
+    isqrt(Q^2 D) for Q >= 0 and -ceil(sqrt(Q^2 D)) = -1 - isqrt(Q^2 D - 1)
+    for Q < 0.
+    """
+    n = q * q * d
+    return (p + (math.isqrt(n) if q >= 0 else -1 - math.isqrt(n - 1))) // s
 
 
 @total_ordering
@@ -240,7 +249,7 @@ class QuadReal:
         return o * self.inverse()
 
     def sign(self) -> int:
-        return _surd_sign(self.a, self.b, self.d)
+        return _root_sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -266,16 +275,10 @@ class QuadReal:
         raise TypeError("irrational QuadReal is unhashable")
 
     def __floor__(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        # the value is (P + Q sqrt(d))/S in integers, S > 0, so its floor is
-        # that of (P + floor(Q sqrt(d)))/S; floor(Q sqrt(d)) is isqrt(Q^2 d)
-        # for Q > 0 and -ceil(sqrt(Q^2 d)) = -1 - isqrt(Q^2 d - 1) for Q < 0
+        # the value is (P + Q sqrt(d))/S in integers, S > 0
         s = math.lcm(self.a.denominator, self.b.denominator)
-        p = self.a.numerator * (s // self.a.denominator)
-        q = self.b.numerator * (s // self.b.denominator)
-        n = q * q * self.d
-        return (p + (math.isqrt(n) if q > 0 else -1 - math.isqrt(n - 1))) // s
+        return _floor_form(self.a.numerator * (s // self.a.denominator),
+                           self.b.numerator * (s // self.b.denominator), self.d, s)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)

@@ -18,7 +18,7 @@ from stabscope.geometric import StabResult, exc_stable_at
 from stabscope.lepotier import (DlpResult, ExclusionSegment, GeoAnswer,
                                 RegionClass, build_curve, classify_point,
                                 dlp_exists, geo_contains_segment)
-from stabscope.surd import QuadReal, _surd_sign, nsign
+from stabscope.surd import QuadReal, nsign
 
 
 def pt(x, y) -> AffPt:
@@ -966,7 +966,7 @@ def _poly_sign(x, q2, q1, q0):
     if isinstance(x, QuadReal):
         a, b, d = x.a, x.b, x.d
         u, v = q2 * a + q1, q2 * b
-        return _surd_sign(u * a + v * b * d + q0, u * b + v * a, d)
+        return QuadReal._over(u * a + v * b * d + q0, u * b + v * a, d).sign()
     return nsign((q2 * x + q1) * x + q0)
 
 
@@ -1097,11 +1097,14 @@ def test_bracket_order_matches_the_surd_order_and_mpmath(monkeypatch):
     with mpmath.workdps(50):
         for label in _FORM_LABELS:
             cases = [(key, e, _surd(e[2]), _mp(e[2])) for key, e in _bracket_cases(label)]
-            # each bracket holds its value, also for S = 1 and either sign of Q
+            # each bracket is lo = floor(x 2^B) and hi = lo or lo + 1 and holds
+            # its value, also for S = 1, either sign of Q and a perfect-square D
             d = lepotier._tent_ends(label)[0][2][2]
-            for lo, hi, form in [e for _, e, _, _ in cases] + [lepotier._slope(0, q, d, 1)
-                                                             for q in (-1, 1)]:
-                assert Fraction(lo, scale) <= _surd(form) <= Fraction(hi, scale), form
+            for lo, hi, form in [e for _, e, _, _ in cases] + [
+                    lepotier._slope(p, q, dd, 1) for p in (0, 3) for q in (-1, 1) for dd in (d, 9)]:
+                x = _surd(form)
+                assert Fraction(lo, scale) <= x < Fraction(lo + 1, scale), form
+                assert hi - lo in (0, 1) and x <= Fraction(hi, scale), form
             for ku, u, su, mu in cases:
                 for kv, v, sv, mv in cases:
                     before = len(paths)

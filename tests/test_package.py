@@ -108,10 +108,13 @@ def test_no_float_in_a_decision():
     assert _float_uses(ast.parse("class Q:\n    def phase(self):\n        return 1.0")) == [3]
 
 
-# the segment walk's sign tests, its slope entries and their ordering, the
-# walk that holds them and its entry, which take every sign and order on integers
-INTEGER_SIGNS = ("_root_sign", "_disc_sign", "_line_sign", "_above_chord", "_contains_general",
-                 "_slope", "_tent_ends", "_compare", "_form_sign", "_span", "geo_contains_segment")
+# the exact surd kernels of surd.py, and the segment walk's sign tests, its
+# slope entries and their ordering, the walk that holds them and its entry,
+# which take every sign and order on integers
+SURD_KERNELS = ("_root_sign", "_mixed_sign", "_form_sign", "_floor_form")
+INTEGER_SIGNS = SURD_KERNELS + ("_disc_sign", "_line_sign", "_above_chord", "_contains_general",
+                                "_slope", "_tent_ends", "_compare", "_span",
+                                "geo_contains_segment")
 NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign")
 
 
@@ -131,9 +134,18 @@ def _non_integer_names(tree):
 
 
 def test_the_segment_walk_signs_stay_on_integers():
-    tree = ast.parse((Path(stabscope.__file__).parent / "lepotier.py").read_text())
-    assert set(INTEGER_SIGNS) <= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    assert _non_integer_names(tree) == []
+    root = Path(stabscope.__file__).parent
+    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("surd", "lepotier")}
+    defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+               for name, tree in trees.items()}
+    # the kernels have one home, and the walk's own tests are in lepotier
+    assert set(SURD_KERNELS) <= defined["surd"] and not set(SURD_KERNELS) & defined["lepotier"]
+    assert set(INTEGER_SIGNS) - set(SURD_KERNELS) <= defined["lepotier"]
+    assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
+    assert _non_integer_names(ast.parse(
+        "def _mixed_sign(r, b1: Fraction, d1, b2, d2):\n    pass")) == [1]
+    assert _non_integer_names(ast.parse(
+        "def _floor_form(p, q, d, s):\n    return math.floor(QuadReal(p, q, d) / s)")) == [2]
     assert _non_integer_names(ast.parse("def _line_sign(s, l, x):\n    return QuadReal(x).sign()")) == [2]
     assert _non_integer_names(ast.parse(
         "def _contains_general(a, b):\n    def blocks(n):\n        return surd._poly_sign(n)")) == [3]

@@ -238,3 +238,125 @@ def test_floor_matches_mpmath():
             if not q.is_rational:
                 assert abs(_mp(q) - want) > mpmath.mpf(10) ** -100
             assert math.floor(q) == int(want), q
+    # the integer form (P + Q sqrt(D))/S, of either sign of Q, Q = 0, S = 1 and
+    # S > 1, and perfect-square D, whose floor is checked on Fractions
+    forms = [(7, 0, 0, 2), (-7, 0, 5, 2), (6, 0, 0, 3), (0, -1, 1, 1),
+             (-1, -1, 4, 2), (5, 3, 9, 4)]
+    for _ in range(300):
+        q, d = rng.choice([-1, 1]) * rng.randint(1, 10**6), _radicand(rng)
+        forms.append((rng.randint(-10**12, 10**12), q, d, rng.choice([1, 2, 3, 10**9 + 7])))
+        # within 10^-50 of an integer m, on either side: S = 10^50 k and
+        # P = m S - nint(Q sqrt(D)) + e put the value at m + (Q sqrt(D) - nint + e)/S
+        with mpmath.workdps(150):
+            n = int(mpmath.nint(q * mpmath.sqrt(d)))
+        s = 10**50 * rng.randint(1, 9)
+        forms.append((rng.randint(-5, 5) * s - n + rng.choice([-1, 0, 1]), q, d, s))
+        forms.append((rng.randint(-10**6, 10**6), 0, rng.choice([0, d]), rng.randint(1, 99)))
+    with mpmath.workdps(150):
+        for p, q, d, s in forms:
+            got = surd._floor_form(p, q, d, s)
+            if q == 0 or math.isqrt(d) ** 2 == d:
+                assert got == math.floor(Fraction(p + q * math.isqrt(d), s)), (p, q, d, s)
+                continue
+            value = (p + q * mpmath.sqrt(d)) / s
+            want = mpmath.floor(value)
+            assert abs(value - want) > mpmath.mpf(10) ** -100
+            assert got == int(want), (p, q, d, s)
+    assert {q < 0 for _, q, _, _ in forms} == {True, False}
+
+
+def _mpq(x) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _number(rng, kind, span=10**6):
+    x = rng.randint(-span, span)
+    return x if kind is int else Fraction(x, rng.randint(1, 999))
+
+
+def _kernel_cases(rng, kind):
+    """(kernel, arguments, exact zero) for _root_sign and _mixed_sign on ints
+    or on Fractions; a near miss is the number nearest a zero moved by one
+    unit, 1 for ints and 10^-30 for Fractions.
+    """
+    scale = 1 if kind is int else 10**30
+
+    def near(value):
+        return kind(Fraction(rng.choice((-1, 1)) - int(mpmath.nint(value * scale)), scale))
+
+    cases = []
+    for _ in range(150):
+        v, d, k = _number(rng, kind) or 1, _radicand(rng), rng.randint(1, 10**4)
+        u = _number(rng, kind)
+        cases += [(surd._root_sign, (u, v, d), False),
+                  (surd._root_sign, (near(_mpq(v) * mpmath.sqrt(d)), v, d), False),
+                  # u^2 = v^2 d at a perfect-square d
+                  (surd._root_sign, (-v * k, v, k * k), True),
+                  (surd._root_sign, (1 - v * k, v, k * k), False),
+                  # v counts only when d > 0
+                  (surd._root_sign, (u, v, 0), u == 0),
+                  (surd._root_sign, (0, v, 0), True)]
+        b1, b2 = _number(rng, kind) or 1, _number(rng, kind) or 1
+        d1, d2, k1, k2 = _radicand(rng), _radicand(rng), rng.randint(1, 999), rng.randint(1, 999)
+        rest = -(b1 * k1 + b2 * k2)
+        cases += [(surd._mixed_sign, (u, b1, d1, b2, d2), False),
+                  (surd._mixed_sign, (near(_mpq(b1) * mpmath.sqrt(d1) + _mpq(b2) * mpmath.sqrt(d2)),
+                                      b1, d1, b2, d2), False),
+                  # the radicals cancel over k1^2 d1 and k2^2 d1, alone or with r
+                  (surd._mixed_sign, (0, b1 * k2, k1 * k1 * d1, -b1 * k1, k2 * k2 * d1), True),
+                  (surd._mixed_sign, (u, b1 * k2, k1 * k1 * d1, -b1 * k1, k2 * k2 * d1), u == 0),
+                  (surd._mixed_sign, (rest, b1, k1 * k1, b2, k2 * k2), True),
+                  (surd._mixed_sign, (rest + 1, b1, k1 * k1, b2, k2 * k2), False),
+                  (surd._mixed_sign, (-b1 * k1, b1, k1 * k1, b2, 0), True)]
+    return cases
+
+
+def _form_cases(rng):
+    """(_form_sign, (u, v), exact zero) for forms (P, Q, D, S) of one or two
+    radicands or none, equal values written twice, and rational near misses.
+    """
+    cases = []
+    for _ in range(150):
+        d, k = _radicand(rng), rng.randint(2, 999)
+        f = (_number(rng, int), _number(rng, int) or 1, d, rng.randint(1, 999))
+        g = (_number(rng, int), _number(rng, int) or 1, _radicand(rng), rng.randint(1, 999))
+        p, q, _, s = f
+        rational = (_number(rng, int), 0, 0, rng.randint(1, 999))
+        # within 3/2 10^-30 of f, and off it also for a perfect-square d
+        near = (int(mpmath.nint((p + q * mpmath.sqrt(d)) * 10**30)) + rng.choice((-1, 1)),
+                0, 0, s * 10**30)
+        for u, v, zero in ((f, g, False), (f, rational, False), (rational, f, False),
+                           (f, near, False), (near, f, False),
+                           (f, (p * k, q * k, d, s * k), True), (f, (2 * p, q, 4 * d, 2 * s), True),
+                           (rational, (rational[0] * k, 0, 0, rational[3] * k), True)):
+            cases.append((surd._form_sign, (u, v), zero))
+    return cases
+
+
+def _form_value(form) -> mpmath.mpf:
+    p, q, d, s = form
+    return (p + q * mpmath.sqrt(d)) / s
+
+
+def test_sign_kernels_match_mpmath():
+    rng = random.Random(23)
+    with mpmath.workdps(60):
+        cases = _kernel_cases(rng, int) + _kernel_cases(rng, Fraction) + _form_cases(rng)
+        signs = set()
+        for kernel, args, zero in cases:
+            if kernel is surd._form_sign:
+                value = _form_value(args[0]) - _form_value(args[1])
+            elif kernel is surd._root_sign:
+                u, v, d = args
+                value = _mpq(u) + _mpq(v) * mpmath.sqrt(d) * (d > 0)
+            else:
+                r, b1, d1, b2, d2 = args
+                value = _mpq(r) + _mpq(b1) * mpmath.sqrt(d1) + _mpq(b2) * mpmath.sqrt(d2)
+            if zero:
+                assert abs(value) < mpmath.mpf(10) ** -40, (kernel.__name__, args)
+            else:
+                assert abs(value) > mpmath.mpf(10) ** -40, (kernel.__name__, args)
+            got = kernel(*args)
+            assert got == (0 if zero else int(mpmath.sign(value))), (kernel.__name__, args)
+            signs.add((kernel.__name__, got))
+    assert len(signs) == 9

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 # every verb needs these; handlers import the rest, so a run loads only those
-from .surd import nsign
 from .corekit import (AffPt, CharVec, ProjLine, format_rational,
                       parse_rational)
 from .exceptional import (DyadicLabel, ExcBundle, ExcTriple, TriplePattern,
@@ -151,12 +150,16 @@ def _params_json(p: ThetaParams) -> dict:
 
 def _curve_data(depth: int, window: tuple[Fraction, Fraction]):
     """Segments and exclusions whose slope span meets the window."""
-    from .lepotier import build_curve
+    from .lepotier import _compare, _slope, _tent_ends, build_curve
     approx = build_curve(depth, window)
-    lo, hi = window
-    segs = [s for s in approx.segments
-            if nsign(s.end.x - lo) >= 0 and nsign(hi - s.start.x) >= 0]
-    excs = [e for e in approx.exclusions if lo <= e.x <= hi]
+    lo, hi = (_slope(w.numerator, 0, 0, w.denominator) for w in window)
+    segs = []
+    for t in approx.tents:
+        el_x, apex_x, er_x = _tent_ends(t.label)[:3]
+        for seg, start, end in ((t.left, el_x, apex_x), (t.right, apex_x, er_x)):
+            if _compare(end, lo) >= 0 and _compare(hi, start) >= 0:
+                segs.append(seg)
+    excs = [e for e in approx.exclusions if window[0] <= e.x <= window[1]]
     return segs, excs
 
 
@@ -227,14 +230,8 @@ def _svg(rows: Sequence[dict], window: tuple[Fraction, Fraction]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _print_rows(rows: Sequence[dict], fmt: str,
-                window: tuple[Fraction, Fraction], payload: dict) -> None:
-    if fmt == "json":
-        _emit(payload)
-    elif fmt == "csv":
-        sys.stdout.write(_csv(rows))
-    else:
-        sys.stdout.write(_svg(rows, window))
+def _print_rows(rows: Sequence[dict], fmt: str, window: tuple[Fraction, Fraction]) -> None:
+    sys.stdout.write(_csv(rows) if fmt == "csv" else _svg(rows, window))
 
 
 def _build_parser() -> _Parser:
@@ -360,8 +357,10 @@ def _dispatch(args) -> int:
     if verb == "curve":
         window = (parse_rational(args.lo), parse_rational(args.hi))
         segs, excs = _curve_data(args.depth, window)
-        rows = _curve_rows(segs, excs)
-        payload = {
+        if args.format != "json":
+            _print_rows(_curve_rows(segs, excs), args.format, window)
+            return 0
+        _emit({
             "depth": args.depth,
             "window": [format_rational(w) for w in window],
             "segments": [{"label": str(s.label), "side": s.side,
@@ -371,8 +370,7 @@ def _dispatch(args) -> int:
                             "top": format_rational(e.y_top),
                             "bottom": format_rational(e.y_bottom)}
                            for e in excs],
-        }
-        _print_rows(rows, args.format, window, payload)
+        })
         return 0
 
     if verb == "classify-point":
@@ -494,21 +492,19 @@ def _walls(args) -> int:
     pool = [ExcBundle.of(lab) for lab in labels]
     by_char = {e.char: str(e.label) for e in pool}
     found = walls_for(v, pool, window)
-    rows = []
-    payload = []
-    for wl in found:
-        label = by_char[wl.w]
-        rows.append({"x1": float(wl.clip.a.x), "y1": float(wl.clip.a.y),
-                     "x2": float(wl.clip.b.x), "y2": float(wl.clip.b.y),
-                     "kind": "wall", "label": label})
-        payload.append({"label": label, "w": wl.w.to_json(),
-                        "line": _line_text(wl.line),
-                        "coeffs": [format_rational(c) for c in
-                                   (wl.line.c0, wl.line.c1, wl.line.c2)],
-                        "clip": {"start": wl.clip.a.to_json(),
-                                 "end": wl.clip.b.to_json()}})
-    _print_rows(rows, args.format, (window[0], window[1]),
-                {"v": v.to_json(), "walls": payload})
+    if args.format != "json":
+        _print_rows([{"x1": float(wl.clip.a.x), "y1": float(wl.clip.a.y),
+                      "x2": float(wl.clip.b.x), "y2": float(wl.clip.b.y),
+                      "kind": "wall", "label": by_char[wl.w]} for wl in found],
+                    args.format, (window[0], window[1]))
+        return 0
+    _emit({"v": v.to_json(),
+           "walls": [{"label": by_char[wl.w], "w": wl.w.to_json(),
+                      "line": _line_text(wl.line),
+                      "coeffs": [format_rational(c) for c in
+                                 (wl.line.c0, wl.line.c1, wl.line.c2)],
+                      "clip": {"start": wl.clip.a.to_json(),
+                               "end": wl.clip.b.to_json()}} for wl in found]})
     return 0
 
 

@@ -187,9 +187,6 @@ class ProjLine:
     def eval_at(self, p: AffPt) -> Number:
         return self.c0 + self.c1 * p.x + self.c2 * p.y
 
-    def contains(self, p: AffPt) -> bool:
-        return nsign(self.eval_at(p)) == 0
-
     def same_line(self, other: "ProjLine") -> bool:
         a = (self.c0, self.c1, self.c2)
         b = (other.c0, other.c1, other.c2)

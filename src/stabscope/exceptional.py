@@ -213,23 +213,27 @@ class ExcBundle:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def eplus(label: DyadicLabel) -> AffPt:
     """The point one rank-squared unit below the projected character."""
-    c = char_of(label)
-    e = c.proj()
-    return AffPt(e.x, e.y - Fraction(1, c.ch0 ** 2))
+    r, c, e = _int_char(label)
+    return AffPt(Fraction(c, r), Fraction(e * r - 2, 2 * r * r))
+
+
+def _contact_form(label: DyadicLabel, side: int) -> tuple[int, int, int, int]:
+    """The slope (P + Q sqrt(D))/S, S > 0, of the tent's contact with y = x^2/2 - 1/2.
+
+    It is c/r + side (3 - sqrt(9 - 4/r^2))/2 (Drezet-Le Potier), where the
+    chord from the apex towards the neighbour, of slope c/r + side 3/2,
+    meets the parabola.
+    """
+    r, c, _ = _int_char(label)
+    return 2 * c + 3 * side * r, -side, 9 * r * r - 4, 2 * r
 
 
 def _contact(label: DyadicLabel, side: int) -> AffPt:
-    """The tent's contact point with y = x^2/2 - 1/2 on one side of its apex.
-
-    For slope a and rank r it lies at x = a + side * (3 - sqrt(9 - 4/r^2))/2
-    (Drezet-Le Potier), where the chord from the apex towards the
-    neighbour, of slope a + side * 3/2, meets the parabola.
-    """
-    c = char_of(label)
-    r = int(c.ch0)
-    half_width = QuadReal(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
-    x = c.ch1 / c.ch0 + (half_width if side > 0 else -half_width)
-    return AffPt(x, x * x * HALF - HALF)
+    """The contact point; for x = a + b sqrt(d), y = (x^2 - 1)/2 is
+    (P^2 + Q^2 D - S^2)/(2 S^2) + a b sqrt(d)."""
+    p, q, d, s = _contact_form(label, side)
+    x = QuadReal(Fraction(p, s), Fraction(q, s), d)
+    return AffPt(x, QuadReal._over(Fraction(p * p + q * q * d - s * s, 2 * s * s), x.a * x.b, x.d))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

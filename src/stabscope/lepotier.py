@@ -37,7 +37,9 @@ floor(x 2^96) and hi = lo, or lo + 1 when x 2^96 is not an integer, from
 surd._floor_form and cached per label: disjoint brackets are conclusive,
 as each holds its value, and only overlapping ones fall back to the exact
 order surd._form_sign of the integer forms, so the walk reads nothing of a
-label but its integer character.  The point walk compares surds directly.
+label but its integer character.  Tents are built from the same forms and
+checked on them, so surds appear only in a tent's points: build_curve
+prints them, and the point walk compares them directly.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, _scaled_ints, to_fraction
-from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _exc_delta, _int_char, char_of,
-                          eplus, el, er, slope_to_label)
+from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
+                          char_of, eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
 
 
@@ -132,19 +134,40 @@ class Tent:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _tent(label: DyadicLabel) -> Tent:
+    """The label's tent and exclusion, from its integer character and _tent_ends."""
+    r, c, e = _int_char(label)
+    # the apex (c/r, e/(2r) - 1/r^2) is at discriminant (c^2 - e r + 2)/(2 r^2)
+    assert r * r <= c * c - e * r + 2 <= 2 * r * r, "apex left the curve strip"
+    el_x, _, er_x, chord_l, chord_r = _tent_ends(label)[:5]
+    for side, x, chord, nb in ((-1, el_x, chord_l, label.left_neighbor()),
+                               (1, er_x, chord_r, label.right_neighbor())):
+        assert _on_chord(chord, x[2], side), "contact point off its chord"
+        # the neighbour's projected character (cn/rn, en/(2 rn)) is on y = (A x + B)/K
+        (k, a, b), (rn, cn, en) = chord, _int_char(nb)
+        assert 2 * (a * cn + b * rn) == k * en, "chord misses the neighbour"
+    # y = (A x + B)/K is the line B + A x - K y = 0
+    left_line, right_line = (ProjLine(Fraction(b), Fraction(a), Fraction(-k))
+                             for k, a, b in (chord_l, chord_r))
     apex = eplus(label)
-    pl, pr = el(label), er(label)
-    left_line = ProjLine.through(apex, char_of(label.left_neighbor()).proj())
-    right_line = ProjLine.through(apex, char_of(label.right_neighbor()).proj())
-    assert pl.delta() == HALF and pr.delta() == HALF, "parabola contact lost"
-    assert HALF <= apex.delta() <= 1, "apex left the curve strip"
-    assert left_line.contains(pl) and right_line.contains(pr), "contact point off its chord"
-    left = CurveSegment(label, "left", pl, apex, left_line)
-    right = CurveSegment(label, "right", apex, pr, right_line)
+    left = CurveSegment(label, "left", el(label), apex, left_line)
+    right = CurveSegment(label, "right", apex, er(label), right_line)
     # the exclusion runs from the projected character down to the apex
-    r = char_of(label).ch0
-    exclusion = ExclusionSegment(label, apex.x, apex.y + Fraction(1, r * r), apex.y)
+    exclusion = ExclusionSegment(label, apex.x, Fraction(e, 2 * r), apex.y)
     return Tent(label, apex, left, right, exclusion)
+
+
+def _on_chord(chord: tuple[int, int, int], x: tuple, side: int) -> bool:
+    """Whether the chord (K, A, B) meets y = (x^2 - 1)/2 at the slope form x, on the apex's side.
+
+    There x is a root of K x^2 - 2 A x - 2 B - K, which at (P + Q sqrt(D))/S,
+    times S^2, is K (P^2 + Q^2 D) - 2 A P S - (2 B + K) S^2 + 2 Q (K P - A S) sqrt(D);
+    D = 9 r^2 - 4 is no square, so both parts vanish.  The chord runs from the
+    apex, below the parabola, to the neighbour above it, so the contact is the
+    root nearer the apex: the larger (Q > 0) on the left, the smaller on the right.
+    """
+    (k, a, b), (p, q, d, s) = chord, x
+    return (k * (p * p + q * q * d) - 2 * a * p * s - (2 * b + k) * s * s == 0
+            and q * (k * p - a * s) == 0 and side * q < 0)
 
 
 # most labels one curve listing may enumerate
@@ -191,9 +214,9 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     if lo > hi:
         raise ValueError("empty window")
     labels = sorted(_labels_between(lo, hi, depth))
+    for prev, cur in zip(labels, labels[1:]):
+        assert _compare(_tent_ends(prev)[2], _tent_ends(cur)[0]) < 0, "tent spans overlap"
     tents = tuple(_tent(l) for l in labels)
-    for prev, cur in zip(tents, tents[1:]):
-        assert prev.x_hi < cur.x_lo, "tent spans overlap"
     segments = tuple(s for t in tents for s in (t.left, t.right))
     return CurveApprox(tents, segments, tuple(t.exclusion for t in tents))
 
@@ -323,18 +346,16 @@ def _slope(p: int, q: int, d: int, s: int) -> tuple[int, int, tuple[int, int, in
 def _tent_ends(label: DyadicLabel) -> tuple[tuple, ...]:
     """The label's slopes el, apex and er, and its chords and exclusion, in integers.
 
-    From the integer character (r, c, e = 2 ch2), with D = 9 r^2 - 4, el
-    is (2c - 3r + sqrt(D))/(2r), the apex c/r and er (2c + 3r - sqrt(D))/(2r)
-    (Drezet-Le Potier), each a slope entry of _slope.  Then come the left
-    and right chords, of slopes c/r -+ 3/2 through the apex
-    (c/r, e/(2r) - 1/r^2), and the exclusion's bottom and top heights,
-    each as a line (K, A, B), y = (A x + B)/K with K = 2r^2.
+    From the integer character (r, c, e = 2 ch2), el and er are the forms
+    of exceptional._contact_form and the apex is c/r, each a slope entry
+    of _slope.  Then come the left and right chords, of slopes c/r -+ 3/2
+    through the apex (c/r, e/(2r) - 1/r^2), and the exclusion's bottom
+    and top heights, each as a line (K, A, B), y = (A x + B)/K with K = 2 r^2.
     """
     r, c, e = _int_char(label)
-    d, k = 9 * r * r - 4, 2 * r * r
-    bottom = e * r - 2
-    return (_slope(2 * c - 3 * r, 1, d, 2 * r), _slope(c, 0, 0, r),
-            _slope(2 * c + 3 * r, -1, d, 2 * r),
+    k, bottom = 2 * r * r, e * r - 2
+    return (_slope(*_contact_form(label, -1)), _slope(c, 0, 0, r),
+            _slope(*_contact_form(label, 1)),
             (k, r * (2 * c - 3 * r), bottom - 2 * c * c + 3 * r * c),
             (k, r * (2 * c + 3 * r), bottom - 2 * c * c - 3 * r * c),
             (k, 0, bottom), (k, 0, e * r))

@@ -197,7 +197,9 @@ def test_walls_json_payload(capsys):
 
 # SHA-256 of stdout for the acceptance CLI matrix (check 12) plus the
 # default-depth dlp, as printed before the contact points became closed
-# forms; any change to these bytes is a change of the CLI contract.
+# forms, and two deeper curve listings, as printed before the tents were
+# built from integer forms; any change to these bytes is a change of the
+# CLI contract.
 GOLDEN_DIGESTS = [
     (["exc", "char", "3/2"],
      "b9d8a677c831025474d126fe3cdfcbe4c5132d76db99e3cd163bd8818e9e8848"),
@@ -231,11 +233,21 @@ GOLDEN_DIGESTS = [
      "0eb0a5007d6af49efc0fb46475ef30618afe4d738df16204b674e81ac38deab7"),
     (["dlp", "--ch0", "3", "--ch1", "1", "--ch2=-2"],
      "2fd6567a0b1ad14614135e20eb02d05cc4e9fbf942cf0c9a17b01e85b08e1b3f"),
+    # the deepest curve listing of the benchmark's CLI matrix, and one that
+    # prints surd contact points in JSON
+    (["curve", "emit", "--from=-2", "--to", "2", "--depth", "6", "--format", "csv"],
+     "ddd694eb111239030a980c66783e71de7785de7b05adbd4b0a4a3aa5658c36d5"),
+    (["curve", "emit", "--from=-1/2", "--to", "3/2", "--depth", "4"],
+     "2734757f94fdc8cb3247e7ee5a8d77bef432b6426b49b93e471a024ee54e32ce"),
 ]
 
+# an entry is named by its first two words; the two deep curve listings,
+# which share theirs with the matrix's, by all of them
+_GOLDEN_IDS = ([" ".join(a[:2]) for a, _ in GOLDEN_DIGESTS[:-2]]
+               + [" ".join(a) for a, _ in GOLDEN_DIGESTS[-2:]])
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS,
-                         ids=[" ".join(a[:2]) for a, _ in GOLDEN_DIGESTS])
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS, ids=_GOLDEN_IDS)
 def test_golden_digests(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("STABSCOPE_DEPTH", raising=False)
     out = _ok(capsys, argv)
@@ -414,9 +426,11 @@ def _rationals(span):
 
 _TRIPLES = ("0,1,2", "0,1/2,1", "-1,0,1/2", "1/2,1,3/2")
 _DEPTHS = st.one_of(st.integers(-2, 12), st.integers(-2, 10 ** 5))
-# curve emit and walls cost about a millisecond per label of the window at
-# the depth, so their slope windows stay within [-9, 9] and their depths
-# out of 5..13, where a run takes seconds below the label cap
+# curve emit costs about 0.3 ms per label of the window at the depth (4 097
+# labels of depth <= 12 in [0, 1] took 1.1 s on a 2-vCPU host) and walls
+# about 0.1 ms per pool label, so their slope windows stay within [-9, 9]
+# and their depths out of 5..13, where a run can take seconds below the
+# label cap
 _LABEL_DEPTHS = st.one_of(st.integers(-2, 4), st.integers(14, 10 ** 5))
 
 

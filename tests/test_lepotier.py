@@ -951,12 +951,80 @@ def test_integer_forms_match_the_surd_ones():
         assert _surd(el_x[2]) == el(label).x and _surd(er_x[2]) == er(label).x, label
         assert _surd(apex_x[2]) == eplus(label).x, label
         tent = lepotier._tent(label)
-        for chord, seg in ((chord_l, tent.left), (chord_r, tent.right)):
-            line = seg.line
+        # each chord against the line through the apex and the neighbour's
+        # projected character, drawn in Fractions
+        for chord, seg, nb in ((chord_l, tent.left, label.left_neighbor()),
+                               (chord_r, tent.right, label.right_neighbor())):
+            line = ProjLine.through(eplus(label), char_of(nb).proj())
             assert _slope_intercept(chord) == (-line.c1 / line.c2, -line.c0 / line.c2), label
+            assert seg.line.same_line(line), label
         exc = tent.exclusion
         assert _slope_intercept(bottom) == (0, exc.y_bottom), label
         assert _slope_intercept(top) == (0, exc.y_top), label
+
+
+def _cold_tents():
+    for cached in (lepotier._tent, lepotier._tent_ends, el, er, eplus):
+        cached.cache_clear()
+
+
+def test_tent_checks_catch_seeded_mutations(monkeypatch):
+    label = DyadicLabel(5, 3)
+    ends, form, int_char = lepotier._tent_ends, lepotier._contact_form, lepotier._int_char
+
+    def right_chord_b_plus_one(lbl):
+        out = list(ends(lbl))
+        k, a, b = out[4]
+        out[4] = (k, a, b + 1)
+        return tuple(out)
+
+    def left_contact_other_root(lbl, side):
+        p, q, d, s = form(lbl, side)
+        return (p, -q if side < 0 else q, d, s)
+
+    def left_neighbour_moved(lbl):
+        r, c, e = int_char(lbl)
+        return (r, c, e + 2) if lbl == label.left_neighbor() else (r, c, e)
+
+    mutations = [("_tent_ends", right_chord_b_plus_one, "contact point off its chord"),
+                 ("_contact_form", left_contact_other_root, "contact point off its chord"),
+                 ("_int_char", left_neighbour_moved, "chord misses the neighbour")]
+    try:
+        for name, mutant, message in mutations:
+            _cold_tents()
+            with monkeypatch.context() as patch:
+                patch.setattr(lepotier, name, mutant)
+                with pytest.raises(AssertionError, match=message):
+                    lepotier._tent(label)
+    finally:
+        _cold_tents()
+    assert lepotier._tent(label).label == label
+
+
+# what a QuadReal computes with: the curve builds its surd points from
+# integer forms and compares slopes as slope entries, so it needs none
+_SURD_OPS = ("_cmp", "sign", "__add__", "__radd__", "__neg__", "__mul__", "__rmul__")
+
+
+def test_the_curve_takes_no_surd_comparison_or_arithmetic(monkeypatch, capsys):
+    from stabscope.cli import run
+
+    def refuse(*args):
+        raise AssertionError("surd comparison or arithmetic on the curve path")
+
+    for name in _SURD_OPS:
+        monkeypatch.setattr(QuadReal, name, refuse)
+    try:
+        _cold_tents()
+        assert len(build_curve(6, (Fraction(-2), Fraction(2))).tents) == 257
+        _cold_tents()
+        for argv in (["--from=-2", "--to", "2", "--depth", "6", "--format", "csv"],
+                     ["--from=-1/2", "--to", "3/2", "--depth", "4"]):
+            assert run(["curve", "emit", *argv]) == 0
+            out = capsys.readouterr()
+            assert out.err == "" and len(out.out) > 10_000
+    finally:
+        _cold_tents()
 
 
 def _poly_sign(x, q2, q1, q0):

@@ -108,13 +108,13 @@ def test_no_float_in_a_decision():
     assert _float_uses(ast.parse("class Q:\n    def phase(self):\n        return 1.0")) == [3]
 
 
-# the exact surd kernels of surd.py, and the segment walk's sign tests, its
+# the exact surd kernels of surd.py, the segment walk's sign tests, its
 # slope entries and their ordering, the walk that holds them and its entry,
-# which take every sign and order on integers
+# and the tent's contact check, which take every sign and order on integers
 SURD_KERNELS = ("_root_sign", "_mixed_sign", "_form_sign", "_floor_form")
 INTEGER_SIGNS = SURD_KERNELS + ("_disc_sign", "_line_sign", "_above_chord", "_contains_general",
                                 "_slope", "_tent_ends", "_compare", "_span",
-                                "geo_contains_segment")
+                                "geo_contains_segment", "_on_chord")
 NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign")
 
 

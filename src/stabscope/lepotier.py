@@ -17,8 +17,9 @@ few cells at each end, then the gaps between adjacent labels p/2^k and
 segment whose discriminant stays below (1/2)(1 - 1/r^2) over the gap clears
 it at any depth.  Otherwise the midpoint label's exclusion and chords are
 checked and both halves are walked; a gap still open at the depth budget
-makes the answer Unknown, and a vertical segment at a slope the walk left
-uncovered clears under the same bound of its open gap's midpoint.  Above
+makes the answer Unknown.  A vertical segment at slope x is walked as the
+level segment at its lower end over the span [x, x], so it takes the same
+cells, gaps, bounds and chords as any other.  Above
 the strip only the label of rank den(x) can have the slope x, so a point
 is on an exclusion exactly when its discriminant reaches (1/2)(1 - 1/den(x)^2)
 and slope_to_label finds that label.  A character on an exclusion is a
@@ -52,7 +53,7 @@ from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, _scaled_ints, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
-                          char_of, eplus, el, er, slope_to_label)
+                          eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
 
 
@@ -221,13 +222,13 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     return CurveApprox(tents, segments, tuple(t.exclusion for t in tents))
 
 
-def _tent_at(x: Number, depth: int) -> Tent | DyadicLabel:
-    """The tent of depth <= depth whose closed slope span contains x.
+def _tent_at(x: Number, depth: int) -> Tent | None:
+    """The tent of depth <= depth whose closed slope span contains x, or None.
 
-    The walk keeps the gap between adjacent labels p/2^m and (p+1)/2^m
-    of x's unit cell that x lies in.  The midpoint label's tent either
-    covers x or lies wholly on one side of it, which picks the half.
-    Without a covering tent, the open gap's midpoint label is returned.
+    The point walk of classify_point.  It keeps the gap between adjacent
+    labels p/2^m and (p+1)/2^m of x's unit cell that x lies in.  The
+    midpoint label's tent either covers x or lies wholly on one side of
+    it, which picks the half.
     """
     p = math.floor(x)
     if x <= er(DyadicLabel(p)).x:
@@ -244,7 +245,7 @@ def _tent_at(x: Number, depth: int) -> Tent | DyadicLabel:
             if x <= er(mid).x:
                 return _tent(mid)
             p = 2 * p + 1
-    return DyadicLabel(2 * p + 1, depth + 1)
+    return None
 
 
 def classify_point(p: AffPt, depth: int) -> RegionClass:
@@ -264,7 +265,7 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     if d > 1:
         return RegionClass.BELOW_CURVE
     tent = _tent_at(p.x, depth)
-    if not isinstance(tent, Tent):
+    if tent is None:
         return RegionClass.UNKNOWN
     yt = tent.y_on(p.x)
     if p.y == yt:
@@ -305,25 +306,6 @@ def dlp_exists(v: CharVec, depth: int) -> DlpResult:
     if cls is RegionClass.UNKNOWN:
         return DlpResult.UNKNOWN
     return DlpResult.NO
-
-
-def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
-                         exclude_a: bool = False) -> GeoAnswer:
-    """Decide whether the segment from a to b stays in the open region.
-
-    The region consists of points strictly above the curve and off every
-    exclusion segment.  With exclude_a the endpoint a itself is allowed
-    to sit on an exclusion or on the curve (half-open segment).  Every
-    rational segment takes the one segment walk, also where both ends
-    are at discriminant <= 0: there an integer apex (n, n^2/2) is the top
-    of the rank-1 exclusion at slope n, which the walk checks like any
-    other exclusion.
-    """
-    if depth < 0:
-        raise ValueError("negative depth")
-    if a == b:
-        raise ValueError("degenerate segment")
-    return _contains_general(a, b, depth, exclude_a)
 
 
 # bits of the integer brackets of the segment walk's slopes
@@ -405,8 +387,25 @@ def _line_sign(seg: tuple[int, int, int], line: tuple[int, int, int], x: tuple) 
     return _root_sign(a1 * p + (lc * k - lcd * b) * s, a1 * q, d)
 
 
-def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAnswer:
-    """The segment walk from a to b."""
+def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
+                         exclude_a: bool = False) -> GeoAnswer:
+    """Decide whether the segment from a to b stays in the open region.
+
+    The region consists of points strictly above the curve and off every
+    exclusion segment.  With exclude_a the endpoint a itself is allowed
+    to sit on an exclusion or on the curve (half-open segment).  Every
+    rational segment takes the one segment walk, also where both ends
+    are at discriminant <= 0: there an integer apex (n, n^2/2) is the top
+    of the rank-1 exclusion at slope n, which the walk checks like any
+    other exclusion.  A vertical segment takes it too, as the level
+    segment at its lower end over the one-slope span [x, x]: that end has
+    the larger discriminant, so it meets every cell, gap bound and chord
+    that the segment meets.
+    """
+    if depth < 0:
+        raise ValueError("negative depth")
+    if a == b:
+        raise ValueError("degenerate segment")
     try:
         ax, ay = to_fraction(a.x), to_fraction(a.y)
         bx, by = to_fraction(b.x), to_fraction(b.y)
@@ -414,25 +413,27 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
         raise ValueError("strip analysis supports rational endpoints only") from None
     if a.delta() > 1 or b.delta() > 1:
         return GeoAnswer.NO
-    if ax == bx:
-        return _contains_vertical(ax, a, b, depth, exclude_a)
-
     (x0, y0), (x1, y1) = sorted(((ax, ay), (bx, by)))
     # the segment is y = m x + c, and x^2/2 - m x - c its discriminant;
-    # every sign below is taken on seg = (L, L m, L c), L = lcm(den m, den c)
-    m = (y1 - y0) / (x1 - x0)
+    # every sign below is taken on seg = (L, L m, L c), L = lcm(den m, den c).
+    # A vertical segment is the level segment y = y0 at its lower end, so
+    # only there can a be excused.
+    vertical = x0 == x1
+    m = 0 if vertical else (y1 - y0) / (x1 - x0)
     c = y0 - m * x0
     lcd, (lm, lc) = _scaled_ints((m, c))
     seg = (lcd, lm, lc)
     ends = tuple(_slope(x.numerator, 0, 0, x.denominator) for x in (x0, x1))
-    allowed = ends[ax == x1] if exclude_a else None
+    allowed = ends[ax == x1] if exclude_a and (ay == y0 or not vertical) else None
 
     def blocks(label: DyadicLabel) -> bool:
         """Whether the label's exclusion or one of its tent chords stops the segment."""
         el_x, apex_x, er_x, chord_l, chord_r, bottom, top = _tent_ends(label)
+        # a vertical segment runs up along an exclusion, so a excuses it only at the top
         if (_compare(ends[0], apex_x) <= 0 <= _compare(ends[1], apex_x)
-                and (allowed is None or _compare(apex_x, allowed) != 0)
-                and _line_sign(seg, bottom, apex_x[2]) >= 0 >= _line_sign(seg, top, apex_x[2])):
+                and _line_sign(seg, bottom, apex_x[2]) >= 0 >= _line_sign(seg, top, apex_x[2])
+                and not (allowed is not None and _compare(apex_x, allowed) == 0
+                         and (not vertical or _line_sign(seg, top, apex_x[2]) == 0))):
             return True
         return not (_above_chord(seg, chord_l, _span(el_x, apex_x, ends), allowed)
                     and _above_chord(seg, chord_r, _span(apex_x, er_x, ends), allowed))
@@ -446,8 +447,10 @@ def _contains_general(a: AffPt, b: AffPt, depth: int, exclude_a: bool) -> GeoAns
     # unit cells where the segment reaches 0 hold labels that can stop it.
     # The discriminant is convex along the segment, so these cells are a
     # prefix and a suffix of the span, at most a few cells each (the ends
-    # are at discriminant <= 1).
-    n0, n1 = math.floor(x0), math.ceil(x1)
+    # are at discriminant <= 1).  The span takes at least one cell, so a
+    # vertical segment at an integer n still meets the label n.
+    n0 = math.floor(x0)
+    n1 = max(math.ceil(x1), n0 + 1)
     left = n0
     while left < n1 and reaches_zero(left):
         left += 1
@@ -496,27 +499,3 @@ def _above_chord(seg: tuple[int, int, int], chord: tuple[int, int, int],
         if sign < 0 or (sign == 0 and (allowed is None or _compare(x, allowed) != 0)):
             return False
     return True
-
-
-def _contains_vertical(x: Fraction, a: AffPt, b: AffPt, depth: int,
-                       exclude_a: bool) -> GeoAnswer:
-    ay, by = to_fraction(a.y), to_fraction(b.y)
-    y_lo, y_hi = min(ay, by), max(ay, by)
-    tent = _tent_at(x, depth)
-    if isinstance(tent, Tent):
-        # tents are disjoint, so x is a label's slope iff it is x's tent's apex
-        if tent.apex.x == x:
-            exc = tent.exclusion
-            o_lo, o_hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
-            if o_lo <= o_hi and not (exclude_a and o_lo == o_hi == ay):
-                return GeoAnswer.NO
-        yt = tent.y_on(x)
-        if y_lo < yt:
-            return GeoAnswer.NO
-        if y_lo == yt and not (exclude_a and ay == y_lo):
-            return GeoAnswer.NO
-        return GeoAnswer.YES
-    # tent is the open gap's midpoint; the lower end has the larger discriminant
-    if x * x * HALF - y_lo < _exc_delta(char_of(tent).ch0):
-        return GeoAnswer.YES
-    return GeoAnswer.UNKNOWN

@@ -281,7 +281,11 @@ class QuadReal:
                            self.b.numerator * (s // self.b.denominator), self.d, s)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        try:
+            return float(self.a) + float(self.b) * math.sqrt(self.d)
+        except OverflowError:
+            # d is past the float range: take b sqrt(d) as one root of b^2 d
+            return float(self.a) + math.copysign(math.sqrt(self.b * self.b * self.d), self.b)
 
     def __repr__(self) -> str:
         if self.b == 0:

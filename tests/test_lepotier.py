@@ -686,11 +686,57 @@ def test_contact_points_classify_on_the_curve():
 
 # The segment walk decided with QuadReal arithmetic alone, without rational
 # brackets or integer signs, and over every unit cell of the slope span: the
-# exact reference of the filtered walk.
+# exact reference of the filtered walk.  A vertical segment is held against
+# the tent that covers its slope, found by walking the QuadReal contact points.
 
 def _integer_apex(p):
     """Whether p is (n, n^2/2) for an integer n, the top of the rank-1 exclusion at n."""
     return p.x.denominator == 1 and p.delta() == 0
+
+
+def _covering_tent(x, depth):
+    """The tent of depth <= depth whose span holds x, by comparing x with
+    the QuadReal contact points, or else the open gap's midpoint label.
+    """
+    p = math.floor(x)
+    if x <= er(DyadicLabel(p)).x:
+        return lepotier._tent(DyadicLabel(p))
+    if x >= el(DyadicLabel(p + 1)).x:
+        return lepotier._tent(DyadicLabel(p + 1))
+    for m in range(1, depth + 1):
+        mid = DyadicLabel(2 * p + 1, m)
+        if x < eplus(mid).x:
+            if x >= el(mid).x:
+                return lepotier._tent(mid)
+            p = 2 * p
+        else:
+            if x <= er(mid).x:
+                return lepotier._tent(mid)
+            p = 2 * p + 1
+    return DyadicLabel(2 * p + 1, depth + 1)
+
+
+def _exact_vertical(a, b, depth, exclude_a):
+    """A vertical segment against the tent covering its slope, or else the
+    bound of the open gap's midpoint at its lower end.
+    """
+    x, (y_lo, y_hi) = a.x, sorted((a.y, b.y))
+    tent = _covering_tent(x, depth)
+    if isinstance(tent, DyadicLabel):
+        # no label of the gap ranks below its midpoint, and the lower end
+        # has the larger discriminant
+        r = char_of(tent).ch0
+        clear = x * x / 2 - y_lo < Fraction(1, 2) - Fraction(1, 2 * r * r)
+        return GeoAnswer.YES if clear else GeoAnswer.UNKNOWN
+    if tent.apex.x == x:
+        exc = tent.exclusion
+        lo, hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
+        if lo <= hi and not (exclude_a and lo == hi == a.y):
+            return GeoAnswer.NO
+    yt = tent.y_on(x)
+    if y_lo < yt or (y_lo == yt and not (exclude_a and a.y == y_lo)):
+        return GeoAnswer.NO
+    return GeoAnswer.YES
 
 
 def _exact_segment(a, b, depth, exclude_a):
@@ -702,7 +748,7 @@ def _exact_segment(a, b, depth, exclude_a):
     if a.delta() > 1 or b.delta() > 1:
         return GeoAnswer.NO
     if a.x == b.x:
-        return lepotier._contains_vertical(a.x, a, b, depth, exclude_a)
+        return _exact_vertical(a, b, depth, exclude_a)
     (x0, y0), (x1, y1) = sorted(((a.x, a.y), (b.x, b.y)))
     line = ProjLine.through(AffPt(x0, y0), AffPt(x1, y1))
     allowed = a.x if exclude_a else None
@@ -828,6 +874,89 @@ def test_filtered_walk_matches_the_exact_walk(monkeypatch):
         assert exc_stable_at(E, P, depth) is want, (E.label, P, depth)
         results.add(want)
     assert len(results) >= 3
+
+
+def _vertical_slope(rng):
+    """An apex slope of a label of depth <= 6, an integer or a random rational,
+    in the cells 0, -1, 1, 300 or -9003, with the rank of the label there.
+    """
+    n = rng.choice((0, -1, 1, 300, -9003))
+    kind = rng.random()
+    if kind < 0.6:
+        m = rng.randint(0, 6)
+        label = DyadicLabel((n << m) + rng.randint(0, 1 << m), m)
+        c = char_of(label)
+        return c.ch1 / c.ch0, c.ch0
+    if kind < 0.7:
+        return Fraction(n), 1
+    x = n + Fraction(rng.randint(0, 4096), rng.choice((3, 7, 64, 1000, 4097)))
+    return x, x.denominator
+
+
+def _vertical_delta(rng, r):
+    """A discriminant at 0, 1/2, 1 or an exclusion end (1/2)(1 -+ 1/r^2),
+    10^-3 to 10^-12 off one of these, or random in [-0.6, 1.1].
+    """
+    if rng.random() < 0.2:
+        return Fraction(rng.randint(-600, 1100), 1000) + Fraction(1, rng.randint(10 ** 4, 10 ** 5))
+    half = Fraction(1, 2)
+    d = rng.choice((0, half, 1, half * (1 - Fraction(1, r * r)), half * (1 + Fraction(1, r * r))))
+    if rng.random() < 0.5:
+        d += rng.choice((-1, 1)) * Fraction(1, 10 ** rng.choice((3, 6, 9, 12)))
+    return d
+
+
+def test_vertical_segments_match_the_point_walk():
+    # the integer walk decides a vertical segment as the level segment at
+    # its lower end; the reference finds the tent over its slope instead
+    rng = random.Random(19)
+    answers, excused = set(), 0
+    for _ in range(1500):
+        x, r = _vertical_slope(rng)
+        d_a, d_b = _vertical_delta(rng, r), _vertical_delta(rng, r)
+        if d_a == d_b:
+            continue
+        a, b = AffPt(x, x * x / 2 - d_a), AffPt(x, x * x / 2 - d_b)
+        depth = rng.choice((0, 1, 2, 5, 8))
+        exclude_a = rng.random() < 0.5
+        want = _exact_segment(a, b, depth, exclude_a)
+        got = geo_contains_segment(a, b, depth, exclude_a=exclude_a)
+        assert got is want, (a, b, depth, exclude_a)
+        answers.add(want)
+        # a half-open lower end at the top of an exclusion within the budget,
+        # which stops the closed segment
+        top = d_a == (1 - Fraction(1, r * r)) / 2 and a.y < b.y
+        if exclude_a and top and classify_point(a, depth) is RegionClass.ON_EXCLUSION:
+            excused += want is not GeoAnswer.NO
+            assert geo_contains_segment(a, b, depth) is GeoAnswer.NO
+    assert answers == set(GeoAnswer) and excused > 0
+
+
+# what a QuadReal computes with: the segment walk and the curve take every
+# sign on integer forms and compare slopes as slope entries, so they need none
+_SURD_OPS = ("_cmp", "sign", "__add__", "__radd__", "__neg__", "__mul__", "__rmul__")
+
+
+def test_vertical_segments_take_no_point_walk_or_surd(monkeypatch):
+    rng = random.Random(23)
+    cases = []
+    while len(cases) < 200:
+        x, r = _vertical_slope(rng)
+        a = AffPt(x, x * x / 2 - _vertical_delta(rng, r))
+        b = AffPt(x, x * x / 2 - _vertical_delta(rng, r))
+        if a != b:
+            cases.append((a, b, rng.choice((0, 2, 5)), rng.random() < 0.5))
+    want = [_exact_segment(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("point walk or surd on a vertical segment")
+
+    for name in _SURD_OPS:
+        monkeypatch.setattr(QuadReal, name, refuse)
+    monkeypatch.setattr(lepotier, "_tent_at", refuse)
+    got = [geo_contains_segment(a, b, depth, exclude_a=exclude_a)
+           for a, b, depth, exclude_a in cases]
+    assert got == want and set(want) == set(GeoAnswer)
 
 
 def _mirror(p):
@@ -999,11 +1128,6 @@ def test_tent_checks_catch_seeded_mutations(monkeypatch):
     finally:
         _cold_tents()
     assert lepotier._tent(label).label == label
-
-
-# what a QuadReal computes with: the curve builds its surd points from
-# integer forms and compares slopes as slope entries, so it needs none
-_SURD_OPS = ("_cmp", "sign", "__add__", "__radd__", "__neg__", "__mul__", "__rmul__")
 
 
 def test_the_curve_takes_no_surd_comparison_or_arithmetic(monkeypatch, capsys):

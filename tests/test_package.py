@@ -109,18 +109,20 @@ def test_no_float_in_a_decision():
 
 
 # the exact surd kernels of surd.py, the segment walk's sign tests, its
-# slope entries and their ordering, the walk that holds them and its entry,
-# and the tent's contact check, which take every sign and order on integers
+# slope entries and their ordering, the walk that holds them, and the
+# tent's contact check, which take every sign and order on integers
 SURD_KERNELS = ("_root_sign", "_mixed_sign", "_form_sign", "_floor_form")
-INTEGER_SIGNS = SURD_KERNELS + ("_disc_sign", "_line_sign", "_above_chord", "_contains_general",
+INTEGER_SIGNS = SURD_KERNELS + ("_disc_sign", "_line_sign", "_above_chord",
                                 "_slope", "_tent_ends", "_compare", "_span",
                                 "geo_contains_segment", "_on_chord")
-NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign")
+# surd values and arithmetic, and the point walk with its tents and surd points
+NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign",
+               "_tent_at", "_tent", "Tent", "el", "er", "eplus")
 
 
 def _non_integer_names(tree):
     """Lines where a function named in INTEGER_SIGNS, or one nested in it,
-    names Fraction, QuadReal or _poly_sign.
+    names one of NOT_INTEGER.
     """
     lines = []
     for node in ast.walk(tree):
@@ -148,7 +150,9 @@ def test_the_segment_walk_signs_stay_on_integers():
         "def _floor_form(p, q, d, s):\n    return math.floor(QuadReal(p, q, d) / s)")) == [2]
     assert _non_integer_names(ast.parse("def _line_sign(s, l, x):\n    return QuadReal(x).sign()")) == [2]
     assert _non_integer_names(ast.parse(
-        "def _contains_general(a, b):\n    def blocks(n):\n        return surd._poly_sign(n)")) == [3]
+        "def geo_contains_segment(a, b):\n    def blocks(n):\n        return surd._poly_sign(n)")) == [3]
+    assert _non_integer_names(ast.parse(
+        "def geo_contains_segment(a, b, depth):\n    return lepotier._tent_at(a.x, depth)")) == [2]
     assert _non_integer_names(ast.parse("def _disc_sign(s, r: Fraction, x):\n    pass")) == [1]
     assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]
     assert _non_integer_names(ast.parse("def _slope(p, q, d, s):\n    return Fraction(p, s)")) == [2]

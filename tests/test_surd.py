@@ -85,6 +85,27 @@ def test_float_matches_mpmath(a, b, d):
     assert abs(float(q) - float(_mp(q))) <= 1e-9 * (1 + abs(float(_mp(q))))
 
 
+def test_float_past_the_float_range_of_the_radicand():
+    # label 2731/2^13 has a 787-bit rank, so its contact points carry the
+    # radicand 9 r^2 - 4 of 1572 bits, which no float holds
+    from stabscope.cli import _curve_rows
+    from stabscope.exceptional import el, er
+    from stabscope.lepotier import _tent
+    label = DyadicLabel(2731, 13)
+    signs = set()
+    for point in (el(label), er(label)):
+        for v in (point.x, point.y):
+            assert v.d.bit_length() == 1572
+            want = float(_mp(v))
+            assert abs(float(v) - want) <= 1e-15 * abs(want), v
+            signs.add(v.b > 0)
+    assert signs == {True, False}
+    tent = _tent(label)
+    rows = _curve_rows([tent.left, tent.right], [tent.exclusion])
+    assert [row["kind"] for row in rows] == ["left", "right", "exclusion"]
+    assert rows[0]["x2"] == rows[1]["x1"] == rows[2]["x1"]
+
+
 @given(rationals, rationals, radicands, rationals, rationals)
 def test_field_ops_match_mpmath(a, b, d, a2, b2):
     x = QuadReal(a, b, d)

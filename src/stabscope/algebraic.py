@@ -29,11 +29,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (Polygon, _chi2, _scaled_ints, cross3, det3,
+from .corekit import (Polygon, _chi2, _record, _scaled_ints, cross3, det3,
                       parse_rational, point_in_polygon)
 from .exceptional import (CACHE_SIZE, ExcTriple, _int_char, eplus, mutate_left,
                           mutate_right)
@@ -46,7 +45,7 @@ from .surd import QuadReal
 _MAX_DEN = 10 ** 6
 
 
-@dataclass(frozen=True)
+@_record
 class ThetaParams:
     """Chart parameters: three charge values with phase branches.
 
@@ -68,7 +67,6 @@ class ThetaParams:
     k1: int = 0
     k2: int = 0
     k3: int = 0
-    _phases: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         phases = []
@@ -266,7 +264,7 @@ class CellLabel(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@_record
 class CellReport:
     """Classification outcome with its supporting evidence."""
 

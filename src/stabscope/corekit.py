@@ -11,11 +11,63 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .surd import Number, QuadReal, format_rational, nsign, parse_rational
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """Make cls an immutable value record, as dataclass(frozen=True) would.
+
+    The fields are the names annotated in the class body, in order, and a
+    class attribute of the same name is a field's default.  The class gets
+    ``__init__`` (which then calls ``__post_init__``, if defined),
+    ``__repr__``, ``__eq__`` and ``__hash__`` over the fields, except those
+    it defines itself; assigning or deleting an attribute raises
+    AttributeError.  ``__init__``, ``__eq__`` and ``__hash__`` are compiled
+    from source for each class, so they cost what hand-written ones do.  An
+    attribute set on the instance but not annotated is derived: it stays
+    out of all four.
+    """
+    own = cls.__dict__
+    names = tuple(own.get("__annotations__", ()))
+    params = ", ".join(f"{n}=_cls.{n}" if n in own else n for n in names)
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    sources = {
+        "__init__": (f"def __init__(self, {params}):\n"
+                     + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+                     + ("    self.__post_init__()\n" if "__post_init__" in own else "")),
+        "__eq__": ("def __eq__(self, other):\n"
+                   "    if other.__class__ is self.__class__:\n"
+                   f"        return ({mine}) == ({theirs})\n"
+                   "    return NotImplemented\n"),
+        "__hash__": f"def __hash__(self):\n    return hash(({mine}))\n",
+    }
+    space = {"_cls": cls, "_set": object.__setattr__}
+    exec("".join(src for name, src in sources.items() if name not in own), space)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    space["__repr__"] = __repr__
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if name not in own:
+            space[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, space[name])
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
 
 
 def to_fraction(x: Number) -> Fraction:
@@ -25,7 +77,7 @@ def to_fraction(x: Number) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+@_record
 class CharVec:
     """A character (ch0, ch1, ch2) with exact rational entries."""
 
@@ -125,7 +177,7 @@ def det3(u: Sequence, v: Sequence, w: Sequence):
     return u0 * k0 + u1 * k1 + u2 * k2
 
 
-@dataclass(frozen=True)
+@_record
 class AffPt:
     """A point of the affine (ch1/ch0, ch2/ch0) plane; coordinates may be surds."""
 
@@ -162,7 +214,7 @@ def collinear(p: AffPt, q: AffPt, r: AffPt) -> bool:
     return nsign(cross2(vec(p, q), vec(p, r))) == 0
 
 
-@dataclass(frozen=True)
+@_record
 class ProjLine:
     """A projective line c0*ch0 + c1*ch1 + c2*ch2 = 0 in character coordinates.
 
@@ -200,7 +252,7 @@ class ProjLine:
         return -(self.c0 + self.c1 * x) / self.c2
 
 
-@dataclass(frozen=True)
+@_record
 class Segment:
     """A straight segment with explicit endpoint inclusion flags."""
 
@@ -278,7 +330,7 @@ def ray_above(p: AffPt, a: AffPt, b: AffPt) -> RayOrder:
     return RayOrder.EQUAL
 
 
-@dataclass(frozen=True)
+@_record
 class Polygon:
     """A simple polygon with per-edge and per-vertex inclusion flags.
 
@@ -291,7 +343,6 @@ class Polygon:
     vertices: tuple[AffPt, ...]
     edge_included: tuple[bool, ...]
     vertex_included: tuple[bool, ...]
-    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vertices)

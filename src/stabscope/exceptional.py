@@ -23,10 +23,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, _chi2, det3, slope
+from .corekit import AffPt, CharVec, _chi2, _record, det3, slope
 from .surd import QuadReal, parse_rational
 
 HALF = Fraction(1, 2)
@@ -178,7 +177,7 @@ def twist(label: DyadicLabel, k: int) -> CharVec:
                    c.ch2 + k * c.ch1 + Fraction(k * k, 2) * c.ch0)
 
 
-@dataclass(frozen=True)
+@_record
 class ExcBundle:
     """A label together with its character; invariants checked on build."""
 
@@ -263,7 +262,7 @@ def _pattern_labels(pattern: TriplePattern, base: DyadicLabel) -> tuple[DyadicLa
     return right.shift(-3), left, base
 
 
-@dataclass(frozen=True)
+@_record
 class ExcTriple:
     """Three exceptional bundles in one of the standard label patterns."""
 

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .corekit import AffPt, CharVec, _scaled_ints, cross3, slope, to_fraction
+from .corekit import AffPt, CharVec, _record, _scaled_ints, cross3, slope, to_fraction
 from .exceptional import ExcBundle
 from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
 
 
-@dataclass(frozen=True)
+@_record
 class RatComplex:
     """A complex number with exact rational real and imaginary parts."""
 
@@ -70,7 +69,7 @@ class RatComplex:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
 
-@dataclass(frozen=True)
+@_record
 class SQCharge:
     """A charge in normal form, anchored at the kernel point (1, s, q).
 
@@ -104,7 +103,7 @@ class SQCharge:
                              w2=RatComplex(-1, 0))
 
 
-@dataclass(frozen=True)
+@_record
 class GeneralCharge:
     """An arbitrary exact linear map from characters to complex numbers.
 
@@ -133,7 +132,7 @@ def z_eval(Z: Charge, v: CharVec) -> RatComplex:
     return Z.w0.scale(v.ch0) + Z.w1.scale(v.ch1) + Z.w2.scale(v.ch2)
 
 
-@dataclass(frozen=True)
+@_record
 class ShiftedChar:
     """A character with a homological shift, standing for E[n].
 
@@ -225,7 +224,7 @@ def _coprime_ints(xs: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(n // g for n in ints)
 
 
-@dataclass(frozen=True)
+@_record
 class Phase(object):
     """An exact phase k + a, with a in (0, 1] the angle of a direction.
 
@@ -387,7 +386,7 @@ def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     return StabResult.STABLE_SHIFTED
 
 
-@dataclass(frozen=True)
+@_record
 class KernelPoint:
     """A generator of the kernel line of a nondegenerate charge.
 
@@ -429,7 +428,7 @@ def kernel_point(Z: GeneralCharge) -> KernelPoint:
         cross3((Z.w0.re, Z.w1.re, Z.w2.re), (Z.w0.im, Z.w1.im, Z.w2.im)))
 
 
-@dataclass(frozen=True)
+@_record
 class GLElement:
     """An orientation-preserving 2 x 2 matrix with a branch integer.
 
@@ -446,8 +445,6 @@ class GLElement:
     c: Fraction
     d: Fraction
     k: int = 0
-    scaled: tuple = field(init=False, repr=False, compare=False)
-    base: Phase = field(init=False, repr=False, compare=False)
 
     def __init__(self, a, b, c, d, k: int = 0):
         entries = tuple(Fraction(x) for x in (a, b, c, d))

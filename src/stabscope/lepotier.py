@@ -48,10 +48,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, ProjLine, _scaled_ints, to_fraction
+from .corekit import AffPt, CharVec, ProjLine, _record, _scaled_ints, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
                           eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
@@ -78,7 +77,7 @@ class GeoAnswer(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@_record
 class CurveSegment:
     """One straight piece of the curve, oriented left to right."""
 
@@ -97,7 +96,7 @@ class CurveSegment:
         return self.end.x
 
 
-@dataclass(frozen=True)
+@_record
 class ExclusionSegment:
     """The vertical segment from a projected character down to its tent apex."""
 
@@ -110,7 +109,7 @@ class ExclusionSegment:
         return self.y_bottom <= y <= self.y_top
 
 
-@dataclass(frozen=True)
+@_record
 class Tent:
     """A label's two curve segments, meeting at the apex below it, and its exclusion."""
 
@@ -195,7 +194,7 @@ def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class CurveApprox:
     """All tents and exclusions of bounded depth over a slope window."""
 

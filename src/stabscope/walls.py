@@ -9,17 +9,16 @@ walls and batched, window-clipped arrangements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import AffPt, CharVec, ProjLine, Segment, cross3, to_fraction
+from .corekit import AffPt, CharVec, ProjLine, Segment, _record, cross3, to_fraction
 from .exceptional import ExcBundle
 
 Rect = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@_record
 class WallLine:
     """The wall between two classes, optionally clipped to a window."""
 

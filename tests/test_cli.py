@@ -374,10 +374,12 @@ def test_huge_decimal_exponent_exits_2_in_a_fresh_process(argv):
     assert "malformed rational" in json.loads(done.stderr)["error"]
 
 
-# runs stabscope.cli.run(argv) and reports its stdout digest and the
-# stabscope modules the process loaded
+# runs stabscope.cli.run(argv) and reports its stdout digest, the
+# stabscope modules the process loaded, and the modules loaded before and
+# after the CLI's import
 _LOADED_MODULES = """
 import contextlib, hashlib, io, json, sys
+before = set(sys.modules)
 from stabscope.cli import run
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -385,7 +387,9 @@ with contextlib.redirect_stdout(out):
 print(json.dumps({"code": code,
                   "sha": hashlib.sha256(out.getvalue().encode()).hexdigest(),
                   "modules": sorted(m for m in sys.modules
-                                    if m.startswith("stabscope."))}))
+                                    if m.startswith("stabscope.")),
+                  "before": sorted(before),
+                  "loaded": sorted(set(sys.modules) - before)}))
 """
 
 _BASE = ["cli", "corekit", "exceptional", "surd"]
@@ -407,6 +411,9 @@ def test_each_verb_loads_only_its_modules(golden, modules):
     report = json.loads(done.stdout)
     assert report["code"] == 0 and report["sha"] == digest
     assert report["modules"] == sorted(f"stabscope.{m}" for m in modules)
+    # the records are made without dataclasses, which also loads inspect
+    assert "stabscope.cli" in report["loaded"]
+    assert not {"dataclasses", "inspect"} & set(report["before"] + report["loaded"])
 
 
 _BAD_TOKENS = st.sampled_from([

@@ -48,21 +48,43 @@ def test_unknown_name_raises_attribute_error():
         exec("from stabscope import no_such_name", {})
 
 
+def _imported(tree):
+    """The absolute module names that a source imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
 def test_sources_are_python_3_10_and_standard_library_only():
     files = sorted(Path(stabscope.__file__).parent.glob("*.py"))
     assert len(files) == len(MODULES) + 2  # with __init__ and cli
     for path in files:
         tree = ast.parse(path.read_text(), str(path), feature_version=(3, 10))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.partition(".")[0]
-                assert top == "stabscope" or top in sys.stdlib_module_names, (path.name, name)
+        for name in _imported(tree):
+            top = name.partition(".")[0]
+            assert top == "stabscope" or top in sys.stdlib_module_names, (path.name, name)
+
+
+# importing dataclasses, which loads inspect, and decorating each record
+# cost every CLI verb about a quarter of its start-up; corekit._record
+# makes the records instead
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def _slow_imports(tree):
+    return [name for name in _imported(tree) if name.partition(".")[0] in SLOW_IMPORTS]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(Path(stabscope.__file__).parent.glob("*.py")):
+        assert _slow_imports(ast.parse(path.read_text())) == [], path.name
+    assert _slow_imports(ast.parse("from dataclasses import dataclass, field")) == ["dataclasses"]
+    assert _slow_imports(ast.parse("def f():\n    import dataclasses as dc, math")) == ["dataclasses"]
+    assert _slow_imports(ast.parse("from inspect import signature\nfrom .corekit import _record")) == ["inspect"]
 
 
 # the functions that make floats for display or for input, nothing else

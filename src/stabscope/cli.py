@@ -148,21 +148,6 @@ def _params_json(p: ThetaParams) -> dict:
     return data
 
 
-def _curve_data(depth: int, window: tuple[Fraction, Fraction]):
-    """Segments and exclusions whose slope span meets the window."""
-    from .lepotier import _compare, _slope, _tent_ends, build_curve
-    approx = build_curve(depth, window)
-    lo, hi = (_slope(w.numerator, 0, 0, w.denominator) for w in window)
-    segs = []
-    for t in approx.tents:
-        el_x, apex_x, er_x = _tent_ends(t.label)[:3]
-        for seg, start, end in ((t.left, el_x, apex_x), (t.right, apex_x, er_x)):
-            if _compare(end, lo) >= 0 and _compare(hi, start) >= 0:
-                segs.append(seg)
-    excs = [e for e in approx.exclusions if window[0] <= e.x <= window[1]]
-    return segs, excs
-
-
 def _curve_rows(segs, excs) -> list[dict]:
     rows = []
     for seg in segs:
@@ -355,21 +340,22 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "curve":
+        from .lepotier import build_curve
         window = (parse_rational(args.lo), parse_rational(args.hi))
-        segs, excs = _curve_data(args.depth, window)
+        approx = build_curve(args.depth, window)
         if args.format != "json":
-            _print_rows(_curve_rows(segs, excs), args.format, window)
+            _print_rows(_curve_rows(approx.segments, approx.exclusions), args.format, window)
             return 0
         _emit({
             "depth": args.depth,
             "window": [format_rational(w) for w in window],
             "segments": [{"label": str(s.label), "side": s.side,
                           "start": s.start.to_json(), "end": s.end.to_json()}
-                         for s in segs],
+                         for s in approx.segments],
             "exclusions": [{"label": str(e.label), "x": format_rational(e.x),
                             "top": format_rational(e.y_top),
                             "bottom": format_rational(e.y_bottom)}
-                           for e in excs],
+                           for e in approx.exclusions],
         })
         return 0
 

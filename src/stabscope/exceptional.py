@@ -6,9 +6,10 @@ three-term recursion; each resulting character c satisfies the
 exceptionality identity euler_chi(c, c) = 1 and the closed-form
 discriminant (1/2)(1 - 1/ch0^2).  Rank and degree are coprime, so a
 slope c/r in lowest terms can only be the slope of a label of rank r,
-and the search for it stops there.  Ranks above MAX_RANK_BITS bits are
-refused.  The parabola contact points of each label are the closed form
-of Drezet and Le Potier.
+and the search for it stops there, with no depth budget: each step at
+least doubles the rank, so it ends within r.bit_length() steps.  Ranks
+above MAX_RANK_BITS bits are refused.  The parabola contact points of
+each label are the closed form of Drezet and Le Potier.
 
 Each cached character is held in two forms, both built when its entry
 is added: the integers (r, c, e) = (ch0, ch1, 2 ch2), which are integral
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, _chi2, _record, det3, slope
@@ -44,9 +44,13 @@ class DyadicLabel:
     def __init__(self, p: int, m: int = 0):
         if m < 0:
             raise ValueError("negative dyadic depth")
-        while m > 0 and p % 2 == 0:
-            p //= 2
-            m -= 1
+        # shift out the trailing zeros of p, at most m, in one step: a
+        # search near an integer n meets the labels n*2^m of every depth m
+        if m > 0 and not p & 1:
+            k = (p & -p).bit_length() - 1 if p else m
+            if k > m:
+                k = m
+            p, m = p >> k, m - k
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
 
@@ -105,7 +109,7 @@ class DyadicLabel:
 MAX_RANK_BITS = 1 << 14
 
 # entries kept by each cache of this module, lepotier and algebraic; char_of's
-# dict is emptied when a lookup misses with this many entries in it
+# dict drops its older half when a lookup misses with this many entries in it
 CACHE_SIZE = 1 << 12
 
 # characters computed so far, by label: the integers (r, c, e = 2 ch2)
@@ -128,10 +132,12 @@ def char_of(label: DyadicLabel) -> CharVec:
     over three labels of smaller depth, computed on the integer
     characters (r, c, 2 ch2); an integer label n has (1, n, n^2).  Terms
     not yet cached are resolved with an explicit stack, so a label may
-    be deeper than the interpreter's recursion limit.  The cache is
-    emptied when it has CACHE_SIZE entries and misses, so it holds at
-    most that many plus the ancestors of one label.  A rank above
-    MAX_RANK_BITS bits raises ValueError.
+    be deeper than the interpreter's recursion limit.  The cache drops
+    its older half, in insertion order, when it has CACHE_SIZE entries
+    and misses, so it holds at most that many plus the ancestors of one
+    label, and a search deeper than CACHE_SIZE keeps the recent labels
+    its next step reads.  A rank above MAX_RANK_BITS bits raises
+    ValueError.
     """
     return (_CHARS.get(label) or _fill(label))[1]
 
@@ -144,7 +150,8 @@ def _int_char(label: DyadicLabel) -> tuple[int, int, int]:
 def _fill(label: DyadicLabel) -> tuple[tuple[int, int, int], CharVec]:
     """Compute and cache the characters of a label missing from the cache."""
     if len(_CHARS) >= CACHE_SIZE:
-        _CHARS.clear()
+        for old in list(_CHARS)[:CACHE_SIZE // 2]:
+            del _CHARS[old]
     stack = [label]
     while stack:
         lbl = stack[-1]
@@ -314,35 +321,49 @@ def detect_triple(l1: DyadicLabel, l2: DyadicLabel, l3: DyadicLabel) -> ExcTripl
     return None
 
 
-def slope_to_label(mu: Fraction, max_m: int) -> DyadicLabel | None:
-    """Invert the label-to-slope map by monotone bisection, if possible.
+def slope_to_label(mu: Fraction) -> DyadicLabel | None:
+    """The label of slope mu, or None if mu is no label's slope.
 
     The slope map fixes integers and is strictly increasing, so a target
-    slope in (n, n+1) is chased down the dyadic midpoint tree.  Only rank
-    den(mu) can have slope mu, as chi(E, E) = r^2 + 2r*ch2 - c1^2 = 1 makes r
-    and c1 coprime, and a midpoint ranks below its gap, so the chase stops there.
+    slope in (n, n+1) is chased down the dyadic midpoint tree on integer
+    characters, comparing c/r with mu as c*den(mu) against num(mu)*r.
+    Only rank den(mu) can have slope mu, as chi(E, E) = r^2 + 2r*ch2 - c1^2
+    = 1 makes r and c1 coprime.  The midpoint of the gap between slopes
+    a = c_a/r_a < b = c_b/r_b ranks r_a*r_b*(3 - (b - a)) = 3*r_a*r_b -
+    c_b*r_a + c_a*r_b >= 2*r_a*r_b, below every other label of the gap, so
+    the chase stops before it builds a midpoint of rank above den(mu),
+    whose rank could pass MAX_RANK_BITS where den(mu) does not.  Each step
+    at least doubles the rank, so the chase ends within den(mu).bit_length()
+    steps.
     """
     mu = Fraction(mu)
-    if mu.denominator == 1:
-        return DyadicLabel(mu.numerator)
+    num, den = mu.numerator, mu.denominator
+    if den == 1:
+        return DyadicLabel(num)
     # the target lies between the adjacent labels p/2^(m-1) and (p+1)/2^(m-1)
-    p = math.floor(mu)
-    for m in range(1, max_m + 1):
-        mid = DyadicLabel(2 * p + 1, m)
-        s = slope(char_of(mid))
-        if s == mu:
-            return mid
-        if char_of(mid).ch0 >= mu.denominator:
+    # of slopes ca/ra < mu < cb/rb, first the integers p and p + 1
+    p = num // den
+    ra, ca, rb, cb = 1, p, 1, p + 1
+    for m in range(1, den.bit_length() + 1):
+        if 3 * ra * rb - cb * ra + ca * rb > den:
             return None
-        p = 2 * p + (s < mu)
+        mid = DyadicLabel(2 * p + 1, m)
+        r, c, _ = _int_char(mid)
+        t = c * den - num * r
+        if t == 0:
+            return mid
+        if t < 0:
+            p, ra, ca = 2 * p + 1, r, c
+        else:
+            p, rb, cb = 2 * p, r, c
     return None
 
 
-def is_exceptional_char(v: CharVec, max_m: int) -> bool:
+def is_exceptional_char(v: CharVec) -> bool:
     """Whether v is a positive rational multiple of some label's character."""
     if v.ch0 <= 0:
         return False
-    lbl = slope_to_label(v.ch1 / v.ch0, max_m)
+    lbl = slope_to_label(v.ch1 / v.ch0)
     if lbl is None:
         return False
     c = char_of(lbl)

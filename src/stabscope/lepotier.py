@@ -22,9 +22,11 @@ level segment at its lower end over the span [x, x], so it takes the same
 cells, gaps, bounds and chords as any other.  Above
 the strip only the label of rank den(x) can have the slope x, so a point
 is on an exclusion exactly when its discriminant reaches (1/2)(1 - 1/den(x)^2)
-and slope_to_label finds that label.  A character on an exclusion is a
-multiple of its label's own exactly when it projects to the top, at equality.
-build_curve lists every tent of a window; no decision uses it.
+and slope_to_label finds that label; that search stops at rank den(x) and
+takes no budget, so there every depth gives the same answer.  A character
+on an exclusion is a multiple of its label's own exactly when it projects
+to the top, at equality.  build_curve lists the tents, segments and
+exclusions that meet a window; no decision uses it.
 
 The segment walk takes its signs on integers.  It scales the segment
 y = m x + c once, to (L, L m, L c) with L = lcm(den m, den c), and each
@@ -204,9 +206,11 @@ class CurveApprox:
 
 
 def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
-    """Construct every tent and exclusion of depth <= depth over the window.
+    """The tents of depth <= depth whose slope span meets the window.
 
-    Output is deterministic and sorted by apex slope.
+    Of those it keeps the segments that meet the window and the
+    exclusions whose slope lies in it, and builds no other tent.  Output
+    is deterministic and sorted by apex slope.
     """
     if depth < 0:
         raise ValueError("negative depth")
@@ -214,11 +218,22 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     if lo > hi:
         raise ValueError("empty window")
     labels = sorted(_labels_between(lo, hi, depth))
-    for prev, cur in zip(labels, labels[1:]):
-        assert _compare(_tent_ends(prev)[2], _tent_ends(cur)[0]) < 0, "tent spans overlap"
-    tents = tuple(_tent(l) for l in labels)
-    segments = tuple(s for t in tents for s in (t.left, t.right))
-    return CurveApprox(tents, segments, tuple(t.exclusion for t in tents))
+    # each label's (el, apex, er) slope entries, read once: a listing longer
+    # than the _tent_ends cache would miss it on every second walk
+    spans = [_tent_ends(l)[:3] for l in labels]
+    for prev, cur in zip(spans, spans[1:]):
+        assert _compare(prev[2], cur[0]) < 0, "tent spans overlap"
+    w_lo, w_hi = (_slope(w.numerator, 0, 0, w.denominator) for w in (lo, hi))
+
+    def meets(start: tuple, end: tuple) -> bool:
+        return _compare(end, w_lo) >= 0 and _compare(w_hi, start) >= 0
+
+    kept = [(_tent(l), span) for l, span in zip(labels, spans) if meets(span[0], span[2])]
+    segments = tuple(seg for t, (el_x, apex_x, er_x) in kept
+                     for seg, start, end in ((t.left, el_x, apex_x), (t.right, apex_x, er_x))
+                     if meets(start, end))
+    return CurveApprox(tuple(t for t, _ in kept), segments,
+                       tuple(t.exclusion for t, _ in kept if lo <= t.exclusion.x <= hi))
 
 
 def _tent_at(x: Number, depth: int) -> Tent | None:
@@ -251,15 +266,16 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     """Locate a plane point relative to the curve and the exclusion segments.
 
     Above the strip the only question is membership in an exclusion
-    segment; inside the strip the covering tent (when one exists at this
-    depth) settles the answer for good, and uncovered strip slopes
+    segment, which takes no budget, so there the answer is the same at
+    every depth; inside the strip the covering tent (when one exists at
+    this depth) settles the answer for good, and uncovered strip slopes
     remain Unknown because deeper tents accumulate there.
     """
     if depth < 0:
         raise ValueError("negative depth")
     d = p.delta()
     if d < HALF:
-        hit = _exclusion_at(p, d, depth)
+        hit = _exclusion_at(p, d)
         return RegionClass.ON_EXCLUSION if hit else RegionClass.GEO_LP
     if d > 1:
         return RegionClass.BELOW_CURVE
@@ -276,16 +292,18 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     return RegionClass.GEO_LP
 
 
-def _exclusion_at(p: AffPt, d: Number, depth: int) -> bool:
-    """Whether p, of discriminant d < 1/2, is on an exclusion of depth <= depth.
+def _exclusion_at(p: AffPt, d: Number) -> bool:
+    """Whether p, of discriminant d < 1/2, is on an exclusion, at any depth.
 
     Only a label of rank r = den(x) can have slope x, and its exclusion
-    spans the discriminants from (1/2)(1 - 1/r^2) to (1/2)(1 + 1/r^2).
+    spans the discriminants from (1/2)(1 - 1/r^2) to (1/2)(1 + 1/r^2);
+    slope_to_label finds that label, if there is one, within
+    r.bit_length() steps.
     """
     if isinstance(p.x, QuadReal) and not p.x.is_rational:
         return False
     x = to_fraction(p.x)
-    return d >= _exc_delta(x.denominator) and slope_to_label(x, depth) is not None
+    return d >= _exc_delta(x.denominator) and slope_to_label(x) is not None
 
 
 def dlp_exists(v: CharVec, depth: int) -> DlpResult:
@@ -293,6 +311,8 @@ def dlp_exists(v: CharVec, depth: int) -> DlpResult:
 
     On an exclusion at slope x, v is a multiple of an exceptional character
     exactly when it projects to the top, of discriminant (1/2)(1 - 1/den(x)^2).
+    Above the strip the verdict takes no budget; only a point in the strip
+    whose covering tent is deeper than depth answers Unknown.
     """
     if v.ch0 <= 0:
         raise ValueError("existence test requires positive rank")

@@ -352,6 +352,44 @@ def test_huge_depth_dlp_in_a_fresh_process():
     assert json.loads(done.stdout) == {"result": "Yes"}
 
 
+# the deepest slope searches the CLI can reach: x is 1/10^k past an
+# integer n, so only a label of rank 10^k could have slope x, and the search
+# walks about 2.4 k levels, past the CACHE_SIZE characters that stay cached.
+# At discriminant (1/2)(1 - 1/10^(2k)) the point is where the top of that
+# exclusion would be.  Every number is written out in fewer than 4300 digits.
+def _deepest_argv(verb, n, k):
+    r = 10 ** k
+    x = n + Fraction(1, r)
+    y = x * x / 2 - (1 - Fraction(1, r * r)) / 2
+    if verb == "dlp":
+        # the character (r, r x, r y) projects to (x, y)
+        return ["dlp", "--ch0", str(r), "--ch1", str(r * x), f"--ch2={r * y}"]
+    return ["classify-point", "--x", str(x), f"--y={y}"]
+
+
+@pytest.mark.parametrize("verb,n,k,extra,want", [
+    ("classify-point", 0, 2149, [], {"class": "GeoLP"}),
+    ("classify-point", 0, 2149, ["--depth", "100000"], {"class": "GeoLP"}),
+    ("classify-point", 5, 2000, [], {"class": "GeoLP"}),
+    ("dlp", 0, 2000, [], {"result": "No"}),
+    ("dlp", 5, 2000, [], {"result": "No"}),
+], ids=["classify-point", "classify-point-depth", "classify-point-past-5", "dlp", "dlp-past-5"])
+def test_deepest_slope_search_in_a_fresh_process(verb, n, k, extra, want):
+    argv = _deepest_argv(verb, n, k) + extra
+    assert max(len(digits) for a in argv for digits in re.findall(r"\d+", a)) < 4300
+    done, seconds = fresh_run(argv)
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout) == want
+    assert seconds < 3.0
+
+
+@pytest.mark.parametrize("depth", ["0", "1", "8"])
+def test_exceptional_multiple_is_found_at_every_depth(depth):
+    # 2 O(1/2)'s character, whose label 1/2 is one level deep
+    done, _ = fresh_run(["dlp", "--ch0", "2", "--ch1", "1", "--ch2=-1/2", "--depth", depth])
+    assert done.returncode == 0 and json.loads(done.stdout) == {"result": "YesExceptional"}
+
+
 def test_exc_char_rank_is_bounded():
     # ranks near 2/3 grow by a factor phi^2 in bit length per level
     d = 40

@@ -1,5 +1,6 @@
 """Dyadic labels, recursive characters, triples, and mutations."""
 
+import functools
 import itertools
 import math
 import random
@@ -41,6 +42,11 @@ def test_label_canonical_form():
     assert str(DyadicLabel(3)) == "3"
     assert lab("13/4") == DyadicLabel(13, 2)
     assert lab("-2") == DyadicLabel(-2)
+    # the trailing zeros of p go in one step, however many there are
+    assert DyadicLabel(-12, 5) == DyadicLabel(-3, 3)
+    assert DyadicLabel(0, 5000) == DyadicLabel(0)
+    assert DyadicLabel(5 << 3000, 3001) == DyadicLabel(5, 1)
+    assert DyadicLabel(-3 << 3000, 2000) == DyadicLabel(-3 << 1000)
     with pytest.raises(ValueError):
         lab("1/3")
 
@@ -260,11 +266,65 @@ def test_mutation_pattern_transitions():
 
 
 def test_slope_to_label():
-    assert slope_to_label(Fraction(1), 0) == lab("1")
-    assert slope_to_label(Fraction(1, 2), 1) == lab("1/2")
-    assert slope_to_label(Fraction(2, 5), 2) == lab("1/4")
-    assert slope_to_label(Fraction(2, 5), 1) is None
-    assert slope_to_label(Fraction(1, 3), 8) is None
+    assert slope_to_label(Fraction(1)) == lab("1")
+    assert slope_to_label(Fraction(1, 2)) == lab("1/2")
+    assert slope_to_label(Fraction(2, 5)) == lab("1/4")
+    assert slope_to_label(Fraction(-8, 5)) == lab("-7/4")
+    assert slope_to_label(Fraction(1, 3)) is None
+    # 3/10 passes the numerical test, but the rank-1 tent at 0 covers it
+    assert slope_to_label(Fraction(3, 10)) is None
+    # ranks near the label 2/3 grow fastest: at depth 19 one has 14 138
+    # bits, and just below its slope the next midpoint would rank past
+    # MAX_RANK_BITS, above den, so the search must not build it
+    label = DyadicLabel((2 ** 20 + 1) // 3, 19)
+    r, c, _ = ex._int_char(label)
+    assert slope_to_label(Fraction(c, r)) == label
+    assert slope_to_label(Fraction(3 * c - 1, 3 * r)) is None
+
+
+@functools.cache
+def _slope_of(label):
+    """A label's slope from char_of, as its numerator and denominator."""
+    s = slope(char_of(label))
+    return s.numerator, s.denominator
+
+
+def _budget_search(mu, max_m):
+    """The slope search with a depth budget, as it was before the rank alone
+    bounded it: bisection on the slopes of char_of, stopped at rank den(mu).
+    """
+    num, den = mu.numerator, mu.denominator
+    if den == 1:
+        return DyadicLabel(num)
+    p = math.floor(mu)
+    for m in range(1, max_m + 1):
+        mid = DyadicLabel(2 * p + 1, m)
+        c, r = _slope_of(mid)
+        if (c, r) == (num, den):
+            return mid
+        if r >= den:
+            return None
+        p = 2 * p + (c * den < num * r)
+    return None
+
+
+def test_slope_search_needs_no_budget():
+    # every reduced c/r with r <= 300 in two unit cells, against the
+    # budgeted search at depth 64, which no such slope's label reaches
+    found = 0
+    for n in (-3, 1):
+        for r in range(1, 301):
+            for c in range(n * r, (n + 1) * r):
+                if math.gcd(c, r) == 1:
+                    mu = Fraction(c, r)
+                    want = _budget_search(mu, 64)
+                    assert slope_to_label(mu) == want, mu
+                    found += want is not None
+    assert found > 20
+    # and every label of depth <= 8 in [-3, 3) from its own slope
+    for label in all_labels(3, 8):
+        if label < DyadicLabel(3):
+            assert slope_to_label(slope(char_of(label))) == label, label
 
 
 def test_rank_and_degree_are_coprime():
@@ -278,10 +338,11 @@ def test_rank_and_degree_are_coprime():
 
 
 def test_is_exceptional_char():
-    assert is_exceptional_char(CharVec(2, 2, 1), 0)
-    assert not is_exceptional_char(CharVec(2, 1, 1), 4)
-    assert is_exceptional_char(CharVec(5, 7, Fraction(5, 2)), 2)
-    assert not is_exceptional_char(CharVec(-5, -7, Fraction(-5, 2)), 2)
+    assert is_exceptional_char(CharVec(2, 2, 1))
+    assert not is_exceptional_char(CharVec(2, 1, 1))
+    assert is_exceptional_char(CharVec(5, 7, Fraction(5, 2)))
+    assert is_exceptional_char(CharVec(10, 4, -4))
+    assert not is_exceptional_char(CharVec(-5, -7, Fraction(-5, 2)))
 
 
 def _label_bases(max_m: int, span: int):
@@ -336,8 +397,7 @@ def _mutation_by_characters(t, way, slot):
     else:
         chars = ((c1, c3, euler_chi(c2, c3) * c3 - c2) if slot == 2
                  else (c2, euler_chi(c1, c2) * c2 - c1, c3))
-    depth = max(l.m for l in t.labels) + 2
-    labels = [slope_to_label(slope(c), depth) for c in chars]
+    labels = [slope_to_label(slope(c)) for c in chars]
     assert all(l is not None and char_of(l) == c for l, c in zip(labels, chars))
     out = detect_triple(*labels)
     assert out is not None and out.chars == chars
@@ -374,6 +434,38 @@ def test_caches_stay_bounded_and_rebuild_evicted_characters():
     for lbl, (c, apex) in first.items():
         assert char_of(lbl) == c and eplus(lbl) == apex
         assert euler_chi(c, c) == 1
+
+
+class _CountedChars(dict):
+    """A character cache that counts its insertions and keeps its largest size."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit, self.inserts, self.largest, self.deepest = limit, 0, 0, 0
+
+    def __setitem__(self, label, value):
+        super().__setitem__(label, value)
+        self.inserts += 1
+        self.largest = max(self.largest, len(self))
+        self.deepest = max(self.deepest, label.m)
+        # a cache that rebuilt the search's ancestors at every step would
+        # take quadratic work; stop it early instead of waiting on it
+        assert self.inserts <= self.limit, f"{self.inserts} insertions at depth {self.deepest}"
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_a_search_deeper_than_the_cache_takes_linear_work(monkeypatch, n):
+    # 1/10^2149 past the integer n is no label's slope, and the search for
+    # it walks more than 5 000 levels, past the cache's CACHE_SIZE entries
+    mu = n + Fraction(1, 10 ** 2149)
+    levels = mu.denominator.bit_length()
+    cache = _CountedChars(3 * levels)
+    monkeypatch.setattr(ex, "_CHARS", cache)
+    assert slope_to_label(mu) is None
+    assert 5000 <= cache.deepest <= levels
+    assert cache.inserts <= 2 * cache.deepest
+    # the cache keeps at most CACHE_SIZE entries plus one label's ancestors
+    assert cache.largest <= ex.CACHE_SIZE + 16
 
 
 def test_integer_characters_match_the_fraction_ones():

@@ -135,9 +135,7 @@ def test_exceptional_vertex_is_own_exclusion_top():
 
 
 def test_classify_monotone_refinement():
-    # A decided verdict is stable under deeper search, with one documented
-    # exception: a point reported inside the region can later turn out to
-    # sit exactly on an exclusion segment whose label needs more depth.
+    # a decided verdict is stable under deeper search
     pts = [pt(Fraction(i, 8), Fraction(j, 8) - 1)
            for i in range(-8, 9) for j in range(0, 17)]
     for p in pts:
@@ -147,9 +145,6 @@ def test_classify_monotone_refinement():
             if decided is None:
                 if got is not RegionClass.UNKNOWN:
                     decided = got
-            elif decided is RegionClass.GEO_LP:
-                assert got in (RegionClass.GEO_LP,
-                               RegionClass.ON_EXCLUSION), (p, depth)
             else:
                 assert got is decided, (p, depth)
 
@@ -252,12 +247,36 @@ def _curve_near(x0, x1, depth):
     return _cells(depth, math.floor(x0), math.ceil(x1))
 
 
+# a label of slope x ranks den(x), and a label of depth m ranks at least
+# 2^m, so x's label has depth <= den(x).bit_length(), at most 13 for the
+# denominators up to 4096 of _random_point
+_LABEL_DEPTH = 13
+
+
+@functools.cache
+def _labels_by_slope(n):
+    """Every label of depth <= _LABEL_DEPTH in [n, n + 1], keyed by its slope from char_of."""
+    k = _LABEL_DEPTH
+    return {slope(char_of(DyadicLabel(p, k))): DyadicLabel(p, k)
+            for p in range(n << k, (n + 1 << k) + 1)}
+
+
+def _exclusion_hit(label, p):
+    """Whether p is on the label's exclusion, read off char_of; None has none."""
+    if label is None:
+        return False
+    c = char_of(label)
+    top = c.ch2 / c.ch0
+    return top - 1 / c.ch0 ** 2 <= p.y <= top
+
+
 def _reference_point(p, depth):
     half = Fraction(1, 2)
-    approx = _curve_near(p.x, p.x, depth)
     if p.delta() < half:
-        on = any(e.x == p.x and e.covers_y(p.y) for e in approx.exclusions)
-        return RegionClass.ON_EXCLUSION if on else RegionClass.GEO_LP
+        assert p.x.denominator.bit_length() <= _LABEL_DEPTH
+        label = _labels_by_slope(math.floor(p.x)).get(p.x)
+        return RegionClass.ON_EXCLUSION if _exclusion_hit(label, p) else RegionClass.GEO_LP
+    approx = _curve_near(p.x, p.x, depth)
     if p.delta() > 1:
         return RegionClass.BELOW_CURVE
     tents = [t for t in approx.tents if t.x_lo <= p.x <= t.x_hi]
@@ -373,17 +392,9 @@ def _bisect_label(mu, depth):
     return None
 
 
-def _uncut_exclusion_hit(p, depth):
-    """The exclusion test with the label search run to the full depth."""
-    label = _bisect_label(p.x, depth)
-    if label is None:
-        return False
-    c = char_of(label)
-    top = c.ch2 / c.ch0
-    return top - 1 / c.ch0 ** 2 <= p.y <= top
-
-
-def test_exclusion_search_stops_at_safe_depth():
+def test_exclusion_verdict_is_the_same_at_every_depth():
+    # the reference bisects to depth den(x).bit_length(), below which no
+    # label ranks den(x), and ignores the budget
     rng = random.Random(909)
     hits = 0
     for _ in range(3000):
@@ -397,7 +408,7 @@ def test_exclusion_search_stops_at_safe_depth():
         p = AffPt(x, y)
         if p.delta() >= Fraction(1, 2):
             continue
-        hit = _uncut_exclusion_hit(p, depth)
+        hit = _exclusion_hit(_bisect_label(x, x.denominator.bit_length()), p)
         hits += hit
         want = RegionClass.ON_EXCLUSION if hit else RegionClass.GEO_LP
         assert classify_point(p, depth) is want, (p, depth)
@@ -495,7 +506,8 @@ def test_boundary_slice_segment_is_decided_by_the_local_bound():
 
 def test_slope_search_stops_by_rank():
     # exceptional slopes, their neighbours at distance 1/q, and plain
-    # rationals; the search of unbounded depth answers as full bisection
+    # rationals; the search, which stops by rank alone, answers as full
+    # bisection and within den(x).bit_length() levels
     rng = random.Random(1717)
     found = 0
     for _ in range(1500):
@@ -509,14 +521,13 @@ def test_slope_search_stops_by_rank():
         else:
             x = Fraction(rng.randint(-1 << 16, 1 << 16), rng.randint(1, 1 << 14))
         want = _bisect_label(x, 12)
-        got = slope_to_label(x, 10 ** 6)
+        got = slope_to_label(x)
         if want is None:
             assert got is None or (got.m > 12 and slope(char_of(got)) == x), x
         else:
             found += 1
             assert got == want, x
-            assert all(slope_to_label(x, k) == (want if k >= want.m else None)
-                       for k in range(13)), x
+        assert got is None or got.m <= x.denominator.bit_length(), x
     assert found > 400
 
 
@@ -591,9 +602,6 @@ def test_unknown_verdicts_are_decided_by_a_larger_budget():
 
 
 def test_a_larger_budget_keeps_dlp_verdicts():
-    # The one exception is test_classify_monotone_refinement's: a multiple
-    # of an exceptional character deeper than the budget is classified off
-    # its exclusion, so No can turn into YesExceptional.
     unknowns = 0
     for r in range(1, 9):
         for c in range(r + 1):
@@ -604,16 +612,14 @@ def test_a_larger_budget_keeps_dlp_verdicts():
                 got = [dlp_exists(v, d) for d in range(6)]
                 unknowns += DlpResult.UNKNOWN in got
                 decided = [g for g in got if g is not DlpResult.UNKNOWN]
-                assert decided == decided[-1:] * len(decided) or (
-                    set(decided) == {DlpResult.NO, DlpResult.YES_EXCEPTIONAL}
-                    and is_exceptional_char(v, 40)), (v, got)
+                assert decided == decided[-1:] * len(decided), (v, got)
     assert unknowns > 20
 
 
 def _old_dlp(v, depth):
     """dlp_exists by the label search: classify, then look for v's label."""
     cls = classify_point(v.proj(), depth)
-    if cls is RegionClass.ON_EXCLUSION and is_exceptional_char(v, depth):
+    if cls is RegionClass.ON_EXCLUSION and is_exceptional_char(v):
         return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
@@ -926,7 +932,8 @@ def test_vertical_segments_match_the_point_walk():
         # a half-open lower end at the top of an exclusion within the budget,
         # which stops the closed segment
         top = d_a == (1 - Fraction(1, r * r)) / 2 and a.y < b.y
-        if exclude_a and top and classify_point(a, depth) is RegionClass.ON_EXCLUSION:
+        label = slope_to_label(x)
+        if exclude_a and top and label is not None and label.m <= depth:
             excused += want is not GeoAnswer.NO
             assert geo_contains_segment(a, b, depth) is GeoAnswer.NO
     assert answers == set(GeoAnswer) and excused > 0

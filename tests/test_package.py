@@ -140,32 +140,38 @@ INTEGER_SIGNS = SURD_KERNELS + ("_disc_sign", "_line_sign", "_above_chord",
 # surd values and arithmetic, and the point walk with its tents and surd points
 NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign",
                "_tent_at", "_tent", "Tent", "el", "er", "eplus")
+# the slope search of exceptional.py steps on the integer characters; its
+# input is a Fraction, but it takes no CharVec, Fraction slope or surd
+NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
+REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS}, "slope_to_label": NOT_IN_SEARCH}
 
 
 def _non_integer_names(tree):
-    """Lines where a function named in INTEGER_SIGNS, or one nested in it,
-    names one of NOT_INTEGER.
+    """Lines where a function named in REFUSED, or one nested in it, names
+    one of the names refused to it.
     """
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_SIGNS:
+        if isinstance(node, ast.FunctionDef) and node.name in REFUSED:
             for sub in ast.walk(node):
                 name = (sub.id if isinstance(sub, ast.Name)
                         else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name in NOT_INTEGER:
+                if name in REFUSED[node.name]:
                     lines.append(sub.lineno)
     return lines
 
 
 def test_the_segment_walk_signs_stay_on_integers():
     root = Path(stabscope.__file__).parent
-    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("surd", "lepotier")}
+    trees = {name: ast.parse((root / f"{name}.py").read_text())
+             for name in ("surd", "lepotier", "exceptional")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
     # the kernels have one home, and the walk's own tests are in lepotier
     assert set(SURD_KERNELS) <= defined["surd"] and not set(SURD_KERNELS) & defined["lepotier"]
     assert set(INTEGER_SIGNS) - set(SURD_KERNELS) <= defined["lepotier"]
-    assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
+    assert "slope_to_label" in defined["exceptional"]
+    assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], []]
     assert _non_integer_names(ast.parse(
         "def _mixed_sign(r, b1: Fraction, d1, b2, d2):\n    pass")) == [1]
     assert _non_integer_names(ast.parse(
@@ -179,3 +185,7 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]
     assert _non_integer_names(ast.parse("def _slope(p, q, d, s):\n    return Fraction(p, s)")) == [2]
     assert _non_integer_names(ast.parse("def _tent(label):\n    return QuadReal(label)")) == []
+    assert _non_integer_names(ast.parse(
+        "def slope_to_label(mu):\n    return slope(char_of(mu))")) == [2, 2]
+    assert _non_integer_names(ast.parse("def slope_to_label(mu):\n    return Fraction(mu)")) == []
+    assert _non_integer_names(ast.parse("def is_exceptional_char(v):\n    return slope(v)")) == []

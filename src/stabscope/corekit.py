@@ -71,7 +71,9 @@ def _record(cls):
 
 
 def to_fraction(x: Number) -> Fraction:
-    """Exact rational value of x; raises for irrational surds."""
+    """Exact rational value of x, x itself for a Fraction; raises for irrational surds."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, QuadReal):
         return x.as_fraction()
     return Fraction(x)

@@ -11,12 +11,14 @@ least doubles the rank, so it ends within r.bit_length() steps.  Ranks
 above MAX_RANK_BITS bits are refused.  The parabola contact points of
 each label are the closed form of Drezet and Le Potier.
 
-Each cached character is held in two forms, both built when its entry
-is added: the integers (r, c, e) = (ch0, ch1, 2 ch2), which are integral
-since chi(O, E) = r + 3c/2 + ch2 is, and the CharVec.  The recursion
-runs on the integers, and the checks of bundles and triples use the one
-integer pairing corekit._chi2, which is twice euler_chi, and det3 of
-the integer triples, which is twice det3 of the characters.
+Each cached character is held in two forms: the integers (r, c, e) =
+(ch0, ch1, 2 ch2), which are integral since chi(O, E) = r + 3c/2 + ch2
+is, built when its entry is added, and the CharVec, built when char_of
+or ExcBundle.of first asks for it.  The recursion, the slope search and
+the segment walk run on the integers, and the checks of bundles and
+triples use the one integer pairing corekit._chi2, which is twice
+euler_chi, and det3 of the integer triples, which is twice det3 of the
+characters.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ MAX_RANK_BITS = 1 << 14
 CACHE_SIZE = 1 << 12
 
 # characters computed so far, by label: the integers (r, c, e = 2 ch2)
-# and the CharVec (r, c, e/2)
-_CHARS: dict[DyadicLabel, tuple[tuple[int, int, int], CharVec]] = {}
+# and the CharVec (r, c, e/2), or None until char_of first asks for it
+_CHARS: dict[DyadicLabel, list] = {}
 
 
 def _recurrence_terms(label: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
@@ -139,7 +141,11 @@ def char_of(label: DyadicLabel) -> CharVec:
     its next step reads.  A rank above MAX_RANK_BITS bits raises
     ValueError.
     """
-    return (_CHARS.get(label) or _fill(label))[1]
+    entry = _CHARS.get(label) or _fill(label)
+    if entry[1] is None:
+        r, c, e = entry[0]
+        entry[1] = CharVec(r, c, Fraction(e, 2))
+    return entry[1]
 
 
 def _int_char(label: DyadicLabel) -> tuple[int, int, int]:
@@ -147,8 +153,8 @@ def _int_char(label: DyadicLabel) -> tuple[int, int, int]:
     return (_CHARS.get(label) or _fill(label))[0]
 
 
-def _fill(label: DyadicLabel) -> tuple[tuple[int, int, int], CharVec]:
-    """Compute and cache the characters of a label missing from the cache."""
+def _fill(label: DyadicLabel) -> list:
+    """Compute and cache the integer characters of a label missing from the cache."""
     if len(_CHARS) >= CACHE_SIZE:
         for old in list(_CHARS)[:CACHE_SIZE // 2]:
             del _CHARS[old]
@@ -171,7 +177,7 @@ def _fill(label: DyadicLabel) -> tuple[tuple[int, int, int], CharVec]:
             v = tuple(k * b - f for b, f in zip(base, far))
             if v[0].bit_length() > MAX_RANK_BITS:
                 raise ValueError(f"rank at label {lbl} exceeds {MAX_RANK_BITS} bits")
-        _CHARS[lbl] = (v, CharVec(v[0], v[1], Fraction(v[2], 2)))
+        _CHARS[lbl] = [v, None]
         stack.pop()
     return _CHARS[label]
 
@@ -197,7 +203,7 @@ class ExcBundle:
             label = DyadicLabel.parse(label)
         elif not isinstance(label, DyadicLabel):
             label = DyadicLabel.from_value(label)
-        v, c = _CHARS.get(label) or _fill(label)
+        c, v = char_of(label), _int_char(label)
         assert v[0] > 0, "exceptional rank must be positive"
         assert _chi2(v, v) == 2, "exceptionality pairing failed"
         return cls(label, c)

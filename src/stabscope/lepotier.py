@@ -28,9 +28,10 @@ on an exclusion is a multiple of its label's own exactly when it projects
 to the top, at equality.  build_curve lists the tents, segments and
 exclusions that meet a window; no decision uses it.
 
-The segment walk takes its signs on integers.  It scales the segment
-y = m x + c once, to (L, L m, L c) with L = lcm(den m, den c), and each
-label keeps, from its integer character, its slopes el, apex and er as
+The segment walk takes its signs on integers.  Its line y = m x + c is
+cross3 of the ends' integer vectors d (1, x, y), made primitive as
+(L, L m, L c) with L > 0 and no Fraction arithmetic, and each label
+keeps, from its integer character, its slopes el, apex and er as
 (P + Q*sqrt(D))/S and its chords and exclusion ends as integer lines.
 The cell, gap, chord and exclusion tests are each the sign of an integer
 polynomial of degree <= 2 at such a slope; times S^2 it is U + V*sqrt(D)
@@ -52,7 +53,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, ProjLine, _record, _scaled_ints, to_fraction
+from .corekit import AffPt, CharVec, ProjLine, _record, cross3, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
                           eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
@@ -406,6 +407,34 @@ def _line_sign(seg: tuple[int, int, int], line: tuple[int, int, int], x: tuple) 
     return _root_sign(a1 * p + (lc * k - lcd * b) * s, a1 * q, d)
 
 
+def _segment_ints(pts: list) -> tuple[bool, tuple[int, int, int]] | None:
+    """Whether the second of two rational ends comes first, and the line, or None.
+
+    Each end (x, y) is the integer vector d (1, x, y), d = den(x) den(y),
+    and lies below the strip, at discriminant x^2/2 - y > 1, when
+    X^2 - 2 Y d > 2 d^2; then the answer is None.  cross3 of the two
+    vectors, (k0, k1, k2), is the line k0 + k1 x + k2 y = 0 through both,
+    with k2 = d_a d_b (x_b - x_a) and, where that is 0, k1 = d_a d_b (y_a - y_b).
+    So the ends swap, to run left to right and then upwards, when k2 < 0 or
+    k2 = 0 < k1.  The line y = m x + c is then (L, L m, L c) = (k2, -k1, -k0)/g
+    with g = gcd(k0, k1, k2) of the sign of k2, which makes it primitive with
+    L = lcm(den m, den c) > 0; a vertical segment takes the level line
+    (den y, 0, num y) through its lower end.
+    """
+    u, v = ((x.denominator * y.denominator, x.numerator * y.denominator,
+             y.numerator * x.denominator) for x, y in pts)
+    if any(px * px - 2 * py * d > 2 * d * d for d, px, py in (u, v)):
+        return None
+    k0, k1, k2 = cross3(u, v)
+    if k2 == 0:
+        y = pts[k1 > 0][1]
+        return k1 > 0, (y.denominator, 0, y.numerator)
+    g = math.gcd(k0, k1, k2)
+    if k2 < 0:
+        g = -g
+    return k2 < 0, (k2 // g, -k1 // g, -k0 // g)
+
+
 def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
                          exclude_a: bool = False) -> GeoAnswer:
     """Decide whether the segment from a to b stays in the open region.
@@ -426,24 +455,20 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
     if a == b:
         raise ValueError("degenerate segment")
     try:
-        ax, ay = to_fraction(a.x), to_fraction(a.y)
-        bx, by = to_fraction(b.x), to_fraction(b.y)
+        pts = [(to_fraction(p.x), to_fraction(p.y)) for p in (a, b)]
     except ValueError:
         raise ValueError("strip analysis supports rational endpoints only") from None
-    if a.delta() > 1 or b.delta() > 1:
+    line = _segment_ints(pts)
+    if line is None:
         return GeoAnswer.NO
-    (x0, y0), (x1, y1) = sorted(((ax, ay), (bx, by)))
-    # the segment is y = m x + c, and x^2/2 - m x - c its discriminant;
-    # every sign below is taken on seg = (L, L m, L c), L = lcm(den m, den c).
-    # A vertical segment is the level segment y = y0 at its lower end, so
-    # only there can a be excused.
-    vertical = x0 == x1
-    m = 0 if vertical else (y1 - y0) / (x1 - x0)
-    c = y0 - m * x0
-    lcd, (lm, lc) = _scaled_ints((m, c))
-    seg = (lcd, lm, lc)
+    # every sign below is taken on seg = (L, L m, L c) of the segment's line
+    # y = m x + c, whose discriminant is x^2/2 - m x - c.  A vertical segment
+    # is the level segment at its lower end, so only there can a be excused.
+    swap, seg = line
+    (x0, _), (x1, _) = reversed(pts) if swap else pts
     ends = tuple(_slope(x.numerator, 0, 0, x.denominator) for x in (x0, x1))
-    allowed = ends[ax == x1] if exclude_a and (ay == y0 or not vertical) else None
+    vertical = ends[0][2] == ends[1][2]
+    allowed = ends[swap] if exclude_a and not (vertical and swap) else None
 
     def blocks(label: DyadicLabel) -> bool:
         """Whether the label's exclusion or one of its tent chords stops the segment."""

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, RayOrder,
                                Segment, collinear, cross2, delta, det3,
                                euler_chi, format_rational, parse_rational,
-                               point_in_polygon, ray_above, slope, vec)
+                               point_in_polygon, ray_above, slope, to_fraction, vec)
 from stabscope.surd import QuadReal
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -109,6 +109,16 @@ def test_affpt_with_surd_coordinates():
     assert not p.is_rational()
     data = p.to_json()
     assert data["x"] == {"a": "-3/2", "b": "1/2", "d": 5}
+
+
+def test_to_fraction_keeps_a_fraction_and_reads_a_rational_surd():
+    x = Fraction(-(10 ** 30) - 1, 7)
+    assert to_fraction(x) is x
+    q = QuadReal(Fraction(5, 3), Fraction(2), 4)  # 5/3 + 2 sqrt(4) = 17/3
+    assert q.is_rational and to_fraction(q) is q.a == Fraction(17, 3)
+    assert to_fraction(-4) == Fraction(-4) and type(to_fraction(-4)) is Fraction
+    with pytest.raises(ValueError, match="irrational"):
+        to_fraction(QuadReal(Fraction(1, 2), 1, 5))
 
 
 def test_projline_through_points():

@@ -486,3 +486,17 @@ def test_integer_characters_match_the_fraction_ones():
         assert [det3(v, ints[a], ints[b]) for v in ints] == want, (labels[a], labels[b])
         assert [-det3(v, ints[b], ints[a]) for v in ints] == want, (labels[b], labels[a])
     assert all(det3(v, w, w) == 0 for v in ints for w in ints)
+
+
+def test_a_character_vector_is_built_only_when_asked_for(monkeypatch):
+    # the search and the walks read only the integer characters, so filling
+    # the cache builds no CharVec; char_of builds one on its first call and keeps it
+    monkeypatch.setattr(ex, "_CHARS", {})
+    assert slope_to_label(Fraction(1, 10 ** 40)) is None
+    assert len(ex._CHARS) > 90 and all(c is None for _, c in ex._CHARS.values())
+    deepest = max(ex._CHARS, key=lambda lbl: lbl.m)
+    r, c, e = ex._int_char(deepest)
+    got = char_of(deepest)
+    assert got == CharVec(r, c, Fraction(e, 2)) and ex._CHARS[deepest][1] is got
+    assert char_of(deepest) is got and ExcBundle.of(deepest).char is got
+    assert sum(c is not None for _, c in ex._CHARS.values()) == 1

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from stabscope import lepotier
-from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, slope
+from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, _scaled_ints, slope
 from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
@@ -206,6 +207,68 @@ def test_geo_contains_segment_examples():
     assert geo_contains_segment(pt(0, 0), pt("1/2", 0), 2) is GeoAnswer.NO
     with pytest.raises(ValueError):
         geo_contains_segment(pt(0, 1), pt(0, 1), 2)
+
+
+def _fraction_line(pa, pb):
+    """The segment's line in Fractions: None if an end is at discriminant > 1,
+    else whether pb is the left (or, at equal x, lower) end and (L, L m, L c)
+    with L = lcm(den m, den c), the level line y = y0 at the lower end of a
+    vertical segment.
+    """
+    if any(AffPt(x, y).delta() > 1 for x, y in (pa, pb)):
+        return None
+    (x0, y0), (x1, y1) = sorted((pa, pb))
+    m = 0 if x0 == x1 else (y1 - y0) / (x1 - x0)
+    lcd, (lm, lc) = _scaled_ints((m, y0 - m * x0))
+    return pa > pb, (lcd, lm, lc)
+
+
+def _rational_end(rng):
+    """A rational point of either sign near the strip, with integer
+    coordinates or denominators up to 10^30, sometimes at discriminant 1."""
+    if rng.random() < 0.2:
+        return Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-40, 40))
+    den = rng.choice((1, 2, 3, 12, 10 ** 6 + 3, 10 ** 30, rng.randrange(1, 10 ** 30)))
+    x = Fraction(rng.randint(-9 * den, 9 * den), den)
+    t = rng.choice((Fraction(1), Fraction(rng.randint(-3 * den, den + den // 4), den)))
+    return x, x * x / 2 - t
+
+
+def test_segment_line_matches_the_fraction_formulas():
+    rng = random.Random(22)
+    seen = Counter()
+    for i in range(3000):
+        pa = _rational_end(rng)
+        pb = [_rational_end(rng), (pa[0], _rational_end(rng)[1]), (_rational_end(rng)[0], pa[1])][i % 3]
+        if pa == pb:
+            continue
+        for u, v in ((pa, pb), (pb, pa)):
+            want = _fraction_line(u, v)
+            assert lepotier._segment_ints([u, v]) == want, (u, v)
+            if want is None:
+                seen["below the strip"] += 1
+            else:
+                seen["vertical" if u[0] == v[0] else "slanted", want[0]] += 1
+                # cross3 of the raw vectors d (1, x, y) has a common factor
+                seen["reduced"] += want[1][0] < abs(u[0] - v[0]) * math.prod(
+                    c.denominator for c in (*u, *v))
+        seen["at discriminant 1"] += sum(AffPt(x, y).delta() == 1 for x, y in (pa, pb))
+    # every branch is met: the swap both ways, the lower end of a vertical
+    # segment either way round, a common factor, ends at and past the bound
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+def test_rational_surd_ends_take_the_same_walk():
+    rng = random.Random(23)
+    for i in range(120):
+        pa = _rational_end(rng)
+        pb = [_rational_end(rng), (pa[0], _rational_end(rng)[1])][i % 2]
+        if pa == pb:
+            continue
+        surd_ends = [AffPt(QuadReal(x), QuadReal(y)) for x, y in (pa, pb)]
+        for exclude_a in (False, True):
+            assert (geo_contains_segment(*surd_ends, 3, exclude_a)
+                    is geo_contains_segment(pt(*pa), pt(*pb), 3, exclude_a)), (pa, pb)
 
 
 def test_geo_contains_segment_detects_deep_crossing():

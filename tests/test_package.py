@@ -131,19 +131,25 @@ def test_no_float_in_a_decision():
 
 
 # the exact surd kernels of surd.py, the segment walk's sign tests, its
-# slope entries and their ordering, the walk that holds them, and the
-# tent's contact check, which take every sign and order on integers
+# slope entries and their ordering, the walk that holds them with its
+# integer line, and the tent's contact check, which take every sign and
+# order on integers
 SURD_KERNELS = ("_root_sign", "_mixed_sign", "_form_sign", "_floor_form")
-INTEGER_SIGNS = SURD_KERNELS + ("_disc_sign", "_line_sign", "_above_chord",
-                                "_slope", "_tent_ends", "_compare", "_span",
-                                "geo_contains_segment", "_on_chord")
+SEGMENT_PREAMBLE = ("geo_contains_segment", "_segment_ints")
+INTEGER_SIGNS = SURD_KERNELS + SEGMENT_PREAMBLE + ("_disc_sign", "_line_sign", "_above_chord",
+                                                   "_slope", "_tent_ends", "_compare", "_span",
+                                                   "_on_chord")
 # surd values and arithmetic, and the point walk with its tents and surd points
 NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign",
                "_tent_at", "_tent", "Tent", "el", "er", "eplus")
+# the segment's line comes from cross3 of its ends' integer vectors, with
+# no Fraction discriminant or common denominator of its slope and intercept
+NOT_IN_PREAMBLE = NOT_INTEGER + ("delta", "_scaled_ints")
 # the slope search of exceptional.py steps on the integer characters; its
 # input is a Fraction, but it takes no CharVec, Fraction slope or surd
 NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
-REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS}, "slope_to_label": NOT_IN_SEARCH}
+REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
+           **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH}
 
 
 def _non_integer_names(tree):
@@ -181,6 +187,13 @@ def test_the_segment_walk_signs_stay_on_integers():
         "def geo_contains_segment(a, b):\n    def blocks(n):\n        return surd._poly_sign(n)")) == [3]
     assert _non_integer_names(ast.parse(
         "def geo_contains_segment(a, b, depth):\n    return lepotier._tent_at(a.x, depth)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def geo_contains_segment(a, b, depth):\n    return a.delta() > 1")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def geo_contains_segment(a, b, depth):\n    lcd, ints = corekit._scaled_ints((m, c))")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _segment_ints(pts):\n    return delta(pts[0]), _scaled_ints(pts)")) == [2, 2]
+    assert _non_integer_names(ast.parse("def _disc_sign(s, r, x):\n    return x.delta()")) == []
     assert _non_integer_names(ast.parse("def _disc_sign(s, r: Fraction, x):\n    pass")) == [1]
     assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]
     assert _non_integer_names(ast.parse("def _slope(p, q, d, s):\n    return Fraction(p, s)")) == [2]

@@ -6,6 +6,11 @@ embeds the same CSV data.  Errors are reported as one-line JSON on
 stderr with exit code 2; with --strict an Unknown verdict exits 3.
 Output is deterministic: keys are sorted, floats use their shortest
 round-trip form, and nothing depends on time or iteration order.
+
+Each verb is declared once, in the table _VERBS near the end of this
+module: its help line, its handler and its arguments.  A run adds
+arguments only to the verbs its argv names, and loads only the modules
+its handler imports.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .corekit import (AffPt, CharVec, ProjLine, format_rational,
                       parse_rational)
 from .exceptional import (DyadicLabel, ExcBundle, ExcTriple, TriplePattern,
-                          detect_triple, el, eplus, er, mutate_left,
-                          mutate_right, triple_from)
+                          _labels_between, detect_triple, el, eplus, er,
+                          mutate_left, mutate_right, triple_from)
 
 if TYPE_CHECKING:
     from .algebraic import ThetaParams
@@ -32,17 +37,14 @@ DEFAULT_DEPTH = 8
 MAX_GRID_POINTS = 4096
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _emit(payload) -> None:
+def _emit(payload) -> int:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    return 0
 
 
 def _fail(message: str) -> int:
@@ -98,10 +100,12 @@ def _triple_json(t: ExcTriple) -> dict:
     }
 
 
-def _params_from_args(args) -> tuple[ThetaParams, bool]:
-    """Build chart parameters from one of the three input forms."""
+def _chart(args) -> tuple[ExcTriple, ThetaParams, bool]:
+    """The triple of --triple and the chart parameters of one of the three
+    input forms, with whether those are exact."""
     from .algebraic import ThetaParams
     from .geometric import RatComplex
+    t = _triple(args.triple)
     given = [name for name, val in
              (("--slots", args.slots), ("--exact-units", args.exact_units),
               ("--phi", args.phi)) if val is not None]
@@ -116,10 +120,10 @@ def _params_from_args(args) -> tuple[ThetaParams, bool]:
             slots.append((parse_rational(re_s), parse_rational(im_s), int(k_s)))
         if len(slots) != 3:
             raise ValueError("--slots needs three re:im:k entries")
-        return ThetaParams(RatComplex(slots[0][0], slots[0][1]),
-                           RatComplex(slots[1][0], slots[1][1]),
-                           RatComplex(slots[2][0], slots[2][1]),
-                           slots[0][2], slots[1][2], slots[2][2]), True
+        return t, ThetaParams(RatComplex(slots[0][0], slots[0][1]),
+                              RatComplex(slots[1][0], slots[1][1]),
+                              RatComplex(slots[2][0], slots[2][1]),
+                              slots[0][2], slots[1][2], slots[2][2]), True
     if args.m is None:
         raise ValueError("--m is required with --exact-units or --phi")
     ms = _rats(args.m, 3)
@@ -132,11 +136,11 @@ def _params_from_args(args) -> tuple[ThetaParams, bool]:
             units.append((parse_rational(c_s), parse_rational(s_s)))
         if len(units) != 3:
             raise ValueError("--exact-units needs three k:c:s entries")
-        return ThetaParams.from_units(ms, units, branches), True
+        return t, ThetaParams.from_units(ms, units, branches), True
     phis = [float(p) for p in args.phi.split(",")]
     if len(phis) != 3:
         raise ValueError("--phi needs three values")
-    return ThetaParams.from_floats([float(m) for m in ms], phis), False
+    return t, ThetaParams.from_floats([float(m) for m in ms], phis), False
 
 
 def _params_json(p: ThetaParams) -> dict:
@@ -215,85 +219,9 @@ def _svg(rows: Sequence[dict], window: tuple[Fraction, Fraction]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _print_rows(rows: Sequence[dict], fmt: str, window: tuple[Fraction, Fraction]) -> None:
+def _print_rows(rows: Sequence[dict], fmt: str, window: tuple[Fraction, Fraction]) -> int:
     sys.stdout.write(_csv(rows) if fmt == "csv" else _svg(rows, window))
-
-
-def _build_parser() -> _Parser:
-    top = _Parser(prog="stabscope", description=__doc__)
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("exc", help="data of one exceptional bundle")
-    p.add_argument("what", choices=("char", "eplus", "el", "er"))
-    p.add_argument("label")
-
-    p = sub.add_parser("curve", help="emit the boundary-curve approximation")
-    p.add_argument("action", choices=("emit",))
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--from", dest="lo", required=True)
-    p.add_argument("--to", dest="hi", required=True)
-    p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
-
-    p = sub.add_parser("classify-point", help="classify a point of the plane")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--strict", action="store_true")
-
-    p = sub.add_parser("dlp", help="semistable-sheaf existence for a character")
-    p.add_argument("--ch0", required=True)
-    p.add_argument("--ch1", required=True)
-    p.add_argument("--ch2", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--strict", action="store_true")
-
-    p = sub.add_parser("charge", help="evaluate a normal-form charge")
-    p.add_argument("action", choices=("eval",))
-    p.add_argument("--s", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--ch0", required=True)
-    p.add_argument("--ch1", required=True)
-    p.add_argument("--ch2", required=True)
-
-    p = sub.add_parser("stab-region", help="raster of exceptional stability")
-    p.add_argument("--label", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--grid", required=True, help="x0,x1,y0,y1,n")
-    p.add_argument("--strict", action="store_true")
-
-    p = sub.add_parser("triple", help="build an exceptional triple")
-    p.add_argument("action", choices=("make",))
-    p.add_argument("--pattern", choices=tuple(_PATTERNS), required=True)
-    p.add_argument("--base", required=True)
-
-    p = sub.add_parser("mutate", help="mutate a triple")
-    p.add_argument("direction", choices=("left", "right"))
-    p.add_argument("--triple", required=True)
-    p.add_argument("--slot", type=int, choices=(1, 2), default=2)
-
-    for name in ("classify-cell", "transport"):
-        p = sub.add_parser(name)
-        p.add_argument("--triple", required=True)
-        p.add_argument("--m", default=None)
-        p.add_argument("--phi", default=None)
-        p.add_argument("--exact-units", dest="exact_units", default=None)
-        p.add_argument("--slots", default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--strict", action="store_true")
-        if name == "transport":
-            p.add_argument("--inverse", action="store_true")
-
-    p = sub.add_parser("wall", help="wall line between two classes")
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-
-    p = sub.add_parser("walls", help="wall arrangement against a bundle pool")
-    p.add_argument("--v", required=True)
-    p.add_argument("--pool-depth", dest="pool_depth", type=int, required=True)
-    p.add_argument("--window", required=True, help="x0,x1,y0,y1")
-    p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
-
-    return top
+    return 0
 
 
 def _line_text(line: ProjLine) -> Optional[str]:
@@ -313,127 +241,66 @@ def _line_text(line: ProjLine) -> Optional[str]:
     return text
 
 
-def run(argv: Sequence[str]) -> int:
-    try:
-        # the variable is checked on every verb, also where --depth overrides it
-        default = _depth(os.environ.get(ENV_DEPTH, DEFAULT_DEPTH), ENV_DEPTH)
-        args = _build_parser().parse_args(argv)
-        if [] in vars(args).values():   # argparse reads --opt=-- as no values
-            raise _UsageError("an option needs one value, not '--'")
-        if hasattr(args, "depth"):
-            args.depth = default if args.depth is None else _depth(args.depth, "--depth")
-        return _dispatch(args)
-    except (ValueError, AssertionError, OverflowError, ZeroDivisionError) as e:
-        return _fail(str(e))
+def _line_json(line: ProjLine) -> dict:
+    """The payload of a wall line, shared by wall and walls."""
+    return {"line": _line_text(line),
+            "coeffs": [format_rational(c) for c in (line.c0, line.c1, line.c2)]}
 
 
-def _dispatch(args) -> int:
-    verb = args.verb
+def _ch(args) -> CharVec:
+    return CharVec(*(parse_rational(t) for t in (args.ch0, args.ch1, args.ch2)))
 
-    if verb == "exc":
-        label = DyadicLabel.parse(args.label)
-        if args.what == "char":
-            _emit({"char": ExcBundle.of(label).char.to_json()})
-        else:
-            point = {"eplus": eplus, "el": el, "er": er}[args.what](label)
-            _emit({"label": str(label), "point": point.to_json()})
-        return 0
 
-    if verb == "curve":
-        from .lepotier import build_curve
-        window = (parse_rational(args.lo), parse_rational(args.hi))
-        approx = build_curve(args.depth, window)
-        if args.format != "json":
-            _print_rows(_curve_rows(approx.segments, approx.exclusions), args.format, window)
-            return 0
-        _emit({
-            "depth": args.depth,
-            "window": [format_rational(w) for w in window],
-            "segments": [{"label": str(s.label), "side": s.side,
-                          "start": s.start.to_json(), "end": s.end.to_json()}
-                         for s in approx.segments],
-            "exclusions": [{"label": str(e.label), "x": format_rational(e.x),
-                            "top": format_rational(e.y_top),
-                            "bottom": format_rational(e.y_bottom)}
-                           for e in approx.exclusions],
-        })
-        return 0
+def _strict(args, unknown: bool) -> int:
+    """A deciding verb's exit code: with --strict an Unknown verdict exits 3."""
+    return 3 if args.strict and unknown else 0
 
-    if verb == "classify-point":
-        from .lepotier import RegionClass, classify_point
-        result = classify_point(AffPt(parse_rational(args.x),
-                                      parse_rational(args.y)), args.depth)
-        _emit({"class": result.value})
-        return 3 if args.strict and result is RegionClass.UNKNOWN else 0
 
-    if verb == "dlp":
-        from .lepotier import DlpResult, dlp_exists
-        v = CharVec(parse_rational(args.ch0), parse_rational(args.ch1),
-                    parse_rational(args.ch2))
-        result = dlp_exists(v, args.depth)
-        _emit({"result": result.value})
-        return 3 if args.strict and result is DlpResult.UNKNOWN else 0
+def _exc(args) -> int:
+    label = DyadicLabel.parse(args.label)
+    if args.what == "char":
+        return _emit({"char": ExcBundle.of(label).char.to_json()})
+    point = {"eplus": eplus, "el": el, "er": er}[args.what](label)
+    return _emit({"label": str(label), "point": point.to_json()})
 
-    if verb == "charge":
-        from .geometric import SQCharge, z_eval
-        Z = SQCharge(parse_rational(args.s), parse_rational(args.q))
-        v = CharVec(parse_rational(args.ch0), parse_rational(args.ch1),
-                    parse_rational(args.ch2))
-        z = z_eval(Z, v)
-        _emit({"re": format_rational(z.re), "im": format_rational(z.im)})
-        return 0
 
-    if verb == "stab-region":
-        return _stab_region(args)
+def _curve(args) -> int:
+    from .lepotier import build_curve
+    window = (parse_rational(args.lo), parse_rational(args.hi))
+    approx = build_curve(args.depth, window)
+    if args.format != "json":
+        return _print_rows(_curve_rows(approx.segments, approx.exclusions), args.format, window)
+    return _emit({
+        "depth": args.depth,
+        "window": [format_rational(w) for w in window],
+        "segments": [{"label": str(s.label), "side": s.side,
+                      "start": s.start.to_json(), "end": s.end.to_json()}
+                     for s in approx.segments],
+        "exclusions": [{"label": str(e.label), "x": format_rational(e.x),
+                        "top": format_rational(e.y_top),
+                        "bottom": format_rational(e.y_bottom)}
+                       for e in approx.exclusions],
+    })
 
-    if verb == "triple":
-        t = triple_from(_PATTERNS[args.pattern], DyadicLabel.parse(args.base))
-        _emit(_triple_json(t))
-        return 0
 
-    if verb == "mutate":
-        t = _triple(args.triple)
-        op = mutate_left if args.direction == "left" else mutate_right
-        _emit(_triple_json(op(t, args.slot)))
-        return 0
+def _classify_point(args) -> int:
+    from .lepotier import RegionClass, classify_point
+    result = classify_point(AffPt(parse_rational(args.x), parse_rational(args.y)), args.depth)
+    _emit({"class": result.value})
+    return _strict(args, result is RegionClass.UNKNOWN)
 
-    if verb == "classify-cell":
-        from .algebraic import CellLabel, classify_cell_report
-        t = _triple(args.triple)
-        p, exact = _params_from_args(args)
-        report = classify_cell_report(t, p, args.depth)
-        payload = {"label": report.label.value, "depth": args.depth,
-                   "exact": exact, "reason": report.reason,
-                   "kernel": None, "point": None}
-        if report.kernel is not None:
-            payload["kernel"] = report.kernel.gen.to_json()
-            if report.kernel.is_finite:
-                payload["point"] = report.kernel.point().to_json()
-        _emit(payload)
-        return 3 if args.strict and report.label is CellLabel.UNKNOWN else 0
 
-    if verb == "transport":
-        from .algebraic import transport_plus_leg, transport_plus_leg_inverse
-        t = _triple(args.triple)
-        p, exact = _params_from_args(args)
-        move = transport_plus_leg_inverse if args.inverse else transport_plus_leg
-        t2, p2 = move(t, p, args.depth)
-        _emit({"triple": _triple_json(t2), "params": _params_json(p2),
-               "exact": exact})
-        return 0
+def _dlp(args) -> int:
+    from .lepotier import DlpResult, dlp_exists
+    result = dlp_exists(_ch(args), args.depth)
+    _emit({"result": result.value})
+    return _strict(args, result is DlpResult.UNKNOWN)
 
-    if verb == "wall":
-        from .walls import wall_line
-        wl = wall_line(_charvec(args.v), _charvec(args.w))
-        _emit({"line": _line_text(wl.line),
-               "coeffs": [format_rational(c) for c in
-                          (wl.line.c0, wl.line.c1, wl.line.c2)]})
-        return 0
 
-    if verb == "walls":
-        return _walls(args)
-
-    raise _UsageError(f"unknown verb {verb!r}")
+def _charge(args) -> int:
+    from .geometric import SQCharge, z_eval
+    z = z_eval(SQCharge(parse_rational(args.s), parse_rational(args.q)), _ch(args))
+    return _emit({"re": format_rational(z.re), "im": format_rational(z.im)})
 
 
 def _stab_region(args) -> int:
@@ -465,33 +332,139 @@ def _stab_region(args) -> int:
             saw_unknown = saw_unknown or result is StabResult.UNKNOWN
             lines.append(f"{format_rational(x)},{format_rational(y)},{result.value}")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 3 if args.strict and saw_unknown else 0
+    return _strict(args, saw_unknown)
+
+
+def _make_triple(args) -> int:
+    return _emit(_triple_json(triple_from(_PATTERNS[args.pattern], DyadicLabel.parse(args.base))))
+
+
+def _mutate(args) -> int:
+    op = mutate_left if args.direction == "left" else mutate_right
+    return _emit(_triple_json(op(_triple(args.triple), args.slot)))
+
+
+def _classify_cell(args) -> int:
+    from .algebraic import CellLabel, classify_cell_report
+    t, p, exact = _chart(args)
+    report = classify_cell_report(t, p, args.depth)
+    kernel = report.kernel
+    _emit({"label": report.label.value, "depth": args.depth, "exact": exact,
+           "reason": report.reason,
+           "kernel": None if kernel is None else kernel.gen.to_json(),
+           "point": kernel.point().to_json() if kernel and kernel.is_finite else None})
+    return _strict(args, report.label is CellLabel.UNKNOWN)
+
+
+def _transport(args) -> int:
+    from .algebraic import transport_plus_leg, transport_plus_leg_inverse
+    t, p, exact = _chart(args)
+    move = transport_plus_leg_inverse if args.inverse else transport_plus_leg
+    t2, p2 = move(t, p, args.depth)
+    return _emit({"triple": _triple_json(t2), "params": _params_json(p2), "exact": exact})
+
+
+def _wall(args) -> int:
+    from .walls import wall_line
+    return _emit(_line_json(wall_line(_charvec(args.v), _charvec(args.w)).line))
 
 
 def _walls(args) -> int:
-    from .lepotier import _labels_between
     from .walls import walls_for
     v = _charvec(args.v)
     window = _rats(args.window, 4)
-    labels = _labels_between(window[0], window[1],
-                             _depth(args.pool_depth, "--pool-depth"))
+    labels = _labels_between(window[0], window[1], _depth(args.pool_depth, "--pool-depth"))
     pool = [ExcBundle.of(lab) for lab in labels]
     by_char = {e.char: str(e.label) for e in pool}
     found = walls_for(v, pool, window)
     if args.format != "json":
-        _print_rows([{"x1": float(wl.clip.a.x), "y1": float(wl.clip.a.y),
-                      "x2": float(wl.clip.b.x), "y2": float(wl.clip.b.y),
-                      "kind": "wall", "label": by_char[wl.w]} for wl in found],
-                    args.format, (window[0], window[1]))
-        return 0
-    _emit({"v": v.to_json(),
-           "walls": [{"label": by_char[wl.w], "w": wl.w.to_json(),
-                      "line": _line_text(wl.line),
-                      "coeffs": [format_rational(c) for c in
-                                 (wl.line.c0, wl.line.c1, wl.line.c2)],
-                      "clip": {"start": wl.clip.a.to_json(),
-                               "end": wl.clip.b.to_json()}} for wl in found]})
-    return 0
+        return _print_rows([{"x1": float(wl.clip.a.x), "y1": float(wl.clip.a.y),
+                             "x2": float(wl.clip.b.x), "y2": float(wl.clip.b.y),
+                             "kind": "wall", "label": by_char[wl.w]} for wl in found],
+                           args.format, (window[0], window[1]))
+    return _emit({"v": v.to_json(),
+                  "walls": [{"label": by_char[wl.w], "w": wl.w.to_json(),
+                             **_line_json(wl.line),
+                             "clip": {"start": wl.clip.a.to_json(),
+                                      "end": wl.clip.b.to_json()}} for wl in found]})
+
+
+def _arg(*flags, **kw) -> tuple:
+    """One argument of a verb: what add_argument takes."""
+    return flags, kw
+
+
+# the options several verbs share
+_DEPTH = _arg("--depth", type=int)
+_STRICT = _arg("--strict", action="store_true")
+_CH = [_arg(f"--ch{i}", required=True) for i in range(3)]
+_FORMAT = _arg("--format", choices=("json", "csv", "svg"), default="json")
+_CHART = [_arg("--triple", required=True), _arg("--m"), _arg("--phi"),
+          _arg("--exact-units"), _arg("--slots"), _DEPTH, _STRICT]
+
+# verb: (help line, or None to list the verb without one; handler; arguments),
+# in the order of the top-level help
+_VERBS = {
+    "exc": ("data of one exceptional bundle", _exc,
+            [_arg("what", choices=("char", "eplus", "el", "er")), _arg("label")]),
+    "curve": ("emit the boundary-curve approximation", _curve,
+              [_arg("action", choices=("emit",)), _DEPTH,
+               _arg("--from", dest="lo", required=True),
+               _arg("--to", dest="hi", required=True), _FORMAT]),
+    "classify-point": ("classify a point of the plane", _classify_point,
+                       [_arg("--x", required=True), _arg("--y", required=True),
+                        _DEPTH, _STRICT]),
+    "dlp": ("semistable-sheaf existence for a character", _dlp, [*_CH, _DEPTH, _STRICT]),
+    "charge": ("evaluate a normal-form charge", _charge,
+               [_arg("action", choices=("eval",)), _arg("--s", required=True),
+                _arg("--q", required=True), *_CH]),
+    "stab-region": ("raster of exceptional stability", _stab_region,
+                    [_arg("--label", required=True), _DEPTH,
+                     _arg("--grid", required=True, help="x0,x1,y0,y1,n"), _STRICT]),
+    "triple": ("build an exceptional triple", _make_triple,
+               [_arg("action", choices=("make",)),
+                _arg("--pattern", choices=tuple(_PATTERNS), required=True),
+                _arg("--base", required=True)]),
+    "mutate": ("mutate a triple", _mutate,
+               [_arg("direction", choices=("left", "right")),
+                _arg("--triple", required=True),
+                _arg("--slot", type=int, choices=(1, 2), default=2)]),
+    "classify-cell": (None, _classify_cell, _CHART),
+    "transport": (None, _transport, [*_CHART, _arg("--inverse", action="store_true")]),
+    "wall": ("wall line between two classes", _wall,
+             [_arg("--v", required=True), _arg("--w", required=True)]),
+    "walls": ("wall arrangement against a bundle pool", _walls,
+              [_arg("--v", required=True),
+               _arg("--pool-depth", type=int, required=True),
+               _arg("--window", required=True, help="x0,x1,y0,y1"), _FORMAT]),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """A parser that knows every verb but the arguments of only those in argv."""
+    # help leaves out the docstring's last paragraph, on this module; -OO drops it all
+    top = _Parser(prog="stabscope", description=(__doc__ or "").rpartition("\n\n")[0])
+    sub = top.add_subparsers(dest="verb", required=True)
+    for verb, (help_line, _, specs) in _VERBS.items():
+        p = sub.add_parser(verb, **({} if help_line is None else {"help": help_line}))
+        if verb in argv:
+            for flags, kw in specs:
+                p.add_argument(*flags, **kw)
+    return top
+
+
+def run(argv: Sequence[str]) -> int:
+    try:
+        # the variable is checked on every verb, also where --depth overrides it
+        default = _depth(os.environ.get(ENV_DEPTH, DEFAULT_DEPTH), ENV_DEPTH)
+        args = _build_parser(argv).parse_args(argv)
+        if [] in vars(args).values():   # argparse reads --opt=-- as no values
+            raise ValueError("an option needs one value, not '--'")
+        if hasattr(args, "depth"):
+            args.depth = default if args.depth is None else _depth(args.depth, "--depth")
+        return _VERBS[args.verb][1](args)
+    except (ValueError, AssertionError, OverflowError, ZeroDivisionError) as e:
+        return _fail(str(e))
 
 
 def main() -> None:

@@ -9,7 +9,9 @@ slope c/r in lowest terms can only be the slope of a label of rank r,
 and the search for it stops there, with no depth budget: each step at
 least doubles the rank, so it ends within r.bit_length() steps.  Ranks
 above MAX_RANK_BITS bits are refused.  The parabola contact points of
-each label are the closed form of Drezet and Le Potier.
+each label are the closed form of Drezet and Le Potier.  The labels of
+bounded depth over a slope window are listed here too, for the curve
+listing and the walls verb's bundle pool.
 
 Each cached character is held in two forms: the integers (r, c, e) =
 (ch0, ch1, 2 ch2), which are integral since chi(O, E) = r + 3c/2 + ch2
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from fractions import Fraction
 
 from .corekit import AffPt, CharVec, _chi2, _record, det3, slope
@@ -104,6 +107,30 @@ class DyadicLabel:
 
     def __repr__(self) -> str:
         return f"DyadicLabel({self})"
+
+
+# most labels one listing may enumerate, for a curve window or a walls pool
+_MAX_LABELS = 1 << 14
+
+
+def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]:
+    """All canonical labels of depth at most depth in [floor(lo), ceil(hi)].
+
+    A label's tent lies inside its unit cell, within the distance
+    (3 - sqrt(5))/2 of an integer label's slope, so these labels reach
+    every tent that meets [lo, hi]; walls takes them as its bundle pool.
+    """
+    lo, hi = math.floor(lo), math.ceil(hi)
+    # there are (hi - lo) * 2^depth + 1 of them, so deeper levels than
+    # these either break the cap or, when lo == hi, hold no label
+    levels = min(depth, _MAX_LABELS.bit_length())
+    if (hi - lo) << levels >= _MAX_LABELS:
+        raise ValueError(f"more than {_MAX_LABELS} labels in [{lo}, {hi}] at depth {depth}")
+    out = [DyadicLabel(n) for n in range(lo, hi + 1)]
+    for m in range(1, levels + 1):
+        step = 1 << m
+        out.extend(DyadicLabel(p, m) for p in range(lo * step + 1, hi * step, 2))
+    return out
 
 
 # a rank of more bits no longer prints as decimal text (Python's default

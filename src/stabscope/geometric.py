@@ -21,7 +21,9 @@ from typing import Optional, Union
 
 from .corekit import AffPt, CharVec, _record, _scaled_ints, cross3, slope, to_fraction
 from .exceptional import ExcBundle
-from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
+
+# lepotier is imported inside the three functions that decide region
+# membership, so evaluating a charge loads no curve code
 
 
 @_record
@@ -87,6 +89,7 @@ class SQCharge:
 
     @classmethod
     def at(cls, s, q, depth: int) -> "SQCharge":
+        from .lepotier import RegionClass, classify_point
         s = Fraction(s)
         q = Fraction(q)
         if classify_point(AffPt(s, q), depth) is not RegionClass.GEO_LP:
@@ -373,6 +376,7 @@ def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     is always present in the approximation; P is classified at that
     depth too, so a point on the bundle's own exclusion is refused.
     """
+    from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
     eff = max(depth, E.label.m)
     if classify_point(P, eff) is not RegionClass.GEO_LP:
         raise ValueError("stability test requires a point in the geometric region")
@@ -501,6 +505,7 @@ def normalize_charge(Z: GeneralCharge, depth: int
     on (0,1,0) and (0,0,1) to this charge's, which forces the matrix
     columns to be -w2 and w1.
     """
+    from .lepotier import RegionClass, classify_point
     kp = kernel_point(Z)
     if not kp.is_finite:
         return None

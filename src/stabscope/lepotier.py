@@ -55,7 +55,7 @@ from fractions import Fraction
 
 from .corekit import AffPt, CharVec, ProjLine, _record, cross3, to_fraction
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
-                          eplus, el, er, slope_to_label)
+                          _labels_between, eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
 
 
@@ -171,30 +171,6 @@ def _on_chord(chord: tuple[int, int, int], x: tuple, side: int) -> bool:
     (k, a, b), (p, q, d, s) = chord, x
     return (k * (p * p + q * q * d) - 2 * a * p * s - (2 * b + k) * s * s == 0
             and q * (k * p - a * s) == 0 and side * q < 0)
-
-
-# most labels one curve listing may enumerate
-_MAX_LABELS = 1 << 14
-
-
-def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]:
-    """All canonical labels of depth at most depth in [floor(lo), ceil(hi)].
-
-    A tent lies inside the unit cell of its label, within the distance
-    (3 - sqrt(5))/2 of an integer label's slope, so these labels reach
-    every tent that meets [lo, hi].
-    """
-    lo, hi = math.floor(lo), math.ceil(hi)
-    # there are (hi - lo) * 2^depth + 1 of them, so deeper levels than
-    # these either break the cap or, when lo == hi, hold no label
-    levels = min(depth, _MAX_LABELS.bit_length())
-    if (hi - lo) << levels >= _MAX_LABELS:
-        raise ValueError(f"more than {_MAX_LABELS} labels in [{lo}, {hi}] at depth {depth}")
-    out = [DyadicLabel(n) for n in range(lo, hi + 1)]
-    for m in range(1, levels + 1):
-        step = 1 << m
-        out.extend(DyadicLabel(p, m) for p in range(lo * step + 1, hi * step, 2))
-    return out
 
 
 @_record

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import fresh_run
+from stabscope.algebraic import ThetaParams
 from stabscope.cli import run
+from stabscope.geometric import RatComplex
 
 TRANSPORT_SLOTS = "1:0:-1,-21/29:-20/29:1,119/169:-120/169:1"
 
@@ -254,6 +256,93 @@ def test_golden_digests(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of [exit code, stdout, stderr] as JSON, at 80 columns, for the
+# texts argparse writes: top-level and per-verb help, each bare verb, an
+# unknown verb, an unknown option, an option without its value, argv that
+# starts with an option and a --depth that is no integer.  Help exits
+# through SystemExit, whose code is taken as the exit code.  argparse words
+# these texts differently across Python versions; these are Python 3.11's.
+USAGE_DIGESTS = [
+    ([],
+     "2c43a69f334a6a5a2ec6c6bdee48191052c4e963237578a00c2a95064544bcda"),
+    (["--help"],
+     "0801627b64ee28638aad7e72928163b219018f7c323e7308f88c624abfb0feb5"),
+    (["exc", "--help"],
+     "185bed9fedc3fc788907da477b5ea9a0be12f2a5cc4a6ba5382865c6f4127015"),
+    (["curve", "--help"],
+     "bb9d274818d2e4e498907be7990a5a85d9a4b838a4b4f668888bbedfbba2b037"),
+    (["classify-point", "--help"],
+     "b788d9bca108f28d577a18967ceb24bec2b71fefbd05c249f15c38fefaeb8de2"),
+    (["dlp", "--help"],
+     "88520afb99be867ae5d6a63174eb0090a0f8ce3e9ef2b09327d1de15657ffa40"),
+    (["charge", "--help"],
+     "5a288070f99ef73d71c70b1be0384a93d989ccad542d257dfa8e8c6067a98458"),
+    (["stab-region", "--help"],
+     "44c13edd1537fd8f02c9bba10bbbc76523dca7194e3083fcb4e0eee83f06fd5a"),
+    (["triple", "--help"],
+     "9002a0a846217d02860559c7a0a88b16a9cba48252abcd8600ea83aa2c87bba0"),
+    (["mutate", "--help"],
+     "24ecbacb8a77aa87af70611bc165826400cff474833d166bff49f56e854e0b72"),
+    (["classify-cell", "--help"],
+     "1aa4aa548d49261a9fa06849542d18f07bb09585afaa3a8cba06d9f7a86b5ae1"),
+    (["transport", "--help"],
+     "0cd3aa7f6c5dac4a6a78621e2f53170b6d8eea755e5331c0a0ad56043301e989"),
+    (["wall", "--help"],
+     "98d3c142f6afcbe9edc54e4d6d4cdac375f8dcb7ff7bd68e1deb2e8c90131c5d"),
+    (["walls", "--help"],
+     "cc273e4dbc84d94cab9e36923f71e96c18830d565bb45188a2ce0edd904ddf6e"),
+    (["exc"],
+     "726f42bea33b55a546c7928805528363a9d3baa2f46cf1eb720632a493b5f957"),
+    (["curve"],
+     "8806d86b02717f79599ce9a1a846239c9e5fc43004c9ac19fb026d7f6a119107"),
+    (["classify-point"],
+     "ca4a99697d714535f9f206280a33af98274c640161792ed7ad83d0ec5228e2bd"),
+    (["dlp"],
+     "ef2d341bea3a37f67dc8bfa350d9653881c1ee7a8ac2f2c3797cb6c12d0d9cc2"),
+    (["charge"],
+     "1b105c283cfa33b94db95f8de19e9188439ec7cbc15afdfbd941bcf55dea7b59"),
+    (["stab-region"],
+     "a07f515de53e30cc6c4c7d95eb3b50e9b2d42035eacb4f7a7978a02ce015b68e"),
+    (["triple"],
+     "33e35d80a81a2a07c695e199f869820d44b3d10557f21075760d42b1d6ea80ea"),
+    (["mutate"],
+     "5796a84c2aafbf3960d9f3f855466022b39f0462e05b716858715c28fafe8470"),
+    (["classify-cell"],
+     "c6bb152abfc7af50b7d3bdafb64f18847c15f94a014e3cde4c4b6620b017111b"),
+    (["transport"],
+     "c6bb152abfc7af50b7d3bdafb64f18847c15f94a014e3cde4c4b6620b017111b"),
+    (["wall"],
+     "fddc1cb7abf1226c9216af9431678854d009fba70d0b88716d46de38ac66e9c5"),
+    (["walls"],
+     "fa445dcbd1d11b66b35dcb602099ca74894e45a295f950dc5fae0d3d1ad45f6a"),
+    (["frobnicate"],
+     "a74cb5e729fc2375caba20b8d5d6f029ef25f6325dab9629f233d42085d660cd"),
+    (["exc", "char", "0", "--bogus"],
+     "0b3b6644dfe34d2f122093e4c7ee93c7acc5f032c3843198d20c29bf684c68dc"),
+    (["dlp", "--ch0"],
+     "136793355abedc2abb8173cefa58bfee45de4baae6adb6c5e94bc81ff088a3f7"),
+    (["--", "exc", "char", "0"],
+     "1684b035cb65d27be1da16e9e741bc47d707afd0cd29f9e8cb50aeb193bab557"),
+    (["--x", "1"],
+     "cbeb7789339ce455b1ddc8dd19f27d3bf7891ca34d578f34d2493269e106930c"),
+    (["classify-point", "--x", "0", "--y", "0", "--depth", "abc"],
+     "a81b2c6dbcf6e1583407adf2a490613488fb13098361844db17fd5b287e69aab"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", USAGE_DIGESTS,
+                         ids=[" ".join(a) or "(empty)" for a, _ in USAGE_DIGESTS])
+def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = run(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    got = json.dumps([code, captured.out, captured.err])
+    assert hashlib.sha256(got.encode()).hexdigest() == digest, got
+
+
 def _one_json_error(capsys, argv) -> dict:
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -431,13 +520,21 @@ print(json.dumps({"code": code,
 """
 
 _BASE = ["cli", "corekit", "exceptional", "surd"]
-VERB_MODULES = [
-    (GOLDEN_DIGESTS[0], _BASE),
-    (GOLDEN_DIGESTS[3], _BASE + ["lepotier"]),
-    (GOLDEN_DIGESTS[4], _BASE + ["geometric", "lepotier"]),
-    (GOLDEN_DIGESTS[8], _BASE + ["algebraic", "geometric", "lepotier"]),
-    (GOLDEN_DIGESTS[11], _BASE + ["lepotier", "walls"]),
-]
+# the first twelve golden entries name each verb once, in the CLI's order
+VERB_MODULES = list(zip(GOLDEN_DIGESTS[:12], [
+    _BASE,                                          # exc
+    _BASE + ["lepotier"],                           # curve
+    _BASE + ["lepotier"],                           # classify-point
+    _BASE + ["lepotier"],                           # dlp
+    _BASE + ["geometric"],                          # charge
+    _BASE + ["geometric", "lepotier"],              # stab-region
+    _BASE,                                          # triple
+    _BASE,                                          # mutate
+    _BASE + ["algebraic", "geometric", "lepotier"],  # classify-cell
+    _BASE + ["algebraic", "geometric", "lepotier"],  # transport
+    _BASE + ["walls"],                              # wall
+    _BASE + ["walls"],                              # walls
+]))
 
 
 @pytest.mark.parametrize("golden,modules", VERB_MODULES,
@@ -598,11 +695,32 @@ def test_exact_units_match_the_equal_slots(capsys, verb):
     (["--m", "1,1,1", "--exact-units=-1:-1,1:21/29:20/29,1:-119/169:120/169"], ""),
     (["--m", "1,1,1", "--exact-units=-1:x:0,1:21/29:20/29,1:-119/169:120/169"],
      "malformed rational"),
+    (["--m", "1,1,1", "--phi", "1,2"], "--phi needs three values"),
 ])
 @pytest.mark.parametrize("verb", ["classify-cell", "transport"])
 def test_exact_units_usage_errors_exit_2(capsys, verb, extra, message):
     err = _one_json_error(capsys, [verb, "--triple", "0,1,2", *extra])
     assert message in err["error"]
+
+
+# the first phase is 10^-9 past the integer -1: the tangent of its half
+# angle rounds to 0 at denominators up to 10^6, so from_floats clamps it to 10^-6
+PHI_PAST_AN_INTEGER = [-0.999999999, 0.5, 1.3]
+
+
+@pytest.mark.parametrize("verb", ["classify-cell", "transport"])
+def test_phi_input_matches_the_slots_from_floats_builds(capsys, verb):
+    p = ThetaParams.from_floats([1.0, 1.0, 1.0], PHI_PAST_AN_INTEGER)
+    t = Fraction(1, 10 ** 6)
+    # the unit (1 - t^2, 2 t)/(1 + t^2), negated on the odd branch -1
+    assert p.slots()[0] == (RatComplex(-(1 - t * t) / (1 + t * t), -2 * t / (1 + t * t)), -1)
+    argv = [verb, "--triple", "0,1,2", "--depth", "6"]
+    from_phi = _json(capsys, argv + ["--m", "1,1,1",
+                                     "--phi=" + ",".join(map(str, PHI_PAST_AN_INTEGER))])
+    from_slots = _json(capsys, argv + ["--slots=" + ",".join(
+        f"{z.re}:{z.im}:{k}" for z, k in p.slots())])
+    assert from_phi["exact"] is False and from_slots["exact"] is True
+    assert from_phi == {**from_slots, "exact": False}
 
 
 @pytest.mark.parametrize("v,w,line", [

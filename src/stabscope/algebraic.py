@@ -335,10 +335,9 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     if not gap23_ge1:
         return CellReport(CellLabel.PLUS_LEG, depth, kp,
                           reason + "; upper phase gap below one")
-    if not gap12_ge1:
-        return CellReport(CellLabel.MINUS_LEG, depth, kp,
-                          reason + "; lower phase gap below one")
-    raise AssertionError("unreachable: non-pure point with both gaps at least one")
+    # not both gaps are at least one, or the pure tail had returned
+    return CellReport(CellLabel.MINUS_LEG, depth, kp,
+                      reason + "; lower phase gap below one")
 
 
 def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, int, int]:

@@ -100,11 +100,18 @@ def _triple_json(t: ExcTriple) -> dict:
     }
 
 
+def _entries(text: str, option: str, fields: str) -> list[list[str]]:
+    """The three colon-separated entries of a chart option, each of three fields."""
+    entries = [part.split(":") for part in text.split(",")]
+    if len(entries) != 3 or any(len(e) != 3 for e in entries):
+        raise ValueError(f"{option} needs three {fields} entries")
+    return entries
+
+
 def _chart(args) -> tuple[ExcTriple, ThetaParams, bool]:
     """The triple of --triple and the chart parameters of one of the three
     input forms, with whether those are exact."""
     from .algebraic import ThetaParams
-    from .geometric import RatComplex
     t = _triple(args.triple)
     given = [name for name, val in
              (("--slots", args.slots), ("--exact-units", args.exact_units),
@@ -114,29 +121,17 @@ def _chart(args) -> tuple[ExcTriple, ThetaParams, bool]:
     if args.slots is not None:
         if args.m is not None:
             raise ValueError("--slots already encodes magnitudes; drop --m")
-        slots = []
-        for part in args.slots.split(","):
-            re_s, im_s, k_s = part.split(":")
-            slots.append((parse_rational(re_s), parse_rational(im_s), int(k_s)))
-        if len(slots) != 3:
-            raise ValueError("--slots needs three re:im:k entries")
-        return t, ThetaParams(RatComplex(slots[0][0], slots[0][1]),
-                              RatComplex(slots[1][0], slots[1][1]),
-                              RatComplex(slots[2][0], slots[2][1]),
-                              slots[0][2], slots[1][2], slots[2][2]), True
+        slots = _entries(args.slots, "--slots", "re:im:k")
+        return t, ThetaParams.from_json({"z": [e[:2] for e in slots],
+                                         "k": [e[2] for e in slots]}), True
     if args.m is None:
         raise ValueError("--m is required with --exact-units or --phi")
     ms = _rats(args.m, 3)
     if args.exact_units is not None:
-        units = []
-        branches = []
-        for part in args.exact_units.split(","):
-            k_s, c_s, s_s = part.split(":")
-            branches.append(int(k_s))
-            units.append((parse_rational(c_s), parse_rational(s_s)))
-        if len(units) != 3:
-            raise ValueError("--exact-units needs three k:c:s entries")
-        return t, ThetaParams.from_units(ms, units, branches), True
+        units = _entries(args.exact_units, "--exact-units", "k:c:s")
+        return t, ThetaParams.from_units(
+            ms, [(parse_rational(c), parse_rational(s)) for _, c, s in units],
+            [int(k) for k, _, _ in units]), True
     phis = [float(p) for p in args.phi.split(",")]
     if len(phis) != 3:
         raise ValueError("--phi needs three values")
@@ -152,17 +147,15 @@ def _params_json(p: ThetaParams) -> dict:
     return data
 
 
+def _row(x1, y1, x2, y2, kind: str, label) -> dict:
+    """One CSV/SVG row: the line from (x1, y1) to (x2, y2), of a kind and label."""
+    return {"x1": float(x1), "y1": float(y1), "x2": float(x2), "y2": float(y2),
+            "kind": kind, "label": str(label)}
+
+
 def _curve_rows(segs, excs) -> list[dict]:
-    rows = []
-    for seg in segs:
-        rows.append({"x1": float(seg.start.x), "y1": float(seg.start.y),
-                     "x2": float(seg.end.x), "y2": float(seg.end.y),
-                     "kind": seg.side, "label": str(seg.label)})
-    for exc in excs:
-        rows.append({"x1": float(exc.x), "y1": float(exc.y_top),
-                     "x2": float(exc.x), "y2": float(exc.y_bottom),
-                     "kind": "exclusion", "label": str(exc.label)})
-    return rows
+    return ([_row(s.start.x, s.start.y, s.end.x, s.end.y, s.side, s.label) for s in segs]
+            + [_row(e.x, e.y_top, e.x, e.y_bottom, "exclusion", e.label) for e in excs])
 
 
 _CSV_HEADER = "x1,y1,x2,y2,kind,label"
@@ -304,8 +297,7 @@ def _charge(args) -> int:
 
 
 def _stab_region(args) -> int:
-    from .lepotier import RegionClass, classify_point
-    from .geometric import StabResult, exc_stable_at
+    from .geometric import StabResult, _stable_in_region
     parts = args.grid.split(",")
     if len(parts) != 5:
         raise ValueError("grid must be x0,x1,y0,y1,n")
@@ -316,8 +308,6 @@ def _stab_region(args) -> int:
     if n * n > MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
     E = ExcBundle.of(DyadicLabel.parse(args.label))
-    # exc_stable_at decides at the label's depth when it is deeper
-    depth = max(args.depth, E.label.m)
     # each distinct sample once: a grid with x0 == x1 or y0 == y1 has one column or row
     xs, ys = (dict.fromkeys(lo + (hi - lo) * Fraction(i, n - 1) for i in range(n))
               for lo, hi in ((x0, x1), (y0, y1)))
@@ -325,10 +315,10 @@ def _stab_region(args) -> int:
     saw_unknown = False
     for y in ys:
         for x in xs:
-            point = AffPt(x, y)
-            if classify_point(point, depth) is not RegionClass.GEO_LP:
+            # None off the region, at the larger of --depth and the label's depth
+            result = _stable_in_region(E, AffPt(x, y), args.depth)
+            if result is None:
                 continue
-            result = exc_stable_at(E, point, args.depth)
             saw_unknown = saw_unknown or result is StabResult.UNKNOWN
             lines.append(f"{format_rational(x)},{format_rational(y)},{result.value}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -378,9 +368,8 @@ def _walls(args) -> int:
     by_char = {e.char: str(e.label) for e in pool}
     found = walls_for(v, pool, window)
     if args.format != "json":
-        return _print_rows([{"x1": float(wl.clip.a.x), "y1": float(wl.clip.a.y),
-                             "x2": float(wl.clip.b.x), "y2": float(wl.clip.b.y),
-                             "kind": "wall", "label": by_char[wl.w]} for wl in found],
+        return _print_rows([_row(wl.clip.a.x, wl.clip.a.y, wl.clip.b.x, wl.clip.b.y,
+                                 "wall", by_char[wl.w]) for wl in found],
                            args.format, (window[0], window[1]))
     return _emit({"v": v.to_json(),
                   "walls": [{"label": by_char[wl.w], "w": wl.w.to_json(),
@@ -402,7 +391,7 @@ _FORMAT = _arg("--format", choices=("json", "csv", "svg"), default="json")
 _CHART = [_arg("--triple", required=True), _arg("--m"), _arg("--phi"),
           _arg("--exact-units"), _arg("--slots"), _DEPTH, _STRICT]
 
-# verb: (help line, or None to list the verb without one; handler; arguments),
+# verb: (help line, handler, arguments),
 # in the order of the top-level help
 _VERBS = {
     "exc": ("data of one exceptional bundle", _exc,
@@ -429,8 +418,9 @@ _VERBS = {
                [_arg("direction", choices=("left", "right")),
                 _arg("--triple", required=True),
                 _arg("--slot", type=int, choices=(1, 2), default=2)]),
-    "classify-cell": (None, _classify_cell, _CHART),
-    "transport": (None, _transport, [*_CHART, _arg("--inverse", action="store_true")]),
+    "classify-cell": ("classify a chart point into its cell", _classify_cell, _CHART),
+    "transport": ("carry a plus-leg point to the mutated chart", _transport,
+                  [*_CHART, _arg("--inverse", action="store_true")]),
     "wall": ("wall line between two classes", _wall,
              [_arg("--v", required=True), _arg("--w", required=True)]),
     "walls": ("wall arrangement against a bundle pool", _walls,
@@ -446,7 +436,7 @@ def _build_parser(argv: Sequence[str]) -> _Parser:
     top = _Parser(prog="stabscope", description=(__doc__ or "").rpartition("\n\n")[0])
     sub = top.add_subparsers(dest="verb", required=True)
     for verb, (help_line, _, specs) in _VERBS.items():
-        p = sub.add_parser(verb, **({} if help_line is None else {"help": help_line}))
+        p = sub.add_parser(verb, help=help_line)
         if verb in argv:
             for flags, kw in specs:
                 p.add_argument(*flags, **kw)
@@ -457,6 +447,10 @@ def run(argv: Sequence[str]) -> int:
     try:
         # the variable is checked on every verb, also where --depth overrides it
         default = _depth(os.environ.get(ENV_DEPTH, DEFAULT_DEPTH), ENV_DEPTH)
+        # argparse would set a leading option aside and take its value for the verb
+        flag = argv[0].partition("=")[0] if argv else ""
+        if flag.startswith("-") and flag != "-h" and not "--help".startswith(flag):
+            raise ValueError(f"option {flag} is given before the verb: options follow the verb")
         args = _build_parser(argv).parse_args(argv)
         if [] in vars(args).values():   # argparse reads --opt=-- as no values
             raise ValueError("an option needs one value, not '--'")

@@ -102,8 +102,7 @@ class DyadicLabel:
         return hash((self.p, self.m))
 
     def __str__(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(self.value)
 
     def __repr__(self) -> str:
         return f"DyadicLabel({self})"

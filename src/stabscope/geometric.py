@@ -299,14 +299,9 @@ class Phase(object):
     def __lt__(self, other: "Phase") -> bool:
         return self.compare(other) < 0
 
+    # a > b and a >= b are answered by b < a and b <= a
     def __le__(self, other: "Phase") -> bool:
         return self.compare(other) <= 0
-
-    def __gt__(self, other: "Phase") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "Phase") -> bool:
-        return self.compare(other) >= 0
 
     def __str__(self) -> str:
         exact = self.exact_value()
@@ -365,6 +360,23 @@ class StabResult(enum.Enum):
     UNKNOWN = "Unknown"
 
 
+def _stable_in_region(E: ExcBundle, P: AffPt, depth: int) -> Optional[StabResult]:
+    """The verdict of exc_stable_at, or None when P is off the geometric
+    region at max(depth, E.label.m); stab-region skips such a point."""
+    from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
+    eff = max(depth, E.label.m)
+    if classify_point(P, eff) is not RegionClass.GEO_LP:
+        return None
+    answer = geo_contains_segment(E.char.proj(), P, eff, exclude_a=True)
+    if answer is GeoAnswer.UNKNOWN:
+        return StabResult.UNKNOWN
+    if answer is GeoAnswer.NO:
+        return StabResult.NOT_STABLE
+    if to_fraction(P.x) < E.slope:
+        return StabResult.STABLE_UNSHIFTED
+    return StabResult.STABLE_SHIFTED
+
+
 def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     """Stability of an exceptional bundle at a geometric-region point.
 
@@ -375,19 +387,12 @@ def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     is raised to the label's own depth so the bundle's anchoring data
     is always present in the approximation; P is classified at that
     depth too, so a point on the bundle's own exclusion is refused.
+    The rule lives in _stable_in_region, which stab-region calls too.
     """
-    from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
-    eff = max(depth, E.label.m)
-    if classify_point(P, eff) is not RegionClass.GEO_LP:
+    result = _stable_in_region(E, P, depth)
+    if result is None:
         raise ValueError("stability test requires a point in the geometric region")
-    answer = geo_contains_segment(E.char.proj(), P, eff, exclude_a=True)
-    if answer is GeoAnswer.UNKNOWN:
-        return StabResult.UNKNOWN
-    if answer is GeoAnswer.NO:
-        return StabResult.NOT_STABLE
-    if to_fraction(P.x) < E.slope:
-        return StabResult.STABLE_UNSHIFTED
-    return StabResult.STABLE_SHIFTED
+    return result
 
 
 @_record

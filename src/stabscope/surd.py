@@ -42,10 +42,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def _reduce_radicand(b: Fraction, d: int) -> tuple[Fraction, int]:
@@ -143,7 +140,10 @@ class QuadReal:
     reduced once, when a value is built from outside; arithmetic keeps
     its operands' radicand as it is.  Arithmetic stays within one
     quadratic extension; adding surds over distinct radicands raises,
-    but comparisons across radicands are exact.
+    but comparisons across radicands are exact.  Operands are coerced
+    in one place, ``_coerce``: an int or Fraction becomes a QuadReal and
+    any other operand raises TypeError, except that ``==`` with one is
+    False.
     """
 
     __slots__ = ("a", "b", "d")
@@ -188,7 +188,7 @@ class QuadReal:
             return x
         if isinstance(x, (int, Fraction)):
             return QuadReal(x)
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(f"unsupported operand for QuadReal: {type(x).__name__}")
 
     def _compatible(self, other: "QuadReal") -> int:
         if self.b == 0 or other.b == 0 or self.d == other.d:
@@ -197,8 +197,6 @@ class QuadReal:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         d = self._compatible(o)
         return QuadReal._over(self.a + o.a, self.b + o.b, d)
 
@@ -208,21 +206,13 @@ class QuadReal:
         return QuadReal._over(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         d = self._compatible(o)
         return QuadReal._over(self.a * o.a + self.b * o.b * d,
                               self.a * o.b + self.b * o.a, d)
@@ -237,24 +227,16 @@ class QuadReal:
         return QuadReal._over(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
+        return self._coerce(other) * self.inverse()
 
     def sign(self) -> int:
         return _root_sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
-        if o is NotImplemented:
-            raise TypeError(f"cannot compare QuadReal with {type(other).__name__}")
         if self.b == 0 or o.b == 0 or self.d == o.d:
             return (self - o).sign()
         return _mixed_sign(self.a - o.a, self.b, self.d, -o.b, o.d)
@@ -265,8 +247,6 @@ class QuadReal:
         return self._cmp(other) == 0
 
     def __lt__(self, other):
-        if not isinstance(other, (QuadReal, int, Fraction)):
-            return NotImplemented
         return self._cmp(other) < 0
 
     def __hash__(self):

@@ -15,7 +15,8 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import fresh_run
 from stabscope.algebraic import ThetaParams
-from stabscope.cli import run
+from stabscope import lepotier
+from stabscope.cli import _VERBS, run
 from stabscope.geometric import RatComplex
 
 TRANSPORT_SLOTS = "1:0:-1,-21/29:-20/29:1,119/169:-120/169:1"
@@ -266,7 +267,7 @@ USAGE_DIGESTS = [
     ([],
      "2c43a69f334a6a5a2ec6c6bdee48191052c4e963237578a00c2a95064544bcda"),
     (["--help"],
-     "0801627b64ee28638aad7e72928163b219018f7c323e7308f88c624abfb0feb5"),
+     "f11b7c4cf7084a0ce908bf29f01c59361e6394b898b5bb8e66923c233d69ab2a"),
     (["exc", "--help"],
      "185bed9fedc3fc788907da477b5ea9a0be12f2a5cc4a6ba5382865c6f4127015"),
     (["curve", "--help"],
@@ -324,7 +325,7 @@ USAGE_DIGESTS = [
     (["--", "exc", "char", "0"],
      "1684b035cb65d27be1da16e9e741bc47d707afd0cd29f9e8cb50aeb193bab557"),
     (["--x", "1"],
-     "cbeb7789339ce455b1ddc8dd19f27d3bf7891ca34d578f34d2493269e106930c"),
+     "68612915b82ae98f202408da314902cf1dcd79cde06331068889281592558a1d"),
     (["classify-point", "--x", "0", "--y", "0", "--depth", "abc"],
      "a81b2c6dbcf6e1583407adf2a490613488fb13098361844db17fd5b287e69aab"),
 ]
@@ -770,3 +771,57 @@ def test_stab_region_skips_the_bundles_own_character_below_its_depth(capsys):
     want = "x,y,result\n1/2,0,StableShifted\n"
     assert _ok(capsys, argv + ["--depth", "0"]) == want
     assert _ok(capsys, argv + ["--depth", "1"]) == want
+
+
+def test_stab_region_classifies_each_grid_point_once(capsys, monkeypatch):
+    calls = []
+    classify_point = lepotier.classify_point
+
+    def counted(p, depth):
+        calls.append(p)
+        return classify_point(p, depth)
+
+    monkeypatch.setattr(lepotier, "classify_point", counted)
+    out = _ok(capsys, ["stab-region", "--label", "0",
+                       "--grid=-1/2,1/2,-1/8,1/8,3", "--depth", "6"])
+    # seven of the nine points are in the region; none is classified twice
+    assert len(out.splitlines()) == 1 + 7
+    assert len(calls) == len(set(calls)) == 9
+
+
+def test_top_level_help_lists_every_verb_with_its_help_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    listed = re.findall(r"^    (\S+) +(\S.*)$", capsys.readouterr().out, re.M)
+    assert len(listed) == 12
+    assert listed == [(verb, help_line) for verb, (help_line, _, _) in _VERBS.items()]
+
+
+@pytest.mark.parametrize("option,fields,value", [
+    ("--exact-units", "k:c:s", "-1:-1,1:21/29:20/29,1:-119/169:120/169"),
+    ("--slots", "re:im:k", "1:0,-21/29:-20/29:1,119/169:-120/169:1"),
+    ("--slots", "re:im:k", "1:0:-1:0,-21/29:-20/29:1,119/169:-120/169:1"),
+    ("--slots", "re:im:k", "1:0:-1,-21/29:-20/29:1"),
+])
+@pytest.mark.parametrize("verb", ["classify-cell", "transport"])
+def test_chart_entries_need_three_fields(capsys, verb, option, fields, value):
+    extra = ["--m", "1,1,1"] if option == "--exact-units" else []
+    err = _one_json_error(capsys, [verb, "--triple", "0,1,2", *extra, f"{option}={value}"])
+    assert err == {"error": f"{option} needs three {fields} entries"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mutate", "left", "--triple", "0,1"],
+     "a triple needs three comma-separated labels"),
+    (["classify-cell", "--triple", "0,1,2", "--m", "1,1,1", f"--slots={TRANSPORT_SLOTS}"],
+     "--slots already encodes magnitudes; drop --m"),
+    (["stab-region", "--label", "0", "--grid=-1/2,1/2,-1/8,1/8"],
+     "grid must be x0,x1,y0,y1,n"),
+    (["stab-region", "--label", "0", "--grid=-1/2,1/2,-1/8,1/8,1"],
+     "grid needs at least two samples per axis"),
+    (["--x", "1"], "option --x is given before the verb: options follow the verb"),
+    (["--depth=3", "dlp"], "option --depth is given before the verb: options follow the verb"),
+])
+def test_usage_errors_name_their_cause(capsys, argv, message):
+    assert _one_json_error(capsys, argv) == {"error": message}

@@ -343,6 +343,9 @@ def test_is_exceptional_char():
     assert is_exceptional_char(CharVec(5, 7, Fraction(5, 2)))
     assert is_exceptional_char(CharVec(10, 4, -4))
     assert not is_exceptional_char(CharVec(-5, -7, Fraction(-5, 2)))
+    # rank 10 is no label's rank, so no label has the slope 3/10
+    assert slope_to_label(Fraction(3, 10)) is None
+    assert not is_exceptional_char(CharVec(10, 3, Fraction(-1, 2)))
 
 
 def _label_bases(max_m: int, span: int):

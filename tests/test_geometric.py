@@ -99,6 +99,8 @@ def test_phase_representation():
     assert Phase(2, 3, 0).exact_value() is None
     assert up < left
     assert up.shifted(1) > left
+    # Phase defines < and <=; > and >= are their reflections
+    assert left > up and left >= up and left >= left and not up >= left
     assert Phase(2, 6, 0) == Phase(1, 3, 0)
     with pytest.raises(ValueError):
         Phase(1, -1, 0)
@@ -258,6 +260,15 @@ def test_normalize_charge_examples():
     below = GeneralCharge.from_ab(RatComplex(0, 1), RatComplex(-3, 0))
     assert kernel_point(below).point() == AffPt(0, -3)
     assert normalize_charge(below, 4) is None
+
+
+def test_normalize_charge_refuses_the_mirror_image():
+    Z = sq("1/2", 0).as_general()
+    mirror = GeneralCharge(*(RatComplex(w.re, -w.im) for w in (Z.w0, Z.w1, Z.w2)))
+    # the same kernel point, inside the region, but orientation -1
+    assert kernel_point(mirror) == kernel_point(Z)
+    assert mirror.w1.re * mirror.w2.im - mirror.w1.im * mirror.w2.re == -1
+    assert normalize_charge(mirror, 4) is None
 
 
 def random_gl(rng: random.Random) -> GLElement:

@@ -180,6 +180,19 @@ def test_arithmetic_does_not_reduce(monkeypatch):
         assert x / (x + 1) < 1 and x.inverse() * x == 1
 
 
+def test_a_foreign_operand_raises_type_error():
+    # _coerce, the one place that reads an operand, names the foreign type
+    x = QuadReal(1, 1, 2)
+    with pytest.raises(TypeError, match="^unsupported operand for QuadReal: float$"):
+        x + 0.5
+    with pytest.raises(TypeError, match="^unsupported operand for QuadReal: float$"):
+        0.5 * x
+    with pytest.raises(TypeError, match="^unsupported operand for QuadReal: str$"):
+        x < "x"
+    assert (x == "x") is False and x != "x"
+    assert 1 + x - Fraction(1, 2) == QuadReal(Fraction(3, 2), 1, 2)
+
+
 # a prime above the trial-division limit: radicands k^2 * _BIG with k > 97
 # stay unreduced
 _BIG = 10**12 + 39

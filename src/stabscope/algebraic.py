@@ -11,8 +11,11 @@ left-mutated triple and back.
 
 The classifier never solves for the charge: its kernel is written
 directly in the triple's characters and the three values, in integers,
-and the pentagon and dual basis of a triple are built once and kept in
-a bounded cache.  A parameter point's phases are computed once, as
+as a primitive vector (w, X, Y), and the kernel point (X/w, Y/w) is
+tested against the open pentagon and the geometric region on that
+vector, with no Fraction between the values and the verdict.  The
+pentagon and dual basis of a triple are built once and kept in a
+bounded cache.  A parameter point's phases are computed once, as
 primitive integer directions, and the group action maps them by each
 element's integer matrix.
 
@@ -32,13 +35,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (Polygon, _chi2, _record, _scaled_ints, cross3, det3,
-                      parse_rational, point_in_polygon)
-from .exceptional import (CACHE_SIZE, ExcTriple, _int_char, eplus, mutate_left,
-                          mutate_right)
+from .corekit import (CharVec, Polygon, _chi2, _in_polygon_ints, _record, _scaled_ints,
+                      cross3, det3, parse_rational)
+from .exceptional import (CACHE_SIZE, DyadicLabel, ExcTriple, _int_char, char_of, eplus,
+                          mutate_left, mutate_right)
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
                         RatComplex, ShiftedChar, _upper_ray, in_upper)
-from .lepotier import RegionClass, classify_point
+from .lepotier import RegionClass, _classify_ints
 from .surd import QuadReal
 
 # largest tangent denominator of a rationalized float phase
@@ -211,7 +214,6 @@ def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
         for i, s in enumerate((1, 1, 2))))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _triple_data(t: ExcTriple) -> tuple[int, tuple, Polygon, tuple]:
     """The determinant, dual basis and pentagon of a triple.
 
@@ -219,14 +221,24 @@ def _triple_data(t: ExcTriple) -> tuple[int, tuple, Polygon, tuple]:
     v_j = (ch0, ch1, 2 ch2), so the determinant is twice det3 of the
     characters.  Last come the coordinates of the three characters
     scaled by 2, (2 ch0, 2 ch1, 2 ch2), as one integer tuple per
-    coordinate.
+    coordinate.  The labels fix all of it, so it is cached by their
+    integers (p, m): hashing and comparing the triple's records would
+    cost more than the rest of a chart classification's lookup.
     """
-    v1, v2, v3 = (_int_char(lbl) for lbl in t.labels)
+    l1, l2, l3 = t.labels
+    return _label_data(l1.p, l1.m, l2.p, l2.m, l3.p, l3.m)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _label_data(*pms: int) -> tuple[int, tuple, Polygon, tuple]:
+    """_triple_data of the triple of labels p/2^m, from (p1, m1, p2, m2, p3, m3)."""
+    labels = [DyadicLabel(p, m) for p, m in zip(pms[::2], pms[1::2])]
+    v1, v2, v3 = (_int_char(lbl) for lbl in labels)
     d = det3(v1, v2, v3)
     assert d != 0, "triple characters must form a basis"
     duals = (cross3(v2, v3), cross3(v3, v1), cross3(v1, v2))
-    e1, e2, e3 = (c.proj() for c in t.chars)
-    pentagon = Polygon((e1, eplus(t.E1.label), e2, eplus(t.E3.label), e3),
+    e1, e2, e3 = (char_of(lbl).proj() for lbl in labels)
+    pentagon = Polygon((e1, eplus(labels[0]), e2, eplus(labels[2]), e3),
                        edge_included=(False,) * 5,
                        vertex_included=(False,) * 5)
     doubled = tuple(zip(*((2 * r, 2 * c, e) for r, c, e in (v1, v2, v3))))
@@ -299,7 +311,11 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     values scaled by a common denominator and the characters scaled by
     2, against the determinant of the integer characters, which is
     twice det3; a positive scale changes neither the kernel line's
-    primitive generator nor the sign of ch0(v).
+    primitive generator nor the sign of ch0(v).  That generator
+    (w, X, Y), with c (w, X, Y) a positive multiple of v, has w > 0 when
+    its rank is not zero, so ch0(v) has the sign of c.  The kernel point
+    (X/w, Y/w) meets the pentagon and the region on these integers, and
+    the report's KernelPoint is built from them once the cell is decided.
     """
     phases = _valid_phases(p)
     if phases is None:
@@ -311,40 +327,43 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
         return CellReport(CellLabel.PURE_CELL, depth,
                           reason="both phase gaps are at least one")
     d, _, pentagon, doubled = _triple_data(t)
-    v = _kernel_ints(p.values(), doubled)
-    kp = KernelPoint.spanned_by(v)
-    reason = ""
-    if not kp.is_finite:
+    c, (w, X, Y) = _kernel_ints(p.values(), doubled)
+    label = None
+    if w == 0:
         reason = "kernel line has rank zero"
+    elif not _in_polygon_ints(w, X, Y, pentagon):
+        reason = "kernel point outside the open pentagon"
     else:
-        pt = kp.point()
-        if not point_in_polygon(pt, pentagon):
-            reason = "kernel point outside the open pentagon"
+        region = _classify_ints(w, X, Y, depth)
+        if region is RegionClass.UNKNOWN:
+            label, reason = CellLabel.UNKNOWN, "region test undecided at this depth"
+        elif region is not RegionClass.GEO_LP:
+            reason = "kernel point not in the geometric region"
+        elif c * d <= 0:
+            reason = "orientation determinant not positive"
         else:
-            region = classify_point(pt, depth)
-            if region is RegionClass.UNKNOWN:
-                return CellReport(CellLabel.UNKNOWN, depth, kp,
-                                  "region test undecided at this depth")
-            if region is not RegionClass.GEO_LP:
-                reason = "kernel point not in the geometric region"
-            elif v[0] * d <= 0:
-                reason = "orientation determinant not positive"
-            else:
-                return CellReport(CellLabel.GEO_CELL, depth, kp,
-                                  "kernel point in the pentagon and region")
-    if not gap23_ge1:
-        return CellReport(CellLabel.PLUS_LEG, depth, kp,
-                          reason + "; upper phase gap below one")
-    # not both gaps are at least one, or the pure tail had returned
-    return CellReport(CellLabel.MINUS_LEG, depth, kp,
-                      reason + "; lower phase gap below one")
+            label, reason = CellLabel.GEO_CELL, "kernel point in the pentagon and region"
+    if label is None:
+        # a leg: not both gaps are at least one, or the pure tail had returned
+        label, gap = (CellLabel.MINUS_LEG, "lower") if gap23_ge1 else (CellLabel.PLUS_LEG, "upper")
+        reason += f"; {gap} phase gap below one"
+    return CellReport(label, depth, KernelPoint(CharVec(w, X, Y)), reason)
 
 
-def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, int, int]:
-    """A positive integer multiple of (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3."""
+def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, tuple[int, int, int]]:
+    """The kernel's generator and c, with c times it a positive multiple of
+    (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3.
+
+    The generator is KernelPoint's: the primitive integer vector whose
+    first nonzero coordinate is positive.
+    """
     _, (x1, y1, x2, y2, x3, y3) = _scaled_ints([x for z in zs for x in (z.re, z.im)])
     a1, a2, a3 = cross3((x1, x2, x3), (y1, y2, y3))
-    return tuple(a1 * u1 + a2 * u2 + a3 * u3 for u1, u2, u3 in doubled)
+    v = tuple(a1 * u1 + a2 * u2 + a3 * u3 for u1, u2, u3 in doubled)
+    lead = v[0] or v[1] or v[2]
+    assert lead, "a degenerate charge is in the pure tail"
+    c = math.gcd(*v) if lead > 0 else -math.gcd(*v)
+    return c, tuple(a // c for a in v)
 
 
 def stable_set_pure(t: ExcTriple) -> tuple[ShiftedChar, ShiftedChar, ShiftedChar]:

@@ -134,6 +134,12 @@ def _scaled_ints(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(x.numerator * (den // x.denominator) for x in xs)
 
 
+def _point_ints(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """The integer vector d (1, x, y), d = den(x) den(y) > 0, of a rational point."""
+    return (x.denominator * y.denominator, x.numerator * y.denominator,
+            y.numerator * x.denominator)
+
+
 def euler_chi(v: CharVec, w: CharVec) -> Fraction:
     """The (non-symmetric) Euler pairing of two characters."""
     return (v.ch0 * w.ch0
@@ -371,33 +377,48 @@ class Polygon:
 def point_in_polygon(p: AffPt, poly: Polygon) -> bool:
     """Exact membership with the polygon's inclusion flags.
 
-    Every vertex is taken relative to p, and the doubled signed area of
-    p with an edge (a, b) is cross2(a - p, b - p).  Boundary cases are
-    resolved first: a vertex at p, then an edge of zero area whose ends
-    lie on opposite sides of p.  The interior test is even-odd crossing
-    counting with a horizontal ray to the right: an edge spanning the
-    ray's level (half-open rule) crosses it exactly when its area has
-    the sign of its rise, since p is strictly off the boundary there.
-    A rational p is handled in integers: scaling every relative vertex
-    by one positive number keeps all of these signs.
+    Every vertex is taken relative to p, and the membership of the origin
+    decided by _origin_in_polygon.  A rational p is decided by
+    _in_polygon_ints on its integer vector.
     """
     if p.is_rational():
-        x, y = to_fraction(p.x), to_fraction(p.y)
-        den, verts = poly.scaled
-        m = x.denominator * y.denominator
-        px, py = x.numerator * y.denominator * den, y.numerator * x.denominator * den
-        rel = [(vx * m - px, vy * m - py) for vx, vy in verts]
-    else:
-        rel = [(v.x - p.x, v.y - p.y) for v in poly.vertices]
+        return _in_polygon_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), poly)
+    return _origin_in_polygon([(v.x - p.x, v.y - p.y) for v in poly.vertices], poly)
+
+
+def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:
+    """point_in_polygon at the point (X/w, Y/w), for integers with w > 0.
+
+    With the polygon's integer vertices (vx, vy) over its denominator den,
+    each vertex relative to the point, times w den > 0, is
+    (vx w - X den, vy w - Y den), which keeps every sign of the test.
+    """
+    den, verts = poly.scaled
+    X, Y = X * den, Y * den
+    return _origin_in_polygon([(vx * w - X, vy * w - Y) for vx, vy in verts], poly)
+
+
+def _origin_in_polygon(rel: list, poly: Polygon) -> bool:
+    """Whether the origin is in the polygon of vertices rel and poly's flags.
+
+    The doubled signed area of the origin with an edge (a, b) is
+    cross2(a, b).  Boundary cases are resolved first: a vertex at the
+    origin, then an edge of zero area whose ends lie on opposite sides
+    of it.  The interior test is even-odd crossing counting with a
+    horizontal ray to the right: an edge spanning the ray's level
+    (half-open rule) crosses it exactly when its area has the sign of its
+    rise, since the origin is strictly off the boundary there.  Every
+    sign is a comparison with 0, of integers or of surds.
+    """
     for (dx, dy), flag in zip(rel, poly.vertex_included):
-        if nsign(dx) == 0 and nsign(dy) == 0:
+        if dx == 0 and dy == 0:
             return flag
     crossings = 0
     for (ax, ay), (bx, by), flag in zip(rel, rel[1:] + rel[:1], poly.edge_included):
-        area = nsign(ax * by - ay * bx)
-        if area == 0 and nsign(ax * bx + ay * by) < 0:
+        area = ax * by - ay * bx
+        if area == 0 and ax * bx + ay * by < 0:
             return flag
-        rises = nsign(by) > 0
-        if (nsign(ay) > 0) != rises and (area > 0) == rises:
+        rises = by > 0
+        if (ay > 0) != rises and (area > 0) == rises:
             crossings += 1
     return crossings % 2 == 1

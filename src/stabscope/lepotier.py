@@ -20,13 +20,17 @@ checked and both halves are walked; a gap still open at the depth budget
 makes the answer Unknown.  A vertical segment at slope x is walked as the
 level segment at its lower end over the span [x, x], so it takes the same
 cells, gaps, bounds and chords as any other.  Above
-the strip only the label of rank den(x) can have the slope x, so a point
-is on an exclusion exactly when its discriminant reaches (1/2)(1 - 1/den(x)^2)
-and slope_to_label finds that label; that search stops at rank den(x) and
-takes no budget, so there every depth gives the same answer.  A character
-on an exclusion is a multiple of its label's own exactly when it projects
-to the top, at equality.  build_curve lists the tents, segments and
-exclusions that meet a window; no decision uses it.
+the strip only the label of rank r = den(x) can have the slope x, so a
+point is on an exclusion exactly when its discriminant reaches
+(1/2)(1 - 1/r^2) and slope_to_label finds that label; that search stops at
+rank r and takes no budget, so there every depth gives the same answer.
+A rational point is decided on its integer vector (w, X, Y), w > 0, with
+no Fraction outside the strip: with n = X^2 - 2 w Y, 2 w^2 times its
+discriminant, it is above the strip when n < w^2, below it when n > 2 w^2,
+and reaches the exclusion's top when n r^2 >= w^2 (r^2 - 1), r =
+w/gcd(w, X).  A character on an exclusion is a multiple of its label's own
+exactly when it projects to the top, at equality.  build_curve lists the
+tents, segments and exclusions that meet a window; no decision uses it.
 
 The segment walk takes its signs on integers.  Its line y = m x + c is
 cross3 of the ends' integer vectors d (1, x, y), made primitive as
@@ -53,7 +57,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .corekit import AffPt, CharVec, ProjLine, _record, cross3, to_fraction
+from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _record, _scaled_ints, cross3,
+                      to_fraction)
 from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
                           _labels_between, eplus, el, er, slope_to_label)
 from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
@@ -246,56 +251,91 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     segment, which takes no budget, so there the answer is the same at
     every depth; inside the strip the covering tent (when one exists at
     this depth) settles the answer for good, and uncovered strip slopes
-    remain Unknown because deeper tents accumulate there.
+    remain Unknown because deeper tents accumulate there.  A rational
+    point is decided by _classify_ints on its integer vector.
     """
     if depth < 0:
         raise ValueError("negative depth")
+    if p.is_rational():
+        return _classify_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), depth)
     d = p.delta()
     if d < HALF:
-        hit = _exclusion_at(p, d)
-        return RegionClass.ON_EXCLUSION if hit else RegionClass.GEO_LP
+        # only a rational slope has an exclusion, which a surd height can meet
+        if isinstance(p.x, QuadReal) and not p.x.is_rational:
+            return RegionClass.GEO_LP
+        x = to_fraction(p.x)
+        if d >= _exc_delta(x.denominator) and slope_to_label(x) is not None:
+            return RegionClass.ON_EXCLUSION
+        return RegionClass.GEO_LP
     if d > 1:
         return RegionClass.BELOW_CURVE
-    tent = _tent_at(p.x, depth)
+    return _strip_class(p.x, p.y, depth)
+
+
+def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
+    """classify_point at the point (X/w, Y/w), for integers with w > 0.
+
+    n = X^2 - 2 w Y is 2 w^2 times the discriminant, so the point is above
+    the strip when n < w^2 and below it when n > 2 w^2.  Above the strip
+    it is on an exclusion when _top_gap is >= 0 and slope_to_label finds
+    the label of its slope.  Only inside the strip does x become a
+    Fraction, for the point walk.
+    """
+    n, w2 = X * X - 2 * w * Y, w * w
+    if n < w2:
+        if _top_gap(w, X, n) >= 0 and slope_to_label(Fraction(X, w)) is not None:
+            return RegionClass.ON_EXCLUSION
+        return RegionClass.GEO_LP
+    if n > 2 * w2:
+        return RegionClass.BELOW_CURVE
+    return _strip_class(Fraction(X, w), Fraction(Y, w), depth)
+
+
+def _top_gap(w: int, X: int, n: int) -> int:
+    """n r^2 - w^2 (r^2 - 1), for n = X^2 - 2 w Y and r = den(X/w) = w/gcd(w, X).
+
+    This is 2 w^2 r^2 times the discriminant of (X/w, Y/w) less
+    (1/2)(1 - 1/r^2), that of the top of the exclusion at slope X/w, if
+    there is one: only a label of rank r can have that slope, and its
+    exclusion spans the discriminants from (1/2)(1 - 1/r^2) to
+    (1/2)(1 + 1/r^2).
+    """
+    r2 = (w // math.gcd(w, X)) ** 2
+    return n * r2 - w * w * (r2 - 1)
+
+
+def _strip_class(x: Number, y: Number, depth: int) -> RegionClass:
+    """classify_point at a point (x, y) of the strip, by the tent that covers x."""
+    tent = _tent_at(x, depth)
     if tent is None:
         return RegionClass.UNKNOWN
-    yt = tent.y_on(p.x)
-    if p.y == yt:
+    yt = tent.y_on(x)
+    if y == yt:
         return RegionClass.ON_CURVE
-    if p.y < yt:
+    if y < yt:
         return RegionClass.BELOW_CURVE
-    if p.x == tent.apex.x and p.y <= tent.exclusion.y_top:
+    if x == tent.apex.x and y <= tent.exclusion.y_top:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
-
-
-def _exclusion_at(p: AffPt, d: Number) -> bool:
-    """Whether p, of discriminant d < 1/2, is on an exclusion, at any depth.
-
-    Only a label of rank r = den(x) can have slope x, and its exclusion
-    spans the discriminants from (1/2)(1 - 1/r^2) to (1/2)(1 + 1/r^2);
-    slope_to_label finds that label, if there is one, within
-    r.bit_length() steps.
-    """
-    if isinstance(p.x, QuadReal) and not p.x.is_rational:
-        return False
-    x = to_fraction(p.x)
-    return d >= _exc_delta(x.denominator) and slope_to_label(x) is not None
 
 
 def dlp_exists(v: CharVec, depth: int) -> DlpResult:
     """Whether a semistable sheaf with this positive-rank character exists.
 
-    On an exclusion at slope x, v is a multiple of an exceptional character
-    exactly when it projects to the top, of discriminant (1/2)(1 - 1/den(x)^2).
-    Above the strip the verdict takes no budget; only a point in the strip
-    whose covering tent is deeper than depth answers Unknown.
+    v is read as an integer vector (w, X, Y) with w > 0, a positive
+    multiple of (ch0, ch1, ch2).  On an exclusion at slope x, v is a
+    multiple of an exceptional character exactly when it projects to the
+    top, of discriminant (1/2)(1 - 1/den(x)^2), where _top_gap is 0.
+    Above the strip the verdict takes no budget; only a point in the
+    strip whose covering tent is deeper than depth answers Unknown.
     """
     if v.ch0 <= 0:
         raise ValueError("existence test requires positive rank")
-    p = v.proj()
-    cls = classify_point(p, depth)
-    if cls is RegionClass.ON_EXCLUSION and p.delta() == _exc_delta(p.x.denominator):
+    if depth < 0:
+        raise ValueError("negative depth")
+    _, (w, X, Y) = _scaled_ints((v.ch0, v.ch1, v.ch2))
+    cls = _classify_ints(w, X, Y, depth)
+    if cls is RegionClass.ON_EXCLUSION and _top_gap(w, X, X * X - 2 * w * Y) == 0:
         return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
@@ -397,8 +437,7 @@ def _segment_ints(pts: list) -> tuple[bool, tuple[int, int, int]] | None:
     L = lcm(den m, den c) > 0; a vertical segment takes the level line
     (den y, 0, num y) through its lower end.
     """
-    u, v = ((x.denominator * y.denominator, x.numerator * y.denominator,
-             y.numerator * x.denominator) for x, y in pts)
+    u, v = (_point_ints(x, y) for x, y in pts)
     if any(px * px - 2 * py * d > 2 * d * d for d, px, py in (u, v)):
         return None
     k0, k1, k2 = cross3(u, v)

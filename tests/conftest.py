@@ -13,8 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import stabscope
+from stabscope import lepotier
 from stabscope.algebraic import ThetaParams, validate_params
-from stabscope.exceptional import DyadicLabel, ExcTriple, TriplePattern, triple_from
+from stabscope.corekit import to_fraction
+from stabscope.exceptional import (DyadicLabel, ExcTriple, TriplePattern, slope_to_label,
+                                   triple_from)
+from stabscope.lepotier import RegionClass
+from stabscope.surd import nsign
 
 _PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29),
                 (7, 24, 25), (9, 40, 41), (12, 35, 37), (28, 45, 53)]
@@ -64,3 +69,50 @@ def fresh_run(argv, program=None):
     done = subprocess.run([sys.executable, *head, *argv],
                           env=env, capture_output=True, timeout=30)
     return done, time.perf_counter() - start
+
+
+# The rational point tests as they were taken in Fractions before their
+# integer cores (lepotier._classify_ints, corekit._in_polygon_ints): the
+# references that the cores and the chart classifier are checked against.
+
+def region_by_fractions(p, depth):
+    """classify_point at a rational point, on AffPt.delta and the exclusion rule."""
+    d = p.delta()
+    if d < Fraction(1, 2):
+        # only a label of rank den(x) can have the slope x, and its
+        # exclusion reaches up to the discriminant (1/2)(1 - 1/den(x)^2)
+        x = to_fraction(p.x)
+        r = x.denominator
+        if d >= (1 - Fraction(1, r * r)) / 2 and slope_to_label(x) is not None:
+            return RegionClass.ON_EXCLUSION
+        return RegionClass.GEO_LP
+    if d > 1:
+        return RegionClass.BELOW_CURVE
+    tent = lepotier._tent_at(p.x, depth)
+    if tent is None:
+        return RegionClass.UNKNOWN
+    yt = tent.y_on(p.x)
+    if p.y == yt:
+        return RegionClass.ON_CURVE
+    if p.y < yt:
+        return RegionClass.BELOW_CURVE
+    if p.x == tent.apex.x and p.y <= tent.exclusion.y_top:
+        return RegionClass.ON_EXCLUSION
+    return RegionClass.GEO_LP
+
+
+def in_polygon_by_fractions(p, poly):
+    """point_in_polygon by its crossing loop on the Fraction vertices less p."""
+    rel = [(v.x - p.x, v.y - p.y) for v in poly.vertices]
+    for (dx, dy), flag in zip(rel, poly.vertex_included):
+        if nsign(dx) == 0 and nsign(dy) == 0:
+            return flag
+    crossings = 0
+    for (ax, ay), (bx, by), flag in zip(rel, rel[1:] + rel[:1], poly.edge_included):
+        area = nsign(ax * by - ay * bx)
+        if area == 0 and nsign(ax * bx + ay * by) < 0:
+            return flag
+        rises = nsign(by) > 0
+        if (nsign(ay) > 0) != rises and (area > 0) == rises:
+            crossings += 1
+    return crossings % 2 == 1

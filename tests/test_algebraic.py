@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import UPPER_UNITS, random_triple, random_valid_params
+from conftest import (UPPER_UNITS, in_polygon_by_fractions, random_triple, random_valid_params,
+                      region_by_fractions)
 from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
                                  _kernel_ints, _triple_data,
                                  charge_from_params, classify_cell,
@@ -14,11 +15,11 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
                                  mz_polygon, stable_set_pure, tr_polygon,
                                  transport_plus_leg,
                                  transport_plus_leg_inverse, validate_params)
-from stabscope.corekit import AffPt, CharVec, point_in_polygon
+from stabscope.corekit import AffPt, CharVec, _in_polygon_ints, point_in_polygon
 from stabscope.exceptional import DyadicLabel, TriplePattern, detect_triple, triple_from
 from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex,
                                  SQCharge, in_upper, kernel_point, z_eval)
-from stabscope.lepotier import RegionClass, classify_point
+from stabscope.lepotier import RegionClass
 
 OOO = triple_from(TriplePattern.ADJACENT, DyadicLabel(1))
 
@@ -173,6 +174,40 @@ def test_mz_contains_tr_interior():
             p = AffPt(x, y)
             if point_in_polygon(p, tr):
                 assert point_in_polygon(p, mz)
+
+
+def test_integer_polygon_core_matches_the_fraction_loop():
+    rng = random.Random(6161)
+    inside = outside = 0
+    for _ in range(60):
+        t = random_triple(rng, max_m=4)
+        for poly in (mz_polygon(t), tr_polygon(t)):
+            vs = poly.vertices
+            n = len(vs)
+            points = []
+            for i, (a, b) in enumerate(zip(vs, vs[1:] + vs[:1])):
+                # the vertices and edge midpoints, with their flags (the open
+                # pentagon holds neither), then points along and off the edge
+                points += [(a, poly.vertex_included[i]),
+                           (AffPt((a.x + b.x) / 2, (a.y + b.y) / 2), poly.edge_included[i])]
+                f = Fraction(rng.randint(1, 99), 100)
+                points.append((AffPt(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)), None))
+                c = vs[(i + 2) % n]
+                for g in (Fraction(1, rng.randint(2, 10 ** 6)), -Fraction(1, rng.randint(2, 100))):
+                    points.append((AffPt(a.x + f * (b.x - a.x) + g * (c.x - a.x),
+                                         a.y + f * (b.y - a.y) + g * (c.y - a.y)), None))
+            for p, want in points:
+                got = in_polygon_by_fractions(p, poly)
+                assert want is None or got is want
+                inside += got
+                outside += not got
+                assert point_in_polygon(p, poly) is got, (t.labels, p)
+                # any positive multiple of the point's vector, negative x included
+                w, X, Y = (p.x.denominator * p.y.denominator, p.x.numerator * p.y.denominator,
+                           p.y.numerator * p.x.denominator)
+                k = rng.randint(1, 50)
+                assert _in_polygon_ints(k * w, k * X, k * Y, poly) is got, (t.labels, p, k)
+    assert inside > 500 and outside > 500
 
 
 def test_classify_pure_from_floats():
@@ -398,7 +433,8 @@ def test_geo_sufficient_condition_cross_check():
 
 
 def _report_by_charge_solve(t, p, depth):
-    """classify_cell_report's decisions taken on the solved charge."""
+    """classify_cell_report's decisions taken on the solved charge, and on
+    the Fraction references of the pentagon and region tests."""
     f1, f2, f3 = p.phases()
     gap12_ge1, gap23_ge1 = f1.shifted(1) <= f2, f2.shifted(1) <= f3
     if gap12_ge1 and gap23_ge1:
@@ -409,10 +445,10 @@ def _report_by_charge_solve(t, p, depth):
     reason = ""
     if not kp.is_finite:
         reason = "kernel line has rank zero"
-    elif not point_in_polygon(kp.point(), mz_polygon(t)):
+    elif not in_polygon_by_fractions(kp.point(), mz_polygon(t)):
         reason = "kernel point outside the open pentagon"
     else:
-        region = classify_point(kp.point(), depth)
+        region = region_by_fractions(kp.point(), depth)
         if region is RegionClass.UNKNOWN:
             return CellReport(CellLabel.UNKNOWN, depth, kp,
                               "region test undecided at this depth")
@@ -542,10 +578,11 @@ def test_carried_phases_match_rebuilt_ones(case, entries, branch):
         public = tuple(Phase(*((-z.re, -z.im) if k % 2 else (z.re, z.im)), k)
                        for z, k in params.slots())
         assert params.phases() == by_fields.phases() == public
-        v = _kernel_ints(params.values(), _triple_data(t)[3])
+        # the generator is KernelPoint's, and c * v a positive multiple of w
+        c, v = _kernel_ints(params.values(), _triple_data(t)[3])
         w = _kernel_by_fractions(t, params)
-        assert KernelPoint.spanned_by(v) == KernelPoint.spanned_by(w)
-        assert (v[0] > 0) == (w[0] > 0) and (v[0] == 0) == (w[0] == 0)
+        assert tuple(KernelPoint.spanned_by(w).gen) == v
+        assert (c * v[0] > 0) == (w[0] > 0) and (v[0] == 0) == (w[0] == 0)
 
 
 @seed(13)

@@ -244,13 +244,53 @@ GOLDEN_DIGESTS = [
      "2734757f94fdc8cb3247e7ee5a8d77bef432b6426b49b93e471a024ee54e32ce"),
 ]
 
-# an entry is named by its first two words; the two deep curve listings,
-# which share theirs with the matrix's, by all of them
+# SHA-256 of stdout, as printed before chart cells and rational points were
+# decided on integer vectors: classify-cell once for each reason its report
+# can give (no kernel point is known to reach "not in the geometric
+# region"), and classify-point and dlp at the top of the exclusion of the
+# label 3/8, of character (29, 12, -12), and 2^-60 below and above it.
+# Each entry is named.
+_EXC_Y = Fraction(-12, 29)
+CELL_AND_POINT_DIGESTS = [
+    ("cell geo", ["classify-cell", "--triple", "0,1/2,1",
+                  "--slots=1:3/4:0,-2:0:0,2/5:0:1", "--depth", "6"],
+     "9866e1baccd546ed84b5e55423ee1549f8de2e042767792057f1ae40ee933a41"),
+    ("cell outside pentagon", ["classify-cell", "--triple", "0,1/2,1",
+                               "--slots=4:3:0,0:1/5:2,-3:4:2", "--depth", "6"],
+     "93256d9cb8b92d42b25f58fa1811bc7ebe66b805a794175c25cc381f9c82f5ea"),
+    ("cell rank zero", ["classify-cell", "--triple", "0,1,2",
+                        "--slots=-4:3:-2,-15/41:200/123:0,-4:3:0", "--depth", "6"],
+     "4b8cac5b704185790c4cddf2da30be891580824f072e30738d8cd9b0b546561d"),
+    ("cell orientation", ["classify-cell", "--triple", "0,1,2",
+                          "--slots=24/5:18/5:2,9/5:0:3,-6:8:4", "--depth", "6"],
+     "24883a9b3a8ab07cdf27c82d1775b06020815fc63be231ef9889f125b4ac80d8"),
+    ("cell unknown", ["classify-cell", "--triple", "1/2,3/4,1",
+                      "--slots=2/5:5/8:-2,1:15/16:0,6/5:19/16:0", "--depth", "0"],
+     "daebac188671a1ec7b6b67e8caf0baddadcb88dd625eafaf8e271d6fcde18a99"),
+    ("point exclusion top", ["classify-point", "--x", "12/29", f"--y={_EXC_Y}", "--depth", "4"],
+     "7c3c0a39ed6c4169a3f7285b142a6a611cbd11393b201c523256e9dcc192a33e"),
+    ("point below exclusion top", ["classify-point", "--x", "12/29",
+                                   f"--y={_EXC_Y - Fraction(1, 2 ** 60)}", "--depth", "4"],
+     "7c3c0a39ed6c4169a3f7285b142a6a611cbd11393b201c523256e9dcc192a33e"),
+    ("point above exclusion top", ["classify-point", "--x", "12/29",
+                                   f"--y={_EXC_Y + Fraction(1, 2 ** 60)}", "--depth", "4"],
+     "05743d6f96091132205a6dc2bff1187a40c7d30112f720ae3795283d0837e5a1"),
+    ("dlp exclusion top", ["dlp", "--ch0", "29", "--ch1", "12", "--ch2=-12", "--depth", "4"],
+     "58c7c81d54beb4dcb1d597f9037c0b1f62fb7c26191ab56bcd6c5924aeba6af0"),
+    ("dlp below exclusion top", ["dlp", "--ch0", "29", "--ch1", "12",
+                                 f"--ch2={-12 - Fraction(29, 2 ** 60)}", "--depth", "4"],
+     "8f4b15b61b89461aeb1c32740f43b69bd930d60fe0a3371aebac3d8247ac4000"),
+]
+
+# an entry of GOLDEN_DIGESTS is named by its first two words; the two deep
+# curve listings, which share theirs with the matrix's, by all of them
 _GOLDEN_IDS = ([" ".join(a[:2]) for a, _ in GOLDEN_DIGESTS[:-2]]
-               + [" ".join(a) for a, _ in GOLDEN_DIGESTS[-2:]])
+               + [" ".join(a) for a, _ in GOLDEN_DIGESTS[-2:]]
+               + [name for name, _, _ in CELL_AND_POINT_DIGESTS])
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS, ids=_GOLDEN_IDS)
+@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS + [
+    (argv, digest) for _, argv, digest in CELL_AND_POINT_DIGESTS], ids=_GOLDEN_IDS)
 def test_golden_digests(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("STABSCOPE_DEPTH", raising=False)
     out = _ok(capsys, argv)

@@ -11,9 +11,11 @@ import mpmath
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from conftest import region_by_fractions
+
 from stabscope import lepotier
 from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, _scaled_ints, slope
-from stabscope.exceptional import (DyadicLabel, ExcBundle, char_of, el, eplus,
+from stabscope.exceptional import (DyadicLabel, ExcBundle, _int_char, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
 from stabscope.lepotier import (DlpResult, ExclusionSegment, GeoAnswer,
@@ -712,6 +714,90 @@ def test_dlp_reads_exceptionality_off_the_exclusion_top():
             above += got is DlpResult.YES_EXCEPTIONAL and d < half
             strip += d >= half and classify_point(v.proj(), depth) is RegionClass.ON_EXCLUSION
     assert above > 20 and strip > 20
+
+
+def _ints_of(x, y):
+    """The integer vector d (1, x, y), d = den(x) den(y), of a rational point."""
+    x, y = Fraction(x), Fraction(y)
+    d = x.denominator * y.denominator
+    return d, x.numerator * y.denominator, y.numerator * x.denominator
+
+
+def _dlp_by_fractions(v, depth):
+    """dlp_exists as it was taken in Fractions: the discriminant read twice."""
+    p = v.proj()
+    cls = region_by_fractions(p, depth)
+    if cls is RegionClass.ON_EXCLUSION and p.delta() == (1 - Fraction(1, p.x.denominator ** 2)) / 2:
+        return DlpResult.YES_EXCEPTIONAL
+    if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
+        return DlpResult.YES
+    return DlpResult.UNKNOWN if cls is RegionClass.UNKNOWN else DlpResult.NO
+
+
+def test_integer_region_core_matches_the_fraction_rule():
+    rng = random.Random(2525)
+    eps = Fraction(1, 2 ** 60)
+    points, chars = [], []
+    # exclusion tops of ranks up to 10^6, exactly and 2^-60 below and above,
+    # and the characters there, some scaled
+    ranks = []
+    while len(ranks) < 400:
+        m = rng.randint(0, 16)
+        r, c, e = _int_char(DyadicLabel(2 * rng.randint(-3 << m, 3 << m) + 1, m + 1)
+                            if rng.random() < 0.9 else DyadicLabel(rng.randint(-6, 6)))
+        if r > 10 ** 6:
+            continue
+        ranks.append(r)
+        x, y = Fraction(c, r), Fraction(e, 2 * r)
+        points += [(x, y), (x, y - eps), (x, y + eps)]
+        k = rng.randint(1, 9)
+        chars += [CharVec(k * r, k * c, k * y * r + s * k * r * eps) for s in (-1, 0, 1)]
+    assert max(ranks) > 10 ** 5 and ranks.count(1) > 10
+    # slopes of every kind around the strip, at discriminants 1/2 and 1 exactly
+    for _ in range(1500):
+        x = Fraction(rng.randint(-300, 300), rng.randint(1, 64))
+        d = rng.choice([Fraction(1, 2), Fraction(1),
+                        Fraction(rng.randint(-16, 80), rng.randint(1, 64))])
+        points.append((x, x * x / 2 - d))
+    # tent apexes and points of the chords, on the curve
+    for tent in build_curve(3, (Fraction(-2), Fraction(2))).tents:
+        a = tent.apex
+        points.append((a.x, a.y))
+        for side in (-1, 1):
+            x = a.x + Fraction(side, 1000 * int(char_of(tent.label).ch0) ** 2)
+            points.append((x, tent.y_on(x)))
+    seen = Counter()
+    for x, y in points:
+        p = AffPt(x, y)
+        for depth in (0, rng.randint(1, 6)):
+            want = region_by_fractions(p, depth)
+            seen[want] += 1
+            assert classify_point(p, depth) is want, (p, depth)
+            # any positive multiple of the vector gives the same answer
+            w, X, Y = _ints_of(x, y)
+            k = rng.randint(1, 50)
+            assert lepotier._classify_ints(k * w, k * X, k * Y, depth) is want, (p, depth, k)
+    assert set(seen) == set(RegionClass) and seen[RegionClass.ON_CURVE] > 50
+    exceptional = 0
+    for v in chars:
+        depth = rng.randint(0, 4)
+        want = _dlp_by_fractions(v, depth)
+        exceptional += want is DlpResult.YES_EXCEPTIONAL
+        assert dlp_exists(v, depth) is want, (v, depth)
+    assert exceptional > 300
+
+
+def test_classify_point_at_the_half_discriminant_takes_the_point_walk():
+    # at discriminant exactly 1/2 a point is in the strip: at slope 1/2,
+    # which depth 0 leaves uncovered, it is Unknown, not on the exclusion
+    # of the label 1/2 that depth 1 finds below it
+    p = pt("1/2", "-3/8")
+    assert p.delta() == Fraction(1, 2)
+    assert classify_point(p, 0) is RegionClass.UNKNOWN
+    assert classify_point(p, 1) is RegionClass.ON_EXCLUSION
+    # the exclusion top of the label 1/2, at y = -1/4, over d = 8 and over 2
+    top = pt("1/2", "-1/4")
+    assert lepotier._classify_ints(8, 4, -2, 0) is classify_point(top, 0) is RegionClass.ON_EXCLUSION
 
 
 def test_tent_exclusion_is_the_characters_vertical():

@@ -148,8 +148,17 @@ NOT_IN_PREAMBLE = NOT_INTEGER + ("delta", "_scaled_ints")
 # the slope search of exceptional.py steps on the integer characters; its
 # input is a Fraction, but it takes no CharVec, Fraction slope or surd
 NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
+# the chart classifier decides its kernel point on the kernel's integer
+# vector and builds the report's KernelPoint from it after the decision, and
+# the polygon core takes a rational point's signs on integers, comparing
+# with 0 alone
+NOT_IN_CHART = ("Fraction", "AffPt", "point", "proj", "delta", "classify_point",
+                "point_in_polygon", "_coprime_ints")
+NOT_IN_POLYGON = ("Fraction", "QuadReal", "nsign", "AffPt")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
-           **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH}
+           **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH,
+           "classify_cell_report": NOT_IN_CHART,
+           **{name: NOT_IN_POLYGON for name in ("_in_polygon_ints", "_origin_in_polygon")}}
 
 
 def _non_integer_names(tree):
@@ -202,3 +211,32 @@ def test_the_segment_walk_signs_stay_on_integers():
         "def slope_to_label(mu):\n    return slope(char_of(mu))")) == [2, 2]
     assert _non_integer_names(ast.parse("def slope_to_label(mu):\n    return Fraction(mu)")) == []
     assert _non_integer_names(ast.parse("def is_exceptional_char(v):\n    return slope(v)")) == []
+
+
+def test_the_chart_decides_on_integers():
+    root = Path(stabscope.__file__).parent
+    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("algebraic", "corekit")}
+    defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+               for name, tree in trees.items()}
+    assert "classify_cell_report" in defined["algebraic"]
+    assert {"_in_polygon_ints", "_origin_in_polygon"} <= defined["corekit"]
+    assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
+    assert _non_integer_names(ast.parse(
+        "def classify_cell_report(t, p, depth):\n    kp = KernelPoint.spanned_by(v)\n"
+        "    return point_in_polygon(kp.point(), pentagon)")) == [3, 3]
+    assert _non_integer_names(ast.parse(
+        "def classify_cell_report(t, p, depth):\n    return classify_point(AffPt(x, y), depth)")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def classify_cell_report(t, p, depth):\n    q = kp.gen.proj()\n    return q.delta()")) == [2, 3]
+    assert _non_integer_names(ast.parse(
+        "def classify_cell_report(t, p, depth):\n    return _coprime_ints((Fraction(w), X, Y))")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _in_polygon_ints(w, X, Y, poly):\n    return nsign(Fraction(X, w))")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _in_polygon_ints(w, X, Y, poly):\n    def one(v):\n        return QuadReal(v.x) - AffPt(X, Y).x\n"
+        "    return one")) == [3, 3]
+    assert _non_integer_names(ast.parse(
+        "def _origin_in_polygon(rel, poly):\n    return [nsign(x) for x, _ in rel]")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _in_polygon_ints(w, X, Y, poly):\n    return poly.scaled[0] * w > X")) == []
+    assert _non_integer_names(ast.parse("def point_in_polygon(p, poly):\n    return nsign(p.x)")) == []

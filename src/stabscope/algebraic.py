@@ -12,12 +12,13 @@ left-mutated triple and back.
 The classifier never solves for the charge: its kernel is written
 directly in the triple's characters and the three values, in integers,
 as a primitive vector (w, X, Y), and the kernel point (X/w, Y/w) is
-tested against the open pentagon and the geometric region on that
-vector, with no Fraction between the values and the verdict.  The
-pentagon and dual basis of a triple are built once and kept in a
-bounded cache.  A parameter point's phases are computed once, as
-primitive integer directions, and the group action maps them by each
-element's integer matrix.
+tested against the open pentagon on that vector, with no Fraction
+between the values and the verdict.  No region test follows, since the
+open pentagon lies in the geometric region (classify_cell_report gives
+the argument).  The pentagon and dual basis of a triple are built once
+and kept in a bounded cache.  A parameter point's phases are computed
+once, as primitive integer directions, and the group action maps them
+by each element's integer matrix.
 
 Exactness convention: a phase is entered as an integer branch plus a
 rational point on the unit circle lying in the upper half-plane, so the
@@ -41,7 +42,6 @@ from .exceptional import (CACHE_SIZE, DyadicLabel, ExcTriple, _int_char, char_of
                           mutate_left, mutate_right)
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
                         RatComplex, ShiftedChar, _upper_ray, in_upper)
-from .lepotier import RegionClass, _classify_ints
 from .surd import QuadReal
 
 # largest tangent denominator of a rationalized float phase
@@ -273,6 +273,7 @@ class CellLabel(enum.Enum):
     PLUS_LEG = "PlusLeg"
     MINUS_LEG = "MinusLeg"
     PURE_CELL = "PureCell"
+    # never returned, as no depth leaves a cell undecided; kept since callers name it
     UNKNOWN = "Unknown"
 
 
@@ -297,9 +298,16 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     phase gaps (this also collects every degenerate charge, since
     collinear values force integer gaps); otherwise the geometric head
     is certified by the kernel point lying inside the open pentagon,
-    inside the geometric region, with positive orientation.  Failing
-    that, the small outer gap picks the leg.  The outcome is unknown
-    only when the region test at this depth is.
+    with positive orientation.  Failing that, the small outer gap picks
+    the leg.  No outcome is unknown, and none depends on the depth.
+
+    No region test is needed: the open pentagon lies in the geometric
+    region, as the paper's Stab^dag(P^2) = Geo u Alg requires.  Its
+    vertical sides, E1's and E3's exclusions, are open; its lower edges,
+    E1's right chord and E3's left chord, which _tent checks pass through
+    e2, are the curve on those tents' slope spans and above the curve
+    strip past the contact points; and every exclusion strictly between
+    E1 and E3 starts at or below that chain, so none meets the pentagon.
 
     The charge is never solved for.  It sends sum a_j c_j to
     sum a_j z_j, which vanishes exactly when a is proportional to
@@ -314,8 +322,8 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     primitive generator nor the sign of ch0(v).  That generator
     (w, X, Y), with c (w, X, Y) a positive multiple of v, has w > 0 when
     its rank is not zero, so ch0(v) has the sign of c.  The kernel point
-    (X/w, Y/w) meets the pentagon and the region on these integers, and
-    the report's KernelPoint is built from them once the cell is decided.
+    (X/w, Y/w) meets the pentagon on these integers, and the report's
+    KernelPoint is built from them once the cell is decided.
     """
     phases = _valid_phases(p)
     if phases is None:
@@ -328,26 +336,18 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
                           reason="both phase gaps are at least one")
     d, _, pentagon, doubled = _triple_data(t)
     c, (w, X, Y) = _kernel_ints(p.values(), doubled)
-    label = None
     if w == 0:
         reason = "kernel line has rank zero"
     elif not _in_polygon_ints(w, X, Y, pentagon):
         reason = "kernel point outside the open pentagon"
+    elif c * d <= 0:
+        reason = "orientation determinant not positive"
     else:
-        region = _classify_ints(w, X, Y, depth)
-        if region is RegionClass.UNKNOWN:
-            label, reason = CellLabel.UNKNOWN, "region test undecided at this depth"
-        elif region is not RegionClass.GEO_LP:
-            reason = "kernel point not in the geometric region"
-        elif c * d <= 0:
-            reason = "orientation determinant not positive"
-        else:
-            label, reason = CellLabel.GEO_CELL, "kernel point in the pentagon and region"
-    if label is None:
-        # a leg: not both gaps are at least one, or the pure tail had returned
-        label, gap = (CellLabel.MINUS_LEG, "lower") if gap23_ge1 else (CellLabel.PLUS_LEG, "upper")
-        reason += f"; {gap} phase gap below one"
-    return CellReport(label, depth, KernelPoint(CharVec(w, X, Y)), reason)
+        return CellReport(CellLabel.GEO_CELL, depth, KernelPoint(CharVec(w, X, Y)),
+                          "kernel point in the pentagon and region")
+    # a leg: not both gaps are at least one, or the pure tail had returned
+    label, gap = (CellLabel.MINUS_LEG, "lower") if gap23_ge1 else (CellLabel.PLUS_LEG, "upper")
+    return CellReport(label, depth, KernelPoint(CharVec(w, X, Y)), f"{reason}; {gap} phase gap below one")
 
 
 def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, tuple[int, int, int]]:

@@ -335,15 +335,14 @@ def _mutate(args) -> int:
 
 
 def _classify_cell(args) -> int:
-    from .algebraic import CellLabel, classify_cell_report
+    from .algebraic import classify_cell_report
     t, p, exact = _chart(args)
     report = classify_cell_report(t, p, args.depth)
     kernel = report.kernel
-    _emit({"label": report.label.value, "depth": args.depth, "exact": exact,
-           "reason": report.reason,
-           "kernel": None if kernel is None else kernel.gen.to_json(),
-           "point": kernel.point().to_json() if kernel and kernel.is_finite else None})
-    return _strict(args, report.label is CellLabel.UNKNOWN)
+    return _emit({"label": report.label.value, "depth": args.depth, "exact": exact,
+                  "reason": report.reason,
+                  "kernel": None if kernel is None else kernel.gen.to_json(),
+                  "point": kernel.point().to_json() if kernel and kernel.is_finite else None})
 
 
 def _transport(args) -> int:

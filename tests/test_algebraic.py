@@ -16,10 +16,12 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
                                  transport_plus_leg,
                                  transport_plus_leg_inverse, validate_params)
 from stabscope.corekit import AffPt, CharVec, _in_polygon_ints, point_in_polygon
-from stabscope.exceptional import DyadicLabel, TriplePattern, detect_triple, triple_from
-from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex,
-                                 SQCharge, in_upper, kernel_point, z_eval)
-from stabscope.lepotier import RegionClass
+from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, char_of,
+                                   detect_triple, triple_from)
+from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex, SQCharge,
+                                 StabResult, _stable_in_region, in_upper, kernel_point,
+                                 z_eval)
+from stabscope.lepotier import RegionClass, classify_point
 
 OOO = triple_from(TriplePattern.ADJACENT, DyadicLabel(1))
 
@@ -262,7 +264,7 @@ def test_classify_partition_randomized():
         p = random_valid_params(rng)
         counts[classify_cell(t, p, 6)] += 1
     assert sum(counts.values()) == 300
-    assert counts[CellLabel.UNKNOWN] <= 15
+    assert counts[CellLabel.UNKNOWN] == 0
     assert counts[CellLabel.PURE_CELL] > 0
 
 
@@ -337,8 +339,6 @@ def test_gl_action_preserves_labels():
         t = random_triple(rng, max_m=3)
         p = random_valid_params(rng)
         base = classify_cell(t, p, 6)
-        if base is CellLabel.UNKNOWN:
-            continue
         entries = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in range(4)]
         a, b, c, d = entries
@@ -426,15 +426,18 @@ def test_geo_sufficient_condition_cross_check():
         if f3 == f1.shifted(2):
             continue
         label = classify_cell(t, p, 8)
-        if label is CellLabel.UNKNOWN:
-            continue
         assert label is CellLabel.GEO_CELL, (t.labels, p)
         done += 1
 
 
 def _report_by_charge_solve(t, p, depth):
-    """classify_cell_report's decisions taken on the solved charge, and on
-    the Fraction references of the pentagon and region tests."""
+    """classify_cell_report's decisions taken on the solved charge and on the
+    Fraction reference of the pentagon test.
+
+    The region test takes no part in the decision: the Fraction reference
+    of it is run on every kernel point inside the pentagon as an oracle,
+    and wherever it decides at this depth it must find the point GeoLP.
+    """
     f1, f2, f3 = p.phases()
     gap12_ge1, gap23_ge1 = f1.shifted(1) <= f2, f2.shifted(1) <= f3
     if gap12_ge1 and gap23_ge1:
@@ -449,12 +452,8 @@ def _report_by_charge_solve(t, p, depth):
         reason = "kernel point outside the open pentagon"
     else:
         region = region_by_fractions(kp.point(), depth)
-        if region is RegionClass.UNKNOWN:
-            return CellReport(CellLabel.UNKNOWN, depth, kp,
-                              "region test undecided at this depth")
-        if region is not RegionClass.GEO_LP:
-            reason = "kernel point not in the geometric region"
-        elif Z.w1.re * Z.w2.im - Z.w1.im * Z.w2.re <= 0:
+        assert region in (RegionClass.GEO_LP, RegionClass.UNKNOWN), (t.labels, kp, region)
+        if Z.w1.re * Z.w2.im - Z.w1.im * Z.w2.re <= 0:
             reason = "orientation determinant not positive"
         else:
             return CellReport(CellLabel.GEO_CELL, depth, kp,
@@ -520,11 +519,88 @@ def test_closed_form_kernel_matches_the_charge_solve():
                 continue
         report = classify_cell_report(t, p, depth)
         assert report == _report_by_charge_solve(t, p, depth), (t.labels, p, depth)
+        if not i % 3:
+            # a kernel point in the curve strip: no depth changes the verdict
+            deep = classify_cell_report(t, p, 12)
+            assert report == CellReport(deep.label, depth, deep.kernel, deep.reason)
         patterns.add(t.pattern)
         labels.add(report.label)
         reasons.add(report.reason)
-    assert patterns == set(TriplePattern) and labels == set(CellLabel)
+    assert patterns == set(TriplePattern) and labels == set(CellLabel) - {CellLabel.UNKNOWN}
     assert any("orientation" in r for r in reasons)
+
+
+def test_no_exclusion_meets_the_open_pentagon():
+    """Every exclusion strictly between E1 and E3 starts on or below the lower chain.
+
+    An exclusion hangs down from the top e(F) to e+(F), so one whose top
+    lies on or below the chain e+(E1), e2, e+(E3) stays out of the open
+    pentagon, whose vertical sides are E1's and E3's own exclusions.  The
+    test is exact, since tops lie on the chain: e(1/2) = (1/2, -1/4) is on
+    the chord from e+(O) = (0, -1) to e(O(1)) = (1, 1/2).  Every base label
+    of depth at most 4 in [0, 1) in each pattern gives the 48 triples.
+    """
+    tops = on_chain = 0
+    for k in range(16):
+        for pattern in TriplePattern:
+            t = triple_from(pattern, DyadicLabel(k, 4))
+            pentagon = mz_polygon(t)
+            e1, p1, e2, p3, e3 = pentagon.vertices
+            assert (e1.x, e3.x) == (p1.x, p3.x) and not any(pentagon.edge_included)
+            l1, _, l3 = t.labels
+            for label in _labels_between(l1.value, l3.value, 8):
+                if not l1 < label < l3:
+                    continue
+                top = char_of(label).proj()
+                a, b = (p1, e2) if top.x <= e2.x else (e2, p3)
+                above = (b.x - a.x) * (top.y - a.y) - (b.y - a.y) * (top.x - a.x)
+                assert e1.x < top.x < e3.x and above <= 0, (t.labels, label)
+                tops += 1
+                on_chain += above == 0
+    assert (tops, on_chain) == (24528, 626)
+
+
+def test_the_pentagon_is_stable_for_the_triple():
+    """Inside the open pentagon E1, E2 and E3 are all stable, by the segment walk.
+
+    The points are weighted means of the vertices, and points of an edge
+    pushed 2^-1 to 2^-30 of the way to the vertices' mean; those outside the
+    pentagon, which need not be convex, are dropped.  Inside it the region
+    test never finds a point off the region, only undecided in the strip.
+    A stability test undecided at depth 12, near an edge, must be decided
+    at depth 24.
+    """
+    rng = random.Random(650)
+    points = 0
+    while points < 650:
+        m = rng.randint(0, 4)
+        base = DyadicLabel(rng.randrange(-2 << m, 2 << m), m)
+        t = triple_from(rng.choice(list(TriplePattern)), base)
+        pentagon = mz_polygon(t)
+        vs = pentagon.vertices
+        if rng.random() < 0.5:
+            ws = [rng.randint(1, 20) for _ in vs]
+        else:
+            i, s = rng.randrange(5), Fraction(rng.randint(1, 99), 100)
+            push = Fraction(1, 2 ** rng.randint(1, 30))
+            ws = [push / 5] * 5
+            ws[i] += (1 - push) * (1 - s)
+            ws[(i + 1) % 5] += (1 - push) * s
+        P = AffPt(sum(w * v.x for w, v in zip(ws, vs)) / sum(ws),
+                  sum(w * v.y for w, v in zip(ws, vs)) / sum(ws))
+        if not point_in_polygon(P, pentagon):
+            continue
+        region = classify_point(P, 12)
+        assert region in (RegionClass.GEO_LP, RegionClass.UNKNOWN), (t.labels, P)
+        if region is RegionClass.UNKNOWN:
+            continue
+        for E in (t.E1, t.E2, t.E3):
+            got = _stable_in_region(E, P, 12)
+            if got is StabResult.UNKNOWN:
+                got = _stable_in_region(E, P, 24)
+            want = StabResult.STABLE_UNSHIFTED if P.x < E.slope else StabResult.STABLE_SHIFTED
+            assert got is want, (t.labels, E.label, P)
+        points += 1
 
 
 def _lift_by_fractions(g, p):

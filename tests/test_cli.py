@@ -244,12 +244,13 @@ GOLDEN_DIGESTS = [
      "2734757f94fdc8cb3247e7ee5a8d77bef432b6426b49b93e471a024ee54e32ce"),
 ]
 
-# SHA-256 of stdout, as printed before chart cells and rational points were
-# decided on integer vectors: classify-cell once for each reason its report
-# can give (no kernel point is known to reach "not in the geometric
-# region"), and classify-point and dlp at the top of the exclusion of the
-# label 3/8, of character (29, 12, -12), and 2^-60 below and above it.
-# Each entry is named.
+# SHA-256 of stdout: classify-cell once for each reason its report can give,
+# and classify-point and dlp at the top of the exclusion of the label 3/8, of
+# character (29, 12, -12), and 2^-60 below and above it, as printed before
+# chart cells and rational points were decided on integer vectors; and
+# classify-cell at depth 0 on a kernel point in the curve strip, which the
+# chart decides without a region test: GeoCell, as every depth from 1 up
+# printed it while the region test was made.  Each entry is named.
 _EXC_Y = Fraction(-12, 29)
 CELL_AND_POINT_DIGESTS = [
     ("cell geo", ["classify-cell", "--triple", "0,1/2,1",
@@ -264,9 +265,9 @@ CELL_AND_POINT_DIGESTS = [
     ("cell orientation", ["classify-cell", "--triple", "0,1,2",
                           "--slots=24/5:18/5:2,9/5:0:3,-6:8:4", "--depth", "6"],
      "24883a9b3a8ab07cdf27c82d1775b06020815fc63be231ef9889f125b4ac80d8"),
-    ("cell unknown", ["classify-cell", "--triple", "1/2,3/4,1",
-                      "--slots=2/5:5/8:-2,1:15/16:0,6/5:19/16:0", "--depth", "0"],
-     "daebac188671a1ec7b6b67e8caf0baddadcb88dd625eafaf8e271d6fcde18a99"),
+    ("cell geo in the strip", ["classify-cell", "--triple", "1/2,3/4,1",
+                               "--slots=2/5:5/8:-2,1:15/16:0,6/5:19/16:0", "--depth", "0"],
+     "8ac7f08bd22f8144d8cf329234ccd6e6aa8a50d0d6b22b88014925bb375bdfdd"),
     ("point exclusion top", ["classify-point", "--x", "12/29", f"--y={_EXC_Y}", "--depth", "4"],
      "7c3c0a39ed6c4169a3f7285b142a6a611cbd11393b201c523256e9dcc192a33e"),
     ("point below exclusion top", ["classify-point", "--x", "12/29",
@@ -571,8 +572,8 @@ VERB_MODULES = list(zip(GOLDEN_DIGESTS[:12], [
     _BASE + ["geometric", "lepotier"],              # stab-region
     _BASE,                                          # triple
     _BASE,                                          # mutate
-    _BASE + ["algebraic", "geometric", "lepotier"],  # classify-cell
-    _BASE + ["algebraic", "geometric", "lepotier"],  # transport
+    _BASE + ["algebraic", "geometric"],             # classify-cell
+    _BASE + ["algebraic", "geometric"],             # transport
     _BASE + ["walls"],                              # wall
     _BASE + ["walls"],                              # walls
 ]))
@@ -792,6 +793,11 @@ def test_unknown_verdicts_exit_3_under_strict(capsys):
         ["-7/10,-16/75,Unknown", "-3/5,-16/75,Unknown"]
     assert _ok(capsys, argv + ["--depth", "1"]).splitlines()[1:] == \
         ["-7/10,-16/75,StableUnshifted", "-3/5,-16/75,StableUnshifted"]
+    # the chart takes no region test, so a kernel point in the curve strip
+    # is decided at depth 0 too, and --strict has no Unknown to refuse
+    argv = ["classify-cell", "--triple", "1/2,3/4,1",
+            "--slots=2/5:5/8:-2,1:15/16:0,6/5:19/16:0", "--depth", "0", "--strict"]
+    assert _json(capsys, argv)["label"] == "GeoCell"
 
 
 @pytest.mark.parametrize("grid", ["-7/10,-6/10,-16/75,-16/75,3",

@@ -213,12 +213,35 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert _non_integer_names(ast.parse("def is_exceptional_char(v):\n    return slope(v)")) == []
 
 
+# the region test's names, which the chart needs none of: its open pentagon
+# lies in the geometric region
+REGION_NAMES = {"lepotier", "RegionClass", "_classify_ints"}
+
+
+def _names(tree):
+    """Every module part, imported name, variable and attribute a source names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((getattr(node, "module", None) or "").split("."))
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def test_the_chart_decides_on_integers():
     root = Path(stabscope.__file__).parent
     trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("algebraic", "corekit")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
     assert "classify_cell_report" in defined["algebraic"]
+    assert not _names(trees["algebraic"]) & REGION_NAMES
+    for source in ("from .lepotier import x", "from . import lepotier", "import stabscope.lepotier",
+                   "from .corekit import RegionClass", "def f(m):\n    return m._classify_ints(1)"):
+        assert _names(ast.parse(source)) & REGION_NAMES, source
     assert {"_in_polygon_ints", "_origin_in_polygon"} <= defined["corekit"]
     assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
     assert _non_integer_names(ast.parse(

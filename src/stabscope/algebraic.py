@@ -36,8 +36,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (CharVec, Polygon, _chi2, _in_polygon_ints, _record, _scaled_ints,
-                      cross3, det3, parse_rational)
+from .corekit import (CharVec, Polygon, _chi2, _in_polygon_ints, _primitive, _record,
+                      _scaled_ints, cross3, det3, parse_rational)
 from .exceptional import (CACHE_SIZE, DyadicLabel, ExcTriple, _int_char, char_of, eplus,
                           mutate_left, mutate_right)
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
@@ -360,10 +360,8 @@ def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, tuple[int, int, int]]:
     _, (x1, y1, x2, y2, x3, y3) = _scaled_ints([x for z in zs for x in (z.re, z.im)])
     a1, a2, a3 = cross3((x1, x2, x3), (y1, y2, y3))
     v = tuple(a1 * u1 + a2 * u2 + a3 * u3 for u1, u2, u3 in doubled)
-    lead = v[0] or v[1] or v[2]
-    assert lead, "a degenerate charge is in the pure tail"
-    c = math.gcd(*v) if lead > 0 else -math.gcd(*v)
-    return c, tuple(a // c for a in v)
+    assert any(v), "a degenerate charge is in the pure tail"
+    return _primitive(v)
 
 
 def stable_set_pure(t: ExcTriple) -> tuple[ShiftedChar, ShiftedChar, ShiftedChar]:

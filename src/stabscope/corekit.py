@@ -140,12 +140,14 @@ def _point_ints(x: Fraction, y: Fraction) -> tuple[int, int, int]:
             y.numerator * x.denominator)
 
 
-def euler_chi(v: CharVec, w: CharVec) -> Fraction:
-    """The (non-symmetric) Euler pairing of two characters."""
-    return (v.ch0 * w.ch0
-            + Fraction(3, 2) * (v.ch0 * w.ch1 - w.ch0 * v.ch1)
-            + v.ch0 * w.ch2 + w.ch0 * v.ch2
-            - v.ch1 * w.ch1)
+def _primitive(v: Sequence[int]) -> tuple[int, tuple[int, int, int]]:
+    """(c, v // c) for a nonzero integer 3-vector, c its gcd signed like its
+    first nonzero entry, so the primitive vector's first nonzero entry is positive.
+    """
+    c = math.gcd(*v)
+    if (v[0] or v[1] or v[2]) < 0:
+        c = -c
+    return c, (v[0] // c, v[1] // c, v[2] // c)
 
 
 def _chi2(v: Sequence[int], w: Sequence[int]) -> int:
@@ -157,6 +159,11 @@ def _chi2(v: Sequence[int], w: Sequence[int]) -> int:
     r, c, e = v
     R, C, E = w
     return 2 * r * R + 3 * (r * C - R * c) + r * E + R * e - 2 * c * C
+
+
+def euler_chi(v: CharVec, w: CharVec) -> Fraction:
+    """The (non-symmetric) Euler pairing of two characters, half of _chi2."""
+    return Fraction(_chi2((v.ch0, v.ch1, 2 * v.ch2), (w.ch0, w.ch1, 2 * w.ch2))) / 2
 
 
 def slope(v: CharVec) -> Fraction:
@@ -194,10 +201,6 @@ class AffPt:
 
     def delta(self) -> Number:
         return self.x * self.x * Fraction(1, 2) - self.y
-
-    def is_rational(self) -> bool:
-        return not (isinstance(self.x, QuadReal) and not self.x.is_rational) and \
-               not (isinstance(self.y, QuadReal) and not self.y.is_rational)
 
     def to_json(self):
         def one(c):
@@ -375,15 +378,12 @@ class Polygon:
 
 
 def point_in_polygon(p: AffPt, poly: Polygon) -> bool:
-    """Exact membership with the polygon's inclusion flags.
+    """Exact membership of a rational point with the polygon's inclusion flags.
 
-    Every vertex is taken relative to p, and the membership of the origin
-    decided by _origin_in_polygon.  A rational p is decided by
-    _in_polygon_ints on its integer vector.
+    The point is decided by _in_polygon_ints on its integer vector; a surd
+    point is refused with to_fraction's ValueError.
     """
-    if p.is_rational():
-        return _in_polygon_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), poly)
-    return _origin_in_polygon([(v.x - p.x, v.y - p.y) for v in poly.vertices], poly)
+    return _in_polygon_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), poly)
 
 
 def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:
@@ -391,25 +391,18 @@ def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:
 
     With the polygon's integer vertices (vx, vy) over its denominator den,
     each vertex relative to the point, times w den > 0, is
-    (vx w - X den, vy w - Y den), which keeps every sign of the test.
+    (vx w - X den, vy w - Y den), which keeps every sign of the test, so
+    the point is the origin.  The doubled signed area of the origin with
+    an edge (a, b) is cross2(a, b).  Boundary cases are resolved first: a
+    vertex at the origin, then an edge of zero area whose ends lie on
+    opposite sides of it.  The interior test is even-odd crossing counting
+    with a horizontal ray to the right: an edge spanning the ray's level
+    (half-open rule) crosses it exactly when its area has the sign of its
+    rise, since the origin is strictly off the boundary there.
     """
     den, verts = poly.scaled
     X, Y = X * den, Y * den
-    return _origin_in_polygon([(vx * w - X, vy * w - Y) for vx, vy in verts], poly)
-
-
-def _origin_in_polygon(rel: list, poly: Polygon) -> bool:
-    """Whether the origin is in the polygon of vertices rel and poly's flags.
-
-    The doubled signed area of the origin with an edge (a, b) is
-    cross2(a, b).  Boundary cases are resolved first: a vertex at the
-    origin, then an edge of zero area whose ends lie on opposite sides
-    of it.  The interior test is even-odd crossing counting with a
-    horizontal ray to the right: an edge spanning the ray's level
-    (half-open rule) crosses it exactly when its area has the sign of its
-    rise, since the origin is strictly off the boundary there.  Every
-    sign is a comparison with 0, of integers or of surds.
-    """
+    rel = [(vx * w - X, vy * w - Y) for vx, vy in verts]
     for (dx, dy), flag in zip(rel, poly.vertex_included):
         if dx == 0 and dy == 0:
             return flag

@@ -33,14 +33,6 @@ from fractions import Fraction
 from .corekit import AffPt, CharVec, _chi2, _record, det3, slope
 from .surd import QuadReal, parse_rational
 
-HALF = Fraction(1, 2)
-
-
-def _exc_delta(r) -> Fraction:
-    """The discriminant (1/2)(1 - 1/r^2) of a rank-r exceptional bundle."""
-    return HALF - HALF / (r * r)
-
-
 class DyadicLabel:
     """An index p / 2^m, stored in lowest terms (m == 0 or p odd)."""
 

@@ -19,7 +19,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .corekit import AffPt, CharVec, _record, _scaled_ints, cross3, slope, to_fraction
+from .corekit import (AffPt, CharVec, _primitive, _record, _scaled_ints, cross3, slope,
+                      to_fraction)
 from .exceptional import ExcBundle
 
 # lepotier is imported inside the three functions that decide region
@@ -220,13 +221,6 @@ def _upper_ray(re, im) -> tuple[int, int, int]:
     return p // g, q // g, j
 
 
-def _coprime_ints(xs: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    ints = _scaled_ints(xs)[1]
-    g = math.gcd(*ints)
-    return tuple(n // g for n in ints)
-
-
 @_record
 class Phase(object):
     """An exact phase k + a, with a in (0, 1] the angle of a direction.
@@ -420,10 +414,8 @@ class KernelPoint:
         """The kernel point of the line through a rational 3-vector."""
         if not any(k):
             raise ValueError("degenerate charge: image lies in a real line")
-        gen = _coprime_ints(k)
-        if next(a for a in gen if a) < 0:
-            gen = tuple(-a for a in gen)
-        return cls(CharVec(*gen))
+        _, ints = _scaled_ints(k)
+        return cls(CharVec(*_primitive(ints)[1]))
 
 
 def kernel_point(Z: GeneralCharge) -> KernelPoint:

@@ -24,7 +24,8 @@ the strip only the label of rank r = den(x) can have the slope x, so a
 point is on an exclusion exactly when its discriminant reaches
 (1/2)(1 - 1/r^2) and slope_to_label finds that label; that search stops at
 rank r and takes no budget, so there every depth gives the same answer.
-A rational point is decided on its integer vector (w, X, Y), w > 0, with
+Points and segment ends are rational, and a surd one is refused with a
+ValueError.  A point is decided on its integer vector (w, X, Y), w > 0, with
 no Fraction outside the strip: with n = X^2 - 2 w Y, 2 w^2 times its
 discriminant, it is above the strip when n < w^2, below it when n > 2 w^2,
 and reaches the exclusion's top when n r^2 >= w^2 (r^2 - 1), r =
@@ -57,11 +58,11 @@ import functools
 import math
 from fractions import Fraction
 
-from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _record, _scaled_ints, cross3,
-                      to_fraction)
-from .exceptional import (CACHE_SIZE, HALF, DyadicLabel, _contact_form, _exc_delta, _int_char,
-                          _labels_between, eplus, el, er, slope_to_label)
-from .surd import Number, QuadReal, _floor_form, _form_sign, _root_sign
+from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _primitive, _record, _scaled_ints,
+                      cross3, to_fraction)
+from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _labels_between,
+                          eplus, el, er, slope_to_label)
+from .surd import Number, _floor_form, _form_sign, _root_sign
 
 
 class RegionClass(enum.Enum):
@@ -218,7 +219,7 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
                        tuple(t.exclusion for t, _ in kept if lo <= t.exclusion.x <= hi))
 
 
-def _tent_at(x: Number, depth: int) -> Tent | None:
+def _tent_at(x: Fraction, depth: int) -> Tent | None:
     """The tent of depth <= depth whose closed slope span contains x, or None.
 
     The point walk of classify_point.  It keeps the gap between adjacent
@@ -245,31 +246,19 @@ def _tent_at(x: Number, depth: int) -> Tent | None:
 
 
 def classify_point(p: AffPt, depth: int) -> RegionClass:
-    """Locate a plane point relative to the curve and the exclusion segments.
+    """Locate a rational plane point relative to the curve and the exclusion segments.
 
     Above the strip the only question is membership in an exclusion
     segment, which takes no budget, so there the answer is the same at
     every depth; inside the strip the covering tent (when one exists at
     this depth) settles the answer for good, and uncovered strip slopes
-    remain Unknown because deeper tents accumulate there.  A rational
-    point is decided by _classify_ints on its integer vector.
+    remain Unknown because deeper tents accumulate there.  The point is
+    decided by _classify_ints on its integer vector; a surd point is
+    refused with to_fraction's ValueError.
     """
     if depth < 0:
         raise ValueError("negative depth")
-    if p.is_rational():
-        return _classify_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), depth)
-    d = p.delta()
-    if d < HALF:
-        # only a rational slope has an exclusion, which a surd height can meet
-        if isinstance(p.x, QuadReal) and not p.x.is_rational:
-            return RegionClass.GEO_LP
-        x = to_fraction(p.x)
-        if d >= _exc_delta(x.denominator) and slope_to_label(x) is not None:
-            return RegionClass.ON_EXCLUSION
-        return RegionClass.GEO_LP
-    if d > 1:
-        return RegionClass.BELOW_CURVE
-    return _strip_class(p.x, p.y, depth)
+    return _classify_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), depth)
 
 
 def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
@@ -304,7 +293,7 @@ def _top_gap(w: int, X: int, n: int) -> int:
     return n * r2 - w * w * (r2 - 1)
 
 
-def _strip_class(x: Number, y: Number, depth: int) -> RegionClass:
+def _strip_class(x: Fraction, y: Fraction, depth: int) -> RegionClass:
     """classify_point at a point (x, y) of the strip, by the tent that covers x."""
     tent = _tent_at(x, depth)
     if tent is None:
@@ -433,9 +422,9 @@ def _segment_ints(pts: list) -> tuple[bool, tuple[int, int, int]] | None:
     with k2 = d_a d_b (x_b - x_a) and, where that is 0, k1 = d_a d_b (y_a - y_b).
     So the ends swap, to run left to right and then upwards, when k2 < 0 or
     k2 = 0 < k1.  The line y = m x + c is then (L, L m, L c) = (k2, -k1, -k0)/g
-    with g = gcd(k0, k1, k2) of the sign of k2, which makes it primitive with
-    L = lcm(den m, den c) > 0; a vertical segment takes the level line
-    (den y, 0, num y) through its lower end.
+    with g = gcd(k0, k1, k2) of the sign of k2, by corekit._primitive, which
+    makes it primitive with L = lcm(den m, den c) > 0; a vertical segment
+    takes the level line (den y, 0, num y) through its lower end.
     """
     u, v = (_point_ints(x, y) for x, y in pts)
     if any(px * px - 2 * py * d > 2 * d * d for d, px, py in (u, v)):
@@ -444,10 +433,8 @@ def _segment_ints(pts: list) -> tuple[bool, tuple[int, int, int]] | None:
     if k2 == 0:
         y = pts[k1 > 0][1]
         return k1 > 0, (y.denominator, 0, y.numerator)
-    g = math.gcd(k0, k1, k2)
-    if k2 < 0:
-        g = -g
-    return k2 < 0, (k2 // g, -k1 // g, -k0 // g)
+    c, line = _primitive((k2, -k1, -k0))
+    return c < 0, line
 
 
 def geo_contains_segment(a: AffPt, b: AffPt, depth: int,

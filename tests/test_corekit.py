@@ -106,7 +106,7 @@ def test_affpt_with_surd_coordinates():
     x = QuadReal(Fraction(-3, 2), Fraction(1, 2), 5)
     p = AffPt(x, x * x * Fraction(1, 2) - Fraction(1, 2))
     assert p.delta() == Fraction(1, 2)
-    assert not p.is_rational()
+    assert not p.x.is_rational
     data = p.to_json()
     assert data["x"] == {"a": "-3/2", "b": "1/2", "d": 5}
 
@@ -244,7 +244,11 @@ def test_polygon_membership_matches_crossing_reference():
         for i in range(24):
             p = AffPt(Fraction(rng.randint(-10, 10), 4), Fraction(rng.randint(-10, 10), 4))
             if i % 6 == 0:
+                # a surd point is refused
                 p = AffPt(p.x + QuadReal(0, Fraction(1, rng.randint(1, 9)), 2), p.y)
+                with pytest.raises(ValueError, match="irrational"):
+                    point_in_polygon(p, poly)
+                continue
             want = _crossing_reference(p, poly)
             inside += want
             assert point_in_polygon(p, poly) is want, (p, poly)

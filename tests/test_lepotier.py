@@ -14,7 +14,8 @@ from hypothesis import given, seed, settings, strategies as st
 from conftest import region_by_fractions
 
 from stabscope import lepotier
-from stabscope.corekit import AffPt, CharVec, ProjLine, Segment, _scaled_ints, slope
+from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, Segment, _scaled_ints,
+                               point_in_polygon, slope)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, _int_char, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
@@ -827,16 +828,27 @@ def test_a_larger_budget_keeps_stability_verdicts():
 
 
 def test_contact_points_classify_on_the_curve():
-    # el and er are surds on y = x^2/2 - 1/2; 1/1000 above the curve is the
-    # geometric region and 1/1000 below is under the curve
-    eps = Fraction(1, 1000)
+    # el and er are surds on y = x^2/2 - 1/2, which the point decisions
+    # refuse.  At the rational slope 2^-60 inside each, a point on the tent's
+    # chord is on the curve, 1/1000 above it is the geometric region and
+    # 1/1000 below is under the curve
+    eps, unit = Fraction(1, 1000), 1 << 60
+    square = Polygon((pt(-2, -2), pt(2, -2), pt(2, 2), pt(-2, 2)), (True,) * 4, (True,) * 4)
     labels = [DyadicLabel(p, m) for m in range(5) for p in range(-(1 << m), 1 << m)]
     for label in labels:
-        for p in (el(label), er(label)):
-            assert not p.is_rational()
-            assert classify_point(p, label.m) is RegionClass.ON_CURVE, (label, p)
-            assert classify_point(AffPt(p.x, p.y + eps), label.m) is RegionClass.GEO_LP
-            assert classify_point(AffPt(p.x, p.y - eps), label.m) is RegionClass.BELOW_CURVE
+        tent = lepotier._tent(label)
+        for p, chord, inward in ((el(label), tent.left, 1), (er(label), tent.right, 0)):
+            assert not p.x.is_rational
+            with pytest.raises(ValueError, match="irrational"):
+                classify_point(p, label.m)
+            with pytest.raises(ValueError, match="irrational"):
+                point_in_polygon(p, square)
+            x = Fraction(math.floor(p.x * unit) + inward, unit)
+            assert x - Fraction(1, unit) < p.x < x + Fraction(1, unit) and tent.x_lo < x < tent.x_hi
+            y = chord.line.y_at(x)
+            assert classify_point(AffPt(x, y), label.m) is RegionClass.ON_CURVE, (label, x)
+            assert classify_point(AffPt(x, y + eps), label.m) is RegionClass.GEO_LP
+            assert classify_point(AffPt(x, y - eps), label.m) is RegionClass.BELOW_CURVE
 
 
 # The segment walk decided with QuadReal arithmetic alone, without rational

@@ -4,12 +4,14 @@ import ast
 import importlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stabscope
 from conftest import fresh_run
+from stabscope.corekit import AffPt
 
 MODULES = ("surd", "corekit", "exceptional", "lepotier", "geometric",
            "algebraic", "walls")
@@ -155,10 +157,14 @@ NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
 NOT_IN_CHART = ("Fraction", "AffPt", "point", "proj", "delta", "classify_point",
                 "point_in_polygon", "_coprime_ints")
 NOT_IN_POLYGON = ("Fraction", "QuadReal", "nsign", "AffPt")
+# the point and polygon decisions take rational points: they name no surd,
+# no Fraction discriminant and no second exclusion rule
+POINT_DECISIONS = ("classify_point", "point_in_polygon")
+NOT_IN_POINT = ("QuadReal", "delta", "is_rational", "_exc_delta")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH,
-           "classify_cell_report": NOT_IN_CHART,
-           **{name: NOT_IN_POLYGON for name in ("_in_polygon_ints", "_origin_in_polygon")}}
+           "classify_cell_report": NOT_IN_CHART, "_in_polygon_ints": NOT_IN_POLYGON,
+           **{name: NOT_IN_POINT for name in POINT_DECISIONS}}
 
 
 def _non_integer_names(tree):
@@ -242,7 +248,7 @@ def test_the_chart_decides_on_integers():
     for source in ("from .lepotier import x", "from . import lepotier", "import stabscope.lepotier",
                    "from .corekit import RegionClass", "def f(m):\n    return m._classify_ints(1)"):
         assert _names(ast.parse(source)) & REGION_NAMES, source
-    assert {"_in_polygon_ints", "_origin_in_polygon"} <= defined["corekit"]
+    assert "_in_polygon_ints" in defined["corekit"]
     assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
     assert _non_integer_names(ast.parse(
         "def classify_cell_report(t, p, depth):\n    kp = KernelPoint.spanned_by(v)\n"
@@ -259,7 +265,34 @@ def test_the_chart_decides_on_integers():
         "def _in_polygon_ints(w, X, Y, poly):\n    def one(v):\n        return QuadReal(v.x) - AffPt(X, Y).x\n"
         "    return one")) == [3, 3]
     assert _non_integer_names(ast.parse(
-        "def _origin_in_polygon(rel, poly):\n    return [nsign(x) for x, _ in rel]")) == [2]
+        "def _in_polygon_ints(w, X, Y, poly):\n    return [nsign(x) for x, _ in rel]")) == [2]
     assert _non_integer_names(ast.parse(
         "def _in_polygon_ints(w, X, Y, poly):\n    return poly.scaled[0] * w > X")) == []
     assert _non_integer_names(ast.parse("def point_in_polygon(p, poly):\n    return nsign(p.x)")) == []
+
+
+
+# the surd point paths and the helpers only they used
+GONE = {"_coprime_ints", "_origin_in_polygon", "_exc_delta", "HALF"}
+
+
+def test_decisions_take_rational_points():
+    root = Path(stabscope.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef))
+    assert not GONE & (set(defined) | set().union(*map(_names, trees.values())))
+    assert not hasattr(AffPt, "is_rational")
+    # one helper for the primitive integer vector
+    assert defined["_primitive"] == 1
+    assert "QuadReal" not in _names(trees["lepotier"])
+    assert [_non_integer_names(trees[name]) for name in ("lepotier", "corekit")] == [[], []]
+    for function in POINT_DECISIONS:
+        assert defined[function] == 1
+        for name in NOT_IN_POINT:
+            source = f"def {function}(p, x):\n    return {name}(p.x) or p.{name}"
+            assert _non_integer_names(ast.parse(source)) == [2, 2], source
+    assert _non_integer_names(ast.parse(
+        "def classify_point(p, depth):\n    if not p.is_rational():\n"
+        "        return p.delta() >= _exc_delta(2)")) == [2, 3, 3]
+    assert _non_integer_names(ast.parse("def classify_point(p, depth):\n    return to_fraction(p.x)")) == []

@@ -16,9 +16,12 @@ tested against the open pentagon on that vector, with no Fraction
 between the values and the verdict.  No region test follows, since the
 open pentagon lies in the geometric region (classify_cell_report gives
 the argument).  The pentagon and dual basis of a triple are built once
-and kept in a bounded cache.  A parameter point's phases are computed
-once, as primitive integer directions, and the group action maps them
-by each element's integer matrix.
+and kept in a bounded cache.  A parameter point keeps its values as one
+integer vector, a common denominator and six integers, and its phases
+as primitive integer directions.  The group action maps both by each
+element's integer matrix, transport forms its new values on the same
+vector, and the kernel and the charge read it; the values themselves
+are made from it only when a caller reads them.
 
 Exactness convention: a phase is entered as an integer branch plus a
 rational point on the unit circle lying in the upper half-plane, so the
@@ -58,10 +61,15 @@ class ThetaParams:
     must therefore lie in the closed upper half-plane minus the
     positive real axis.  Magnitudes and phases are derived views; the
     stored data stays rational under the group action and transport.
-    The phases are computed once, on construction, and kept in
-    ``_phases`` (None when a value is zero); the group action and
-    transport, which find the new phases themselves, pass them to
-    ``_of`` instead.
+
+    Two derived attributes stay out of the record's key.  ``_phases``
+    holds the three phases (None when a value is zero).  ``_ints`` holds
+    the values as one integer vector (den, (x1, y1, x2, y2, x3, y3)),
+    z_j = (x_j + i y_j) / den with den > 0 and no common factor among
+    the seven numbers, which is ``_scaled_ints`` of the six parts.  The
+    group action, the kernel and transport compute on ``_ints`` alone
+    and build their results with ``_of``; such a record makes z1, z2
+    and z3 from ``_ints`` on first read.
     """
 
     z1: RatComplex
@@ -81,16 +89,32 @@ class ThetaParams:
                 raise ValueError("branch parity inconsistent with the value direction")
             phases.append(Phase._of(p, q, k))
         object.__setattr__(self, "_phases", tuple(phases) if len(phases) == 3 else None)
+        object.__setattr__(self, "_ints", _scaled_ints([x for z in self.values()
+                                                        for x in (z.re, z.im)]))
 
     @classmethod
-    def _of(cls, zs: Sequence[RatComplex], ks: Sequence[int], phases: tuple
-            ) -> "ThetaParams":
-        """Parameters with their three phases already found, without the checks."""
+    def _of(cls, ints: tuple, ks: Sequence[int], phases: tuple) -> "ThetaParams":
+        """Parameters from their values' integer vector, which is reduced,
+        and their three phases, without the checks."""
+        den, xs = ints
+        g = math.gcd(den, *xs)
+        if g != 1:
+            den //= g
+            xs = tuple(x // g for x in xs)
         out = object.__new__(cls)
-        for name, x in zip(("z1", "z2", "z3", "k1", "k2", "k3", "_phases"),
-                           (*zs, *ks, phases)):
+        for name, x in zip(("k1", "k2", "k3", "_phases", "_ints"), (*ks, phases, (den, xs))):
             object.__setattr__(out, name, x)
         return out
+
+    def __getattr__(self, name: str):
+        # only z1, z2, z3 of a record made by _of are missing: make them once
+        if name not in ("z1", "z2", "z3"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, xs = self._ints
+        for j, slot in enumerate(("z1", "z2", "z3")):
+            z = RatComplex(Fraction(xs[2 * j], den), Fraction(xs[2 * j + 1], den))
+            object.__setattr__(self, slot, z)
+        return self.__dict__[name]
 
     @classmethod
     def from_units(cls, ms: Sequence, units: Sequence[tuple], branches: Sequence[int]
@@ -207,10 +231,11 @@ def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
     if not validate_params(p):
         raise ValueError("invalid chart parameters")
     d, duals, _, _ = _triple_data(t)
-    zs = p.values()
+    den, xs = p._ints
+    res, ims = xs[::2], xs[1::2]
     return GeneralCharge(*(
-        RatComplex(s * sum(z.re * e[i] for z, e in zip(zs, duals)) / d,
-                   s * sum(z.im * e[i] for z, e in zip(zs, duals)) / d)
+        RatComplex(Fraction(s * sum(x * e[i] for x, e in zip(res, duals)), den * d),
+                   Fraction(s * sum(y * e[i] for y, e in zip(ims, duals)), den * d))
         for i, s in enumerate((1, 1, 2))))
 
 
@@ -288,7 +313,7 @@ class CellReport:
 
 
 def classify_cell(t: ExcTriple, p: ThetaParams, depth: int) -> CellLabel:
-    return classify_cell_report(t, p, depth).label
+    return _classify_cell(t, p)[0]
 
 
 def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport:
@@ -316,15 +341,23 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     determinant w1 x w2 of the charge's coefficients is the rank
     coordinate of the cross product Re w x Im w, which is
     ch0(v) / det3(c1, c2, c3).  It is computed in integers, on the
-    values scaled by a common denominator and the characters scaled by
+    values' integer vector ``_ints`` and the characters scaled by
     2, against the determinant of the integer characters, which is
     twice det3; a positive scale changes neither the kernel line's
     primitive generator nor the sign of ch0(v).  That generator
     (w, X, Y), with c (w, X, Y) a positive multiple of v, has w > 0 when
     its rank is not zero, so ch0(v) has the sign of c.  The kernel point
     (X/w, Y/w) meets the pentagon on these integers, and the report's
-    KernelPoint is built from them once the cell is decided.
+    KernelPoint is built from them once the cell is decided;
+    classify_cell builds none.
     """
+    label, reason, gen = _classify_cell(t, p)
+    return CellReport(label, depth, None if gen is None else KernelPoint(CharVec(*gen)), reason)
+
+
+def _classify_cell(t: ExcTriple, p: ThetaParams
+                   ) -> tuple[CellLabel, str, Optional[tuple[int, int, int]]]:
+    """The cell, the reason and the kernel generator (None in the pure tail)."""
     phases = _valid_phases(p)
     if phases is None:
         raise ValueError("invalid chart parameters")
@@ -332,10 +365,10 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     gap12_ge1 = f1.shifted(1) <= f2
     gap23_ge1 = f2.shifted(1) <= f3
     if gap12_ge1 and gap23_ge1:
-        return CellReport(CellLabel.PURE_CELL, depth,
-                          reason="both phase gaps are at least one")
+        return CellLabel.PURE_CELL, "both phase gaps are at least one", None
     d, _, pentagon, doubled = _triple_data(t)
-    c, (w, X, Y) = _kernel_ints(p.values(), doubled)
+    c, gen = _kernel_ints(p._ints[1], doubled)
+    w, X, Y = gen
     if w == 0:
         reason = "kernel line has rank zero"
     elif not _in_polygon_ints(w, X, Y, pentagon):
@@ -343,21 +376,21 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     elif c * d <= 0:
         reason = "orientation determinant not positive"
     else:
-        return CellReport(CellLabel.GEO_CELL, depth, KernelPoint(CharVec(w, X, Y)),
-                          "kernel point in the pentagon and region")
+        return CellLabel.GEO_CELL, "kernel point in the pentagon and region", gen
     # a leg: not both gaps are at least one, or the pure tail had returned
     label, gap = (CellLabel.MINUS_LEG, "lower") if gap23_ge1 else (CellLabel.PLUS_LEG, "upper")
-    return CellReport(label, depth, KernelPoint(CharVec(w, X, Y)), f"{reason}; {gap} phase gap below one")
+    return label, f"{reason}; {gap} phase gap below one", gen
 
 
-def _kernel_ints(zs: tuple, doubled: tuple) -> tuple[int, tuple[int, int, int]]:
+def _kernel_ints(xs: tuple, doubled: tuple) -> tuple[int, tuple[int, int, int]]:
     """The kernel's generator and c, with c times it a positive multiple of
-    (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3.
+    (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3, from the values' integer
+    vector's six integers (x1, y1, x2, y2, x3, y3).
 
     The generator is KernelPoint's: the primitive integer vector whose
     first nonzero coordinate is positive.
     """
-    _, (x1, y1, x2, y2, x3, y3) = _scaled_ints([x for z in zs for x in (z.re, z.im)])
+    x1, y1, x2, y2, x3, y3 = xs
     a1, a2, a3 = cross3((x1, x2, x3), (y1, y2, y3))
     v = tuple(a1 * u1 + a2 * u2 + a3 * u3 for u1, u2, u3 in doubled)
     assert any(v), "a degenerate charge is in the pure tail"
@@ -383,24 +416,27 @@ def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     zero sends the phase of the positive real direction into [0, 2),
     then offset by two per unit of the element's own branch (a full
     turn adds two to every phase).  Phase gaps relative to integers are
-    preserved, so validity is preserved.  The lifted phase of a slot is
-    found in integers: the element's integer matrix maps the slot's
-    primitive direction onto the ray of the new value, and that
-    direction with the new branch is the new slot's phase.
+    preserved, so validity is preserved.  All of it is found in
+    integers: the element's integer matrix maps the values' integer
+    vector, whose denominator it multiplies by its own, and each slot's
+    primitive direction onto the ray of the new value; that direction
+    with the new branch is the new slot's phase.
     """
     if p._phases is None:
         raise ValueError("cannot act on a zero value")
-    _, (a, b, c, d) = g.scaled
+    e, (a, b, c, d) = g.scaled
+    den, xs = p._ints
     hi = g.base.shifted(1)
-    slots = []
-    for (z, k), f in zip(p.slots(), p._phases):
-        x, y = f.re, f.im
-        cand = _lift(*_upper_ray(a * x + b * y, c * x + d * y), g.base)
+    ys, ks, phases = [], [], []
+    for x, y, k, f in zip(xs[::2], xs[1::2], (p.k1, p.k2, p.k3), p._phases):
+        ys += (a * x + b * y, c * x + d * y)
+        u, v = f.re, f.im
+        cand = _lift(*_upper_ray(a * u + b * v, c * u + d * v), g.base)
         assert cand <= hi, "lift window missed"
         k2 = k + 2 * g.k + cand.k
-        slots.append((g.act(z), k2, Phase._of(cand.re, cand.im, k2)))
-    zs, ks, phases = zip(*slots)
-    return ThetaParams._of(zs, ks, phases)
+        ks.append(k2)
+        phases.append(Phase._of(cand.re, cand.im, k2))
+    return ThetaParams._of((e * den, tuple(ys)), ks, tuple(phases))
 
 
 def gl_inverse(g: GLElement) -> GLElement:
@@ -432,10 +468,11 @@ def transport_plus_leg(t: ExcTriple, p: ThetaParams, depth: int
     if not f1.shifted(1) < f2:
         raise ValueError("not in the identified patch")
     chi = _chi2(_int_char(t.E2.label), _int_char(t.E3.label)) // 2
-    z2n = chi * p.z2 - p.z3
-    f2n = _branch_in_window(z2n, f3.shifted(-1), f2)
+    den, (x1, y1, x2, y2, x3, y3) = p._ints
+    x, y = chi * x2 - x3, chi * y2 - y3
+    f2n = _branch_in_window(x, y, f3.shifted(-1), f2)
     t2 = mutate_left(t)
-    p2 = ThetaParams._of((p.z1, z2n, p.z2), (p.k1, f2n.k, p.k2), (f1, f2n, f2))
+    p2 = ThetaParams._of((den, (x1, y1, x, y, x2, y2)), (p.k1, f2n.k, p.k2), (f1, f2n, f2))
     return t2, p2
 
 
@@ -452,10 +489,11 @@ def transport_plus_leg_inverse(t2: ExcTriple, p2: ThetaParams, depth: int
         raise ValueError("not in the identified patch")
     g1, g2, g3 = p2.phases()
     chi = _chi2(_int_char(t2.E2.label), _int_char(t2.E3.label)) // 2
-    z3o = chi * p2.z3 - p2.z2
-    f3o = _branch_in_window(z3o, g3, g2.shifted(1))
+    den, (x1, y1, x2, y2, x3, y3) = p2._ints
+    x, y = chi * x3 - x2, chi * y3 - y2
+    f3o = _branch_in_window(x, y, g3, g2.shifted(1))
     t1 = mutate_right(t2)
-    p1 = ThetaParams._of((p2.z1, p2.z3, z3o), (p2.k1, p2.k3, f3o.k), (g1, g3, f3o))
+    p1 = ThetaParams._of((den, (x1, y1, x3, y3, x, y)), (p2.k1, p2.k3, f3o.k), (g1, g3, f3o))
     return t1, p1
 
 
@@ -469,15 +507,16 @@ def _lift(re: int, im: int, j: int, lo: Phase) -> Phase:
     return cand if cand > lo else cand.shifted(2)
 
 
-def _branch_in_window(z: RatComplex, lo: Phase, hi: Phase) -> Phase:
-    """The value's phase on the unique branch putting it in the open window.
+def _branch_in_window(x: int, y: int, lo: Phase, hi: Phase) -> Phase:
+    """The phase of the value in direction (x, y) on the unique branch
+    putting it in the open window.
 
     The window must be shorter than one; candidate branches differ by
     two, so only the least one above lo can land inside.
     """
-    if z.is_zero():
+    if x == 0 and y == 0:
         raise ValueError("transported value vanishes")
-    cand = _lift(*_upper_ray(z.re, z.im), lo)
+    cand = _lift(*_upper_ray(x, y), lo)
     if cand < hi:
         return cand
     raise ValueError("no phase branch lands in the transport window")

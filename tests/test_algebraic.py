@@ -15,7 +15,8 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
                                  mz_polygon, stable_set_pure, tr_polygon,
                                  transport_plus_leg,
                                  transport_plus_leg_inverse, validate_params)
-from stabscope.corekit import AffPt, CharVec, _in_polygon_ints, point_in_polygon
+from stabscope.corekit import (AffPt, CharVec, _in_polygon_ints, _scaled_ints, euler_chi,
+                               point_in_polygon)
 from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, char_of,
                                    detect_triple, triple_from)
 from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex, SQCharge,
@@ -655,7 +656,7 @@ def test_carried_phases_match_rebuilt_ones(case, entries, branch):
                        for z, k in params.slots())
         assert params.phases() == by_fields.phases() == public
         # the generator is KernelPoint's, and c * v a positive multiple of w
-        c, v = _kernel_ints(params.values(), _triple_data(t)[3])
+        c, v = _kernel_ints(params._ints[1], _triple_data(t)[3])
         w = _kernel_by_fractions(t, params)
         assert tuple(KernelPoint.spanned_by(w).gen) == v
         assert (c * v[0] > 0) == (w[0] > 0) and (v[0] == 0) == (w[0] == 0)
@@ -691,3 +692,68 @@ def test_transport_carries_its_phases(case, entries, branch):
         assert classify_cell(tt, moved, 6) is classify_cell(tt, params, 6)
         again = gl_act(g, moved)
         assert again == params and again.phases() == params.phases()
+
+
+def _transport_by_fractions(t, p, forward):
+    """Values and branches of a transport by the rational formula.
+
+    Forward, the new middle value is chi z2 - z3 and the new last slot the
+    old middle one; back, the old last value is chi z3 - z2.  The new
+    branch is found by trying each one near the window.
+    """
+    z1, z2, z3 = p.values()
+    f1, f2, f3 = p.phases()
+    chi = euler_chi(t.E2.char, t.E3.char)
+    if forward:
+        z, lo, hi = chi * z2 - z3, f3.shifted(-1), f2
+    else:
+        z, lo, hi = chi * z3 - z2, f3, f2.shifted(1)
+    found = [k for k in range(lo.k - 1, hi.k + 2)
+             if in_upper(*((-z.re, -z.im) if k % 2 else (z.re, z.im)))
+             and lo < Phase(*((-z.re, -z.im) if k % 2 else (z.re, z.im)), k) < hi]
+    assert len(found) == 1
+    if forward:
+        return [z1, z, z2], [p.k1, found[0], p.k2]
+    return [z1, z3, z], [p.k1, p.k3, found[0]]
+
+
+def _assert_ints_canonical(p):
+    assert p._ints == _scaled_ints([x for z in p.values() for x in (z.re, z.im)])
+
+
+def test_integer_action_matches_the_fraction_reference():
+    rng = random.Random(2808)
+    for _ in range(60):
+        t = random_triple(rng, max_m=3)
+        p = random_valid_params(rng)
+        while not (p.phases()[0].shifted(1) < p.phases()[1]
+                   and classify_cell(t, p, 6) is CellLabel.PLUS_LEG):
+            p = random_valid_params(rng)
+        chain, q, n = [], p, rng.randint(1, 6)
+        while len(chain) < n:
+            a, b, c, d = (Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4))
+            if a * d - b * c <= 0:
+                continue
+            g = GLElement(a, b, c, d, rng.randint(-2, 2))
+            ws, ks = _lift_by_fractions(g, q)
+            q = gl_act(g, q)
+            assert list(q.values()) == ws and [q.k1, q.k2, q.k3] == ks
+            _assert_ints_canonical(q)
+            chain.append(g)
+            # the action keeps the plus leg's patch, so both transports apply
+            t2, q2 = transport_plus_leg(t, q, 6)
+            ws, ks = _transport_by_fractions(t, q, True)
+            assert list(q2.values()) == ws and [q2.k1, q2.k2, q2.k3] == ks
+            _assert_ints_canonical(q2)
+            t1, q1 = transport_plus_leg_inverse(t2, q2, 6)
+            ws, ks = _transport_by_fractions(t2, q2, False)
+            assert list(q1.values()) == ws and [q1.k1, q1.k2, q1.k3] == ks
+            _assert_ints_canonical(q1)
+            assert t1 == t and q1 == q and q1._ints == q._ints
+        for g in reversed(chain):
+            back = gl_inverse(g)
+            ws, ks = _lift_by_fractions(back, q)
+            q = gl_act(back, q)
+            assert list(q.values()) == ws and [q.k1, q.k2, q.k3] == ks
+            _assert_ints_canonical(q)
+        assert q == p and q._ints == p._ints and q.phases() == p.phases()

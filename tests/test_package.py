@@ -157,13 +157,18 @@ NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
 NOT_IN_CHART = ("Fraction", "AffPt", "point", "proj", "delta", "classify_point",
                 "point_in_polygon", "_coprime_ints")
 NOT_IN_POLYGON = ("Fraction", "QuadReal", "nsign", "AffPt")
+# the group action, the kernel and transport compute on the parameters'
+# integer vector: no Fraction, no rescaling, no value read or acted on
+CHART_ON_INTS = ("gl_act", "_kernel_ints", "transport_plus_leg", "transport_plus_leg_inverse")
+NOT_ON_INTS = ("Fraction", "_scaled_ints", "act", "values", "z1", "z2", "z3")
 # the point and polygon decisions take rational points: they name no surd,
 # no Fraction discriminant and no second exclusion rule
 POINT_DECISIONS = ("classify_point", "point_in_polygon")
 NOT_IN_POINT = ("QuadReal", "delta", "is_rational", "_exc_delta")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH,
-           "classify_cell_report": NOT_IN_CHART, "_in_polygon_ints": NOT_IN_POLYGON,
+           "classify_cell_report": NOT_IN_CHART, "_classify_cell": NOT_IN_CHART,
+           "_in_polygon_ints": NOT_IN_POLYGON, **{name: NOT_ON_INTS for name in CHART_ON_INTS},
            **{name: NOT_IN_POINT for name in POINT_DECISIONS}}
 
 
@@ -243,7 +248,7 @@ def test_the_chart_decides_on_integers():
     trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("algebraic", "corekit")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
-    assert "classify_cell_report" in defined["algebraic"]
+    assert {"classify_cell_report", "_classify_cell", *CHART_ON_INTS} <= defined["algebraic"]
     assert not _names(trees["algebraic"]) & REGION_NAMES
     for source in ("from .lepotier import x", "from . import lepotier", "import stabscope.lepotier",
                    "from .corekit import RegionClass", "def f(m):\n    return m._classify_ints(1)"):
@@ -269,6 +274,20 @@ def test_the_chart_decides_on_integers():
     assert _non_integer_names(ast.parse(
         "def _in_polygon_ints(w, X, Y, poly):\n    return poly.scaled[0] * w > X")) == []
     assert _non_integer_names(ast.parse("def point_in_polygon(p, poly):\n    return nsign(p.x)")) == []
+    assert _non_integer_names(ast.parse(
+        "def _classify_cell(t, p):\n    return point_in_polygon(AffPt(x, y), pentagon)")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def gl_act(g, p):\n    zs = [g.act(z) for z in p.values()]\n    return ThetaParams._of(zs)")) == [2, 2]
+    assert sorted(_non_integer_names(ast.parse(
+        "def gl_act(g, p):\n    def one(z):\n        return Fraction(z.re)\n    return one(p.z1)"))) == [3, 4]
+    assert _non_integer_names(ast.parse(
+        "def _kernel_ints(xs, doubled):\n    _, xs = _scaled_ints([z.re for z in xs])")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def transport_plus_leg(t, p, depth):\n    z2n = chi * p.z2 - p.z3")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def transport_plus_leg_inverse(t2, p2, depth):\n    return Fraction(chi) * p2.z3")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def transport_plus_leg(t, p, depth):\n    den, (x1, y1, x2, y2, x3, y3) = p._ints")) == []
 
 
 

@@ -258,14 +258,23 @@ def test_derived_attributes_stay_out_of_the_key():
         poly = _polygon(rng)
         g = _gl(rng)
         p = random_valid_params(rng)
-        assert poly.scaled and g.scaled and g.base and p._phases
+        assert poly.scaled and g.scaled and g.base and p._phases and p._ints
+        # the record _of makes has no values until they are read
+        lazy = algebraic.ThetaParams._of(p._ints, (p.k1, p.k2, p.k3), None)
+        assert not {"z1", "z2", "z3"} & set(vars(lazy))
         others = (corekit.Polygon(poly.vertices, poly.edge_included, poly.vertex_included),
                   geometric.GLElement(g.a, g.b, g.c, g.d, g.k),
-                  algebraic.ThetaParams._of(p.values(), (p.k1, p.k2, p.k3), None))
-        for record, other, derived in zip((poly, g, p), others,
-                                          ("scaled", "scaled base", "_phases")):
+                  lazy,
+                  algebraic.ThetaParams(*p.values(), p.k1, p.k2, p.k3))
+        for record, other, derived in zip((poly, g, p, p), others,
+                                          ("scaled", "scaled base", "_phases", "_phases _ints")):
             for name in derived.split():
                 object.__setattr__(other, name, ("not", "the", name))
                 assert name not in repr(record)
             assert other == record and hash(other) == hash(record)
             assert repr(other) == repr(record)
+        # made from the vector, the values are those of the constructor's record
+        built = algebraic.ThetaParams(*p.values(), p.k1, p.k2, p.k3)
+        lazy = algebraic.ThetaParams._of(p._ints, (p.k1, p.k2, p.k3), p._phases)
+        assert hash(lazy) == hash(built) and lazy == built and repr(lazy) == repr(built)
+        assert lazy.values() == built.values() and lazy._ints == built._ints

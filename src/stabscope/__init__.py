@@ -11,9 +11,9 @@ from importlib import import_module
 
 _NAMES = (
     ("surd", "QuadReal Number nsign"),
-    ("corekit", "AffPt CharVec Polygon ProjLine RayOrder Segment collinear "
-     "cross2 cross3 delta det3 euler_chi format_rational parse_rational "
-     "point_in_polygon ray_above slope to_fraction vec"),
+    ("corekit", "AffPt CharVec Polygon ProjLine Segment collinear cross3 "
+     "delta det3 euler_chi format_rational parse_rational point_in_polygon "
+     "slope to_fraction"),
     ("exceptional", "DyadicLabel ExcBundle ExcTriple TriplePattern char_of "
      "detect_triple el eplus er is_exceptional_char mutate_left mutate_right "
      "slope_to_label triple_from twist"),

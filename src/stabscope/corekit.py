@@ -2,19 +2,18 @@
 
 Everything downstream reduces to predicates defined here: the Euler
 pairing on characters, discriminants, the 3-vector cross product and
-3x3 determinants, exact ray comparison around a base point, and
-point-in-polygon tests with explicit edge and vertex inclusion flags.
+3x3 determinants, and point-in-polygon tests with explicit edge and
+vertex inclusion flags.
 No floating point in any decision.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .surd import Number, QuadReal, format_rational, nsign, parse_rational
+from .surd import Number, QuadReal, format_rational, parse_rational
 
 
 def _frozen_setattr(self, name, value):
@@ -212,17 +211,8 @@ class AffPt:
         return {"x": one(self.x), "y": one(self.y)}
 
 
-def vec(p: AffPt, q: AffPt) -> tuple[Number, Number]:
-    """Displacement q - p."""
-    return q.x - p.x, q.y - p.y
-
-
-def cross2(u: tuple[Number, Number], v: tuple[Number, Number]) -> Number:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def collinear(p: AffPt, q: AffPt, r: AffPt) -> bool:
-    return nsign(cross2(vec(p, q), vec(p, r))) == 0
+    return det3((1, p.x, p.y), (1, q.x, q.y), (1, r.x, r.y)) == 0
 
 
 @_record
@@ -240,22 +230,8 @@ class ProjLine:
         if self.c0 == 0 and self.c1 == 0 and self.c2 == 0:
             raise ValueError("degenerate line: all coefficients zero")
 
-    @classmethod
-    def through(cls, p: AffPt, q: AffPt) -> "ProjLine":
-        if p == q:
-            raise ValueError("two distinct points required")
-        return cls(*cross3((1, to_fraction(p.x), to_fraction(p.y)),
-                           (1, to_fraction(q.x), to_fraction(q.y))))
-
     def eval_at(self, p: AffPt) -> Number:
         return self.c0 + self.c1 * p.x + self.c2 * p.y
-
-    def same_line(self, other: "ProjLine") -> bool:
-        a = (self.c0, self.c1, self.c2)
-        b = (other.c0, other.c1, other.c2)
-        return (a[0] * b[1] == a[1] * b[0]
-                and a[0] * b[2] == a[2] * b[0]
-                and a[1] * b[2] == a[2] * b[1])
 
     def y_at(self, x: Number) -> Number:
         if self.c2 == 0:
@@ -265,80 +241,14 @@ class ProjLine:
 
 @_record
 class Segment:
-    """A straight segment with explicit endpoint inclusion flags."""
+    """The clipped piece of a wall line: the closed segment from a to b."""
 
     a: AffPt
     b: AffPt
-    include_a: bool = True
-    include_b: bool = True
 
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError("degenerate segment")
-
-    def x_range(self) -> tuple[Number, Number]:
-        return (self.a.x, self.b.x) if nsign(self.b.x - self.a.x) >= 0 else (self.b.x, self.a.x)
-
-    def contains(self, p: AffPt) -> bool:
-        if p == self.a:
-            return self.include_a
-        if p == self.b:
-            return self.include_b
-        u, w = vec(self.a, self.b), vec(self.a, p)
-        if nsign(cross2(u, w)) != 0:
-            return False
-        # strictly between along the dominant axis
-        if nsign(u[0]) != 0:
-            su = nsign(u[0])
-            return nsign(p.x - self.a.x) == su and nsign(self.b.x - p.x) == su
-        su = nsign(u[1])
-        return nsign(p.y - self.a.y) == su and nsign(self.b.y - p.y) == su
-
-
-class RayOrder(enum.Enum):
-    BELOW = -1
-    EQUAL = 0
-    ABOVE = 1
-
-
-def _halfplane_dir(u: tuple[Number, Number]) -> tuple[Number, Number]:
-    """Flip u to the closed right half-plane used for ray comparisons.
-
-    Admissible directions have positive x, or zero x with positive y
-    (straight up).  A line's other ray represents the same comparison
-    datum, so directions are normalized by sign.
-    """
-    sx = nsign(u[0])
-    if sx < 0 or (sx == 0 and nsign(u[1]) < 0):
-        return (-u[0], -u[1])
-    return u
-
-
-def ray_above(p: AffPt, a: AffPt, b: AffPt) -> RayOrder:
-    """Compare the rays p->a and p->b by angle from the downward vertical.
-
-    Both rays are taken on the right-half-plane side of their lines; the
-    angle increases counterclockwise from straight down (0) through
-    horizontal (1/2 turn of pi) to straight up (pi).
-    """
-    if a == p or b == p:
-        raise ValueError("ray endpoint coincides with the base point")
-    u = _halfplane_dir(vec(p, a))
-    v = _halfplane_dir(vec(p, b))
-    u_vert = nsign(u[0]) == 0
-    v_vert = nsign(v[0]) == 0
-    if u_vert and v_vert:
-        return RayOrder.EQUAL
-    if u_vert:
-        return RayOrder.ABOVE
-    if v_vert:
-        return RayOrder.BELOW
-    c = nsign(cross2(u, v))
-    if c > 0:
-        return RayOrder.BELOW
-    if c < 0:
-        return RayOrder.ABOVE
-    return RayOrder.EQUAL
 
 
 @_record
@@ -371,11 +281,6 @@ class Polygon:
         den, ints = _scaled_ints([c for q in qs for c in q])
         object.__setattr__(self, "scaled", (den, tuple(zip(ints[::2], ints[1::2]))))
 
-    def edges(self) -> Iterable[tuple[AffPt, AffPt, bool]]:
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n], self.edge_included[i]
-
 
 def point_in_polygon(p: AffPt, poly: Polygon) -> bool:
     """Exact membership of a rational point with the polygon's inclusion flags.
@@ -393,7 +298,7 @@ def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:
     each vertex relative to the point, times w den > 0, is
     (vx w - X den, vy w - Y den), which keeps every sign of the test, so
     the point is the origin.  The doubled signed area of the origin with
-    an edge (a, b) is cross2(a, b).  Boundary cases are resolved first: a
+    an edge (a, b) is ax by - ay bx.  Boundary cases are resolved first: a
     vertex at the origin, then an edge of zero area whose ends lie on
     opposite sides of it.  The interior test is even-odd crossing counting
     with a horizontal ray to the right: an edge spanning the ray's level

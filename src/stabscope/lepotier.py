@@ -114,9 +114,6 @@ class ExclusionSegment:
     y_top: Fraction
     y_bottom: Fraction
 
-    def covers_y(self, y: Number) -> bool:
-        return self.y_bottom <= y <= self.y_top
-
 
 @_record
 class Tent:
@@ -456,10 +453,7 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
         raise ValueError("negative depth")
     if a == b:
         raise ValueError("degenerate segment")
-    try:
-        pts = [(to_fraction(p.x), to_fraction(p.y)) for p in (a, b)]
-    except ValueError:
-        raise ValueError("strip analysis supports rational endpoints only") from None
+    pts = [(to_fraction(p.x), to_fraction(p.y)) for p in (a, b)]
     line = _segment_ints(pts)
     if line is None:
         return GeoAnswer.NO

@@ -7,10 +7,10 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, RayOrder,
-                               Segment, collinear, cross2, delta, det3,
-                               euler_chi, format_rational, parse_rational,
-                               point_in_polygon, ray_above, slope, to_fraction, vec)
+from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, Segment,
+                               collinear, cross3, delta, det3, euler_chi,
+                               format_rational, parse_rational,
+                               point_in_polygon, slope, to_fraction)
 from stabscope.surd import QuadReal
 
 fracs = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -123,62 +123,29 @@ def test_to_fraction_keeps_a_fraction_and_reads_a_rational_surd():
 
 def test_projline_through_points():
     a, b = AffPt(0, 1), AffPt(1, 3)
-    line = ProjLine.through(a, b)
+    line = ProjLine(*cross3((1, a.x, a.y), (1, b.x, b.y)))
     assert line.eval_at(a) == 0
     assert line.eval_at(b) == 0
     assert line.y_at(2) == 5
-    assert line.same_line(ProjLine(line.c0 * 2, line.c1 * 2, line.c2 * 2))
-    assert not line.same_line(ProjLine(0, 1, 0))
 
 
 def test_collinearity_predicate():
     assert collinear(AffPt(0, 0), AffPt(1, 1), AffPt(2, 2))
     assert not collinear(AffPt(0, 0), AffPt(1, 1), AffPt(2, 3))
+    # surd points of one radicand on the rational line y = 2x - 1/3
+    r2 = QuadReal(0, 1, 2)
+    p, q, r = (AffPt(x, 2 * x - Fraction(1, 3)) for x in (r2, 1 + r2, r2 / 2 - 3))
+    assert collinear(p, q, r)
+    assert not collinear(p, q, AffPt(r.x + Fraction(1, 1000), r.y))
+    # two radicands in one product leave the quadratic extension
+    r3 = QuadReal(0, 1, 3)
+    with pytest.raises(ValueError, match="different quadratic extensions"):
+        collinear(AffPt(r2, r2), AffPt(r3, r3), AffPt(0, 0))
 
 
 def test_segment_membership_flags():
-    s = Segment(AffPt(0, 0), AffPt(2, 2), include_a=False, include_b=True)
-    assert not s.contains(AffPt(0, 0))
-    assert s.contains(AffPt(1, 1))
-    assert s.contains(AffPt(2, 2))
-    assert not s.contains(AffPt(3, 3))
-    assert not s.contains(AffPt(1, 0))
     with pytest.raises(ValueError):
         Segment(AffPt(1, 1), AffPt(1, 1))
-
-
-def test_ray_comparison_around_base():
-    base = AffPt(0, 0)
-    down = AffPt(0, -1)
-    right = AffPt(1, 0)
-    up_right = AffPt(1, 1)
-    assert ray_above(base, up_right, right) is RayOrder.ABOVE
-    assert ray_above(base, right, up_right) is RayOrder.BELOW
-    assert ray_above(base, down, AffPt(0, 5)) is RayOrder.EQUAL
-    assert ray_above(base, down, right) is RayOrder.ABOVE
-    assert ray_above(base, AffPt(-1, -1), up_right) is RayOrder.EQUAL
-    with pytest.raises(ValueError):
-        ray_above(base, base, right)
-
-
-def test_ray_comparison_at_charge_kernel():
-    p = AffPt(Fraction(1, 2), 0)
-    a = AffPt(1, Fraction(1, 2))
-    b = AffPt(2, 2)
-    assert ray_above(p, a, b) is RayOrder.BELOW
-    assert ray_above(p, b, a) is RayOrder.ABOVE
-
-
-@given(st.tuples(fracs, fracs), st.tuples(fracs, fracs))
-def test_ray_comparison_antisymmetric(u, v):
-    base = AffPt(Fraction(1, 3), Fraction(-2, 7))
-    a = AffPt(base.x + u[0], base.y + u[1])
-    b = AffPt(base.x + v[0], base.y + v[1])
-    if a == base or b == base:
-        return
-    one = ray_above(base, a, b)
-    other = ray_above(base, b, a)
-    assert one.value == -other.value
 
 
 def _unit_square(edge=True, vertex=True):
@@ -217,12 +184,14 @@ def _crossing_reference(p, poly):
     for v, flag in zip(poly.vertices, poly.vertex_included):
         if p == v:
             return flag
-    for a, b, flag in poly.edges():
-        u, w = vec(a, b), vec(a, p)
-        if cross2(u, w) == 0 and 0 < u[0] * w[0] + u[1] * w[1] < u[0] ** 2 + u[1] ** 2:
+    vs = poly.vertices
+    edges = list(zip(vs, vs[1:] + vs[:1], poly.edge_included))
+    for a, b, flag in edges:
+        u, w = (b.x - a.x, b.y - a.y), (p.x - a.x, p.y - a.y)
+        if u[0] * w[1] - u[1] * w[0] == 0 and 0 < u[0] * w[0] + u[1] * w[1] < u[0] ** 2 + u[1] ** 2:
             return flag
     crossings = 0
-    for a, b, _ in poly.edges():
+    for a, b, _ in edges:
         ya, yb = a.y - p.y, b.y - p.y
         if (ya > 0) != (yb > 0) and a.x + ya / (ya - yb) * (b.x - a.x) > p.x:
             crossings += 1
@@ -253,9 +222,3 @@ def test_polygon_membership_matches_crossing_reference():
             inside += want
             assert point_in_polygon(p, poly) is want, (p, poly)
     assert inside > 300
-
-
-def test_cross_and_vec_helpers():
-    assert vec(AffPt(1, 1), AffPt(3, 0)) == (2, -1)
-    assert cross2((1, 0), (0, 1)) == 1
-    assert cross2((2, 3), (4, 6)) == 0

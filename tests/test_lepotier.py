@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings, strategies as st
 from conftest import region_by_fractions
 
 from stabscope import lepotier
-from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, Segment, _scaled_ints,
+from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _scaled_ints, cross3,
                                point_in_polygon, slope)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, _int_char, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
@@ -493,11 +493,14 @@ def test_depth_is_cheap_above_the_strip():
 
 def _apexes_on_segment(a, b, exclude_a):
     """GeoAnswer from every integer point (n, n^2/2) of the segment's span."""
-    seg = Segment(a, b, include_a=not exclude_a, include_b=True)
-    x0, x1 = seg.x_range()
+    ux, uy = b.x - a.x, b.y - a.y
+    x0, x1 = sorted((a.x, b.x))
     for n in range(math.ceil(x0), math.floor(x1) + 1):
-        if seg.contains(AffPt(Fraction(n), Fraction(n * n, 2))):
-            return GeoAnswer.NO
+        wx, wy = Fraction(n) - a.x, Fraction(n * n, 2) - a.y
+        # on the segment from a to b, with the end a left out under exclude_a
+        if ux * wy == uy * wx and 0 <= ux * wx + uy * wy <= ux * ux + uy * uy:
+            if not (exclude_a and wx == wy == 0):
+                return GeoAnswer.NO
     return GeoAnswer.YES
 
 
@@ -622,7 +625,7 @@ def test_a_surd_end_raises_at_any_discriminant():
     positive = ((c, pt(0, 0)), (pt(0, "-1/4"), c), (AffPt(c.x, c.y - 2), pt(0, 1)))
     assert all(a.delta() <= 0 and b.delta() <= 0 for a, b in nonpositive)
     for a, b in nonpositive + positive:
-        with pytest.raises(ValueError, match="rational endpoints only"):
+        with pytest.raises(ValueError, match="irrational quadratic value"):
             geo_contains_segment(a, b, 3)
 
 
@@ -917,7 +920,7 @@ def _exact_segment(a, b, depth, exclude_a):
     if a.x == b.x:
         return _exact_vertical(a, b, depth, exclude_a)
     (x0, y0), (x1, y1) = sorted(((a.x, a.y), (b.x, b.y)))
-    line = ProjLine.through(AffPt(x0, y0), AffPt(x1, y1))
+    line = ProjLine(*cross3((1, x0, y0), (1, x1, y1)))
     allowed = a.x if exclude_a else None
 
     def above(chord):
@@ -931,7 +934,7 @@ def _exact_segment(a, b, depth, exclude_a):
     def blocks(label):
         tent = lepotier._tent(label)
         exc = tent.exclusion
-        if x0 <= exc.x <= x1 and exc.x != allowed and exc.covers_y(line.y_at(exc.x)):
+        if x0 <= exc.x <= x1 and exc.x != allowed and exc.y_bottom <= line.y_at(exc.x) <= exc.y_top:
             return True
         return not (above(tent.left) and above(tent.right))
 
@@ -1252,9 +1255,11 @@ def test_integer_forms_match_the_surd_ones():
         # projected character, drawn in Fractions
         for chord, seg, nb in ((chord_l, tent.left, label.left_neighbor()),
                                (chord_r, tent.right, label.right_neighbor())):
-            line = ProjLine.through(eplus(label), char_of(nb).proj())
+            apex, q = eplus(label), char_of(nb).proj()
+            line = ProjLine(*cross3((1, apex.x, apex.y), (1, q.x, q.y)))
             assert _slope_intercept(chord) == (-line.c1 / line.c2, -line.c0 / line.c2), label
-            assert seg.line.same_line(line), label
+            assert not any(cross3((seg.line.c0, seg.line.c1, seg.line.c2),
+                                  (line.c0, line.c1, line.c2))), label
         exc = tent.exclusion
         assert _slope_intercept(bottom) == (0, exc.y_bottom), label
         assert _slope_intercept(top) == (0, exc.y_top), label

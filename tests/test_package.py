@@ -26,7 +26,7 @@ def test_import_loads_no_submodule():
 
 
 def test_every_public_name_is_its_home_object():
-    assert len(stabscope.__all__) == len(set(stabscope.__all__)) == 84
+    assert len(stabscope.__all__) == len(set(stabscope.__all__)) == 80
     modules = [importlib.import_module(f"stabscope.{m}") for m in MODULES]
     for name in stabscope.__all__:
         value = getattr(stabscope, name)
@@ -291,8 +291,11 @@ def test_the_chart_decides_on_integers():
 
 
 
-# the surd point paths and the helpers only they used
-GONE = {"_coprime_ints", "_origin_in_polygon", "_exc_delta", "HALF"}
+# the surd point paths and the helpers only they used, and the plane
+# predicates of corekit and lepotier that nothing called
+GONE = {"_coprime_ints", "_origin_in_polygon", "_exc_delta", "HALF", "ray_above",
+        "_halfplane_dir", "vec", "cross2", "x_range", "contains", "same_line", "through",
+        "edges", "covers_y"}
 
 
 def test_decisions_take_rational_points():
@@ -302,6 +305,10 @@ def test_decisions_take_rational_points():
                       if isinstance(node, ast.FunctionDef))
     assert not GONE & (set(defined) | set().union(*map(_names, trees.values())))
     assert not hasattr(AffPt, "is_rational")
+    # the deleted ray order and 2-D helpers resolve from no module of the package
+    modules = [stabscope] + [importlib.import_module(f"stabscope.{m}") for m in MODULES]
+    for name in ("RayOrder", "ray_above", "_halfplane_dir", "vec", "cross2"):
+        assert not any(hasattr(m, name) for m in modules), name
     # one helper for the primitive integer vector
     assert defined["_primitive"] == 1
     assert "QuadReal" not in _names(trees["lepotier"])

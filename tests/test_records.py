@@ -46,7 +46,7 @@ def _segment(rng):
     while True:
         b = corekit.AffPt(_frac(rng), _frac(rng))
         if b != a:
-            return corekit.Segment(a, b, rng.random() < 0.5, rng.random() < 0.5)
+            return corekit.Segment(a, b)
 
 
 def _polygon(rng):
@@ -116,8 +116,7 @@ RECORDS = [
     (corekit.AffPt, "x y", {}, "", _point),
     (corekit.ProjLine, "c0 c1 c2", {}, "__post_init__",
      lambda rng: corekit.ProjLine(*(_frac(rng) for _ in range(2)), _frac(rng) or 1)),
-    (corekit.Segment, "a b include_a include_b", {"include_a": True, "include_b": True},
-     "__post_init__", _segment),
+    (corekit.Segment, "a b", {}, "__post_init__", _segment),
     (corekit.Polygon, "vertices edge_included vertex_included", {}, "__post_init__", _polygon),
     (exceptional.ExcBundle, "label char", {}, "__hash__", lambda rng: ExcBundle.of(_label(rng))),
     (exceptional.ExcTriple, "E1 E2 E3 pattern base", {}, "", random_triple),

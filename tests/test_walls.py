@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabscope.corekit import CharVec, det3
+from stabscope.corekit import CharVec, cross3, det3
 from stabscope.exceptional import DyadicLabel, ExcBundle
 from stabscope.geometric import SQCharge, z_eval
 from stabscope.walls import clip_line, wall_line, walls_for
@@ -37,7 +37,7 @@ def test_wall_line_symmetric_as_sets():
             other = wall_line(w, v).line
         except ValueError:
             continue
-        assert one.same_line(other)
+        assert not any(cross3((one.c0, one.c1, one.c2), (other.c0, other.c1, other.c2)))
 
 
 def test_wall_points_satisfy_coplanarity():

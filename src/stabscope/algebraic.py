@@ -21,7 +21,10 @@ integer vector, a common denominator and six integers, and its phases
 as primitive integer directions.  The group action maps both by each
 element's integer matrix, transport forms its new values on the same
 vector, and the kernel and the charge read it; the values themselves
-are made from it only when a caller reads them.
+are made from it only when a caller reads them.  Phases are compared
+and lifted on their integers, the branch and the direction, by the
+angle order that Phase uses too, so no Phase is built only to be
+compared.
 
 Exactness convention: a phase is entered as an integer branch plus a
 rational point on the unit circle lying in the upper half-plane, so the
@@ -44,7 +47,7 @@ from .corekit import (CharVec, Polygon, _chi2, _in_polygon_ints, _primitive, _re
 from .exceptional import (CACHE_SIZE, DyadicLabel, ExcTriple, _int_char, char_of, eplus,
                           mutate_left, mutate_right)
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
-                        RatComplex, ShiftedChar, _upper_ray, in_upper)
+                        RatComplex, ShiftedChar, _angle_cmp, _upper_ray, in_upper)
 from .surd import QuadReal
 
 # largest tangent denominator of a rationalized float phase
@@ -204,9 +207,15 @@ def _valid_phases(p: ThetaParams) -> Optional[tuple[Phase, Phase, Phase]]:
     if p._phases is None:
         return None
     f1, f2, f3 = p._phases
-    if f1 < f2 < f3 and f1.shifted(1) < f3:
+    if _below(f1, 0, f2) and _below(f2, 0, f3) and _below(f1, 1, f3):
         return f1, f2, f3
     return None
+
+
+def _below(f: Phase, n: int, g: Phase) -> bool:
+    """Whether f + n < g, for an integer n, on the phases' integers."""
+    k = f.k + n
+    return k < g.k or k == g.k and _angle_cmp(f.re, f.im, g.re, g.im) < 0
 
 
 def validate_params(p: ThetaParams) -> bool:
@@ -362,8 +371,8 @@ def _classify_cell(t: ExcTriple, p: ThetaParams
     if phases is None:
         raise ValueError("invalid chart parameters")
     f1, f2, f3 = phases
-    gap12_ge1 = f1.shifted(1) <= f2
-    gap23_ge1 = f2.shifted(1) <= f3
+    gap12_ge1 = not _below(f2, -1, f1)
+    gap23_ge1 = not _below(f3, -1, f2)
     if gap12_ge1 and gap23_ge1:
         return CellLabel.PURE_CELL, "both phase gaps are at least one", None
     d, _, pentagon, doubled = _triple_data(t)
@@ -419,23 +428,27 @@ def gl_act(g: GLElement, p: ThetaParams) -> ThetaParams:
     preserved, so validity is preserved.  All of it is found in
     integers: the element's integer matrix maps the values' integer
     vector, whose denominator it multiplies by its own, and each slot's
-    primitive direction onto the ray of the new value; that direction
-    with the new branch is the new slot's phase.
+    primitive direction onto the ray of the new value, whose branch is
+    lifted above the base phase on the same integers; that direction
+    with the new branch is the new slot's phase, the one Phase built.
     """
     if p._phases is None:
         raise ValueError("cannot act on a zero value")
     e, (a, b, c, d) = g.scaled
     den, xs = p._ints
-    hi = g.base.shifted(1)
+    base = g.base
     ys, ks, phases = [], [], []
     for x, y, k, f in zip(xs[::2], xs[1::2], (p.k1, p.k2, p.k3), p._phases):
         ys += (a * x + b * y, c * x + d * y)
         u, v = f.re, f.im
-        cand = _lift(*_upper_ray(a * u + b * v, c * u + d * v), g.base)
-        assert cand <= hi, "lift window missed"
-        k2 = k + 2 * g.k + cand.k
+        re, im, j = _upper_ray(a * u + b * v, c * u + d * v)
+        lift = _lift(re, im, j, base)
+        # the lifted phase is at most base + 1
+        up = lift - base.k
+        assert up < 1 or up == 1 and _angle_cmp(re, im, base.re, base.im) <= 0, "lift window missed"
+        k2 = k + 2 * g.k + lift
         ks.append(k2)
-        phases.append(Phase._of(cand.re, cand.im, k2))
+        phases.append(Phase._of(re, im, k2))
     return ThetaParams._of((e * den, tuple(ys)), ks, tuple(phases))
 
 
@@ -465,12 +478,12 @@ def transport_plus_leg(t: ExcTriple, p: ThetaParams, depth: int
     if classify_cell(t, p, depth) is not CellLabel.PLUS_LEG:
         raise ValueError("not in the identified patch")
     f1, f2, f3 = p.phases()
-    if not f1.shifted(1) < f2:
+    if not _below(f1, 1, f2):
         raise ValueError("not in the identified patch")
     chi = _chi2(_int_char(t.E2.label), _int_char(t.E3.label)) // 2
     den, (x1, y1, x2, y2, x3, y3) = p._ints
     x, y = chi * x2 - x3, chi * y2 - y3
-    f2n = _branch_in_window(x, y, f3.shifted(-1), f2)
+    f2n = _branch_in_window(x, y, 1, f3, f2)
     t2 = mutate_left(t)
     p2 = ThetaParams._of((den, (x1, y1, x, y, x2, y2)), (p.k1, f2n.k, p.k2), (f1, f2n, f2))
     return t2, p2
@@ -491,32 +504,36 @@ def transport_plus_leg_inverse(t2: ExcTriple, p2: ThetaParams, depth: int
     chi = _chi2(_int_char(t2.E2.label), _int_char(t2.E3.label)) // 2
     den, (x1, y1, x2, y2, x3, y3) = p2._ints
     x, y = chi * x3 - x2, chi * y3 - y2
-    f3o = _branch_in_window(x, y, g3, g2.shifted(1))
+    f3o = _branch_in_window(x, y, 0, g3, g2)
     t1 = mutate_right(t2)
     p1 = ThetaParams._of((den, (x1, y1, x3, y3, x, y)), (p2.k1, p2.k3, f3o.k), (g1, g3, f3o))
     return t1, p1
 
 
-def _lift(re: int, im: int, j: int, lo: Phase) -> Phase:
-    """The least phase above lo of the upper direction (re, im) with branch parity j.
+def _lift(re: int, im: int, j: int, lo: Phase) -> int:
+    """The least branch k of parity j with k + angle(re, im) above lo, for
+    an upper direction (re, im).
 
     Branches of one parity differ by two, and a phase of branch k lies
     in (k, k + 1], so the least such branch is lo.k or one of the next two.
     """
-    cand = Phase._of(re, im, lo.k + (lo.k - j) % 2)
-    return cand if cand > lo else cand.shifted(2)
+    k = lo.k + (lo.k - j) % 2
+    if k == lo.k and _angle_cmp(re, im, lo.re, lo.im) <= 0:
+        return k + 2
+    return k
 
 
-def _branch_in_window(x: int, y: int, lo: Phase, hi: Phase) -> Phase:
-    """The phase of the value in direction (x, y) on the unique branch
-    putting it in the open window.
+def _branch_in_window(x: int, y: int, n: int, lo: Phase, hi: Phase) -> Phase:
+    """The phase f of the value in direction (x, y) on the unique branch
+    putting f + n in the open window (lo, hi + 1).
 
     The window must be shorter than one; candidate branches differ by
     two, so only the least one above lo can land inside.
     """
     if x == 0 and y == 0:
         raise ValueError("transported value vanishes")
-    cand = _lift(*_upper_ray(x, y), lo)
-    if cand < hi:
-        return cand
+    re, im, j = _upper_ray(x, y)
+    f = Phase._of(re, im, _lift(re, im, j + n, lo) - n)
+    if _below(f, n - 1, hi):
+        return f
     raise ValueError("no phase branch lands in the transport window")

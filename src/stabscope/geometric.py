@@ -221,6 +221,17 @@ def _upper_ray(re, im) -> tuple[int, int, int]:
     return p // g, q // g, j
 
 
+def _angle_cmp(p: int, q: int, r: int, s: int) -> int:
+    """-1, 0 or 1 as the angle of the upper direction (p, q) is below, at
+    or above the angle of (r, s).
+
+    Both angles lie in (0, 1] half-turns, so they differ by less than a
+    half-turn and the sign of the cross product orders them.
+    """
+    c = q * r - p * s
+    return (c > 0) - (c < 0)
+
+
 @_record
 class Phase(object):
     """An exact phase k + a, with a in (0, 1] the angle of a direction.
@@ -275,20 +286,10 @@ class Phase(object):
     def approx(self) -> float:
         return self.k + math.atan2(self.im, self.re) / math.pi
 
-    def _angle_cmp(self, other: "Phase") -> int:
-        if (self.re, self.im) == (other.re, other.im):
-            return 0
-        if self.im == 0:
-            return 1
-        if other.im == 0:
-            return -1
-        c = self.re * other.im - self.im * other.re
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
     def compare(self, other: "Phase") -> int:
         if self.k != other.k:
             return -1 if self.k < other.k else 1
-        return self._angle_cmp(other)
+        return _angle_cmp(self.re, self.im, other.re, other.im)
 
     def __lt__(self, other: "Phase") -> bool:
         return self.compare(other) < 0

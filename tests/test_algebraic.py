@@ -8,8 +8,9 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from conftest import (UPPER_UNITS, in_polygon_by_fractions, random_triple, random_valid_params,
                       region_by_fractions)
-from stabscope.algebraic import (CellLabel, CellReport, ThetaParams,
-                                 _kernel_ints, _triple_data,
+from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
+                                 _branch_in_window, _kernel_ints, _lift, _triple_data,
+                                 _valid_phases,
                                  charge_from_params, classify_cell,
                                  classify_cell_report, gl_act, gl_inverse,
                                  mz_polygon, stable_set_pure, tr_polygon,
@@ -439,8 +440,7 @@ def _report_by_charge_solve(t, p, depth):
     of it is run on every kernel point inside the pentagon as an oracle,
     and wherever it decides at this depth it must find the point GeoLP.
     """
-    f1, f2, f3 = p.phases()
-    gap12_ge1, gap23_ge1 = f1.shifted(1) <= f2, f2.shifted(1) <= f3
+    _, gap12_ge1, gap23_ge1 = _gaps_by_phases(p)
     if gap12_ge1 and gap23_ge1:
         return CellReport(CellLabel.PURE_CELL, depth,
                           reason="both phase gaps are at least one")
@@ -623,6 +623,112 @@ def _lift_by_fractions(g, p):
         ws.append(w)
         ks.append(k + 2 * g.k + cand.k)
     return ws, ks
+
+
+def _gaps_by_phases(p):
+    """Validity and the two gap flags, f2 - f1 >= 1 and f3 - f2 >= 1, of the
+    cell decision, on Phase records and their shifts."""
+    f1, f2, f3 = p.phases()
+    return f1 < f2 < f3 and f1.shifted(1) < f3, f1.shifted(1) <= f2, f2.shifted(1) <= f3
+
+
+def _window_by_phases(x, y, n, lo, hi):
+    """The phases f of the direction (x, y), tried branch by branch, with
+    lo < f + n < hi + 1."""
+    found = []
+    for k in range(lo.k - n - 2, hi.k - n + 3):
+        w = (-x, -y) if k % 2 else (x, y)
+        if in_upper(*w) and lo < Phase(*w, k).shifted(n) < hi.shifted(1):
+            found.append(Phase(*w, k))
+    return found
+
+
+def _at(*phases):
+    """Parameters with the phases (re, im, k): slot values (-1)^k (re, im)."""
+    return ThetaParams(*(RatComplex(Fraction((-1) ** k * re), Fraction((-1) ** k * im))
+                         for re, im, k in phases), *(k for _, _, k in phases))
+
+
+# phase triples on the order's edges: gaps of exactly one (same direction,
+# next branch), the negative real axis (angle 1), equal directions on
+# other branches, and outer gaps of exactly one
+EDGE_PARAMS = [_at(*fs) for fs in (
+    ((3, 4, 0), (3, 4, 1), (0, 1, 2)), ((3, 4, 0), (0, 1, 0), (0, 1, 1)),
+    ((-1, 0, 0), (-1, 0, 1), (-1, 0, 2)), ((-1, 0, -1), (0, 1, 0), (-1, 0, 0)),
+    ((-1, 0, 0), (3, 4, 1), (-1, 0, 1)), ((-1, 0, 0), (0, 1, 1), (3, 4, 2)),
+    ((-1, 0, -1), (-1, 0, 0), (0, 1, 1)), ((0, 1, 0), (0, 1, 1), (0, 1, 2)),
+    ((0, 1, 0), (0, 1, 0), (0, 1, 2)), ((0, 1, 0), (0, 1, 2), (0, 1, 1)),
+    ((-3, 4, 0), (4, 3, 1), (-3, 4, 1)), ((-4, 3, 1), (-1, 0, 1), (-4, 3, 2)),
+    ((-1, 0, 0), (-4, 3, 1), (-1, 0, 2)))]
+
+# a half-turn and other first columns on the negative real axis, elements
+# fixing the positive real direction (base branch -1), and a quarter turn
+EDGE_ELEMENTS = [GLElement(*m, k) for m in ((-1, 0, 0, -1), (-2, 1, 0, -1), (1, 0, 0, 1),
+                                            (2, 1, 0, 1), (3, -5, 0, 1), (0, -1, 1, 0),
+                                            (-3, 0, 4, -1))
+                 for k in (-1, 0, 1)]
+
+
+def test_phase_order_on_integers_matches_the_phase_records():
+    rng = random.Random(3011)
+    edge = EDGE_PARAMS + [random_valid_params(rng) for _ in range(40)]
+    valid = 0
+    for p in edge + [_at(*((*rng.choice(UPPER_UNITS), rng.randint(-2, 3)) for _ in range(3)))
+                     for _ in range(120)]:
+        fs = p.phases()
+        ok, gap12, gap23 = _gaps_by_phases(p)
+        assert (_valid_phases(p) is not None) == ok, p
+        for f in fs:
+            for g in fs:
+                for n in (-1, 0, 1):
+                    assert _below(f, n, g) == (f.shifted(n) < g), (f, n, g)
+        if not ok:
+            continue
+        valid += 1
+        # the gap flags show in the label: pure for both, and the leg names the upper gap
+        for t in (OOO, random_triple(rng, max_m=3)):
+            label = classify_cell(t, p, 6)
+            assert (label is CellLabel.PURE_CELL) == (gap12 and gap23), p
+            if label in (CellLabel.PLUS_LEG, CellLabel.MINUS_LEG):
+                assert (label is CellLabel.MINUS_LEG) == gap23, p
+    assert valid > 60
+
+
+def test_phase_lifts_on_integers_match_the_phase_records():
+    rng = random.Random(3012)
+    params = [p for p in EDGE_PARAMS if validate_params(p)]
+    assert len(params) == 7
+    params += [random_valid_params(rng) for _ in range(20)]
+    for g in EDGE_ELEMENTS:
+        for p in params:
+            ws, ks = _lift_by_fractions(g, p)
+            q = gl_act(g, p)
+            assert list(q.values()) == ws and [q.k1, q.k2, q.k3] == ks, (g, p)
+    # a direction at the bound is not above it: the lift adds two
+    lo = Phase(3, 4, 1)
+    assert [_lift(3, 4, j, lo) for j in (0, 1)] == [2, 3]
+    assert [_lift(-1, 0, j, Phase(-1, 0, -1)) for j in (0, 1)] == [0, 1]
+    # the negative real axis lands on base + 1, the window's closed end
+    for g in EDGE_ELEMENTS:
+        q = gl_act(g, _at((-1, 0, 0), (0, 1, 1), (3, 4, 2)))
+        assert q.phases()[0] == g.base.shifted(1 + 2 * g.k)
+    # windows of every length below one, direction on either end and between
+    dirs = [(-1, 0), (0, 1), (3, 4), (-3, 4), (4, 3)]
+    for _ in range(400):
+        x, y = rng.choice(dirs)
+        x, y = (-x, -y) if rng.randint(0, 1) else (x, y)
+        lo = Phase(*rng.choice(dirs), rng.randint(-2, 2))
+        hi = Phase(*rng.choice(dirs), lo.k + rng.randint(-1, 0))
+        if not lo < hi.shifted(1) <= lo.shifted(1):
+            continue
+        n = rng.randint(0, 1)
+        want = _window_by_phases(x, y, n, lo, hi)
+        assert len(want) <= 1
+        if want:
+            assert _branch_in_window(x, y, n, lo, hi) == want[0]
+        else:
+            with pytest.raises(ValueError, match="window"):
+                _branch_in_window(x, y, n, lo, hi)
 
 
 def _kernel_by_fractions(t, p):

@@ -165,11 +165,17 @@ NOT_ON_INTS = ("Fraction", "_scaled_ints", "act", "values", "z1", "z2", "z3")
 # no Fraction discriminant and no second exclusion rule
 POINT_DECISIONS = ("classify_point", "point_in_polygon")
 NOT_IN_POINT = ("QuadReal", "delta", "is_rational", "_exc_delta")
+# the chart compares and lifts phases on their integers (k, re, im): it
+# builds no shifted Phase record to compare once
+PHASE_ON_INTS = ("gl_act", "_valid_phases", "_classify_cell", "transport_plus_leg",
+                 "transport_plus_leg_inverse", "_lift", "_branch_in_window")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH,
            "classify_cell_report": NOT_IN_CHART, "_classify_cell": NOT_IN_CHART,
            "_in_polygon_ints": NOT_IN_POLYGON, **{name: NOT_ON_INTS for name in CHART_ON_INTS},
            **{name: NOT_IN_POINT for name in POINT_DECISIONS}}
+for _name in PHASE_ON_INTS:
+    REFUSED[_name] = (*REFUSED.get(_name, ()), "shifted")
 
 
 def _non_integer_names(tree):
@@ -289,6 +295,36 @@ def test_the_chart_decides_on_integers():
     assert _non_integer_names(ast.parse(
         "def transport_plus_leg(t, p, depth):\n    den, (x1, y1, x2, y2, x3, y3) = p._ints")) == []
 
+
+def test_the_chart_orders_phases_on_integers():
+    root = Path(stabscope.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef))
+    assert set(PHASE_ON_INTS) <= {n.name for n in ast.walk(trees["algebraic"])
+                                  if isinstance(n, ast.FunctionDef)}
+    assert _non_integer_names(trees["algebraic"]) == []
+    # one angle order of upper directions, which Phase and the chart share
+    assert defined["_angle_cmp"] == 1
+    compare, = (n for n in ast.walk(trees["geometric"])
+                if isinstance(n, ast.FunctionDef) and n.name == "compare")
+    assert "_angle_cmp" in _names(compare) and "_angle_cmp" in _names(trees["algebraic"])
+    assert _non_integer_names(ast.parse(
+        "def _valid_phases(p):\n    return f1 < f2 < f3 and f1.shifted(1) < f3")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _classify_cell(t, p):\n    gap12_ge1 = f1.shifted(1) <= f2\n"
+        "    gap23_ge1 = not _below(f3, -1, f2)")) == [2]
+    assert _non_integer_names(ast.parse("def gl_act(g, p):\n    hi = g.base.shifted(1)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def transport_plus_leg(t, p, depth):\n    if not f1.shifted(1) < f2:\n        raise")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def transport_plus_leg_inverse(t2, p2, depth):\n"
+        "    return _branch_in_window(x, y, g3, g2.shifted(1))")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _lift(re, im, j, lo):\n    return cand if cand > lo else cand.shifted(2)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _branch_in_window(x, y, n, lo, hi):\n    def inside(f):\n"
+        "        return f.shifted(n) < hi\n    return inside")) == [3]
 
 
 # the surd point paths and the helpers only they used, and the plane

@@ -21,6 +21,12 @@ the segment walk run on the integers, and the checks of bundles and
 triples use the one integer pairing corekit._chi2, which is twice
 euler_chi, and det3 of the integer triples, which is twice det3 of the
 characters.
+
+A standard triple is recognised by its base p/2^m, p odd, m >= 1: over 2^m
+its two partners' numerators, p +- 1 and p +- 1 -+ 3*2^m, are even, so the
+base is the one deepest label, and its position (first, middle or last)
+names the pattern (right-extended, adjacent or left-extended).  If all
+three labels are integers, the middle one is the base of an adjacent triple.
 """
 
 from __future__ import annotations
@@ -316,13 +322,18 @@ def triple_from(pattern: TriplePattern, base: DyadicLabel) -> ExcTriple:
     """Build the triple for a pattern at a base label.
 
     Integer bases collapse all three patterns onto consecutive integer
-    labels; those triples are normalized to the adjacent pattern so each
-    constructed triple carries exactly one canonical tag.
+    labels, normalized to the adjacent pattern, so each triple has one tag;
+    each is built and checked once, in a cache keyed by pattern, p and m.
     """
+    return _triple_at(pattern, base.p, base.m)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _triple_at(pattern: TriplePattern, p: int, m: int) -> ExcTriple:
+    base = DyadicLabel(p, m)
     labels = _pattern_labels(pattern, base)
-    if base.m == 0 and pattern is not TriplePattern.ADJACENT:
-        mid = labels[1]
-        return triple_from(TriplePattern.ADJACENT, mid)
+    if m == 0 and pattern is not TriplePattern.ADJACENT:
+        return _triple_at(TriplePattern.ADJACENT, labels[1].p, 0)
     b1, b2, b3 = (ExcBundle.of(l) for l in labels)
     v1, v2, v3 = (_int_char(l) for l in labels)
     assert labels[0] < labels[1] < labels[2], "triple labels out of order"
@@ -336,13 +347,16 @@ def triple_from(pattern: TriplePattern, base: DyadicLabel) -> ExcTriple:
 
 
 def detect_triple(l1: DyadicLabel, l2: DyadicLabel, l3: DyadicLabel) -> ExcTriple | None:
-    """Recognize an ordered label triple as one of the standard patterns."""
-    for pattern, base in ((TriplePattern.ADJACENT, l2),
-                          (TriplePattern.RIGHT_EXTENDED, l1),
-                          (TriplePattern.LEFT_EXTENDED, l3)):
-        if _pattern_labels(pattern, base) == (l1, l2, l3):
-            return triple_from(pattern, base)
-    return None
+    """Recognize an ordered label triple as one of the standard patterns.
+
+    The base's two partners have even numerators over its 2^m, so it is the
+    one deepest label, and its position names the only candidate to build.
+    """
+    pattern, base = ((TriplePattern.RIGHT_EXTENDED, l1) if l1.m > max(l2.m, l3.m) else
+                     (TriplePattern.LEFT_EXTENDED, l3) if l3.m > max(l1.m, l2.m) else
+                     (TriplePattern.ADJACENT, l2))
+    t = _triple_at(pattern, base.p, base.m)
+    return t if t.labels == (l1, l2, l3) else None
 
 
 def slope_to_label(mu: Fraction) -> DyadicLabel | None:
@@ -408,12 +422,6 @@ def _between(a: DyadicLabel, b: DyadicLabel) -> DyadicLabel:
     return DyadicLabel(p + 1 if a.m == k else q - 1, k)
 
 
-def _standard(l1: DyadicLabel, l2: DyadicLabel, l3: DyadicLabel) -> ExcTriple:
-    out = detect_triple(l1, l2, l3)
-    assert out is not None, "mutated labels do not form a standard triple pattern"
-    return out
-
-
 def mutate_left(t: ExcTriple, slot: int = 2) -> ExcTriple:
     """Left mutation at positions (slot, slot+1), computed on labels.
 
@@ -422,11 +430,12 @@ def mutate_left(t: ExcTriple, slot: int = 2) -> ExcTriple:
     on the first pair the same way.
     """
     l1, l2, l3 = t.labels
-    if slot == 2:
-        return _standard(l1, _between(l1, l2), l2)
-    if slot == 1:
-        return _standard(_between(l3.shift(-3), l1), l1, l3)
-    raise ValueError("mutation slot must be 1 or 2")
+    if slot not in (1, 2):
+        raise ValueError("mutation slot must be 1 or 2")
+    out = (detect_triple(l1, _between(l1, l2), l2) if slot == 2
+           else detect_triple(_between(l3.shift(-3), l1), l1, l3))
+    assert out is not None, "mutated labels do not form a standard triple pattern"
+    return out
 
 
 def mutate_right(t: ExcTriple, slot: int = 2) -> ExcTriple:
@@ -436,8 +445,9 @@ def mutate_right(t: ExcTriple, slot: int = 2) -> ExcTriple:
     where the new character is chi(E2, E3) * v(E3) - v(E2).
     """
     l1, l2, l3 = t.labels
-    if slot == 2:
-        return _standard(l1, l3, _between(l3, l1.shift(3)))
-    if slot == 1:
-        return _standard(l2, _between(l2, l3), l3)
-    raise ValueError("mutation slot must be 1 or 2")
+    if slot not in (1, 2):
+        raise ValueError("mutation slot must be 1 or 2")
+    out = (detect_triple(l1, l3, _between(l3, l1.shift(3))) if slot == 2
+           else detect_triple(l2, _between(l2, l3), l3))
+    assert out is not None, "mutated labels do not form a standard triple pattern"
+    return out

@@ -18,8 +18,9 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
                                  transport_plus_leg_inverse, validate_params)
 from stabscope.corekit import (AffPt, CharVec, _in_polygon_ints, _scaled_ints, euler_chi,
                                point_in_polygon)
+import stabscope.exceptional as ex
 from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, char_of,
-                                   detect_triple, triple_from)
+                                   detect_triple, mutate_left, mutate_right, triple_from)
 from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex, SQCharge,
                                  StabResult, _stable_in_region, in_upper, kernel_point,
                                  z_eval)
@@ -412,6 +413,31 @@ def test_transport_boundary_rejected():
     assert f3 == f2.shifted(1)
     with pytest.raises(ValueError, match="patch"):
         transport_plus_leg(OOO, p, 6)
+
+
+def test_warm_mutations_and_transports_build_no_pattern(monkeypatch):
+    # a triple's labels are built once, when the triple is; a mutation or a
+    # transport afterwards finds its triple by the deepest label alone
+    calls = []
+    build = ex._pattern_labels
+    monkeypatch.setattr(ex, "_pattern_labels", lambda *a: calls.append(a) or build(*a))
+    ex._triple_at.cache_clear()
+    triples = [triple_from(pattern, DyadicLabel(p, 3))
+               for pattern in TriplePattern for p in range(-7, 9, 2)]
+
+    def run():
+        for t in triples:
+            for slot in (1, 2):
+                assert mutate_right(mutate_left(t, slot), slot) == t
+                assert mutate_left(mutate_right(t, slot), slot) == t
+        t2, p2 = transport_plus_leg(OOO, TRANSPORT_PARAMS, 6)
+        assert transport_plus_leg_inverse(t2, p2, 6) == (OOO, TRANSPORT_PARAMS)
+
+    run()
+    assert len(calls) > len(triples)
+    calls.clear()
+    run()
+    assert calls == []
 
 
 def test_geo_sufficient_condition_cross_check():

@@ -385,6 +385,50 @@ def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, argv, diges
     assert hashlib.sha256(got.encode()).hexdigest() == digest, got
 
 
+# SHA-256 of [exit code, stdout, stderr] as JSON for triple make in every
+# pattern at a depth-2 base and at an integer base, which is tagged
+# adjacent, every mutation of a right- and a left-extended triple, and the
+# error for labels in no standard pattern, as printed while triples were
+# recognised by trying each pattern in turn.
+TRIPLE_AND_MUTATE_DIGESTS = [
+    (["triple", "make", "--pattern", "adj", "--base", "3/4"],
+     "85d1079c7e20a7a6d3df875d2f9c9b9e16e812b6aa6a47027c68ad1c9307327e"),
+    (["triple", "make", "--pattern", "right", "--base", "3/4"],
+     "02644e0b1b17e275eab53a1034205091b0e51245721c3c1f53de6646d0a602bd"),
+    (["triple", "make", "--pattern", "left", "--base", "3/4"],
+     "52c09f318879fa4d9c7fd9acd398582a475a01b56a843cb42fb20c86fc90877b"),
+    (["triple", "make", "--pattern", "right", "--base", "3"],
+     "0b8ac5e7a754cfc16de9cfaf5502d61b968dd3b52996ca6769e90a31009e00e7"),
+    (["mutate", "left", "--triple=3/4,1,7/2", "--slot", "1"],
+     "31964c51088fbb0f85a55c0c86966241f00414e7e73d376d362afa81614235a4"),
+    (["mutate", "left", "--triple=3/4,1,7/2", "--slot", "2"],
+     "2f6c9c55489714a013fb4fbe950ba096bf9b568fde3732e54351c6736595809f"),
+    (["mutate", "right", "--triple=3/4,1,7/2", "--slot", "1"],
+     "e92652aff917a89b5d0ad1641ea8bcbb22586d59865b2b9f44a39d67bb70a063"),
+    (["mutate", "right", "--triple=3/4,1,7/2", "--slot", "2"],
+     "bd710bdef7b44fa2821f9854377f98a6e257cb8a74f13c91bd820320a5ebc6bd"),
+    (["mutate", "left", "--triple=-2,1/2,3/4", "--slot", "1"],
+     "793f3dddf5ecf03e96340c45eeb4a59138609ea78f61b22519dd409e9b8bbcfb"),
+    (["mutate", "left", "--triple=-2,1/2,3/4", "--slot", "2"],
+     "2537cfaf7890ddd4d7c8c9bc905f9bf57af641935729ba5e8eb675f53458a459"),
+    (["mutate", "right", "--triple=-2,1/2,3/4", "--slot", "1"],
+     "58bebe3707dc8df0bde9cc8c48abe16b4224416dbfdc6d1ef732ff340486671a"),
+    (["mutate", "right", "--triple=-2,1/2,3/4", "--slot", "2"],
+     "0bf41f8aacb0f72addddc6f2df1cd8e64d0b86f8f1d6a31f74aac3fac83c04c0"),
+    (["mutate", "left", "--triple", "0,1,3"],
+     "6411a9249b9f9dd930fcfc8c0871a6203abdcefc124c4e2012aebe1890c8ba7d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TRIPLE_AND_MUTATE_DIGESTS,
+                         ids=[" ".join(a) for a, _ in TRIPLE_AND_MUTATE_DIGESTS])
+def test_triple_and_mutate_keep_their_bytes(capsys, argv, digest):
+    code = run(argv)
+    captured = capsys.readouterr()
+    got = json.dumps([code, captured.out, captured.err])
+    assert hashlib.sha256(got.encode()).hexdigest() == digest, got
+
+
 def _one_json_error(capsys, argv) -> dict:
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -419,6 +419,86 @@ def test_label_rule_matches_braid_formula(m):
             (t.labels, way.__name__, slot)
 
 
+def _detect_by_search(l1, l2, l3):
+    """The standard triple of these labels, found by trying each pattern in turn."""
+    for pattern, base in ((TriplePattern.ADJACENT, l2),
+                          (TriplePattern.RIGHT_EXTENDED, l1),
+                          (TriplePattern.LEFT_EXTENDED, l3)):
+        if ex._pattern_labels(pattern, base) == (l1, l2, l3):
+            return triple_from(pattern, base)
+    return None
+
+
+def _near_standard_triples():
+    """Every standard triple with a base of depth <= 6 in [-1, 1], its four
+    mutations, and its neighbours in no pattern: each label moved one step
+    at its own depth, the labels permuted, a label repeated."""
+    bases = [DyadicLabel(p, m) for m in range(7)
+             for p in range(-(1 << m), (1 << m) + 1) if m == 0 or p % 2]
+    out = [(lab("0"), lab("1"), lab("3"))]
+    for base in bases:
+        for pattern in TriplePattern:
+            t = triple_from(pattern, base)
+            labels = t.labels
+            out.append(labels)
+            out.extend(way(t, slot).labels for way, slot in MUTATIONS)
+            for i, l in enumerate(labels):
+                for step in (-1, 1):
+                    moved = list(labels)
+                    moved[i] = DyadicLabel(l.p + step, l.m)
+                    out.append(tuple(moved))
+            out.extend(itertools.permutations(labels))
+            l1, l2, l3 = labels
+            out.extend([(l1, l1, l3), (l1, l3, l3), (l2, l2, l2)])
+    return out
+
+
+def test_the_deepest_label_finds_what_the_pattern_search_finds():
+    cases = _near_standard_triples()
+    assert len(cases) == 1 + 129 * 3 * 20 == 7741
+    found = set()
+    for labels in cases:
+        got, want = detect_triple(*labels), _detect_by_search(*labels)
+        if want is None:
+            assert got is None, labels
+            continue
+        assert (got.labels, got.pattern, got.base, (got.E1, got.E2, got.E3)) == \
+            (labels, want.pattern, want.base, tuple(ExcBundle.of(l) for l in labels)), labels
+        found.add(want.pattern)
+    assert found == set(TriplePattern)
+    assert sum(_detect_by_search(*labels) is None for labels in cases) > 3000
+
+
+def test_a_triple_is_built_once_per_pattern_and_base():
+    for pattern in TriplePattern:
+        t = triple_from(pattern, DyadicLabel(5, 3))
+        assert triple_from(pattern, DyadicLabel(10, 4)) == t
+        assert triple_from(pattern, DyadicLabel(5, 3)) is t
+        assert detect_triple(*t.labels) is t
+
+
+def test_integer_bases_are_tagged_adjacent_at_the_middle_label():
+    for n in range(-3, 4):
+        for pattern, middle in ((TriplePattern.RIGHT_EXTENDED, n + 1),
+                                (TriplePattern.LEFT_EXTENDED, n - 1)):
+            t = triple_from(pattern, DyadicLabel(n))
+            assert t == triple_from(TriplePattern.ADJACENT, DyadicLabel(middle))
+            assert t.pattern is TriplePattern.ADJACENT and t.base == DyadicLabel(middle)
+            assert t.labels == tuple(DyadicLabel(middle + k) for k in (-1, 0, 1))
+
+
+def test_the_triple_cache_stays_bounded():
+    assert ex._triple_at.cache_info().maxsize == ex.CACHE_SIZE
+    # 4 224 bases of depth 6, more triples than the cache keeps
+    bases = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]
+    assert len(bases) > ex.CACHE_SIZE
+    for base in bases:
+        triple_from(TriplePattern.ADJACENT, base)
+    assert ex._triple_at.cache_info().currsize == ex.CACHE_SIZE
+    t = triple_from(TriplePattern.ADJACENT, bases[0])
+    assert t.labels == (bases[0].left_neighbor(), bases[0], bases[0].right_neighbor())
+
+
 def test_caches_stay_bounded_and_rebuild_evicted_characters():
     cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._tent_ends)
     assert all(f.cache_info().maxsize == ex.CACHE_SIZE for f in cached)

@@ -133,8 +133,9 @@ def _scaled_ints(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(x.numerator * (den // x.denominator) for x in xs)
 
 
-def _point_ints(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+def _point_ints(p: AffPt) -> tuple[int, int, int]:
     """The integer vector d (1, x, y), d = den(x) den(y) > 0, of a rational point."""
+    x, y = to_fraction(p.x), to_fraction(p.y)
     return (x.denominator * y.denominator, x.numerator * y.denominator,
             y.numerator * x.denominator)
 
@@ -288,7 +289,7 @@ def point_in_polygon(p: AffPt, poly: Polygon) -> bool:
     The point is decided by _in_polygon_ints on its integer vector; a surd
     point is refused with to_fraction's ValueError.
     """
-    return _in_polygon_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), poly)
+    return _in_polygon_ints(*_point_ints(p), poly)
 
 
 def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:

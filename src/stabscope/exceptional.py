@@ -16,11 +16,12 @@ listing and the walls verb's bundle pool.
 Each cached character is held in two forms: the integers (r, c, e) =
 (ch0, ch1, 2 ch2), which are integral since chi(O, E) = r + 3c/2 + ch2
 is, built when its entry is added, and the CharVec, built when char_of
-or ExcBundle.of first asks for it.  The recursion, the slope search and
-the segment walk run on the integers, and the checks of bundles and
-triples use the one integer pairing corekit._chi2, which is twice
-euler_chi, and det3 of the integer triples, which is twice det3 of the
-characters.
+or ExcBundle.of first asks for it.  This cache and those of the curve
+nodes are keyed by the label's integers (p, m), not by the label.  The
+recursion, the slope search and the segment walk run on the integers,
+and the checks of bundles and triples use the one integer pairing
+corekit._chi2, which is twice euler_chi, and det3 of the integer
+triples, which is twice det3 of the characters.
 
 A standard triple is recognised by its base p/2^m, p odd, m >= 1: over 2^m
 its two partners' numerators, p +- 1 and p +- 1 -+ 3*2^m, are even, so the
@@ -138,9 +139,9 @@ MAX_RANK_BITS = 1 << 14
 # dict drops its older half when a lookup misses with this many entries in it
 CACHE_SIZE = 1 << 12
 
-# characters computed so far, by label: the integers (r, c, e = 2 ch2)
-# and the CharVec (r, c, e/2), or None until char_of first asks for it
-_CHARS: dict[DyadicLabel, list] = {}
+# characters computed so far, by the label's integers (p, m): the integers (r, c,
+# e = 2 ch2) and the CharVec (r, c, e/2), or None until char_of first asks for it
+_CHARS: dict[tuple[int, int], list] = {}
 
 
 def _recurrence_terms(label: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
@@ -165,7 +166,7 @@ def char_of(label: DyadicLabel) -> CharVec:
     its next step reads.  A rank above MAX_RANK_BITS bits raises
     ValueError.
     """
-    entry = _CHARS.get(label) or _fill(label)
+    entry = _CHARS.get((label.p, label.m)) or _fill(label)
     if entry[1] is None:
         r, c, e = entry[0]
         entry[1] = CharVec(r, c, Fraction(e, 2))
@@ -174,7 +175,7 @@ def char_of(label: DyadicLabel) -> CharVec:
 
 def _int_char(label: DyadicLabel) -> tuple[int, int, int]:
     """The integer character (ch0, ch1, 2 ch2) of a label."""
-    return (_CHARS.get(label) or _fill(label))[0]
+    return (_CHARS.get((label.p, label.m)) or _fill(label))[0]
 
 
 def _fill(label: DyadicLabel) -> list:
@@ -185,25 +186,25 @@ def _fill(label: DyadicLabel) -> list:
     stack = [label]
     while stack:
         lbl = stack[-1]
-        if lbl in _CHARS:
+        if (lbl.p, lbl.m) in _CHARS:
             stack.pop()
             continue
         if lbl.m == 0:
             v = (1, lbl.p, lbl.p * lbl.p)
         else:
             terms = _recurrence_terms(lbl)
-            missing = [t for t in terms if t not in _CHARS]
+            missing = [t for t in terms if (t.p, t.m) not in _CHARS]
             if missing:
                 stack.extend(missing)
                 continue
-            helper, base, far = (_CHARS[t][0] for t in terms)
+            helper, base, far = (_CHARS[t.p, t.m][0] for t in terms)
             k = 3 * helper[0]
             v = tuple(k * b - f for b, f in zip(base, far))
             if v[0].bit_length() > MAX_RANK_BITS:
                 raise ValueError(f"rank at label {lbl} exceeds {MAX_RANK_BITS} bits")
-        _CHARS[lbl] = [v, None]
+        _CHARS[lbl.p, lbl.m] = [v, None]
         stack.pop()
-    return _CHARS[label]
+    return _CHARS[label.p, label.m]
 
 
 def twist(label: DyadicLabel, k: int) -> CharVec:
@@ -246,39 +247,47 @@ class ExcBundle:
         return slope(self.char)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+def _label_cache(f):
+    """f(label), cached by the label's integers (p, m), so a lookup hashes
+    no DyadicLabel; on a miss f gets the label anew."""
+    at = functools.lru_cache(maxsize=CACHE_SIZE)(lambda p, m: f(DyadicLabel(p, m)))
+    cached = functools.wraps(f)(lambda label: at(label.p, label.m))
+    cached.cache_info, cached.cache_clear = at.cache_info, at.cache_clear
+    return cached
+
+
+@_label_cache
 def eplus(label: DyadicLabel) -> AffPt:
     """The point one rank-squared unit below the projected character."""
     r, c, e = _int_char(label)
     return AffPt(Fraction(c, r), Fraction(e * r - 2, 2 * r * r))
 
 
-def _contact_form(label: DyadicLabel, side: int) -> tuple[int, int, int, int]:
+def _contact_form(r: int, c: int, side: int) -> tuple[int, int, int, int]:
     """The slope (P + Q sqrt(D))/S, S > 0, of the tent's contact with y = x^2/2 - 1/2.
 
-    It is c/r + side (3 - sqrt(9 - 4/r^2))/2 (Drezet-Le Potier), where the
-    chord from the apex towards the neighbour, of slope c/r + side 3/2,
-    meets the parabola.
+    For the label of rank r and degree c it is c/r + side (3 - sqrt(9 - 4/r^2))/2
+    (Drezet-Le Potier), where the chord from the apex towards the neighbour,
+    of slope c/r + side 3/2, meets the parabola.
     """
-    r, c, _ = _int_char(label)
     return 2 * c + 3 * side * r, -side, 9 * r * r - 4, 2 * r
 
 
 def _contact(label: DyadicLabel, side: int) -> AffPt:
     """The contact point; for x = a + b sqrt(d), y = (x^2 - 1)/2 is
     (P^2 + Q^2 D - S^2)/(2 S^2) + a b sqrt(d)."""
-    p, q, d, s = _contact_form(label, side)
+    p, q, d, s = _contact_form(*_int_char(label)[:2], side)
     x = QuadReal(Fraction(p, s), Fraction(q, s), d)
     return AffPt(x, QuadReal._over(Fraction(p * p + q * q * d - s * s, 2 * s * s), x.a * x.b, x.d))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_label_cache
 def el(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the left neighbour."""
     return _contact(label, -1)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_label_cache
 def er(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the right neighbour."""
     return _contact(label, 1)
@@ -290,13 +299,17 @@ class TriplePattern(enum.Enum):
     LEFT_EXTENDED = "left-extended"
 
 
-def _pattern_labels(pattern: TriplePattern, base: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
-    left, right = base.left_neighbor(), base.right_neighbor()
+def _pattern_ints(pattern: TriplePattern, p: int, m: int) -> tuple[int, int, int]:
+    """The numerators over 2^m of the pattern's three labels at the base p/2^m."""
     if pattern is TriplePattern.ADJACENT:
-        return left, base, right
+        return p - 1, p, p + 1
     if pattern is TriplePattern.RIGHT_EXTENDED:
-        return base, right, left.shift(3)
-    return right.shift(-3), left, base
+        return p, p + 1, p - 1 + (3 << m)
+    return p + 1 - (3 << m), p - 1, p
+
+
+def _pattern_labels(pattern: TriplePattern, base: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
+    return tuple(DyadicLabel(q, base.m) for q in _pattern_ints(pattern, base.p, base.m))
 
 
 @_record
@@ -350,13 +363,19 @@ def detect_triple(l1: DyadicLabel, l2: DyadicLabel, l3: DyadicLabel) -> ExcTripl
     """Recognize an ordered label triple as one of the standard patterns.
 
     The base's two partners have even numerators over its 2^m, so it is the
-    one deepest label, and its position names the only candidate to build.
+    one deepest label, and its position names the only candidate.  It is
+    built only when its labels' numerators over the base's 2^m are the input's.
     """
     pattern, base = ((TriplePattern.RIGHT_EXTENDED, l1) if l1.m > max(l2.m, l3.m) else
                      (TriplePattern.LEFT_EXTENDED, l3) if l3.m > max(l1.m, l2.m) else
                      (TriplePattern.ADJACENT, l2))
-    t = _triple_at(pattern, base.p, base.m)
-    return t if t.labels == (l1, l2, l3) else None
+    p, m = base.p, base.m
+    q1, q2, q3 = _pattern_ints(pattern, p, m)
+    # l2 is never deeper than the base, but l1 and l3 can both be
+    if (l1.m > m or l3.m > m or l1.p << (m - l1.m) != q1 or l2.p << (m - l2.m) != q2
+            or l3.p << (m - l3.m) != q3):
+        return None
+    return _triple_at(pattern, p, m)
 
 
 def slope_to_label(mu: Fraction) -> DyadicLabel | None:

@@ -19,9 +19,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .corekit import (AffPt, CharVec, _primitive, _record, _scaled_ints, cross3, slope,
-                      to_fraction)
-from .exceptional import ExcBundle
+from .corekit import (AffPt, CharVec, _point_ints, _primitive, _record, _scaled_ints, cross3,
+                      slope, to_fraction)
+from .exceptional import ExcBundle, _int_char
 
 # lepotier is imported inside the three functions that decide region
 # membership, so evaluating a charge loads no curve code
@@ -357,19 +357,23 @@ class StabResult(enum.Enum):
 
 def _stable_in_region(E: ExcBundle, P: AffPt, depth: int) -> Optional[StabResult]:
     """The verdict of exc_stable_at, or None when P is off the geometric
-    region at max(depth, E.label.m); stab-region skips such a point."""
-    from .lepotier import GeoAnswer, RegionClass, classify_point, geo_contains_segment
+    region at max(depth, E.label.m); stab-region skips such a point.  P's
+    integer vector (w, X, Y) serves its class and the walk, whose other end
+    is E's projected character (2r, 2c, e), from E's (r, c, e), never P.
+    """
+    from .lepotier import GeoAnswer, RegionClass, _classify_ints, _contains_ints
     eff = max(depth, E.label.m)
-    if classify_point(P, eff) is not RegionClass.GEO_LP:
+    w, X, Y = _point_ints(P)
+    if _classify_ints(w, X, Y, eff) is not RegionClass.GEO_LP:
         return None
-    answer = geo_contains_segment(E.char.proj(), P, eff, exclude_a=True)
+    r, c, e = _int_char(E.label)
+    answer = _contains_ints((2 * r, 2 * c, e), (w, X, Y), eff, True)
     if answer is GeoAnswer.UNKNOWN:
         return StabResult.UNKNOWN
     if answer is GeoAnswer.NO:
         return StabResult.NOT_STABLE
-    if to_fraction(P.x) < E.slope:
-        return StabResult.STABLE_UNSHIFTED
-    return StabResult.STABLE_SHIFTED
+    # whether P's slope X/w is below E's c/r
+    return StabResult.STABLE_UNSHIFTED if X * r < c * w else StabResult.STABLE_SHIFTED
 
 
 def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:

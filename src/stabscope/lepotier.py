@@ -33,20 +33,24 @@ w/gcd(w, X).  A character on an exclusion is a multiple of its label's own
 exactly when it projects to the top, at equality.  build_curve lists the
 tents, segments and exclusions that meet a window; no decision uses it.
 
-The segment walk takes its signs on integers.  Its line y = m x + c is
-cross3 of the ends' integer vectors d (1, x, y), made primitive as
-(L, L m, L c) with L > 0 and no Fraction arithmetic, and each label
-keeps, from its integer character, its slopes el, apex and er as
-(P + Q*sqrt(D))/S and its chords and exclusion ends as integer lines.
-The cell, gap, chord and exclusion tests are each the sign of an integer
-polynomial of degree <= 2 at such a slope; times S^2 it is U + V*sqrt(D)
-with integers U and V, whose sign is surd._root_sign.  Slopes are ordered
-against the segment's ends and each other by integer brackets, lo =
-floor(x 2^96) and hi = lo, or lo + 1 when x 2^96 is not an integer, from
-surd._floor_form and cached per label: disjoint brackets are conclusive,
-as each holds its value, and only overlapping ones fall back to the exact
-order surd._form_sign of the integer forms, so the walk reads nothing of a
-label but its integer character.  Tents are built from the same forms and
+The segment walk takes its signs on integers, from its ends' integer
+vectors w (1, x, y), w > 0.  Its line y = m x + c is their cross3, made
+primitive as (L, L m, L c) with L > 0 and no Fraction arithmetic, and each
+label p/2^m keeps, from its integer character, its slopes el, apex and er
+as (P + Q*sqrt(D))/S and its chords and exclusion ends as integer lines
+(K, A, B), K = 2 r^2, cached by the integers (p, m), so a lookup builds
+and hashes no DyadicLabel.  The cell, gap, chord and exclusion tests are
+each the sign of an integer polynomial of degree <= 2 at such a slope;
+times S^2 it is U + V*sqrt(D) with integers U and V, whose sign is
+surd._root_sign.  Slopes are ordered against the segment's ends and each
+other by integer brackets, lo = floor(x 2^96) and hi = lo, or lo + 1 when
+x 2^96 is not an integer, from surd._floor_form and cached with the
+label's lines: disjoint brackets are conclusive, as each holds its value,
+and only overlapping ones fall back to the exact order surd._form_sign of
+the integer forms, so the walk reads nothing of a label but its integer
+character.  Each gap carries its left end's er and its right end's el, so
+a step looks up only its midpoint (2p+1)/2^(k+1), in lowest terms by
+construction, whose r^2 is K/2.  Tents are built from the same forms and
 checked on them, so surds appear only in a tent's points: build_curve
 prints them, and the point walk compares them directly.
 """
@@ -59,9 +63,9 @@ import math
 from fractions import Fraction
 
 from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _primitive, _record, _scaled_ints,
-                      cross3, to_fraction)
-from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _labels_between,
-                          eplus, el, er, slope_to_label)
+                      cross3)
+from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _label_cache,
+                          _labels_between, eplus, el, er, slope_to_label)
 from .surd import Number, _floor_form, _form_sign, _root_sign
 
 
@@ -138,13 +142,13 @@ class Tent:
         return seg.line.y_at(x)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_label_cache
 def _tent(label: DyadicLabel) -> Tent:
     """The label's tent and exclusion, from its integer character and _tent_ends."""
     r, c, e = _int_char(label)
     # the apex (c/r, e/(2r) - 1/r^2) is at discriminant (c^2 - e r + 2)/(2 r^2)
     assert r * r <= c * c - e * r + 2 <= 2 * r * r, "apex left the curve strip"
-    el_x, _, er_x, chord_l, chord_r = _tent_ends(label)[:5]
+    el_x, _, er_x, chord_l, chord_r = _tent_ends(label.p, label.m)[:5]
     for side, x, chord, nb in ((-1, el_x, chord_l, label.left_neighbor()),
                                (1, er_x, chord_r, label.right_neighbor())):
         assert _on_chord(chord, x[2], side), "contact point off its chord"
@@ -200,7 +204,7 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
     labels = sorted(_labels_between(lo, hi, depth))
     # each label's (el, apex, er) slope entries, read once: a listing longer
     # than the _tent_ends cache would miss it on every second walk
-    spans = [_tent_ends(l)[:3] for l in labels]
+    spans = [_tent_ends(l.p, l.m)[:3] for l in labels]
     for prev, cur in zip(spans, spans[1:]):
         assert _compare(prev[2], cur[0]) < 0, "tent spans overlap"
     w_lo, w_hi = (_slope(w.numerator, 0, 0, w.denominator) for w in (lo, hi))
@@ -255,7 +259,7 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
     """
     if depth < 0:
         raise ValueError("negative depth")
-    return _classify_ints(*_point_ints(to_fraction(p.x), to_fraction(p.y)), depth)
+    return _classify_ints(*_point_ints(p), depth)
 
 
 def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
@@ -347,8 +351,8 @@ def _slope(p: int, q: int, d: int, s: int) -> tuple[int, int, tuple[int, int, in
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _tent_ends(label: DyadicLabel) -> tuple[tuple, ...]:
-    """The label's slopes el, apex and er, and its chords and exclusion, in integers.
+def _tent_ends(p: int, m: int) -> tuple[tuple, ...]:
+    """The slopes el, apex and er of p/2^m, and its chords and exclusion, in integers.
 
     From the integer character (r, c, e = 2 ch2), el and er are the forms
     of exceptional._contact_form and the apex is c/r, each a slope entry
@@ -356,10 +360,10 @@ def _tent_ends(label: DyadicLabel) -> tuple[tuple, ...]:
     through the apex (c/r, e/(2r) - 1/r^2), and the exclusion's bottom
     and top heights, each as a line (K, A, B), y = (A x + B)/K with K = 2 r^2.
     """
-    r, c, e = _int_char(label)
+    r, c, e = _int_char(DyadicLabel(p, m))
     k, bottom = 2 * r * r, e * r - 2
-    return (_slope(*_contact_form(label, -1)), _slope(c, 0, 0, r),
-            _slope(*_contact_form(label, 1)),
+    return (_slope(*_contact_form(r, c, -1)), _slope(c, 0, 0, r),
+            _slope(*_contact_form(r, c, 1)),
             (k, r * (2 * c - 3 * r), bottom - 2 * c * c + 3 * r * c),
             (k, r * (2 * c + 3 * r), bottom - 2 * c * c - 3 * r * c),
             (k, 0, bottom), (k, 0, e * r))
@@ -409,27 +413,27 @@ def _line_sign(seg: tuple[int, int, int], line: tuple[int, int, int], x: tuple) 
     return _root_sign(a1 * p + (lc * k - lcd * b) * s, a1 * q, d)
 
 
-def _segment_ints(pts: list) -> tuple[bool, tuple[int, int, int]] | None:
-    """Whether the second of two rational ends comes first, and the line, or None.
+def _segment_ints(u: tuple, v: tuple) -> tuple[bool, tuple[int, int, int]] | None:
+    """Whether the second of two ends comes first, and the line, or None.
 
-    Each end (x, y) is the integer vector d (1, x, y), d = den(x) den(y),
+    Each end (x, y) is an integer vector (w, X, Y) = w (1, x, y), w > 0,
     and lies below the strip, at discriminant x^2/2 - y > 1, when
-    X^2 - 2 Y d > 2 d^2; then the answer is None.  cross3 of the two
+    X^2 - 2 w Y > 2 w^2; then the answer is None.  cross3 of the two
     vectors, (k0, k1, k2), is the line k0 + k1 x + k2 y = 0 through both,
-    with k2 = d_a d_b (x_b - x_a) and, where that is 0, k1 = d_a d_b (y_a - y_b).
+    with k2 = w_a w_b (x_b - x_a) and, where that is 0, k1 = w_a w_b (y_a - y_b).
     So the ends swap, to run left to right and then upwards, when k2 < 0 or
     k2 = 0 < k1.  The line y = m x + c is then (L, L m, L c) = (k2, -k1, -k0)/g
     with g = gcd(k0, k1, k2) of the sign of k2, by corekit._primitive, which
     makes it primitive with L = lcm(den m, den c) > 0; a vertical segment
-    takes the level line (den y, 0, num y) through its lower end.
+    takes the level line (den y, 0, num y) through its lower end, the
+    primitive (w, 0, Y).
     """
-    u, v = (_point_ints(x, y) for x, y in pts)
-    if any(px * px - 2 * py * d > 2 * d * d for d, px, py in (u, v)):
+    if any(X * X - 2 * w * Y > 2 * w * w for w, X, Y in (u, v)):
         return None
     k0, k1, k2 = cross3(u, v)
     if k2 == 0:
-        y = pts[k1 > 0][1]
-        return k1 > 0, (y.denominator, 0, y.numerator)
+        w, _, y = v if k1 > 0 else u
+        return k1 > 0, _primitive((w, 0, y))[1]
     c, line = _primitive((k2, -k1, -k0))
     return c < 0, line
 
@@ -440,35 +444,43 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
 
     The region consists of points strictly above the curve and off every
     exclusion segment.  With exclude_a the endpoint a itself is allowed
-    to sit on an exclusion or on the curve (half-open segment).  Every
-    rational segment takes the one segment walk, also where both ends
-    are at discriminant <= 0: there an integer apex (n, n^2/2) is the top
-    of the rank-1 exclusion at slope n, which the walk checks like any
-    other exclusion.  A vertical segment takes it too, as the level
-    segment at its lower end over the one-slope span [x, x]: that end has
-    the larger discriminant, so it meets every cell, gap bound and chord
-    that the segment meets.
+    to sit on an exclusion or on the curve (half-open segment).  It is
+    _contains_ints on the ends' integer vectors; a surd end is refused.
     """
     if depth < 0:
         raise ValueError("negative depth")
     if a == b:
         raise ValueError("degenerate segment")
-    pts = [(to_fraction(p.x), to_fraction(p.y)) for p in (a, b)]
-    line = _segment_ints(pts)
+    return _contains_ints(_point_ints(a), _point_ints(b), depth, exclude_a)
+
+
+def _contains_ints(u: tuple, v: tuple, depth: int, exclude_a: bool) -> GeoAnswer:
+    """geo_contains_segment at the ends' distinct integer vectors w (1, x, y), w > 0.
+
+    Every segment takes the one segment walk, also where both ends are at
+    discriminant <= 0: there an integer apex (n, n^2/2) is the top of the
+    rank-1 exclusion at slope n, which the walk checks like any other
+    exclusion.  A vertical segment takes it too, as the level segment at
+    its lower end over the one-slope span [x, x]: that end has the larger
+    discriminant, so it meets every cell, gap bound and chord that the
+    segment meets.
+    """
+    line = _segment_ints(u, v)
     if line is None:
         return GeoAnswer.NO
     # every sign below is taken on seg = (L, L m, L c) of the segment's line
     # y = m x + c, whose discriminant is x^2/2 - m x - c.  A vertical segment
     # is the level segment at its lower end, so only there can a be excused.
     swap, seg = line
-    (x0, _), (x1, _) = reversed(pts) if swap else pts
-    ends = tuple(_slope(x.numerator, 0, 0, x.denominator) for x in (x0, x1))
+    (w0, X0, _), (w1, X1, _) = (v, u) if swap else (u, v)
+    g0, g1 = math.gcd(w0, X0), math.gcd(w1, X1)
+    ends = (_slope(X0 // g0, 0, 0, w0 // g0), _slope(X1 // g1, 0, 0, w1 // g1))
     vertical = ends[0][2] == ends[1][2]
     allowed = ends[swap] if exclude_a and not (vertical and swap) else None
 
-    def blocks(label: DyadicLabel) -> bool:
-        """Whether the label's exclusion or one of its tent chords stops the segment."""
-        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = _tent_ends(label)
+    def blocks(entries: tuple[tuple, ...]) -> bool:
+        """Whether a label's exclusion or a tent chord, from its entries, stops the segment."""
+        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = entries
         # a vertical segment runs up along an exclusion, so a excuses it only at the top
         if (_compare(ends[0], apex_x) <= 0 <= _compare(ends[1], apex_x)
                 and _line_sign(seg, bottom, apex_x[2]) >= 0 >= _line_sign(seg, top, apex_x[2])
@@ -480,8 +492,9 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
 
     def reaches_zero(n: int) -> bool:
         """Whether the discriminant reaches 0 over the unit cell [n, n + 1]."""
-        return (_disc_sign(seg, 1, ends[0][2] if x0 > n else (n, 0, 0, 1)) >= 0
-                or _disc_sign(seg, 1, ends[1][2] if x1 < n + 1 else (n + 1, 0, 0, 1)) >= 0)
+        lo = ends[0][2] if X0 > n * w0 else (n, 0, 0, 1)
+        hi = ends[1][2] if X1 < (n + 1) * w1 else (n + 1, 0, 0, 1)
+        return _disc_sign(seg, 1, lo) >= 0 or _disc_sign(seg, 1, hi) >= 0
 
     # Every exclusion and chord lies at discriminant >= 0, so only the
     # unit cells where the segment reaches 0 hold labels that can stop it.
@@ -489,8 +502,8 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
     # prefix and a suffix of the span, at most a few cells each (the ends
     # are at discriminant <= 1).  The span takes at least one cell, so a
     # vertical segment at an integer n still meets the label n.
-    n0 = math.floor(x0)
-    n1 = max(math.ceil(x1), n0 + 1)
+    n0 = X0 // w0
+    n1 = max(-(-X1 // w1), n0 + 1)
     left = n0
     while left < n1 and reaches_zero(left):
         left += 1
@@ -498,19 +511,21 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
     while right > left and reaches_zero(right - 1):
         right -= 1
     cells = [*range(n0, left), *range(right, n1)]
-    if any(blocks(DyadicLabel(n)) for n in {n for c in cells for n in (c, c + 1)}):
+    integers = {n: _tent_ends(n, 0) for c in cells for n in (c, c + 1)}
+    if any(blocks(entries) for entries in integers.values()):
         return GeoAnswer.NO
     unknown = False
-    # (p, k) is the gap between the adjacent labels p/2^k and (p+1)/2^k
-    gaps = [(n, 0) for n in reversed(cells)]
+    # (p, k, er_x, el_x) is the gap between the adjacent labels p/2^k and
+    # (p+1)/2^k, with the first's er and the second's el
+    gaps = [(n, 0, integers[n][2], integers[n + 1][0]) for n in reversed(cells)]
     while gaps:
-        p, k = gaps.pop()
-        lo, hi = _span(_tent_ends(DyadicLabel(p, k))[2],
-                       _tent_ends(DyadicLabel(p + 1, k))[0], ends)
-        mid = DyadicLabel(2 * p + 1, k + 1)
+        p, k, er_x, el_x = gaps.pop()
+        mid = _tent_ends(2 * p + 1, k + 1)
+        lo, hi = _span(er_x, el_x, ends)
         # the discriminant is convex along the segment, so its values at the
-        # two ends bound it over the stretch; no label of the gap ranks below mid
-        r2 = _int_char(mid)[0] ** 2
+        # two ends bound it over the stretch; no label of the gap ranks below
+        # mid, whose rank r has r^2 = K/2 for its chords' K = 2 r^2
+        r2 = mid[3][0] >> 1
         if _compare(lo, hi) > 0 or (_disc_sign(seg, r2, lo[2]) < 0
                                 and _disc_sign(seg, r2, hi[2]) < 0):
             continue
@@ -519,7 +534,7 @@ def geo_contains_segment(a: AffPt, b: AffPt, depth: int,
             continue
         if blocks(mid):
             return GeoAnswer.NO
-        gaps += [(2 * p + 1, k + 1), (2 * p, k + 1)]
+        gaps += [(2 * p + 1, k + 1, mid[2], el_x), (2 * p, k + 1, er_x, mid[0])]
     return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
 
 

@@ -6,6 +6,7 @@ Exact phase inputs are built from rational points on the unit circle
 
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 import time
@@ -69,6 +70,20 @@ def fresh_run(argv, program=None):
     done = subprocess.run([sys.executable, *head, *argv],
                           env=env, capture_output=True, timeout=30)
     return done, time.perf_counter() - start
+
+
+def label_calls(monkeypatch, run) -> Counter:
+    """The DyadicLabel __init__, __hash__ and __eq__ calls of run's second,
+    warm call; the first fills the caches."""
+    run()
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for name in ("__init__", "__hash__", "__eq__"):
+            method = getattr(DyadicLabel, name)
+            patch.setattr(DyadicLabel, name,
+                          lambda *args, _n=name, _m=method: calls.update([_n]) or _m(*args))
+        run()
+    return calls
 
 
 # The rational point tests as they were taken in Fractions before their

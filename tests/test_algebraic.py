@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import (UPPER_UNITS, in_polygon_by_fractions, random_triple, random_valid_params,
-                      region_by_fractions)
+from conftest import (UPPER_UNITS, in_polygon_by_fractions, label_calls, random_triple,
+                      random_valid_params, region_by_fractions)
 from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
                                  _branch_in_window, _kernel_ints, _lift, _triple_data,
                                  _valid_phases,
@@ -20,7 +20,8 @@ from stabscope.corekit import (AffPt, CharVec, _in_polygon_ints, _scaled_ints, e
                                point_in_polygon)
 import stabscope.exceptional as ex
 from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, char_of,
-                                   detect_triple, mutate_left, mutate_right, triple_from)
+                                   detect_triple, el, eplus, er, mutate_left, mutate_right,
+                                   triple_from)
 from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex, SQCharge,
                                  StabResult, _stable_in_region, in_upper, kernel_point,
                                  z_eval)
@@ -438,6 +439,17 @@ def test_warm_mutations_and_transports_build_no_pattern(monkeypatch):
     calls.clear()
     run()
     assert calls == []
+
+
+def test_warm_transports_and_chart_lookups_hash_no_label(monkeypatch):
+    # the label caches are keyed by the integers (p, m) of their labels
+    def run():
+        t2, p2 = transport_plus_leg(OOO, TRANSPORT_PARAMS, 6)
+        assert transport_plus_leg_inverse(t2, p2, 6) == (OOO, TRANSPORT_PARAMS)
+        for label in _labels_between(Fraction(-1), Fraction(1), 4):
+            char_of(label), eplus(label), el(label), er(label)
+
+    assert label_calls(monkeypatch, run)["__hash__"] == 0
 
 
 def test_geo_sufficient_condition_cross_check():

@@ -91,6 +91,13 @@ def test_bad_triple_exits_2(capsys):
     assert "triple" in err["error"]
 
 
+def test_a_deep_label_in_no_pattern_is_refused_as_no_triple(capsys):
+    # the candidate at 1/2^12000 would rank above MAX_RANK_BITS, but its
+    # neighbours 0 and 1 are not the input's, so it is never built
+    argv = ["mutate", "left", "--triple", f"0,1/{2 ** 12000},1"]
+    assert _one_json_error(capsys, argv) == {"error": "labels do not form a standard triple pattern"}
+
+
 def test_strict_unknown_exits_3(capsys):
     argv = ["classify-point", "--x", "1/2", "--y=-3/8", "--depth", "0"]
     assert run(argv) == 0
@@ -864,14 +871,15 @@ def test_stab_region_skips_the_bundles_own_character_below_its_depth(capsys):
 
 
 def test_stab_region_classifies_each_grid_point_once(capsys, monkeypatch):
+    # every point class is taken by _classify_ints on the point's integer vector
     calls = []
-    classify_point = lepotier.classify_point
+    classify = lepotier._classify_ints
 
-    def counted(p, depth):
-        calls.append(p)
-        return classify_point(p, depth)
+    def counted(w, X, Y, depth):
+        calls.append((w, X, Y))
+        return classify(w, X, Y, depth)
 
-    monkeypatch.setattr(lepotier, "classify_point", counted)
+    monkeypatch.setattr(lepotier, "_classify_ints", counted)
     out = _ok(capsys, ["stab-region", "--label", "0",
                        "--grid=-1/2,1/2,-1/8,1/8,3", "--depth", "6"])
     # seven of the nine points are in the region; none is classified twice

@@ -187,6 +187,18 @@ def test_detect_triple():
     assert detect_triple(lab("0"), lab("1"), lab("3")) is None
 
 
+def test_detect_triple_computes_no_character_of_a_label_in_no_pattern(monkeypatch):
+    # the base's partners are compared on their numerators before the
+    # candidate is built, so a deep label in no pattern costs nothing
+    monkeypatch.setattr(ex, "_CHARS", {})
+    deep = DyadicLabel(1, 12000)
+    for labels in ((lab("0"), deep, lab("1")), (deep, lab("1/2"), lab("3")),
+                   (lab("-2"), lab("1"), deep), (lab("0"), lab("1/2"), deep)):
+        assert detect_triple(*labels) is None
+    assert ex._CHARS == {}
+    assert detect_triple(lab("-2"), lab("0"), lab("1/2")).base == lab("1/2")
+
+
 def random_triples(count: int, rng: random.Random):
     patterns = list(TriplePattern)
     out = []
@@ -513,7 +525,9 @@ def test_caches_stay_bounded_and_rebuild_evicted_characters():
     # a depth-6 label adds itself and at most a few ancestors at once
     assert largest <= ex.CACHE_SIZE + 16
     assert all(f.cache_info().currsize <= ex.CACHE_SIZE for f in cached)
-    assert not any(lbl in ex._CHARS for lbl in first)
+    # the characters are keyed by the integers (p, m) of their labels
+    assert (labels[-1].p, labels[-1].m) in ex._CHARS
+    assert not any((lbl.p, lbl.m) in ex._CHARS for lbl in first)
     for lbl, (c, apex) in first.items():
         assert char_of(lbl) == c and eplus(lbl) == apex
         assert euler_chi(c, c) == 1
@@ -526,11 +540,11 @@ class _CountedChars(dict):
         super().__init__()
         self.limit, self.inserts, self.largest, self.deepest = limit, 0, 0, 0
 
-    def __setitem__(self, label, value):
-        super().__setitem__(label, value)
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
         self.inserts += 1
         self.largest = max(self.largest, len(self))
-        self.deepest = max(self.deepest, label.m)
+        self.deepest = max(self.deepest, key[1])
         # a cache that rebuilt the search's ancestors at every step would
         # take quadratic work; stop it early instead of waiting on it
         assert self.inserts <= self.limit, f"{self.inserts} insertions at depth {self.deepest}"
@@ -577,9 +591,9 @@ def test_a_character_vector_is_built_only_when_asked_for(monkeypatch):
     monkeypatch.setattr(ex, "_CHARS", {})
     assert slope_to_label(Fraction(1, 10 ** 40)) is None
     assert len(ex._CHARS) > 90 and all(c is None for _, c in ex._CHARS.values())
-    deepest = max(ex._CHARS, key=lambda lbl: lbl.m)
+    deepest = DyadicLabel(*max(ex._CHARS, key=lambda key: key[1]))
     r, c, e = ex._int_char(deepest)
     got = char_of(deepest)
-    assert got == CharVec(r, c, Fraction(e, 2)) and ex._CHARS[deepest][1] is got
+    assert got == CharVec(r, c, Fraction(e, 2)) and ex._CHARS[deepest.p, deepest.m][1] is got
     assert char_of(deepest) is got and ExcBundle.of(deepest).char is got
     assert sum(c is not None for _, c in ex._CHARS.values()) == 1

@@ -11,11 +11,11 @@ import mpmath
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import region_by_fractions
+from conftest import label_calls, region_by_fractions
 
-from stabscope import lepotier
-from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _scaled_ints, cross3,
-                               point_in_polygon, slope)
+from stabscope import geometric, lepotier
+from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _point_ints, _primitive,
+                               _scaled_ints, cross3, point_in_polygon, slope, to_fraction)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, _int_char, char_of, el, eplus,
                                    er, is_exceptional_char, slope_to_label)
 from stabscope.geometric import StabResult, exc_stable_at
@@ -247,7 +247,7 @@ def test_segment_line_matches_the_fraction_formulas():
             continue
         for u, v in ((pa, pb), (pb, pa)):
             want = _fraction_line(u, v)
-            assert lepotier._segment_ints([u, v]) == want, (u, v)
+            assert lepotier._segment_ints(_point_ints(AffPt(*u)), _point_ints(AffPt(*v))) == want, (u, v)
             if want is None:
                 seen["below the strip"] += 1
             else:
@@ -974,7 +974,7 @@ def _in_contact_bracket(rng):
     """A strip point whose slope is the midpoint of a contact's integer bracket."""
     m = rng.randint(0, 3)
     label = DyadicLabel(rng.randint(-2 << m, 2 << m), m)
-    lo, hi, _ = lepotier._tent_ends(label)[rng.choice((0, 2))]
+    lo, hi, _ = lepotier._tent_ends(label.p, label.m)[rng.choice((0, 2))]
     x = Fraction(lo + hi, 2 << lepotier._BRACKET_BITS)
     return AffPt(x, x * x / 2 - Fraction(rng.randint(1600, 2100), 4096))
 
@@ -1247,7 +1247,7 @@ def _slope_intercept(line):
 
 def test_integer_forms_match_the_surd_ones():
     for label in _FORM_LABELS:
-        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = lepotier._tent_ends(label)
+        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = lepotier._tent_ends(label.p, label.m)
         assert _surd(el_x[2]) == el(label).x and _surd(er_x[2]) == er(label).x, label
         assert _surd(apex_x[2]) == eplus(label).x, label
         tent = lepotier._tent(label)
@@ -1274,14 +1274,14 @@ def test_tent_checks_catch_seeded_mutations(monkeypatch):
     label = DyadicLabel(5, 3)
     ends, form, int_char = lepotier._tent_ends, lepotier._contact_form, lepotier._int_char
 
-    def right_chord_b_plus_one(lbl):
-        out = list(ends(lbl))
+    def right_chord_b_plus_one(p, m):
+        out = list(ends(p, m))
         k, a, b = out[4]
         out[4] = (k, a, b + 1)
         return tuple(out)
 
-    def left_contact_other_root(lbl, side):
-        p, q, d, s = form(lbl, side)
+    def left_contact_other_root(r, c, side):
+        p, q, d, s = form(r, c, side)
         return (p, -q if side < 0 else q, d, s)
 
     def left_neighbour_moved(lbl):
@@ -1365,7 +1365,7 @@ def test_integer_discriminant_sign_matches_mpmath_and_the_surd_polynomial():
     with mpmath.workdps(50):
         for _ in range(600):
             label = rng.choice(_FORM_LABELS)
-            x = rng.choice(lepotier._tent_ends(label)[:3])[2]
+            x = rng.choice(lepotier._tent_ends(label.p, label.m)[:3])[2]
             v = _surd(x)
             r2 = rng.choice((1, char_of(rng.choice(_FORM_LABELS)).ch0 ** 2))
             bound = Fraction(1, 2) - Fraction(1, 2 * r2)
@@ -1400,7 +1400,7 @@ def test_integer_line_sign_matches_mpmath_and_the_surd_polynomial():
     with mpmath.workdps(50):
         for _ in range(600):
             label = rng.choice(_FORM_LABELS)
-            ends = lepotier._tent_ends(label)
+            ends = lepotier._tent_ends(label.p, label.m)
             x = rng.choice(ends[:3])
             line = rng.choice(ends[3:])
             a, b = _slope_intercept(line)
@@ -1434,8 +1434,8 @@ def _bracket_cases(label):
     """
     slope, k = lepotier._slope, 1 << 100
     out = [((lbl, i), e) for lbl in (label.left_neighbor(), label, label.right_neighbor())
-           for i, e in enumerate(lepotier._tent_ends(lbl)[:3])]
-    el_x, apex_x, er_x = lepotier._tent_ends(label)[:3]
+           for i, e in enumerate(lepotier._tent_ends(lbl.p, lbl.m)[:3])]
+    el_x, apex_x, er_x = lepotier._tent_ends(label.p, label.m)[:3]
     p, _, _, s = apex_x[2]
     out.append(((label, 1), slope(3 * p, 0, 0, 3 * s)))
     for i, (lo, hi, (p, q, d, s)) in ((0, el_x), (2, er_x)):
@@ -1464,7 +1464,7 @@ def test_bracket_order_matches_the_surd_order_and_mpmath(monkeypatch):
             cases = [(key, e, _surd(e[2]), _mp(e[2])) for key, e in _bracket_cases(label)]
             # each bracket is lo = floor(x 2^B) and hi = lo or lo + 1 and holds
             # its value, also for S = 1, either sign of Q and a perfect-square D
-            d = lepotier._tent_ends(label)[0][2][2]
+            d = lepotier._tent_ends(label.p, label.m)[0][2][2]
             for lo, hi, form in [e for _, e, _, _ in cases] + [
                     lepotier._slope(p, q, dd, 1) for p in (0, 3) for q in (-1, 1) for dd in (d, 9)]:
                 x = _surd(form)
@@ -1493,3 +1493,169 @@ def test_the_segment_walk_leaves_the_surd_points_alone():
     answers = {geo_contains_segment(a, b, depth, exclude_a=True) for a, b, depth in segments}
     assert answers == set(GeoAnswer) and lepotier._tent_ends.cache_info().currsize > 0
     assert [cache.cache_info().currsize for cache in caches[:4]] == [0, 0, 0, 0]
+
+
+def _label_keyed_segment(a, b, depth, exclude_a=False):
+    """geo_contains_segment as it was when its gap walk named each label:
+    the ends read as Fractions, each gap's end slopes and its midpoint's rank
+    looked up by label, and the integer labels' entries looked up again.
+    """
+    ends_of = lambda label: lepotier._tent_ends(label.p, label.m)
+    pts = [(to_fraction(p.x), to_fraction(p.y)) for p in (a, b)]
+    u, v = ((x.denominator * y.denominator, x.numerator * y.denominator,
+             y.numerator * x.denominator) for x, y in pts)
+    if any(px * px - 2 * py * d > 2 * d * d for d, px, py in (u, v)):
+        return GeoAnswer.NO
+    k0, k1, k2 = cross3(u, v)
+    if k2 == 0:
+        y = pts[k1 > 0][1]
+        swap, seg = k1 > 0, (y.denominator, 0, y.numerator)
+    else:
+        c, seg = _primitive((k2, -k1, -k0))
+        swap = c < 0
+    (x0, _), (x1, _) = reversed(pts) if swap else pts
+    ends = tuple(lepotier._slope(x.numerator, 0, 0, x.denominator) for x in (x0, x1))
+    vertical = ends[0][2] == ends[1][2]
+    allowed = ends[swap] if exclude_a and not (vertical and swap) else None
+    compare, span, line_sign = lepotier._compare, lepotier._span, lepotier._line_sign
+
+    def blocks(label):
+        el_x, apex_x, er_x, chord_l, chord_r, bottom, top = ends_of(label)
+        if (compare(ends[0], apex_x) <= 0 <= compare(ends[1], apex_x)
+                and line_sign(seg, bottom, apex_x[2]) >= 0 >= line_sign(seg, top, apex_x[2])
+                and not (allowed is not None and compare(apex_x, allowed) == 0
+                         and (not vertical or line_sign(seg, top, apex_x[2]) == 0))):
+            return True
+        return not (lepotier._above_chord(seg, chord_l, span(el_x, apex_x, ends), allowed)
+                    and lepotier._above_chord(seg, chord_r, span(apex_x, er_x, ends), allowed))
+
+    def reaches_zero(n):
+        return (lepotier._disc_sign(seg, 1, ends[0][2] if x0 > n else (n, 0, 0, 1)) >= 0
+                or lepotier._disc_sign(seg, 1, ends[1][2] if x1 < n + 1 else (n + 1, 0, 0, 1)) >= 0)
+
+    n0, n1 = math.floor(x0), max(math.ceil(x1), math.floor(x0) + 1)
+    left = n0
+    while left < n1 and reaches_zero(left):
+        left += 1
+    right = n1
+    while right > left and reaches_zero(right - 1):
+        right -= 1
+    cells = [*range(n0, left), *range(right, n1)]
+    if any(blocks(DyadicLabel(n)) for n in {n for c in cells for n in (c, c + 1)}):
+        return GeoAnswer.NO
+    unknown = False
+    gaps = [(n, 0) for n in reversed(cells)]
+    while gaps:
+        p, k = gaps.pop()
+        lo, hi = span(ends_of(DyadicLabel(p, k))[2], ends_of(DyadicLabel(p + 1, k))[0], ends)
+        mid = DyadicLabel(2 * p + 1, k + 1)
+        r2 = _int_char(mid)[0] ** 2
+        if compare(lo, hi) > 0 or (lepotier._disc_sign(seg, r2, lo[2]) < 0
+                                   and lepotier._disc_sign(seg, r2, hi[2]) < 0):
+            continue
+        if k == depth:
+            unknown = True
+            continue
+        if blocks(mid):
+            return GeoAnswer.NO
+        gaps += [(2 * p + 1, k + 1), (2 * p, k + 1)]
+    return GeoAnswer.UNKNOWN if unknown else GeoAnswer.YES
+
+
+def _label_keyed_stability(E, P, depth):
+    """_stable_in_region as it was: the point class, the segment from E's
+    projected character and the shift rule on E's Fraction slope."""
+    eff = max(depth, E.label.m)
+    if classify_point(P, eff) is not RegionClass.GEO_LP:
+        return None
+    answer = _label_keyed_segment(E.char.proj(), P, eff, exclude_a=True)
+    if answer is not GeoAnswer.YES:
+        return StabResult.UNKNOWN if answer is GeoAnswer.UNKNOWN else StabResult.NOT_STABLE
+    return StabResult.STABLE_UNSHIFTED if P.x < E.slope else StabResult.STABLE_SHIFTED
+
+
+def _raster_points(rng, E):
+    """Points around E as stab-region's raster takes them: a grid from just
+    below E's discriminant less 1/4 to 4/5, off E's slope, and points right
+    above E's projected character, on its slope."""
+    alpha, r = E.slope, E.rank
+    d_lo = (1 - 1 / (r * r)) / 2 - Fraction(1, 4)
+    shift = Fraction(rng.randint(-4, 4), 64)
+    for j in range(4):
+        delta = d_lo + (Fraction(4, 5) - d_lo) * Fraction(j, 3)
+        for i in range(4):
+            x = alpha + Fraction(2 * i - 3, 8) + shift
+            yield AffPt(x, x * x / 2 - delta)
+    top = E.char.proj()
+    yield AffPt(top.x, top.y + Fraction(rng.randint(1, 40), 64))
+
+
+def _slice_points(rng, n, depth):
+    """Points in the cell n just off the apex of a midpoint of a gap of the
+    given depth, between that midpoint's exclusion top and discriminant 1/2:
+    the gap is open there, at the budget depth and at any budget below it."""
+    mid = DyadicLabel(2 * ((n << depth) + rng.randrange(1 << depth)) + 1, depth + 1)
+    r, c, _ = _int_char(mid)
+    for _ in range(2):
+        x = Fraction(c, r) + Fraction(rng.choice((-1, 1)), r * r << rng.randint(8, 40))
+        delta = (1 - Fraction(1, r * r) * Fraction(rng.randint(1, 9), 10)) / 2
+        yield AffPt(x, x * x / 2 - delta)
+
+
+def test_the_integer_walk_matches_the_label_keyed_walk():
+    rng = random.Random(32)
+    answers, verdicts = Counter(), Counter()
+    for n0 in (-2, 0, 3):
+        for f in (0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), Fraction(5, 16)):
+            E = ExcBundle.of(DyadicLabel.from_value(n0 + f))
+            slice_depth = rng.randint(0, 6)
+            points = [*_raster_points(rng, E), *_slice_points(rng, n0, slice_depth)]
+            for P in points:
+                depth = rng.randint(0, 8)
+                want = _label_keyed_stability(E, P, depth)
+                assert geometric._stable_in_region(E, P, depth) is want, (E.label, P, depth)
+                verdicts[want] += 1
+            # segments between the points, and from and to E's character,
+            # half-open or closed, and a vertical one from each point
+            top = E.char.proj()
+            for a, b in [*zip(points, points[1:]), *((top, P) for P in points),
+                         *((P, top) for P in points),
+                         *((P, AffPt(P.x, P.y - Fraction(rng.randint(1, 64), 128))) for P in points)]:
+                if a == b:
+                    continue
+                depth, exclude_a = rng.randint(0, 8), rng.random() < 0.5
+                want = _label_keyed_segment(a, b, depth, exclude_a)
+                assert geo_contains_segment(a, b, depth, exclude_a=exclude_a) is want, (a, b, depth)
+                answers[want, a.x == b.x] += 1
+    # every answer, of slanted and vertical segments, and every verdict
+    assert {key for key in answers} == {(g, v) for g in GeoAnswer for v in (False, True)}, answers
+    assert set(verdicts) == {None, *StabResult}, verdicts
+
+
+def test_warm_segment_and_stability_tests_build_and_hash_no_label(monkeypatch, capsys):
+    from stabscope.cli import run
+    E = ExcBundle.of(DyadicLabel(3, 3))
+    rng = random.Random(4)
+    points = list(_raster_points(rng, E))
+    # above the strip and off the exclusions a point's class takes no walk
+    above = [P for P in points if P.delta() < Fraction(1, 2)
+             and classify_point(P, 8) is RegionClass.GEO_LP]
+    assert len(above) >= 8
+
+    def segments():
+        for P in points:
+            for depth in (0, 4, 8):
+                geo_contains_segment(E.char.proj(), P, depth, exclude_a=True)
+                geo_contains_segment(P, AffPt(P.x, P.y + 1), depth)
+
+    assert label_calls(monkeypatch, segments) == Counter()
+    assert label_calls(monkeypatch, lambda: [exc_stable_at(E, P, 8) for P in above]) == Counter()
+    # the grid x in [-1, 3/2], y in [1, 2] lies above the strip and off the
+    # exclusions; the run builds only the label it parses
+    argv = ["stab-region", "--label", "3/8", "--grid=-1,3/2,1,2,6", "--depth", "5"]
+    assert label_calls(monkeypatch, lambda: run(argv)) == Counter({"__init__": 1})
+    assert capsys.readouterr().out.count("Stable") > 20
+    # the point walk in the strip still names its labels, but hashes none
+    strip = [P for P in points if Fraction(1, 2) <= P.delta() <= 1]
+    calls = label_calls(monkeypatch, lambda: [classify_point(P, 8) for P in strip])
+    assert strip and calls["__init__"] > 0 and calls["__hash__"] == 0

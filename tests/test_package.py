@@ -134,10 +134,10 @@ def test_no_float_in_a_decision():
 
 # the exact surd kernels of surd.py, the segment walk's sign tests, its
 # slope entries and their ordering, the walk that holds them with its
-# integer line, and the tent's contact check, which take every sign and
-# order on integers
+# integer line, on its ends' integer vectors, and the tent's contact
+# check, which take every sign and order on integers
 SURD_KERNELS = ("_root_sign", "_mixed_sign", "_form_sign", "_floor_form")
-SEGMENT_PREAMBLE = ("geo_contains_segment", "_segment_ints")
+SEGMENT_PREAMBLE = ("geo_contains_segment", "_segment_ints", "_contains_ints")
 INTEGER_SIGNS = SURD_KERNELS + SEGMENT_PREAMBLE + ("_disc_sign", "_line_sign", "_above_chord",
                                                    "_slope", "_tent_ends", "_compare", "_span",
                                                    "_on_chord")
@@ -147,6 +147,10 @@ NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign",
 # the segment's line comes from cross3 of its ends' integer vectors, with
 # no Fraction discriminant or common denominator of its slope and intercept
 NOT_IN_PREAMBLE = NOT_INTEGER + ("delta", "_scaled_ints")
+# exc_stable_at's rule reads P's integer vector once, for its class and the
+# walk, and E's end off its integer character: no projected character,
+# Fraction slope or second reading of P
+NOT_IN_STABILITY = ("proj", "slope", "to_fraction", "Fraction")
 # the slope search of exceptional.py steps on the integer characters; its
 # input is a Fraction, but it takes no CharVec, Fraction slope or surd
 NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
@@ -171,6 +175,7 @@ PHASE_ON_INTS = ("gl_act", "_valid_phases", "_classify_cell", "transport_plus_le
                  "transport_plus_leg_inverse", "_lift", "_branch_in_window")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH,
+           "_stable_in_region": NOT_IN_STABILITY,
            "classify_cell_report": NOT_IN_CHART, "_classify_cell": NOT_IN_CHART,
            "_in_polygon_ints": NOT_IN_POLYGON, **{name: NOT_ON_INTS for name in CHART_ON_INTS},
            **{name: NOT_IN_POINT for name in POINT_DECISIONS}}
@@ -196,14 +201,15 @@ def _non_integer_names(tree):
 def test_the_segment_walk_signs_stay_on_integers():
     root = Path(stabscope.__file__).parent
     trees = {name: ast.parse((root / f"{name}.py").read_text())
-             for name in ("surd", "lepotier", "exceptional")}
+             for name in ("surd", "lepotier", "exceptional", "geometric")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
     # the kernels have one home, and the walk's own tests are in lepotier
     assert set(SURD_KERNELS) <= defined["surd"] and not set(SURD_KERNELS) & defined["lepotier"]
     assert set(INTEGER_SIGNS) - set(SURD_KERNELS) <= defined["lepotier"]
     assert "slope_to_label" in defined["exceptional"]
-    assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], []]
+    assert "_stable_in_region" in defined["geometric"]
+    assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], [], []]
     assert _non_integer_names(ast.parse(
         "def _mixed_sign(r, b1: Fraction, d1, b2, d2):\n    pass")) == [1]
     assert _non_integer_names(ast.parse(
@@ -219,6 +225,12 @@ def test_the_segment_walk_signs_stay_on_integers():
         "def geo_contains_segment(a, b, depth):\n    lcd, ints = corekit._scaled_ints((m, c))")) == [2]
     assert _non_integer_names(ast.parse(
         "def _segment_ints(pts):\n    return delta(pts[0]), _scaled_ints(pts)")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _contains_ints(u, v, depth, a):\n    return Fraction(u[1], u[0]), _tent(v), delta(v)")) == [2, 2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _stable_in_region(E, P, depth):\n    return to_fraction(P.x) < E.slope, E.char.proj()")) == [2, 2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _stable_in_region(E, P, depth):\n    return Fraction(_int_char(E.label)[1])")) == [2]
     assert _non_integer_names(ast.parse("def _disc_sign(s, r, x):\n    return x.delta()")) == []
     assert _non_integer_names(ast.parse("def _disc_sign(s, r: Fraction, x):\n    pass")) == [1]
     assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]

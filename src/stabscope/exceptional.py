@@ -391,12 +391,18 @@ def slope_to_label(mu: Fraction) -> DyadicLabel | None:
     the chase stops before it builds a midpoint of rank above den(mu),
     whose rank could pass MAX_RANK_BITS where den(mu) does not.  Each step
     at least doubles the rank, so the chase ends within den(mu).bit_length()
-    steps.
+    steps.  The chase is _slope_search, which builds a label only on a
+    cache miss.
     """
     mu = Fraction(mu)
-    num, den = mu.numerator, mu.denominator
+    found = _slope_search(mu.numerator, mu.denominator)
+    return None if found is None else DyadicLabel(*found)
+
+
+def _slope_search(num: int, den: int) -> tuple[int, int] | None:
+    """slope_to_label(num/den) as (p, m), for num/den in lowest terms."""
     if den == 1:
-        return DyadicLabel(num)
+        return num, 0
     # the target lies between the adjacent labels p/2^(m-1) and (p+1)/2^(m-1)
     # of slopes ca/ra < mu < cb/rb, first the integers p and p + 1
     p = num // den
@@ -404,13 +410,13 @@ def slope_to_label(mu: Fraction) -> DyadicLabel | None:
     for m in range(1, den.bit_length() + 1):
         if 3 * ra * rb - cb * ra + ca * rb > den:
             return None
-        mid = DyadicLabel(2 * p + 1, m)
-        r, c, _ = _int_char(mid)
+        q = 2 * p + 1
+        r, c, _ = (_CHARS.get((q, m)) or _fill(DyadicLabel(q, m)))[0]
         t = c * den - num * r
         if t == 0:
-            return mid
+            return q, m
         if t < 0:
-            p, ra, ca = 2 * p + 1, r, c
+            p, ra, ca = q, r, c
         else:
             p, rb, cb = 2 * p, r, c
     return None

@@ -358,16 +358,19 @@ class StabResult(enum.Enum):
 def _stable_in_region(E: ExcBundle, P: AffPt, depth: int) -> Optional[StabResult]:
     """The verdict of exc_stable_at, or None when P is off the geometric
     region at max(depth, E.label.m); stab-region skips such a point.  P's
-    integer vector (w, X, Y) serves its class and the walk, whose other end
-    is E's projected character (2r, 2c, e), from E's (r, c, e), never P.
+    integer vector (w, X, Y) serves the walk, whose other end is E's
+    projected character (2r, 2c, e), from E's (r, c, e), and P's class.  A
+    walk that clears the segment has cleared P, so P is classified only on
+    another answer, or at E's own point, which the walk excuses.
     """
     from .lepotier import GeoAnswer, RegionClass, _classify_ints, _contains_ints
     eff = max(depth, E.label.m)
     w, X, Y = _point_ints(P)
-    if _classify_ints(w, X, Y, eff) is not RegionClass.GEO_LP:
-        return None
     r, c, e = _int_char(E.label)
     answer = _contains_ints((2 * r, 2 * c, e), (w, X, Y), eff, True)
+    if ((answer is not GeoAnswer.YES or X * r == c * w and 2 * Y * r == e * w)
+            and _classify_ints(w, X, Y, eff) is not RegionClass.GEO_LP):
+        return None
     if answer is GeoAnswer.UNKNOWN:
         return StabResult.UNKNOWN
     if answer is GeoAnswer.NO:
@@ -384,8 +387,8 @@ def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     of E exceeds the point's first coordinate the bundle itself is the
     stable object, otherwise its single shift is.  The refinement depth
     is raised to the label's own depth so the bundle's anchoring data
-    is always present in the approximation; P is classified at that
-    depth too, so a point on the bundle's own exclusion is refused.
+    is always present in the approximation; unless the walk clears the
+    segment, P is classified at that depth too, and off the region refused.
     The rule lives in _stable_in_region, which stab-region calls too.
     """
     result = _stable_in_region(E, P, depth)

@@ -22,7 +22,7 @@ level segment at its lower end over the span [x, x], so it takes the same
 cells, gaps, bounds and chords as any other.  Above
 the strip only the label of rank r = den(x) can have the slope x, so a
 point is on an exclusion exactly when its discriminant reaches
-(1/2)(1 - 1/r^2) and slope_to_label finds that label; that search stops at
+(1/2)(1 - 1/r^2) and _slope_search finds that label; that search stops at
 rank r and takes no budget, so there every depth gives the same answer.
 Points and segment ends are rational, and a surd one is refused with a
 ValueError.  A point is decided on its integer vector (w, X, Y), w > 0, with
@@ -48,11 +48,12 @@ x 2^96 is not an integer, from surd._floor_form and cached with the
 label's lines: disjoint brackets are conclusive, as each holds its value,
 and only overlapping ones fall back to the exact order surd._form_sign of
 the integer forms, so the walk reads nothing of a label but its integer
-character.  Each gap carries its left end's er and its right end's el, so
-a step looks up only its midpoint (2p+1)/2^(k+1), in lowest terms by
-construction, whose r^2 is K/2.  Tents are built from the same forms and
-checked on them, so surds appear only in a tent's points: build_curve
-prints them, and the point walk compares them directly.
+character; a tent whose span [el, er] the brackets alone put off the
+segment's takes no sign at all.  Each gap carries its left end's er and
+its right end's el, so a step looks up only its midpoint (2p+1)/2^(k+1),
+in lowest terms by construction, whose r^2 is K/2.  Tents are built from
+the same forms and checked on them, so surds appear only in a tent's
+points: build_curve prints them, and the point walk compares them directly.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from fractions import Fraction
 from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _primitive, _record, _scaled_ints,
                       cross3)
 from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _label_cache,
-                          _labels_between, eplus, el, er, slope_to_label)
+                          _labels_between, _slope_search, eplus, el, er)
 from .surd import Number, _floor_form, _form_sign, _root_sign
 
 
@@ -267,13 +268,14 @@ def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
 
     n = X^2 - 2 w Y is 2 w^2 times the discriminant, so the point is above
     the strip when n < w^2 and below it when n > 2 w^2.  Above the strip
-    it is on an exclusion when _top_gap is >= 0 and slope_to_label finds
-    the label of its slope.  Only inside the strip does x become a
-    Fraction, for the point walk.
+    it is on an exclusion when _top_gap is >= 0 and _slope_search finds
+    the label of its slope, building none that _CHARS holds.  Only inside
+    the strip does x become a Fraction, for the point walk.
     """
     n, w2 = X * X - 2 * w * Y, w * w
     if n < w2:
-        if _top_gap(w, X, n) >= 0 and slope_to_label(Fraction(X, w)) is not None:
+        g = math.gcd(w, X)
+        if _top_gap(w, X, n) >= 0 and _slope_search(X // g, w // g) is not None:
             return RegionClass.ON_EXCLUSION
         return RegionClass.GEO_LP
     if n > 2 * w2:
@@ -481,6 +483,9 @@ def _contains_ints(u: tuple, v: tuple, depth: int, exclude_a: bool) -> GeoAnswer
     def blocks(entries: tuple[tuple, ...]) -> bool:
         """Whether a label's exclusion or a tent chord, from its entries, stops the segment."""
         el_x, apex_x, er_x, chord_l, chord_r, bottom, top = entries
+        # the tent's span [el, er] is off the segment's by the brackets alone
+        if er_x[1] < ends[0][0] or el_x[0] > ends[1][1]:
+            return False
         # a vertical segment runs up along an exclusion, so a excuses it only at the top
         if (_compare(ends[0], apex_x) <= 0 <= _compare(ends[1], apex_x)
                 and _line_sign(seg, bottom, apex_x[2]) >= 0 >= _line_sign(seg, top, apex_x[2])

@@ -871,7 +871,8 @@ def test_stab_region_skips_the_bundles_own_character_below_its_depth(capsys):
 
 
 def test_stab_region_classifies_each_grid_point_once(capsys, monkeypatch):
-    # every point class is taken by _classify_ints on the point's integer vector
+    # every point class is taken by _classify_ints on the point's integer
+    # vector, and only where the segment walk does not clear the point
     calls = []
     classify = lepotier._classify_ints
 
@@ -882,9 +883,15 @@ def test_stab_region_classifies_each_grid_point_once(capsys, monkeypatch):
     monkeypatch.setattr(lepotier, "_classify_ints", counted)
     out = _ok(capsys, ["stab-region", "--label", "0",
                        "--grid=-1/2,1/2,-1/8,1/8,3", "--depth", "6"])
-    # seven of the nine points are in the region; none is classified twice
-    assert len(out.splitlines()) == 1 + 7
-    assert len(calls) == len(set(calls)) == 9
+    # seven of the nine points are in the region.  The two off it, E's own
+    # point (0, 0) and (0, -1/8) on its exclusion, are classified, and no
+    # point is classified twice
+    assert out.splitlines() == ["x,y,result", "-1/2,-1/8,StableUnshifted",
+                                "1/2,-1/8,StableShifted", "-1/2,0,StableUnshifted",
+                                "1/2,0,StableShifted", "-1/2,1/8,StableUnshifted",
+                                "0,1/8,StableShifted", "1/2,1/8,StableShifted"]
+    assert {(1, 0, 0), (8, 0, -1)} <= set(calls)
+    assert len(calls) == len(set(calls))
 
 
 def test_top_level_help_lists_every_verb_with_its_help_line(capsys, monkeypatch):

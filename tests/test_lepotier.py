@@ -979,6 +979,25 @@ def _in_contact_bracket(rng):
     return AffPt(x, x * x / 2 - Fraction(rng.randint(1600, 2100), 4096))
 
 
+def test_a_vertical_segment_in_a_contact_bracket_meets_its_tent():
+    # the walk passes over a tent whose span the brackets alone put off the
+    # segment's; at a slope in the bracket of a contact the brackets overlap,
+    # and only the exact order says whether the tent covers the slope
+    answers = Counter()
+    for label in _labels_in(-1, 1, 2):
+        for side in (0, 2):
+            lo, hi, _ = lepotier._tent_ends(label.p, label.m)[side]
+            x = Fraction(lo + hi, 2 << lepotier._BRACKET_BITS)
+            for num in (1600, 2000, 2060, 2100, 2400):
+                a = AffPt(x, x * x / 2 - Fraction(num, 4096))
+                b = AffPt(x, a.y + Fraction(1, 64))
+                for exclude_a in (False, True):
+                    want = _exact_segment(a, b, 4, exclude_a)
+                    assert geo_contains_segment(a, b, 4, exclude_a=exclude_a) is want, (label, side, num)
+                    answers[want] += 1
+    assert set(answers) == set(GeoAnswer), answers
+
+
 def _segment_start(rng, kind):
     if kind == "apex":
         n = rng.randint(-2, 2)
@@ -1659,3 +1678,86 @@ def test_warm_segment_and_stability_tests_build_and_hash_no_label(monkeypatch, c
     strip = [P for P in points if Fraction(1, 2) <= P.delta() <= 1]
     calls = label_calls(monkeypatch, lambda: [classify_point(P, 8) for P in strip])
     assert strip and calls["__init__"] > 0 and calls["__hash__"] == 0
+    # a point on an exclusion above the strip is found by the integer slope
+    # search, which builds no label that the character cache holds
+    on_exclusion = []
+    for label in (DyadicLabel(3, 3), DyadicLabel(-5, 2), DyadicLabel(7, 4), DyadicLabel(2)):
+        x, r = slope(char_of(label)), char_of(label).ch0
+        # discriminants from the exclusion's top, (1/2)(1 - 1/r^2), to below 1/2
+        on_exclusion += [AffPt(x, x * x / 2 - (1 - Fraction(j, 4 * r * r)) / 2) for j in (1, 2, 4)]
+    assert {classify_point(P, 8) for P in on_exclusion} == {RegionClass.ON_EXCLUSION}
+    assert label_calls(monkeypatch,
+                       lambda: [classify_point(P, d) for P in on_exclusion for d in (0, 8)]) == Counter()
+
+
+def _points_of_every_class(rng, E, n0):
+    """Points around E: the raster's, strip points in open gaps, E's
+    exclusion below its character and E's slope above it, points on
+    chords and just below them, on other exclusions, and anywhere."""
+    top, r = E.char.proj(), E.rank
+    yield from _raster_points(rng, E)
+    yield from _slice_points(rng, n0, rng.randint(0, 6))
+    # k = 16 is E's apex
+    for k in (1, 3, 8, 12, 16):
+        yield AffPt(top.x, top.y - Fraction(k, 8 * r * r))
+    for _ in range(3):
+        chord = _chord_point(rng)
+        yield from (chord, AffPt(chord.x, chord.y - Fraction(1, 4096)))
+        yield _exclusion_point(rng)
+        yield _random_point(rng, n0 - 1, n0 + 2)
+
+
+def test_the_walk_first_rule_matches_the_classify_first_rule(monkeypatch):
+    rng = random.Random(34)
+    verdicts, off = Counter(), []
+    for n0 in (-2, 0, 3):
+        for f in (0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), Fraction(5, 16)):
+            E = ExcBundle.of(DyadicLabel.from_value(n0 + f))
+            # E's own point is on its exclusion, at every depth, although
+            # the walk from it to itself excuses it
+            for depth in range(9):
+                assert geometric._stable_in_region(E, E.char.proj(), depth) is None
+                assert _label_keyed_stability(E, E.char.proj(), depth) is None
+            for P in _points_of_every_class(rng, E, n0):
+                depth = rng.randint(0, 8)
+                want = _label_keyed_stability(E, P, depth)
+                assert geometric._stable_in_region(E, P, depth) is want, (E.label, P, depth)
+                in_strip = Fraction(1, 2) <= P.delta() <= 1
+                verdicts[want, in_strip, classify_point(P, max(depth, E.label.m))] += 1
+                if _label_keyed_stability(E, P, 400) is None:
+                    off.append((E, P))
+    # stable and unstable above the strip and inside it, Unknown in open
+    # gaps, and every class off the region
+    for want in (StabResult.STABLE_UNSHIFTED, StabResult.STABLE_SHIFTED, StabResult.NOT_STABLE):
+        assert verdicts[want, False, RegionClass.GEO_LP] and verdicts[want, True, RegionClass.GEO_LP]
+    assert verdicts[StabResult.UNKNOWN, True, RegionClass.GEO_LP]
+    assert {cls for want, _, cls in verdicts if want is None} == set(RegionClass) - {RegionClass.GEO_LP}
+    # off the region at depth 400 the walk still answers None, and it looks
+    # up the same labels as at depth 40: it stops where the point's class does
+    tent_ends = lepotier._tent_ends
+
+    def depths_looked_up(depth):
+        seen = Counter()
+        with monkeypatch.context() as patch:
+            patch.setattr(lepotier, "_tent_ends", lambda p, m: seen.update([m]) or tent_ends(p, m))
+            assert all(geometric._stable_in_region(E, P, depth) is None for E, P in off)
+        return seen
+
+    at_400 = depths_looked_up(400)
+    assert len(off) > 200 and at_400 == depths_looked_up(40) and max(at_400, default=0) < 40
+
+
+def test_a_stable_strip_point_takes_no_point_walk(monkeypatch):
+    E = ExcBundle.of(DyadicLabel(1, 1))
+    stable = [P for P in _raster_points(random.Random(5), E)
+              if Fraction(1, 2) <= P.delta() <= 1 and classify_point(P, 8) is RegionClass.GEO_LP
+              and exc_stable_at(E, P, 8) in (StabResult.STABLE_UNSHIFTED, StabResult.STABLE_SHIFTED)]
+    assert len(stable) >= 2
+    walks = []
+    tent_at = lepotier._tent_at
+    monkeypatch.setattr(lepotier, "_tent_at", lambda x, depth: walks.append(x) or tent_at(x, depth))
+    assert [exc_stable_at(E, P, 8) for P in stable] == [exc_stable_at(E, P, 8) for P in stable]
+    assert walks == []
+    # classify_point itself still takes the point walk
+    classify_point(stable[0], 8)
+    assert walks == [stable[0].x]

@@ -147,13 +147,17 @@ NOT_INTEGER = ("Fraction", "QuadReal", "_poly_sign",
 # the segment's line comes from cross3 of its ends' integer vectors, with
 # no Fraction discriminant or common denominator of its slope and intercept
 NOT_IN_PREAMBLE = NOT_INTEGER + ("delta", "_scaled_ints")
-# exc_stable_at's rule reads P's integer vector once, for its class and the
-# walk, and E's end off its integer character: no projected character,
-# Fraction slope or second reading of P
-NOT_IN_STABILITY = ("proj", "slope", "to_fraction", "Fraction")
+# exc_stable_at's rule reads P's integer vector once, for the walk and its
+# class, and E's end off its integer character: no projected character,
+# Fraction slope or second reading of P.  It walks the segment first and
+# reaches the point walk only through _classify_ints, when the segment
+# walk does not clear P
+NOT_IN_STABILITY = ("proj", "slope", "to_fraction", "Fraction", "_tent_at", "_strip_class")
 # the slope search of exceptional.py steps on the integer characters; its
-# input is a Fraction, but it takes no CharVec, Fraction slope or surd
+# input is a Fraction, but it takes no CharVec, Fraction slope or surd, and
+# neither does its integer core
 NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
+SLOPE_SEARCH = ("slope_to_label", "_slope_search")
 # the chart classifier decides its kernel point on the kernel's integer
 # vector and builds the report's KernelPoint from it after the decision, and
 # the polygon core takes a rational point's signs on integers, comparing
@@ -174,7 +178,8 @@ NOT_IN_POINT = ("QuadReal", "delta", "is_rational", "_exc_delta")
 PHASE_ON_INTS = ("gl_act", "_valid_phases", "_classify_cell", "transport_plus_leg",
                  "transport_plus_leg_inverse", "_lift", "_branch_in_window")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
-           **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE}, "slope_to_label": NOT_IN_SEARCH,
+           **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE},
+           **{name: NOT_IN_SEARCH for name in SLOPE_SEARCH},
            "_stable_in_region": NOT_IN_STABILITY,
            "classify_cell_report": NOT_IN_CHART, "_classify_cell": NOT_IN_CHART,
            "_in_polygon_ints": NOT_IN_POLYGON, **{name: NOT_ON_INTS for name in CHART_ON_INTS},
@@ -207,9 +212,14 @@ def test_the_segment_walk_signs_stay_on_integers():
     # the kernels have one home, and the walk's own tests are in lepotier
     assert set(SURD_KERNELS) <= defined["surd"] and not set(SURD_KERNELS) & defined["lepotier"]
     assert set(INTEGER_SIGNS) - set(SURD_KERNELS) <= defined["lepotier"]
-    assert "slope_to_label" in defined["exceptional"]
+    assert set(SLOPE_SEARCH) <= defined["exceptional"]
     assert "_stable_in_region" in defined["geometric"]
     assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], [], []]
+    # nor does the stability rule import the point walk under its own name
+    stability, = (n for n in ast.walk(trees["geometric"])
+                  if isinstance(n, ast.FunctionDef) and n.name == "_stable_in_region")
+    assert {"_contains_ints", "_classify_ints"} <= _names(stability)
+    assert not {"_tent_at", "_strip_class"} & _names(stability)
     assert _non_integer_names(ast.parse(
         "def _mixed_sign(r, b1: Fraction, d1, b2, d2):\n    pass")) == [1]
     assert _non_integer_names(ast.parse(
@@ -231,6 +241,11 @@ def test_the_segment_walk_signs_stay_on_integers():
         "def _stable_in_region(E, P, depth):\n    return to_fraction(P.x) < E.slope, E.char.proj()")) == [2, 2, 2]
     assert _non_integer_names(ast.parse(
         "def _stable_in_region(E, P, depth):\n    return Fraction(_int_char(E.label)[1])")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _stable_in_region(E, P, depth):\n    from .lepotier import _tent_at\n"
+        "    return _tent_at(x, depth) or lepotier._strip_class(x, y, depth)")) == [3, 3]
+    assert _non_integer_names(ast.parse(
+        "def _stable_in_region(E, P, depth):\n    return _classify_ints(w, X, Y, depth)")) == []
     assert _non_integer_names(ast.parse("def _disc_sign(s, r, x):\n    return x.delta()")) == []
     assert _non_integer_names(ast.parse("def _disc_sign(s, r: Fraction, x):\n    pass")) == [1]
     assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]
@@ -239,6 +254,10 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert _non_integer_names(ast.parse(
         "def slope_to_label(mu):\n    return slope(char_of(mu))")) == [2, 2]
     assert _non_integer_names(ast.parse("def slope_to_label(mu):\n    return Fraction(mu)")) == []
+    assert _non_integer_names(ast.parse(
+        "def _slope_search(num, den):\n    return char_of(DyadicLabel(q, m)).ch1")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _slope_search(num, den):\n    return _CHARS.get((q, m)) or _fill(DyadicLabel(q, m))")) == []
     assert _non_integer_names(ast.parse("def is_exceptional_char(v):\n    return slope(v)")) == []
 
 

@@ -25,13 +25,15 @@ point is on an exclusion exactly when its discriminant reaches
 (1/2)(1 - 1/r^2) and _slope_search finds that label; that search stops at
 rank r and takes no budget, so there every depth gives the same answer.
 Points and segment ends are rational, and a surd one is refused with a
-ValueError.  A point is decided on its integer vector (w, X, Y), w > 0, with
-no Fraction outside the strip: with n = X^2 - 2 w Y, 2 w^2 times its
-discriminant, it is above the strip when n < w^2, below it when n > 2 w^2,
-and reaches the exclusion's top when n r^2 >= w^2 (r^2 - 1), r =
-w/gcd(w, X).  A character on an exclusion is a multiple of its label's own
-exactly when it projects to the top, at equality.  build_curve lists the
-tents, segments and exclusions that meet a window; no decision uses it.
+ValueError.  A point is decided on its integer vector (w, X, Y), w > 0:
+with n = X^2 - 2 w Y, 2 w^2 times its discriminant, it is above the strip
+when n < w^2, below it when n > 2 w^2, and reaches the exclusion's top
+when n r^2 >= w^2 (r^2 - 1), r = w/gcd(w, X).  In the strip it takes the
+signs of the covering label's integer chord and exclusion lines; only x
+becomes a Fraction, for the point walk.  A character on an exclusion is a
+multiple of its label's own exactly when it projects to the top, at
+equality.  build_curve lists the tents, segments and exclusions that meet
+a window; no decision uses it.
 
 The segment walk takes its signs on integers, from its ends' integer
 vectors w (1, x, y), w > 0.  Its line y = m x + c is their cross3, made
@@ -53,7 +55,7 @@ segment's takes no sign at all.  Each gap carries its left end's er and
 its right end's el, so a step looks up only its midpoint (2p+1)/2^(k+1),
 in lowest terms by construction, whose r^2 is K/2.  Tents are built from
 the same forms and checked on them, so surds appear only in a tent's
-points: build_curve prints them, and the point walk compares them directly.
+points, which build_curve prints, and in the point walk's contact points.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _primitive, _record
                       cross3)
 from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _label_cache,
                           _labels_between, _slope_search, eplus, el, er)
-from .surd import Number, _floor_form, _form_sign, _root_sign
+from .surd import _floor_form, _form_sign, _root_sign
 
 
 class RegionClass(enum.Enum):
@@ -101,14 +103,6 @@ class CurveSegment:
     end: AffPt
     line: ProjLine
 
-    @property
-    def x_lo(self) -> Number:
-        return self.start.x
-
-    @property
-    def x_hi(self) -> Number:
-        return self.end.x
-
 
 @_record
 class ExclusionSegment:
@@ -129,18 +123,6 @@ class Tent:
     left: CurveSegment
     right: CurveSegment
     exclusion: ExclusionSegment
-
-    @property
-    def x_lo(self) -> Number:
-        return self.left.start.x
-
-    @property
-    def x_hi(self) -> Number:
-        return self.right.end.x
-
-    def y_on(self, x: Number) -> Number:
-        seg = self.left if x <= self.apex.x else self.right
-        return seg.line.y_at(x)
 
 
 @_label_cache
@@ -221,8 +203,8 @@ def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
                        tuple(t.exclusion for t, _ in kept if lo <= t.exclusion.x <= hi))
 
 
-def _tent_at(x: Fraction, depth: int) -> Tent | None:
-    """The tent of depth <= depth whose closed slope span contains x, or None.
+def _tent_at(x: Fraction, depth: int) -> DyadicLabel | None:
+    """The label of depth <= depth whose tent's closed slope span contains x, or None.
 
     The point walk of classify_point.  It keeps the gap between adjacent
     labels p/2^m and (p+1)/2^m of x's unit cell that x lies in.  The
@@ -231,19 +213,15 @@ def _tent_at(x: Fraction, depth: int) -> Tent | None:
     """
     p = math.floor(x)
     if x <= er(DyadicLabel(p)).x:
-        return _tent(DyadicLabel(p))
+        return DyadicLabel(p)
     if x >= el(DyadicLabel(p + 1)).x:
-        return _tent(DyadicLabel(p + 1))
+        return DyadicLabel(p + 1)
     for m in range(1, depth + 1):
         mid = DyadicLabel(2 * p + 1, m)
-        if x < eplus(mid).x:
-            if x >= el(mid).x:
-                return _tent(mid)
-            p = 2 * p
-        else:
-            if x <= er(mid).x:
-                return _tent(mid)
-            p = 2 * p + 1
+        right = x >= eplus(mid).x
+        if (x <= er(mid).x) if right else (x >= el(mid).x):
+            return mid
+        p = 2 * p + right
     return None
 
 
@@ -252,11 +230,11 @@ def classify_point(p: AffPt, depth: int) -> RegionClass:
 
     Above the strip the only question is membership in an exclusion
     segment, which takes no budget, so there the answer is the same at
-    every depth; inside the strip the covering tent (when one exists at
-    this depth) settles the answer for good, and uncovered strip slopes
-    remain Unknown because deeper tents accumulate there.  The point is
-    decided by _classify_ints on its integer vector; a surd point is
-    refused with to_fraction's ValueError.
+    every depth; inside the strip the covering label's chord and exclusion
+    lines (when one covers x at this depth) settle the answer for good, and
+    uncovered strip slopes remain Unknown because deeper tents accumulate
+    there.  The point is decided by _classify_ints on its integer vector; a
+    surd point is refused with to_fraction's ValueError.
     """
     if depth < 0:
         raise ValueError("negative depth")
@@ -269,8 +247,8 @@ def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
     n = X^2 - 2 w Y is 2 w^2 times the discriminant, so the point is above
     the strip when n < w^2 and below it when n > 2 w^2.  Above the strip
     it is on an exclusion when _top_gap is >= 0 and _slope_search finds
-    the label of its slope, building none that _CHARS holds.  Only inside
-    the strip does x become a Fraction, for the point walk.
+    the label of its slope, building none that _CHARS holds.  In the strip
+    only x becomes a Fraction, for the point walk of _strip_class.
     """
     n, w2 = X * X - 2 * w * Y, w * w
     if n < w2:
@@ -280,7 +258,7 @@ def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
         return RegionClass.GEO_LP
     if n > 2 * w2:
         return RegionClass.BELOW_CURVE
-    return _strip_class(Fraction(X, w), Fraction(Y, w), depth)
+    return _strip_class(w, X, Y, depth)
 
 
 def _top_gap(w: int, X: int, n: int) -> int:
@@ -296,17 +274,24 @@ def _top_gap(w: int, X: int, n: int) -> int:
     return n * r2 - w * w * (r2 - 1)
 
 
-def _strip_class(x: Fraction, y: Fraction, depth: int) -> RegionClass:
-    """classify_point at a point (x, y) of the strip, by the tent that covers x."""
-    tent = _tent_at(x, depth)
-    if tent is None:
+def _strip_class(w: int, X: int, Y: int, depth: int) -> RegionClass:
+    """_classify_ints in the strip, by the signs of the covering label's _tent_ends lines.
+
+    K Y - A X - B w has the sign of the height less that of y = (A x + B)/K: of
+    the chord on x's side of the apex c/r, then at c/r of the exclusion top (K, 0, e r).
+    """
+    label = _tent_at(Fraction(X, w), depth)
+    if label is None:
         return RegionClass.UNKNOWN
-    yt = tent.y_on(x)
-    if y == yt:
+    _, apex_x, _, chord_l, chord_r, _, (_, _, top) = _tent_ends(label.p, label.m)
+    c, _, _, r = apex_x[2]
+    k, a, b = chord_l if X * r <= c * w else chord_r
+    sign = k * Y - a * X - b * w
+    if sign == 0:
         return RegionClass.ON_CURVE
-    if y < yt:
+    if sign < 0:
         return RegionClass.BELOW_CURVE
-    if x == tent.apex.x and y <= tent.exclusion.y_top:
+    if X * r == c * w and k * Y <= top * w:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
 

@@ -90,6 +90,13 @@ def label_calls(monkeypatch, run) -> Counter:
 # integer cores (lepotier._classify_ints, corekit._in_polygon_ints): the
 # references that the cores and the chart classifier are checked against.
 
+def tent_height(tent, x):
+    """The height of a tent at a slope x of its span, on its Fraction chord line:
+    the left chord up to the apex slope, the right one after it.
+    """
+    return (tent.left if x <= tent.apex.x else tent.right).line.y_at(x)
+
+
 def region_by_fractions(p, depth):
     """classify_point at a rational point, on AffPt.delta and the exclusion rule."""
     d = p.delta()
@@ -103,15 +110,23 @@ def region_by_fractions(p, depth):
         return RegionClass.GEO_LP
     if d > 1:
         return RegionClass.BELOW_CURVE
-    tent = lepotier._tent_at(p.x, depth)
-    if tent is None:
+    return strip_by_tent(p.x, p.y, depth)
+
+
+def strip_by_tent(x, y, depth):
+    """The strip rule at a rational (x, y) on the covering label's tent, built,
+    and its Fraction height on the chord on the apex's side of x.
+    """
+    label = lepotier._tent_at(x, depth)
+    if label is None:
         return RegionClass.UNKNOWN
-    yt = tent.y_on(p.x)
-    if p.y == yt:
+    tent = lepotier._tent(label)
+    yt = tent_height(tent, x)
+    if y == yt:
         return RegionClass.ON_CURVE
-    if p.y < yt:
+    if y < yt:
         return RegionClass.BELOW_CURVE
-    if p.x == tent.apex.x and p.y <= tent.exclusion.y_top:
+    if x == tent.apex.x and y <= tent.exclusion.y_top:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
 

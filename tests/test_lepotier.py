@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import label_calls, region_by_fractions
+from conftest import label_calls, region_by_fractions, strip_by_tent, tent_height
 
 from stabscope import geometric, lepotier
 from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _point_ints, _primitive,
@@ -288,7 +288,7 @@ def test_unknown_in_uncovered_gap_on_contact_parabola():
     approx = build_curve(depth, (Fraction(0), Fraction(1)))
     tents = [t for t in approx.tents if nsign(t.apex.x) >= 0]
     left, right = tents[0], tents[1]
-    lo, hi = left.x_hi, right.x_lo
+    lo, hi = left.right.end.x, right.left.start.x
     scale = 10 ** 30
     lo_above = Fraction(math.floor(lo * scale) + 1, scale)
     hi_below = Fraction(math.floor(hi * scale), scale)
@@ -345,10 +345,10 @@ def _reference_point(p, depth):
     approx = _curve_near(p.x, p.x, depth)
     if p.delta() > 1:
         return RegionClass.BELOW_CURVE
-    tents = [t for t in approx.tents if t.x_lo <= p.x <= t.x_hi]
+    tents = [t for t in approx.tents if t.left.start.x <= p.x <= t.right.end.x]
     if not tents:
         return RegionClass.UNKNOWN
-    yt = tents[0].y_on(p.x)
+    yt = tent_height(tents[0], p.x)
     if p.y == yt:
         return RegionClass.ON_CURVE
     if p.y < yt:
@@ -382,7 +382,7 @@ def _reference_segment(a, b, depth, exclude_a):
             if lo <= hi and not (lo == hi and only_a(e.x, lo)):
                 return GeoAnswer.NO
     for seg in approx.segments:
-        lo, hi = max(seg.x_lo, x0), min(seg.x_hi, x1)
+        lo, hi = max(seg.start.x, x0), min(seg.end.x, x1)
         for x in ((lo, hi) if lo <= hi else ()):
             y = ys(x)[0]
             sign = nsign(y - seg.line.y_at(x))
@@ -390,7 +390,7 @@ def _reference_segment(a, b, depth, exclude_a):
                 return GeoAnswer.NO
     safe = delta_safe(depth)
     for left, right in zip(approx.tents, approx.tents[1:]):
-        lo, hi = max(left.x_hi, x0), min(right.x_lo, x1)
+        lo, hi = max(left.right.end.x, x0), min(right.left.start.x, x1)
         if lo <= hi and any(x * x / 2 - ys(x)[0] >= safe for x in (lo, hi)):
             return GeoAnswer.UNKNOWN
     return GeoAnswer.YES
@@ -416,7 +416,7 @@ def _chord_point(rng):
     r = char_of(label).ch0
     x = eplus(label).x + rng.choice([-1, 1]) * Fraction(1, 4 * r * r)
     tent = [t for t in _curve_near(x, x, 3).tents if t.label == label][0]
-    return AffPt(x, tent.y_on(x))
+    return AffPt(x, tent_height(tent, x))
 
 
 def test_walk_matches_enumeration():
@@ -769,7 +769,7 @@ def test_integer_region_core_matches_the_fraction_rule():
         points.append((a.x, a.y))
         for side in (-1, 1):
             x = a.x + Fraction(side, 1000 * int(char_of(tent.label).ch0) ** 2)
-            points.append((x, tent.y_on(x)))
+            points.append((x, tent_height(tent, x)))
     seen = Counter()
     for x, y in points:
         p = AffPt(x, y)
@@ -802,6 +802,100 @@ def test_classify_point_at_the_half_discriminant_takes_the_point_walk():
     # the exclusion top of the label 1/2, at y = -1/4, over d = 8 and over 2
     top = pt("1/2", "-1/4")
     assert lepotier._classify_ints(8, 4, -2, 0) is classify_point(top, 0) is RegionClass.ON_EXCLUSION
+
+
+def _strip_points(rng, cell, count):
+    """Seeded points at discriminants 1/2 to 1 near a unit cell, some on the
+    chord that covers them at depth 8.
+    """
+    points = []
+    for _ in range(count):
+        den = rng.choice((1, 3, 7, 64, 1000, 2 ** 20 + 7))
+        x = cell + Fraction(rng.randint(-den, 2 * den), den)
+        y = x * x / 2 - Fraction(rng.randint(512, 1024), 1024)
+        label = lepotier._tent_at(x, 8)
+        if label is not None and rng.random() < 0.3:
+            y = tent_height(lepotier._tent(label), x)
+        points.append((x, y))
+    return points
+
+
+def _strip_edges():
+    """Points on each chord of the labels of depth <= 3 in the cells at 0 and
+    300, and 2^-60 off them, and the apex, the exclusion and its top, with
+    the class each must take at the label's depth.
+    """
+    eps, unit = Fraction(1, 2 ** 60), 1 << 60
+    edges = []
+    for label in (DyadicLabel(p, m) for n in (0, 300) for m in range(4)
+                  for p in range(n << m, (n + 1 << m) + 1)):
+        tent, (r, _, e) = lepotier._tent(label), _int_char(label)
+        apex, top = tent.apex, Fraction(e, 2 * r)
+        near_contacts = (Fraction(math.floor(el(label).x * unit) + 1, unit),
+                         Fraction(math.floor(er(label).x * unit), unit))
+        for x in (apex.x - Fraction(1, 4 * r * r), apex.x + Fraction(1, 4 * r * r), *near_contacts):
+            y = tent_height(tent, x)
+            edges += [(label, x, y, RegionClass.ON_CURVE), (label, x, y + eps, RegionClass.GEO_LP),
+                      (label, x, y - eps, RegionClass.BELOW_CURVE)]
+        edges += [(label, apex.x, apex.y, RegionClass.ON_CURVE),
+                  (label, apex.x, apex.y - eps, RegionClass.BELOW_CURVE),
+                  (label, apex.x, (apex.y + top) / 2, RegionClass.ON_EXCLUSION),
+                  (label, apex.x, top, RegionClass.ON_EXCLUSION),
+                  (label, apex.x, top + eps, RegionClass.GEO_LP)]
+    return edges
+
+
+def test_strip_verdicts_on_integer_lines_match_the_tent_rule():
+    rng = random.Random(3535)
+    seen = Counter()
+    for cell in (0, 10, 300, 9000):
+        for x, y in _strip_points(rng, cell, 60):
+            w, X, Y = _ints_of(x, y)
+            for depth in range(9):
+                want = strip_by_tent(x, y, depth)
+                seen[want] += 1
+                assert lepotier._strip_class(w, X, Y, depth) is want, (x, y, depth)
+                if Fraction(1, 2) <= x * x / 2 - y <= 1:
+                    assert classify_point(AffPt(x, y), depth) is want, (x, y, depth)
+    assert set(seen) == set(RegionClass) and seen[RegionClass.ON_CURVE] > 100
+    for label, x, y, want in _strip_edges():
+        w, X, Y = _ints_of(x, y)
+        assert strip_by_tent(x, y, label.m) is want, (label, x, y)
+        assert lepotier._strip_class(w, X, Y, label.m) is want, (label, x, y)
+    # the slope 1/2 is left uncovered at depth 0, and the label 1/2 covers it at depth 1
+    w, X, Y = _ints_of(Fraction(1, 2), Fraction(-3, 8))
+    assert lepotier._strip_class(w, X, Y, 0) is RegionClass.UNKNOWN
+    assert lepotier._strip_class(w, X, Y, 1) is RegionClass.ON_EXCLUSION
+
+
+def test_strip_verdicts_build_no_tent(monkeypatch):
+    rng = random.Random(4646)
+    points = [AffPt(x, y) for cell in (0, 10, 300) for x, y in _strip_points(rng, cell, 40)
+              if Fraction(1, 2) <= x * x / 2 - y <= 1]
+    chars = [CharVec(*_ints_of(p.x, p.y)) for p in points]
+    depths = [rng.randint(0, 8) for _ in points]
+    classes = [classify_point(p, depth) for p, depth in zip(points, depths)]
+    answers = [dlp_exists(v, depth) for v, depth in zip(chars, depths)]
+    assert set(classes) == set(RegionClass)
+    assert set(answers) == {DlpResult.YES, DlpResult.NO, DlpResult.UNKNOWN}
+    tent = lepotier._tent
+
+    def cold():
+        for cached in (tent, lepotier._tent_ends, el, er, eplus):
+            cached.cache_clear()
+
+    def refuse(label):
+        raise AssertionError("a tent built for a point decision")
+
+    try:
+        cold()
+        monkeypatch.setattr(lepotier, "_tent", refuse)
+        assert [classify_point(p, depth) for p, depth in zip(points, depths)] == classes
+        cold()
+        assert [dlp_exists(v, depth) for v, depth in zip(chars, depths)] == answers
+    finally:
+        monkeypatch.undo()
+        cold()
 
 
 def test_tent_exclusion_is_the_characters_vertical():
@@ -847,7 +941,8 @@ def test_contact_points_classify_on_the_curve():
             with pytest.raises(ValueError, match="irrational"):
                 point_in_polygon(p, square)
             x = Fraction(math.floor(p.x * unit) + inward, unit)
-            assert x - Fraction(1, unit) < p.x < x + Fraction(1, unit) and tent.x_lo < x < tent.x_hi
+            assert x - Fraction(1, unit) < p.x < x + Fraction(1, unit)
+            assert tent.left.start.x < x < tent.right.end.x
             y = chord.line.y_at(x)
             assert classify_point(AffPt(x, y), label.m) is RegionClass.ON_CURVE, (label, x)
             assert classify_point(AffPt(x, y + eps), label.m) is RegionClass.GEO_LP
@@ -903,7 +998,7 @@ def _exact_vertical(a, b, depth, exclude_a):
         lo, hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
         if lo <= hi and not (exclude_a and lo == hi == a.y):
             return GeoAnswer.NO
-    yt = tent.y_on(x)
+    yt = tent_height(tent, x)
     if y_lo < yt or (y_lo == yt and not (exclude_a and a.y == y_lo)):
         return GeoAnswer.NO
     return GeoAnswer.YES
@@ -924,7 +1019,7 @@ def _exact_segment(a, b, depth, exclude_a):
     allowed = a.x if exclude_a else None
 
     def above(chord):
-        lo, hi = max(chord.x_lo, x0), min(chord.x_hi, x1)
+        lo, hi = max(chord.start.x, x0), min(chord.end.x, x1)
         for x in ((lo, hi) if lo <= hi else ()):
             sign = nsign(line.y_at(x) - chord.line.y_at(x))
             if sign < 0 or (sign == 0 and x != allowed):

@@ -177,6 +177,13 @@ NOT_IN_POINT = ("QuadReal", "delta", "is_rational", "_exc_delta")
 # builds no shifted Phase record to compare once
 PHASE_ON_INTS = ("gl_act", "_valid_phases", "_classify_cell", "transport_plus_leg",
                  "transport_plus_leg_inverse", "_lift", "_branch_in_window")
+# a strip point is decided on its covering label's integer chord and
+# exclusion lines: no point decision builds or reads a tent, a curve
+# segment, a line record or a surd, and only the point walk _tent_at reads
+# the contact points el, er and eplus
+STRIP_DECISIONS = ("_strip_class", "_classify_ints", "classify_point", "dlp_exists")
+NOT_IN_STRIP = ("Tent", "_tent", "y_on", "ProjLine", "CurveSegment", "QuadReal",
+                "el", "er", "eplus")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE},
            **{name: NOT_IN_SEARCH for name in SLOPE_SEARCH},
@@ -186,6 +193,8 @@ REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_POINT for name in POINT_DECISIONS}}
 for _name in PHASE_ON_INTS:
     REFUSED[_name] = (*REFUSED.get(_name, ()), "shifted")
+for _name in STRIP_DECISIONS:
+    REFUSED[_name] = (*REFUSED.get(_name, ()), *NOT_IN_STRIP)
 
 
 def _non_integer_names(tree):
@@ -213,6 +222,7 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert set(SURD_KERNELS) <= defined["surd"] and not set(SURD_KERNELS) & defined["lepotier"]
     assert set(INTEGER_SIGNS) - set(SURD_KERNELS) <= defined["lepotier"]
     assert set(SLOPE_SEARCH) <= defined["exceptional"]
+    assert set(STRIP_DECISIONS) <= defined["lepotier"]
     assert "_stable_in_region" in defined["geometric"]
     assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], [], []]
     # nor does the stability rule import the point walk under its own name
@@ -251,6 +261,12 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert _non_integer_names(ast.parse("def _compare(u, v):\n    return QuadReal(u)")) == [2]
     assert _non_integer_names(ast.parse("def _slope(p, q, d, s):\n    return Fraction(p, s)")) == [2]
     assert _non_integer_names(ast.parse("def _tent(label):\n    return QuadReal(label)")) == []
+    assert _non_integer_names(ast.parse(
+        "def _strip_class(w, X, Y, depth):\n    return _tent(label).y_on(x)")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def dlp_exists(v, depth):\n    return lepotier._tent(label).left.line")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _classify_ints(w, X, Y, depth):\n    return ProjLine(B, A, K).y_at(eplus(l).x)")) == [2, 2]
     assert _non_integer_names(ast.parse(
         "def slope_to_label(mu):\n    return slope(char_of(mu))")) == [2, 2]
     assert _non_integer_names(ast.parse("def slope_to_label(mu):\n    return Fraction(mu)")) == []
@@ -389,3 +405,12 @@ def test_decisions_take_rational_points():
         "def classify_point(p, depth):\n    if not p.is_rational():\n"
         "        return p.delta() >= _exc_delta(2)")) == [2, 3, 3]
     assert _non_integer_names(ast.parse("def classify_point(p, depth):\n    return to_fraction(p.x)")) == []
+
+
+def test_the_curve_records_keep_no_point_queries():
+    # the strip verdict reads the covering label's integer lines, so the
+    # curve output is build_curve's alone and answers no slope or height query
+    from stabscope.lepotier import CurveSegment, Tent
+    for record in (Tent, CurveSegment):
+        for name in ("y_on", "x_lo", "x_hi"):
+            assert not hasattr(record, name), (record.__name__, name)

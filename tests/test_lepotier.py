@@ -887,15 +887,11 @@ def test_strip_verdicts_build_no_tent(monkeypatch):
     def refuse(label):
         raise AssertionError("a tent built for a point decision")
 
-    try:
-        cold()
-        monkeypatch.setattr(lepotier, "_tent", refuse)
-        assert [classify_point(p, depth) for p, depth in zip(points, depths)] == classes
-        cold()
-        assert [dlp_exists(v, depth) for v, depth in zip(chars, depths)] == answers
-    finally:
-        monkeypatch.undo()
-        cold()
+    cold()
+    monkeypatch.setattr(lepotier, "_tent", refuse)
+    assert [classify_point(p, depth) for p, depth in zip(points, depths)] == classes
+    cold()
+    assert [dlp_exists(v, depth) for v, depth in zip(chars, depths)] == answers
 
 
 def test_tent_exclusion_is_the_characters_vertical():

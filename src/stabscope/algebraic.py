@@ -42,13 +42,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import (CharVec, Polygon, _chi2, _in_polygon_ints, _primitive, _record,
-                      _scaled_ints, cross3, det3, parse_rational)
-from .exceptional import (CACHE_SIZE, DyadicLabel, ExcTriple, _int_char, char_of, eplus,
-                          mutate_left, mutate_right)
+from .corekit import CharVec, _chi2, _primitive, _record, _scaled_ints, cross3, det3, parse_rational
+from .exceptional import CACHE_SIZE, DyadicLabel, _int_char, char_of, eplus
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase,
                         RatComplex, ShiftedChar, _angle_cmp, _upper_ray, in_upper)
+from .polygon import Polygon, _in_polygon_ints
 from .surd import QuadReal
+from .triples import ExcTriple, mutate_left, mutate_right
 
 # largest tangent denominator of a rationalized float phase
 _MAX_DEN = 10 ** 6

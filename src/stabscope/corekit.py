@@ -2,8 +2,9 @@
 
 Everything downstream reduces to predicates defined here: the Euler
 pairing on characters, discriminants, the 3-vector cross product and
-3x3 determinants, and point-in-polygon tests with explicit edge and
-vertex inclusion flags.
+3x3 determinants, and the integer vector of a rational point.  Polygons
+and their membership test, which only the chart reads, live in
+stabscope.polygon; their names still resolve here, loaded on first use.
 No floating point in any decision.
 """
 
@@ -13,7 +14,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import _moved
 from .surd import Number, QuadReal, format_rational, parse_rational
+
+__getattr__ = _moved(__name__, "polygon")
 
 
 def _frozen_setattr(self, name, value):
@@ -250,74 +254,3 @@ class Segment:
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError("degenerate segment")
-
-
-@_record
-class Polygon:
-    """A simple polygon with per-edge and per-vertex inclusion flags.
-
-    Edge i joins vertices[i] to vertices[i+1] (cyclically).  The region
-    may be star-shaped; membership is decided by exact crossing parity.
-    The vertices are rational; ``scaled`` holds a common positive
-    denominator and the integer vertices it makes.
-    """
-
-    vertices: tuple[AffPt, ...]
-    edge_included: tuple[bool, ...]
-    vertex_included: tuple[bool, ...]
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        if n < 3 or len(self.edge_included) != n or len(self.vertex_included) != n:
-            raise ValueError("degenerate polygon")
-        qs = [(to_fraction(v.x), to_fraction(v.y)) for v in self.vertices]
-        area2 = Fraction(0)
-        for i in range(n):
-            (px, py), (qx, qy) = qs[i], qs[(i + 1) % n]
-            if (px, py) == (qx, qy):
-                raise ValueError("degenerate polygon: repeated vertex")
-            area2 += px * qy - qx * py
-        if area2 == 0:
-            raise ValueError("degenerate polygon: zero area")
-        den, ints = _scaled_ints([c for q in qs for c in q])
-        object.__setattr__(self, "scaled", (den, tuple(zip(ints[::2], ints[1::2]))))
-
-
-def point_in_polygon(p: AffPt, poly: Polygon) -> bool:
-    """Exact membership of a rational point with the polygon's inclusion flags.
-
-    The point is decided by _in_polygon_ints on its integer vector; a surd
-    point is refused with to_fraction's ValueError.
-    """
-    return _in_polygon_ints(*_point_ints(p), poly)
-
-
-def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:
-    """point_in_polygon at the point (X/w, Y/w), for integers with w > 0.
-
-    With the polygon's integer vertices (vx, vy) over its denominator den,
-    each vertex relative to the point, times w den > 0, is
-    (vx w - X den, vy w - Y den), which keeps every sign of the test, so
-    the point is the origin.  The doubled signed area of the origin with
-    an edge (a, b) is ax by - ay bx.  Boundary cases are resolved first: a
-    vertex at the origin, then an edge of zero area whose ends lie on
-    opposite sides of it.  The interior test is even-odd crossing counting
-    with a horizontal ray to the right: an edge spanning the ray's level
-    (half-open rule) crosses it exactly when its area has the sign of its
-    rise, since the origin is strictly off the boundary there.
-    """
-    den, verts = poly.scaled
-    X, Y = X * den, Y * den
-    rel = [(vx * w - X, vy * w - Y) for vx, vy in verts]
-    for (dx, dy), flag in zip(rel, poly.vertex_included):
-        if dx == 0 and dy == 0:
-            return flag
-    crossings = 0
-    for (ax, ay), (bx, by), flag in zip(rel, rel[1:] + rel[:1], poly.edge_included):
-        area = ax * by - ay * bx
-        if area == 0 and ax * bx + ay * by < 0:
-            return flag
-        rises = by > 0
-        if (ay > 0) != rises and (area > 0) == rises:
-            crossings += 1
-    return crossings % 2 == 1

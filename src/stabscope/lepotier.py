@@ -3,8 +3,8 @@
 Each dyadic label contributes a "tent", two line segments descending from
 the half-discriminant parabola to the point one rank-squared unit below
 the projected character, and a vertical exclusion segment from that
-character down to the tent apex, cached with the tent.  Tents are
-disjoint and ordered like their labels, so no decision needs the whole curve.
+character down to the tent apex.  Tents are disjoint and ordered like
+their labels, so no decision needs the whole curve.
 
 A point walks down the label tree of its unit cell: the midpoint label's
 tent either covers the slope or lies on one side of it, so a point costs
@@ -29,11 +29,13 @@ ValueError.  A point is decided on its integer vector (w, X, Y), w > 0:
 with n = X^2 - 2 w Y, 2 w^2 times its discriminant, it is above the strip
 when n < w^2, below it when n > 2 w^2, and reaches the exclusion's top
 when n r^2 >= w^2 (r^2 - 1), r = w/gcd(w, X).  In the strip it takes the
-signs of the covering label's integer chord and exclusion lines; only x
-becomes a Fraction, for the point walk.  A character on an exclusion is a
+sign of the covering label's integer chord line on its side of the apex,
+and above the apex it is on the exclusion; only x becomes a Fraction,
+for the point walk.  A character on an exclusion is a
 multiple of its label's own exactly when it projects to the top, at
-equality.  build_curve lists the tents, segments and exclusions that meet
-a window; no decision uses it.
+equality.  No decision builds a tent: the tents, segments and exclusions
+that meet a window are stabscope.curve's output, for curve emit, and
+their names still resolve here, loaded on first use.
 
 The segment walk takes its signs on integers, from its ends' integer
 vectors w (1, x, y), w > 0.  Its line y = m x + c is their cross3, made
@@ -55,7 +57,7 @@ segment's takes no sign at all.  Each gap carries its left end's er and
 its right end's el, so a step looks up only its midpoint (2p+1)/2^(k+1),
 in lowest terms by construction, whose r^2 is K/2.  Tents are built from
 the same forms and checked on them, so surds appear only in a tent's
-points, which build_curve prints, and in the point walk's contact points.
+points, which curve emit prints, and in the point walk's contact points.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ import functools
 import math
 from fractions import Fraction
 
-from .corekit import (AffPt, CharVec, ProjLine, _point_ints, _primitive, _record, _scaled_ints,
-                      cross3)
-from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _label_cache,
-                          _labels_between, _slope_search, eplus, el, er)
+from . import _moved
+from .corekit import AffPt, CharVec, _point_ints, _primitive, _scaled_ints, cross3
+from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _slope_search,
+                          eplus, el, er)
 from .surd import _floor_form, _form_sign, _root_sign
+
+__getattr__ = _moved(__name__, "curve")
 
 
 class RegionClass(enum.Enum):
@@ -91,116 +95,6 @@ class GeoAnswer(enum.Enum):
     YES = "Yes"
     NO = "No"
     UNKNOWN = "Unknown"
-
-
-@_record
-class CurveSegment:
-    """One straight piece of the curve, oriented left to right."""
-
-    label: DyadicLabel
-    side: str  # "left" or "right" of the label's apex
-    start: AffPt
-    end: AffPt
-    line: ProjLine
-
-
-@_record
-class ExclusionSegment:
-    """The vertical segment from a projected character down to its tent apex."""
-
-    label: DyadicLabel
-    x: Fraction
-    y_top: Fraction
-    y_bottom: Fraction
-
-
-@_record
-class Tent:
-    """A label's two curve segments, meeting at the apex below it, and its exclusion."""
-
-    label: DyadicLabel
-    apex: AffPt
-    left: CurveSegment
-    right: CurveSegment
-    exclusion: ExclusionSegment
-
-
-@_label_cache
-def _tent(label: DyadicLabel) -> Tent:
-    """The label's tent and exclusion, from its integer character and _tent_ends."""
-    r, c, e = _int_char(label)
-    # the apex (c/r, e/(2r) - 1/r^2) is at discriminant (c^2 - e r + 2)/(2 r^2)
-    assert r * r <= c * c - e * r + 2 <= 2 * r * r, "apex left the curve strip"
-    el_x, _, er_x, chord_l, chord_r = _tent_ends(label.p, label.m)[:5]
-    for side, x, chord, nb in ((-1, el_x, chord_l, label.left_neighbor()),
-                               (1, er_x, chord_r, label.right_neighbor())):
-        assert _on_chord(chord, x[2], side), "contact point off its chord"
-        # the neighbour's projected character (cn/rn, en/(2 rn)) is on y = (A x + B)/K
-        (k, a, b), (rn, cn, en) = chord, _int_char(nb)
-        assert 2 * (a * cn + b * rn) == k * en, "chord misses the neighbour"
-    # y = (A x + B)/K is the line B + A x - K y = 0
-    left_line, right_line = (ProjLine(Fraction(b), Fraction(a), Fraction(-k))
-                             for k, a, b in (chord_l, chord_r))
-    apex = eplus(label)
-    left = CurveSegment(label, "left", el(label), apex, left_line)
-    right = CurveSegment(label, "right", apex, er(label), right_line)
-    # the exclusion runs from the projected character down to the apex
-    exclusion = ExclusionSegment(label, apex.x, Fraction(e, 2 * r), apex.y)
-    return Tent(label, apex, left, right, exclusion)
-
-
-def _on_chord(chord: tuple[int, int, int], x: tuple, side: int) -> bool:
-    """Whether the chord (K, A, B) meets y = (x^2 - 1)/2 at the slope form x, on the apex's side.
-
-    There x is a root of K x^2 - 2 A x - 2 B - K, which at (P + Q sqrt(D))/S,
-    times S^2, is K (P^2 + Q^2 D) - 2 A P S - (2 B + K) S^2 + 2 Q (K P - A S) sqrt(D);
-    D = 9 r^2 - 4 is no square, so both parts vanish.  The chord runs from the
-    apex, below the parabola, to the neighbour above it, so the contact is the
-    root nearer the apex: the larger (Q > 0) on the left, the smaller on the right.
-    """
-    (k, a, b), (p, q, d, s) = chord, x
-    return (k * (p * p + q * q * d) - 2 * a * p * s - (2 * b + k) * s * s == 0
-            and q * (k * p - a * s) == 0 and side * q < 0)
-
-
-@_record
-class CurveApprox:
-    """All tents and exclusions of bounded depth over a slope window."""
-
-    tents: tuple[Tent, ...]
-    segments: tuple[CurveSegment, ...]
-    exclusions: tuple[ExclusionSegment, ...]
-
-
-def build_curve(depth: int, window: tuple[Fraction, Fraction]) -> CurveApprox:
-    """The tents of depth <= depth whose slope span meets the window.
-
-    Of those it keeps the segments that meet the window and the
-    exclusions whose slope lies in it, and builds no other tent.  Output
-    is deterministic and sorted by apex slope.
-    """
-    if depth < 0:
-        raise ValueError("negative depth")
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-    if lo > hi:
-        raise ValueError("empty window")
-    labels = sorted(_labels_between(lo, hi, depth))
-    # each label's (el, apex, er) slope entries, read once: a listing longer
-    # than the _tent_ends cache would miss it on every second walk
-    spans = [_tent_ends(l.p, l.m)[:3] for l in labels]
-    for prev, cur in zip(spans, spans[1:]):
-        assert _compare(prev[2], cur[0]) < 0, "tent spans overlap"
-    w_lo, w_hi = (_slope(w.numerator, 0, 0, w.denominator) for w in (lo, hi))
-
-    def meets(start: tuple, end: tuple) -> bool:
-        return _compare(end, w_lo) >= 0 and _compare(w_hi, start) >= 0
-
-    kept = [(_tent(l), span) for l, span in zip(labels, spans) if meets(span[0], span[2])]
-    segments = tuple(seg for t, (el_x, apex_x, er_x) in kept
-                     for seg, start, end in ((t.left, el_x, apex_x), (t.right, apex_x, er_x))
-                     if meets(start, end))
-    return CurveApprox(tuple(t for t, _ in kept), segments,
-                       tuple(t.exclusion for t, _ in kept if lo <= t.exclusion.x <= hi))
 
 
 def _tent_at(x: Fraction, depth: int) -> DyadicLabel | None:
@@ -277,13 +171,15 @@ def _top_gap(w: int, X: int, n: int) -> int:
 def _strip_class(w: int, X: int, Y: int, depth: int) -> RegionClass:
     """_classify_ints in the strip, by the signs of the covering label's _tent_ends lines.
 
-    K Y - A X - B w has the sign of the height less that of y = (A x + B)/K: of
-    the chord on x's side of the apex c/r, then at c/r of the exclusion top (K, 0, e r).
+    K Y - A X - B w has the sign of the height less that of y = (A x + B)/K on
+    the chord on x's side of the apex c/r.  A point above the apex at c/r is
+    on the exclusion: a strip point's discriminant is at least 1/2, and the
+    exclusion's top, at (1/2)(1 - 1/r^2), is below that.
     """
     label = _tent_at(Fraction(X, w), depth)
     if label is None:
         return RegionClass.UNKNOWN
-    _, apex_x, _, chord_l, chord_r, _, (_, _, top) = _tent_ends(label.p, label.m)
+    _, apex_x, _, chord_l, chord_r, _, _ = _tent_ends(label.p, label.m)
     c, _, _, r = apex_x[2]
     k, a, b = chord_l if X * r <= c * w else chord_r
     sign = k * Y - a * X - b * w
@@ -291,7 +187,7 @@ def _strip_class(w: int, X: int, Y: int, depth: int) -> RegionClass:
         return RegionClass.ON_CURVE
     if sign < 0:
         return RegionClass.BELOW_CURVE
-    if X * r == c * w and k * Y <= top * w:
+    if X * r == c * w:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
 

@@ -4,6 +4,7 @@ Exact phase inputs are built from rational points on the unit circle
 (Pythagorean unit vectors) so every generated parameter set is exact.
 """
 
+import functools
 import os
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import stabscope
-from stabscope import lepotier
+from stabscope import curve, lepotier
 from stabscope.algebraic import ThetaParams, validate_params
 from stabscope.corekit import to_fraction
 from stabscope.exceptional import (DyadicLabel, ExcTriple, TriplePattern, slope_to_label,
@@ -87,7 +88,7 @@ def label_calls(monkeypatch, run) -> Counter:
 
 
 # The rational point tests as they were taken in Fractions before their
-# integer cores (lepotier._classify_ints, corekit._in_polygon_ints): the
+# integer cores (lepotier._classify_ints, polygon._in_polygon_ints): the
 # references that the cores and the chart classifier are checked against.
 
 def tent_height(tent, x):
@@ -120,7 +121,7 @@ def strip_by_tent(x, y, depth):
     label = lepotier._tent_at(x, depth)
     if label is None:
         return RegionClass.UNKNOWN
-    tent = lepotier._tent(label)
+    tent = curve._tent(label)
     yt = tent_height(tent, x)
     if y == yt:
         return RegionClass.ON_CURVE
@@ -129,6 +130,51 @@ def strip_by_tent(x, y, depth):
     if x == tent.apex.x and y <= tent.exclusion.y_top:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
+
+
+# Exceptional slopes by arithmetic alone, an oracle independent of the label
+# tree: no DyadicLabel, character cache, slope search or slope form.  A slope
+# c/r in lowest terms is a label's exactly when e = (1 + c^2 - r^2)/r, which
+# is 2 ch2 there, is an integer with 3c + e even (chi(E, E) = 1 and chi(E)
+# integral), and no tent of a label of smaller rank covers c/r.  A tent of
+# rank k covers less than 1/(2 k^2) on either side of its slope, so by
+# Legendre's theorem that label's slope is an earlier convergent of c/r.
+
+def _convergents(num, den):
+    """The convergents h/k of num/den, den > 0, in order; the last is num/den."""
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while den:
+        a, rest = divmod(num, den)
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        yield h1, k1
+        num, den = den, rest
+
+
+def _arith_under(h, k, num, den):
+    """Whether num/den lies under the tent of the slope h/k of rank k.
+
+    The tent spans d = |num/den - h/k| up to the smaller root of
+    d^2 - 3 d + 1/k^2, so d < 3/2 and that quadratic is >= 0; with
+    d = n/(den k), times (den k)^2 it is n^2 - 3 n den k + den^2.
+    """
+    n, dk = abs(num * k - h * den), den * k
+    return 2 * n < 3 * dk and n * n - 3 * n * dk + den * den >= 0
+
+
+@functools.lru_cache(maxsize=None)
+def _arith_slope(c, r):
+    """Whether c/r, in lowest terms with r > 0, is a label's slope."""
+    e, rest = divmod(1 + c * c - r * r, r)
+    if rest or (3 * c + e) % 2:
+        return False
+    return not any(k < r and _arith_under(h, k, c, r) and _arith_slope(h, k)
+                   for h, k in _convergents(c, r))
+
+
+def _arith_cover(num, den):
+    """The slope (c, r) of the label whose tent covers num/den, den > 0, or None."""
+    return next(((h, k) for h, k in _convergents(num, den)
+                 if _arith_under(h, k, num, den) and _arith_slope(h, k)), None)
 
 
 def in_polygon_by_fractions(p, poly):

@@ -16,9 +16,9 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
                                  mz_polygon, stable_set_pure, tr_polygon,
                                  transport_plus_leg,
                                  transport_plus_leg_inverse, validate_params)
-from stabscope.corekit import (AffPt, CharVec, _in_polygon_ints, _scaled_ints, euler_chi,
+from stabscope.corekit import (AffPt, CharVec, _scaled_ints, euler_chi,
                                point_in_polygon)
-import stabscope.exceptional as ex
+import stabscope.triples as tr
 from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, char_of,
                                    detect_triple, el, eplus, er, mutate_left, mutate_right,
                                    triple_from)
@@ -26,6 +26,7 @@ from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex, SQCh
                                  StabResult, _stable_in_region, in_upper, kernel_point,
                                  z_eval)
 from stabscope.lepotier import RegionClass, classify_point
+from stabscope.polygon import _in_polygon_ints
 
 OOO = triple_from(TriplePattern.ADJACENT, DyadicLabel(1))
 
@@ -420,9 +421,9 @@ def test_warm_mutations_and_transports_build_no_pattern(monkeypatch):
     # a triple's labels are built once, when the triple is; a mutation or a
     # transport afterwards finds its triple by the deepest label alone
     calls = []
-    build = ex._pattern_labels
-    monkeypatch.setattr(ex, "_pattern_labels", lambda *a: calls.append(a) or build(*a))
-    ex._triple_at.cache_clear()
+    build = tr._pattern_labels
+    monkeypatch.setattr(tr, "_pattern_labels", lambda *a: calls.append(a) or build(*a))
+    tr._triple_at.cache_clear()
     triples = [triple_from(pattern, DyadicLabel(p, 3))
                for pattern in TriplePattern for p in range(-7, 9, 2)]
 

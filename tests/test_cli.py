@@ -613,20 +613,21 @@ print(json.dumps({"code": code,
 """
 
 _BASE = ["cli", "corekit", "exceptional", "surd"]
+_CHART = ["algebraic", "geometric", "polygon", "triples", "verbs"]
 # the first twelve golden entries name each verb once, in the CLI's order
 VERB_MODULES = list(zip(GOLDEN_DIGESTS[:12], [
     _BASE,                                          # exc
-    _BASE + ["lepotier"],                           # curve
+    _BASE + ["curve", "lepotier", "render"],        # curve
     _BASE + ["lepotier"],                           # classify-point
     _BASE + ["lepotier"],                           # dlp
     _BASE + ["geometric"],                          # charge
     _BASE + ["geometric", "lepotier"],              # stab-region
-    _BASE,                                          # triple
-    _BASE,                                          # mutate
-    _BASE + ["algebraic", "geometric"],             # classify-cell
-    _BASE + ["algebraic", "geometric"],             # transport
-    _BASE + ["walls"],                              # wall
-    _BASE + ["walls"],                              # walls
+    _BASE + ["triples", "verbs"],                   # triple
+    _BASE + ["triples", "verbs"],                   # mutate
+    _BASE + _CHART,                                 # classify-cell
+    _BASE + _CHART,                                 # transport
+    _BASE + ["verbs", "walls"],                     # wall
+    _BASE + ["render", "verbs", "walls"],           # walls
 ]))
 
 
@@ -642,6 +643,60 @@ def test_each_verb_loads_only_its_modules(golden, modules):
     # the records are made without dataclasses, which also loads inspect
     assert "stabscope.cli" in report["loaded"]
     assert not {"dataclasses", "inspect"} & set(report["before"] + report["loaded"])
+
+
+# runs python -m stabscope.cli with argv, as the benchmark's CLI matrix
+# does, and prints the stabscope modules the process loaded on a last line
+_MAIN_MODULES = """
+import json, runpy, sys
+try:
+    runpy.run_module("stabscope.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+cli = sys.modules.get("stabscope.cli")
+print(json.dumps({"code": code, "cli_is_main": cli is not None and cli.__name__ == "__main__",
+                  "modules": sorted(m[10:] for m in sys.modules if m.startswith("stabscope."))}))
+"""
+
+# code that only a few verbs run: the curve output and its writers, the
+# triples and the chart's polygons
+_CURVE_CODE = {"curve", "render"}
+_TRIPLE_CODE = {"triples", "polygon", "algebraic"}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_DIGESTS[:14], ids=[" ".join(g[0]) for g in GOLDEN_DIGESTS[:14]])
+def test_each_matrix_run_compiles_only_what_it_runs(golden):
+    argv, digest = golden
+    done, _ = fresh_run(argv, program=_MAIN_MODULES)
+    assert done.stderr == b""
+    out, _, last = done.stdout.rstrip(b"\n").rpartition(b"\n")
+    report = json.loads(last)
+    assert report["code"] == 0 and hashlib.sha256(out + b"\n").hexdigest() == digest
+    # the helpers stabscope.verbs imports come from the running module, not a copy
+    assert report["cli_is_main"]
+    loaded = set(report["modules"])
+    assert {"cli", "corekit", "exceptional", "surd"} <= loaded
+    verb = argv[0]
+    if verb in ("classify-point", "dlp", "stab-region"):
+        assert not loaded & _CURVE_CODE
+    if verb in ("exc", "charge", "wall", "classify-point", "dlp"):
+        assert not loaded & _TRIPLE_CODE
+    if verb in ("curve", "walls"):
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        assert ("render" in loaded) == (fmt != "json")
+    if verb == "walls":
+        assert "lepotier" not in loaded
+    if verb in ("exc", "curve", "classify-point", "dlp", "charge", "stab-region"):
+        assert "verbs" not in loaded
+
+
+def test_importing_the_cli_loads_only_the_base_chain():
+    done, _ = fresh_run([], program=(
+        "import json, sys, stabscope.cli; print(json.dumps(sorted("
+        "m for m in sys.modules if m.startswith('stabscope.'))))"))
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout) == ["stabscope.cli", "stabscope.corekit",
+                                       "stabscope.exceptional", "stabscope.surd"]
 
 
 _BAD_TOKENS = st.sampled_from([

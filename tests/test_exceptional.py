@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import _arith_cover
+import stabscope.curve as cv
 import stabscope.exceptional as ex
 import stabscope.lepotier as lp
+import stabscope.triples as tr
 from stabscope.corekit import (CharVec, _chi2, collinear, cross3, delta, det3,
                                euler_chi, slope)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, TriplePattern,
@@ -18,7 +21,7 @@ from stabscope.exceptional import (DyadicLabel, ExcBundle, TriplePattern,
                                    is_exceptional_char, mutate_left,
                                    mutate_right, slope_to_label, triple_from,
                                    twist)
-from stabscope.surd import QuadReal
+from stabscope.surd import _FACTOR_LIMIT, QuadReal, _reduce_radicand
 
 
 def lab(text: str) -> DyadicLabel:
@@ -339,6 +342,39 @@ def test_slope_search_needs_no_budget():
             assert slope_to_label(slope(char_of(label))) == label, label
 
 
+def _oracle_cases():
+    """Every reduced c/r with r <= 200 in [-1, 1), the slopes of seeded deep
+    labels, and seeded fractions next to those slopes."""
+    cases = [(c, r) for r in range(1, 201) for c in range(-r, r) if math.gcd(c, r) == 1]
+    rng = random.Random(2828)
+    for _ in range(30):
+        m = rng.randint(8, 16)
+        r, c, _ = ex._int_char(DyadicLabel(rng.randrange(-1 << m, 2 << m) | 1, m))
+        k = rng.randint(2, 9)
+        cases += [(c, r), (c * k + 1, r * k), (c * k - 1, r * k), (c + r, r)]
+    return cases
+
+
+def test_label_slopes_match_the_arithmetic_oracle():
+    # conftest._arith_cover decides label slopes by arithmetic and Legendre's
+    # theorem, with no label tree, character cache or slope form
+    labels = 0
+    for num, den in _oracle_cases():
+        mu = Fraction(num, den)
+        c, r = mu.numerator, mu.denominator
+        want = _arith_cover(c, r) == (c, r)
+        found = ex._slope_search(c, r)
+        assert (found is not None) == want == (slope_to_label(mu) is not None), mu
+        # the character a label of slope c/r has: chi(E, E) = 1 fixes ch2
+        v = CharVec(r, c, Fraction(1 + c * c - r * r, 2 * r))
+        assert is_exceptional_char(v) == is_exceptional_char(v.scale(3)) == want, mu
+        if want:
+            labels += 1
+            assert DyadicLabel(*found) == slope_to_label(mu) and char_of(DyadicLabel(*found)) == v
+            assert not is_exceptional_char(v + CharVec(0, 0, 1))
+    assert labels > 80
+
+
 def test_rank_and_degree_are_coprime():
     # so the denominator of a label's slope in lowest terms is its rank
     for label in all_labels(2, 10):
@@ -436,7 +472,7 @@ def _detect_by_search(l1, l2, l3):
     for pattern, base in ((TriplePattern.ADJACENT, l2),
                           (TriplePattern.RIGHT_EXTENDED, l1),
                           (TriplePattern.LEFT_EXTENDED, l3)):
-        if ex._pattern_labels(pattern, base) == (l1, l2, l3):
+        if tr._pattern_labels(pattern, base) == (l1, l2, l3):
             return triple_from(pattern, base)
     return None
 
@@ -500,19 +536,50 @@ def test_integer_bases_are_tagged_adjacent_at_the_middle_label():
 
 
 def test_the_triple_cache_stays_bounded():
-    assert ex._triple_at.cache_info().maxsize == ex.CACHE_SIZE
+    assert tr._triple_at.cache_info().maxsize == ex.CACHE_SIZE
     # 4 224 bases of depth 6, more triples than the cache keeps
     bases = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]
     assert len(bases) > ex.CACHE_SIZE
     for base in bases:
         triple_from(TriplePattern.ADJACENT, base)
-    assert ex._triple_at.cache_info().currsize == ex.CACHE_SIZE
+    assert tr._triple_at.cache_info().currsize == ex.CACHE_SIZE
     t = triple_from(TriplePattern.ADJACENT, bases[0])
     assert t.labels == (bases[0].left_neighbor(), bases[0], bases[0].right_neighbor())
 
 
+def test_contact_points_reduce_each_radicand_once(monkeypatch):
+    # both contact points of every label of rank r share sqrt(9 r^2 - 4) =
+    # k sqrt(d), reduced once per rank, also where 9 r^2 - 4 is above
+    # _FACTOR_LIMIT and only squares of small primes come out
+    rng = random.Random(5151)
+    big = [rng.randrange(10 ** 6, 10 ** 40) for _ in range(40)]
+    assert all(9 * r * r - 4 > _FACTOR_LIMIT for r in big)
+    for r in [*range(1, 5001), *big]:
+        assert ex._contact_root(r) == _reduce_radicand(1, 9 * r * r - 4), r
+    # the points are those QuadReal builds on the unreduced radicand
+    labels = [*ex._labels_between(Fraction(-2), Fraction(2), 6)]
+    labels += [DyadicLabel(rng.randrange(1 << m) | 1, m) for m in rng.choices(range(8, 14), k=20)]
+    assert any(9 * ex._int_char(label)[0] ** 2 - 4 > _FACTOR_LIMIT for label in labels)
+    for label in labels:
+        r, c, _ = ex._int_char(label)
+        for point, side in ((el(label), -1), (er(label), 1)):
+            p, q, d, s = ex._contact_form(r, c, side)
+            x = QuadReal(Fraction(p, s), Fraction(q, s), d)
+            y = (x * x - 1) / 2
+            assert (point.x.a, point.x.b, point.x.d, point.y.a, point.y.b, point.y.d) \
+                == (x.a, x.b, x.d, y.a, y.b, y.d), (label, side)
+    # a cold curve listing reduces one radicand per rank, not two per tent
+    reduce, calls = ex._reduce_radicand, []
+    monkeypatch.setattr(ex, "_reduce_radicand", lambda b, d: calls.append(d) or reduce(b, d))
+    for cached in (el, er, eplus, ex._contact_root, cv._tent, lp._tent_ends):
+        cached.cache_clear()
+    tents = cv.build_curve(6, (Fraction(-2), Fraction(2))).tents
+    ranks = {ex._int_char(t.label)[0] for t in tents}
+    assert len(tents) == 257 and len(calls) == len(set(calls)) == len(ranks) == 33
+
+
 def test_caches_stay_bounded_and_rebuild_evicted_characters():
-    cached = (ex.eplus, ex.el, ex.er, lp._tent, lp._tent_ends)
+    cached = (ex.eplus, ex.el, ex.er, ex._contact_root, cv._tent, lp._tent_ends)
     assert all(f.cache_info().maxsize == ex.CACHE_SIZE for f in cached)
     # 4 224 labels of depth 6 in 132 unit cells, more than any cache keeps
     labels = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]

@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from conftest import label_calls, region_by_fractions, strip_by_tent, tent_height
 
-from stabscope import geometric, lepotier
+from stabscope import curve, geometric, lepotier
 from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _point_ints, _primitive,
                                _scaled_ints, cross3, point_in_polygon, slope, to_fraction)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, _int_char, char_of, el, eplus,
@@ -815,21 +815,26 @@ def _strip_points(rng, cell, count):
         y = x * x / 2 - Fraction(rng.randint(512, 1024), 1024)
         label = lepotier._tent_at(x, 8)
         if label is not None and rng.random() < 0.3:
-            y = tent_height(lepotier._tent(label), x)
+            y = tent_height(curve._tent(label), x)
         points.append((x, y))
     return points
 
 
+def _strip_labels():
+    """The labels of depth <= 3 in the cells at 0 and 300."""
+    return [DyadicLabel(p, m) for n in (0, 300) for m in range(4)
+            for p in range(n << m, (n + 1 << m) + 1)]
+
+
 def _strip_edges():
-    """Points on each chord of the labels of depth <= 3 in the cells at 0 and
-    300, and 2^-60 off them, and the apex, the exclusion and its top, with
-    the class each must take at the label's depth.
+    """Points on each chord of the _strip_labels, and 2^-60 off them, and the
+    apex, the exclusion and its top, with the class each must take at the
+    label's depth.
     """
     eps, unit = Fraction(1, 2 ** 60), 1 << 60
     edges = []
-    for label in (DyadicLabel(p, m) for n in (0, 300) for m in range(4)
-                  for p in range(n << m, (n + 1 << m) + 1)):
-        tent, (r, _, e) = lepotier._tent(label), _int_char(label)
+    for label in _strip_labels():
+        tent, (r, _, e) = curve._tent(label), _int_char(label)
         apex, top = tent.apex, Fraction(e, 2 * r)
         near_contacts = (Fraction(math.floor(el(label).x * unit) + 1, unit),
                          Fraction(math.floor(er(label).x * unit), unit))
@@ -840,8 +845,7 @@ def _strip_edges():
         edges += [(label, apex.x, apex.y, RegionClass.ON_CURVE),
                   (label, apex.x, apex.y - eps, RegionClass.BELOW_CURVE),
                   (label, apex.x, (apex.y + top) / 2, RegionClass.ON_EXCLUSION),
-                  (label, apex.x, top, RegionClass.ON_EXCLUSION),
-                  (label, apex.x, top + eps, RegionClass.GEO_LP)]
+                  (label, apex.x, top, RegionClass.ON_EXCLUSION)]
     return edges
 
 
@@ -862,6 +866,13 @@ def test_strip_verdicts_on_integer_lines_match_the_tent_rule():
         w, X, Y = _ints_of(x, y)
         assert strip_by_tent(x, y, label.m) is want, (label, x, y)
         assert lepotier._strip_class(w, X, Y, label.m) is want, (label, x, y)
+    # 2^-60 above the exclusion's top, at discriminant below (1/2)(1 - 1/r^2)
+    # < 1/2, a point is above the strip, which _strip_class never sees
+    for label in _strip_labels():
+        (r, c, e), eps = _int_char(label), Fraction(1, 2 ** 60)
+        above = AffPt(Fraction(c, r), Fraction(e, 2 * r) + eps)
+        assert strip_by_tent(above.x, above.y, label.m) is RegionClass.GEO_LP, label
+        assert classify_point(above, label.m) is RegionClass.GEO_LP, label
     # the slope 1/2 is left uncovered at depth 0, and the label 1/2 covers it at depth 1
     w, X, Y = _ints_of(Fraction(1, 2), Fraction(-3, 8))
     assert lepotier._strip_class(w, X, Y, 0) is RegionClass.UNKNOWN
@@ -878,7 +889,7 @@ def test_strip_verdicts_build_no_tent(monkeypatch):
     answers = [dlp_exists(v, depth) for v, depth in zip(chars, depths)]
     assert set(classes) == set(RegionClass)
     assert set(answers) == {DlpResult.YES, DlpResult.NO, DlpResult.UNKNOWN}
-    tent = lepotier._tent
+    tent = curve._tent
 
     def cold():
         for cached in (tent, lepotier._tent_ends, el, er, eplus):
@@ -888,7 +899,7 @@ def test_strip_verdicts_build_no_tent(monkeypatch):
         raise AssertionError("a tent built for a point decision")
 
     cold()
-    monkeypatch.setattr(lepotier, "_tent", refuse)
+    monkeypatch.setattr(curve, "_tent", refuse)
     assert [classify_point(p, depth) for p, depth in zip(points, depths)] == classes
     cold()
     assert [dlp_exists(v, depth) for v, depth in zip(chars, depths)] == answers
@@ -901,7 +912,7 @@ def test_tent_exclusion_is_the_characters_vertical():
             c = char_of(label)
             top = c.proj()
             want = ExclusionSegment(label, top.x, top.y, top.y - Fraction(1, c.ch0 ** 2))
-            assert lepotier._tent(label).exclusion == want, label
+            assert curve._tent(label).exclusion == want, label
 
 
 def test_a_larger_budget_keeps_stability_verdicts():
@@ -929,7 +940,7 @@ def test_contact_points_classify_on_the_curve():
     square = Polygon((pt(-2, -2), pt(2, -2), pt(2, 2), pt(-2, 2)), (True,) * 4, (True,) * 4)
     labels = [DyadicLabel(p, m) for m in range(5) for p in range(-(1 << m), 1 << m)]
     for label in labels:
-        tent = lepotier._tent(label)
+        tent = curve._tent(label)
         for p, chord, inward in ((el(label), tent.left, 1), (er(label), tent.right, 0)):
             assert not p.x.is_rational
             with pytest.raises(ValueError, match="irrational"):
@@ -961,18 +972,18 @@ def _covering_tent(x, depth):
     """
     p = math.floor(x)
     if x <= er(DyadicLabel(p)).x:
-        return lepotier._tent(DyadicLabel(p))
+        return curve._tent(DyadicLabel(p))
     if x >= el(DyadicLabel(p + 1)).x:
-        return lepotier._tent(DyadicLabel(p + 1))
+        return curve._tent(DyadicLabel(p + 1))
     for m in range(1, depth + 1):
         mid = DyadicLabel(2 * p + 1, m)
         if x < eplus(mid).x:
             if x >= el(mid).x:
-                return lepotier._tent(mid)
+                return curve._tent(mid)
             p = 2 * p
         else:
             if x <= er(mid).x:
-                return lepotier._tent(mid)
+                return curve._tent(mid)
             p = 2 * p + 1
     return DyadicLabel(2 * p + 1, depth + 1)
 
@@ -1023,7 +1034,7 @@ def _exact_segment(a, b, depth, exclude_a):
         return True
 
     def blocks(label):
-        tent = lepotier._tent(label)
+        tent = curve._tent(label)
         exc = tent.exclusion
         if x0 <= exc.x <= x1 and exc.x != allowed and exc.y_bottom <= line.y_at(exc.x) <= exc.y_top:
             return True
@@ -1360,7 +1371,7 @@ def test_integer_forms_match_the_surd_ones():
         el_x, apex_x, er_x, chord_l, chord_r, bottom, top = lepotier._tent_ends(label.p, label.m)
         assert _surd(el_x[2]) == el(label).x and _surd(er_x[2]) == er(label).x, label
         assert _surd(apex_x[2]) == eplus(label).x, label
-        tent = lepotier._tent(label)
+        tent = curve._tent(label)
         # each chord against the line through the apex and the neighbour's
         # projected character, drawn in Fractions
         for chord, seg, nb in ((chord_l, tent.left, label.left_neighbor()),
@@ -1376,7 +1387,7 @@ def test_integer_forms_match_the_surd_ones():
 
 
 def _cold_tents():
-    for cached in (lepotier._tent, lepotier._tent_ends, el, er, eplus):
+    for cached in (curve._tent, lepotier._tent_ends, el, er, eplus):
         cached.cache_clear()
 
 
@@ -1398,19 +1409,19 @@ def test_tent_checks_catch_seeded_mutations(monkeypatch):
         r, c, e = int_char(lbl)
         return (r, c, e + 2) if lbl == label.left_neighbor() else (r, c, e)
 
-    mutations = [("_tent_ends", right_chord_b_plus_one, "contact point off its chord"),
-                 ("_contact_form", left_contact_other_root, "contact point off its chord"),
-                 ("_int_char", left_neighbour_moved, "chord misses the neighbour")]
+    mutations = [(curve, "_tent_ends", right_chord_b_plus_one, "contact point off its chord"),
+                 (lepotier, "_contact_form", left_contact_other_root, "contact point off its chord"),
+                 (curve, "_int_char", left_neighbour_moved, "chord misses the neighbour")]
     try:
-        for name, mutant, message in mutations:
+        for module, name, mutant, message in mutations:
             _cold_tents()
             with monkeypatch.context() as patch:
-                patch.setattr(lepotier, name, mutant)
+                patch.setattr(module, name, mutant)
                 with pytest.raises(AssertionError, match=message):
-                    lepotier._tent(label)
+                    curve._tent(label)
     finally:
         _cold_tents()
-    assert lepotier._tent(label).label == label
+    assert curve._tent(label).label == label
 
 
 def test_the_curve_takes_no_surd_comparison_or_arithmetic(monkeypatch, capsys):
@@ -1597,7 +1608,7 @@ def test_the_segment_walk_leaves_the_surd_points_alone():
         b = _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2))
         if a.x != b.x:
             segments.append((a, b, rng.randint(0, 6)))
-    caches = (el, er, eplus, lepotier._tent, lepotier._tent_ends)
+    caches = (el, er, eplus, curve._tent, lepotier._tent_ends)
     for cache in caches:
         cache.cache_clear()
     answers = {geo_contains_segment(a, b, depth, exclude_a=True) for a, b, depth in segments}

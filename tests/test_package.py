@@ -13,8 +13,8 @@ import stabscope
 from conftest import fresh_run
 from stabscope.corekit import AffPt
 
-MODULES = ("surd", "corekit", "exceptional", "lepotier", "geometric",
-           "algebraic", "walls")
+MODULES = ("surd", "corekit", "polygon", "exceptional", "triples", "lepotier", "curve",
+           "geometric", "algebraic", "walls")
 
 
 def test_import_loads_no_submodule():
@@ -48,6 +48,11 @@ def test_unknown_name_raises_attribute_error():
         stabscope.no_such_name
     with pytest.raises(ImportError):
         exec("from stabscope import no_such_name", {})
+    # a module whose names moved answers those alone, not the new home's private ones
+    for module, name in (("corekit", "_in_polygon_ints"), ("exceptional", "_triple_at"),
+                         ("lepotier", "_tent"), ("lepotier", "no_such_name")):
+        with pytest.raises(AttributeError, match=f"stabscope.{module}' has no attribute '{name}'"):
+            getattr(importlib.import_module(f"stabscope.{module}"), name)
 
 
 def _imported(tree):
@@ -63,7 +68,8 @@ def _imported(tree):
 
 def test_sources_are_python_3_10_and_standard_library_only():
     files = sorted(Path(stabscope.__file__).parent.glob("*.py"))
-    assert len(files) == len(MODULES) + 2  # with __init__ and cli
+    # with __init__, cli and the CLI's output-only verbs and render
+    assert len(files) == len(MODULES) + 4
     for path in files:
         tree = ast.parse(path.read_text(), str(path), feature_version=(3, 10))
         for name in _imported(tree):
@@ -215,16 +221,18 @@ def _non_integer_names(tree):
 def test_the_segment_walk_signs_stay_on_integers():
     root = Path(stabscope.__file__).parent
     trees = {name: ast.parse((root / f"{name}.py").read_text())
-             for name in ("surd", "lepotier", "exceptional", "geometric")}
+             for name in ("surd", "lepotier", "exceptional", "geometric", "curve")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
-    # the kernels have one home, and the walk's own tests are in lepotier
+    # the kernels have one home, the walk's own tests are in lepotier, and
+    # the tent's contact check is with the tents, in curve
     assert set(SURD_KERNELS) <= defined["surd"] and not set(SURD_KERNELS) & defined["lepotier"]
-    assert set(INTEGER_SIGNS) - set(SURD_KERNELS) <= defined["lepotier"]
+    assert set(INTEGER_SIGNS) - set(SURD_KERNELS) - {"_on_chord"} <= defined["lepotier"]
+    assert "_on_chord" in defined["curve"]
     assert set(SLOPE_SEARCH) <= defined["exceptional"]
     assert set(STRIP_DECISIONS) <= defined["lepotier"]
     assert "_stable_in_region" in defined["geometric"]
-    assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], [], []]
+    assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], [], [], []]
     # nor does the stability rule import the point walk under its own name
     stability, = (n for n in ast.walk(trees["geometric"])
                   if isinstance(n, ast.FunctionDef) and n.name == "_stable_in_region")
@@ -298,7 +306,7 @@ def _names(tree):
 
 def test_the_chart_decides_on_integers():
     root = Path(stabscope.__file__).parent
-    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("algebraic", "corekit")}
+    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("algebraic", "polygon")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
     assert {"classify_cell_report", "_classify_cell", *CHART_ON_INTS} <= defined["algebraic"]
@@ -306,7 +314,7 @@ def test_the_chart_decides_on_integers():
     for source in ("from .lepotier import x", "from . import lepotier", "import stabscope.lepotier",
                    "from .corekit import RegionClass", "def f(m):\n    return m._classify_ints(1)"):
         assert _names(ast.parse(source)) & REGION_NAMES, source
-    assert "_in_polygon_ints" in defined["corekit"]
+    assert "_in_polygon_ints" in defined["polygon"]
     assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
     assert _non_integer_names(ast.parse(
         "def classify_cell_report(t, p, depth):\n    kp = KernelPoint.spanned_by(v)\n"
@@ -395,7 +403,8 @@ def test_decisions_take_rational_points():
     # one helper for the primitive integer vector
     assert defined["_primitive"] == 1
     assert "QuadReal" not in _names(trees["lepotier"])
-    assert [_non_integer_names(trees[name]) for name in ("lepotier", "corekit")] == [[], []]
+    assert [_non_integer_names(trees[name]) for name in ("lepotier", "corekit", "polygon", "curve")] \
+        == [[], [], [], []]
     for function in POINT_DECISIONS:
         assert defined[function] == 1
         for name in NOT_IN_POINT:

@@ -18,7 +18,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_triple, random_valid_params
-from stabscope import algebraic, corekit, exceptional, geometric, lepotier, walls
+from stabscope import (algebraic, corekit, curve, exceptional, geometric, lepotier, polygon,
+                       triples, walls)
 from stabscope.exceptional import DyadicLabel, ExcBundle
 from stabscope.surd import QuadReal
 
@@ -60,7 +61,7 @@ def _label(rng):
 
 def _curve(rng):
     lo = Fraction(rng.randint(-4, 3))
-    return lepotier.build_curve(rng.randint(0, 2), (lo, lo + Fraction(rng.randint(1, 4), 4)))
+    return curve.build_curve(rng.randint(0, 2), (lo, lo + Fraction(rng.randint(1, 4), 4)))
 
 
 def _tent(rng):
@@ -117,15 +118,15 @@ RECORDS = [
     (corekit.ProjLine, "c0 c1 c2", {}, "__post_init__",
      lambda rng: corekit.ProjLine(*(_frac(rng) for _ in range(2)), _frac(rng) or 1)),
     (corekit.Segment, "a b", {}, "__post_init__", _segment),
-    (corekit.Polygon, "vertices edge_included vertex_included", {}, "__post_init__", _polygon),
+    (polygon.Polygon, "vertices edge_included vertex_included", {}, "__post_init__", _polygon),
     (exceptional.ExcBundle, "label char", {}, "__hash__", lambda rng: ExcBundle.of(_label(rng))),
-    (exceptional.ExcTriple, "E1 E2 E3 pattern base", {}, "", random_triple),
-    (lepotier.CurveSegment, "label side start end line", {}, "",
+    (triples.ExcTriple, "E1 E2 E3 pattern base", {}, "", random_triple),
+    (curve.CurveSegment, "label side start end line", {}, "",
      lambda rng: rng.choice((_tent(rng).left, _tent(rng).right))),
-    (lepotier.ExclusionSegment, "label x y_top y_bottom", {}, "",
+    (curve.ExclusionSegment, "label x y_top y_bottom", {}, "",
      lambda rng: _tent(rng).exclusion),
-    (lepotier.Tent, "label apex left right exclusion", {}, "", _tent),
-    (lepotier.CurveApprox, "tents segments exclusions", {}, "", _curve),
+    (curve.Tent, "label apex left right exclusion", {}, "", _tent),
+    (curve.CurveApprox, "tents segments exclusions", {}, "", _curve),
     (geometric.RatComplex, "re im", {"im": Fraction(0)}, "__init__", _complex),
     (geometric.SQCharge, "s q", {}, "__init__",
      lambda rng: geometric.SQCharge(_frac(rng), _frac(rng))),
@@ -187,7 +188,8 @@ def _refusal(action):
 
 
 def test_every_record_is_listed_once():
-    made = {obj for mod in (corekit, exceptional, lepotier, geometric, algebraic, walls)
+    made = {obj for mod in (corekit, polygon, exceptional, triples, lepotier, curve, geometric,
+                            algebraic, walls)
             for obj in vars(mod).values()
             if isinstance(obj, type) and obj.__module__ == mod.__name__
             and obj.__setattr__ is corekit._frozen_setattr}

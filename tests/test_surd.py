@@ -88,9 +88,9 @@ def test_float_matches_mpmath(a, b, d):
 def test_float_past_the_float_range_of_the_radicand():
     # label 2731/2^13 has a 787-bit rank, so its contact points carry the
     # radicand 9 r^2 - 4 of 1572 bits, which no float holds
-    from stabscope.cli import _curve_rows
+    from stabscope.curve import _tent
     from stabscope.exceptional import el, er
-    from stabscope.lepotier import _tent
+    from stabscope.render import _curve_rows
     label = DyadicLabel(2731, 13)
     signs = set()
     for point in (el(label), er(label)):

@@ -208,15 +208,17 @@ def _upper_ray(re, im) -> tuple[int, int, int]:
 
     Returns (p, q, j): (p, q) is the primitive integer vector on the ray
     of (-1)^j * (re, im), which lies in the upper half-plane of
-    ``in_upper``.  Integers and fractions are both accepted.
+    ``in_upper``.  Fractions are accepted; _upper_ray_ints takes integers.
     """
-    p = re.numerator * im.denominator
-    q = im.numerator * re.denominator
-    if p == 0 and q == 0:
-        raise ValueError("zero vector has no direction")
+    return _upper_ray_ints(re.numerator * im.denominator, im.numerator * re.denominator)
+
+
+def _upper_ray_ints(p: int, q: int) -> tuple[int, int, int]:
     j = 0
-    if not in_upper(p, q):
+    if q < 0 or q == 0 and p > 0:
         p, q, j = -p, -q, 1
+    elif q == 0 and p == 0:
+        raise ValueError("zero vector has no direction")
     g = math.gcd(p, q)
     return p // g, q // g, j
 
@@ -263,9 +265,7 @@ class Phase(object):
     def _of(cls, re: int, im: int, k: int) -> "Phase":
         """A phase from a primitive upper direction, without the checks."""
         out = object.__new__(cls)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
-        object.__setattr__(out, "k", k)
+        out.__dict__.update(re=re, im=im, k=k)
         return out
 
     def shifted(self, n: int) -> "Phase":
@@ -465,7 +465,7 @@ class GLElement:
         object.__setattr__(self, "scaled", _scaled_ints(entries))
         # the positive real direction has phase 0 here, not 2
         a, _, c, _ = self.scaled[1]
-        p, q, j = _upper_ray(a, c)
+        p, q, j = _upper_ray_ints(a, c)
         object.__setattr__(self, "base", Phase._of(p, q, -1 if j and q == 0 else j))
 
     @property

@@ -68,14 +68,14 @@ def _in_polygon_ints(w: int, X: int, Y: int, poly: Polygon) -> bool:
     den, verts = poly.scaled
     X, Y = X * den, Y * den
     rel = [(vx * w - X, vy * w - Y) for vx, vy in verts]
-    for (dx, dy), flag in zip(rel, poly.vertex_included):
-        if dx == 0 and dy == 0:
-            return flag
+    if (0, 0) in rel:
+        return poly.vertex_included[rel.index((0, 0))]
     crossings = 0
-    for (ax, ay), (bx, by), flag in zip(rel, rel[1:] + rel[:1], poly.edge_included):
+    for i in range(-1, len(rel) - 1):
+        (ax, ay), (bx, by) = rel[i], rel[i + 1]
         area = ax * by - ay * bx
         if area == 0 and ax * bx + ay * by < 0:
-            return flag
+            return poly.edge_included[i]
         rises = by > 0
         if (ay > 0) != rises and (area > 0) == rises:
             crossings += 1

@@ -1,6 +1,7 @@
 """The three-parameter chart: validation, reconstruction, cells, transport."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from conftest import (UPPER_UNITS, in_polygon_by_fractions, label_calls, random_triple,
                       random_valid_params, region_by_fractions)
 from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
-                                 _branch_in_window, _kernel_ints, _lift, _triple_data,
-                                 _valid_phases,
+                                 _branch_in_window, _kernel_ints, _label_data, _lift,
+                                 _phase_gaps, _triple_data,
                                  charge_from_params, classify_cell,
                                  classify_cell_report, gl_act, gl_inverse,
                                  mz_polygon, stable_set_pure, tr_polygon,
@@ -23,8 +24,8 @@ from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, 
                                    detect_triple, el, eplus, er, mutate_left, mutate_right,
                                    triple_from)
 from stabscope.geometric import (GLElement, KernelPoint, Phase, RatComplex, SQCharge,
-                                 StabResult, _stable_in_region, in_upper, kernel_point,
-                                 z_eval)
+                                 StabResult, _stable_in_region, _upper_ray, _upper_ray_ints,
+                                 in_upper, kernel_point, z_eval)
 from stabscope.lepotier import RegionClass, classify_point
 from stabscope.polygon import _in_polygon_ints
 
@@ -453,6 +454,67 @@ def test_warm_transports_and_chart_lookups_hash_no_label(monkeypatch):
     assert label_calls(monkeypatch, run)["__hash__"] == 0
 
 
+def test_warm_chart_ops_build_only_what_they_return(monkeypatch):
+    # a warm chart operation runs on integers: no Fraction, no RatComplex,
+    # each triple's data computed once, and gl_act builds the three phases
+    # and the one parameter record it returns
+    rng = random.Random(4747)
+    samples = [(random_triple(rng, max_m=4), random_valid_params(rng)) for _ in range(40)]
+    elements = []
+    while len(elements) < 4:
+        a, b, c, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        if a * d - b * c > 0:
+            elements.append(GLElement(a, b, c, d, rng.randint(-1, 1)))
+    plus = []
+    while len(plus) < 8:
+        t, p = random_triple(rng, max_m=3), random_valid_params(rng)
+        f1, f2, _ = p.phases()
+        if f1.shifted(1) < f2 and classify_cell(t, p, 6) is CellLabel.PLUS_LEG:
+            plus.append((t, p))
+    triples = {t for t, _ in samples + plus}
+    triples |= {transport_plus_leg(t, p, 6)[0] for t, p in plus}
+
+    def run():
+        # the transported records are compared afterwards: reading their
+        # values builds them
+        for t, p in samples:
+            assert classify_cell(t, p, 6) is classify_cell(t, gl_act(elements[0], p), 6)
+            for g in elements:
+                gl_act(g, p)
+        return [transport_plus_leg_inverse(*transport_plus_leg(t, p, 6), 6) for t, p in plus]
+
+    for t in triples:
+        vars(t).pop("_data", None)
+    _label_data.cache_clear()
+    assert run() == plus
+    assert 0 < _label_data.cache_info().misses <= len(triples)
+    built = Counter()
+    for cls, name in ((Fraction, "__new__"), (RatComplex, "__init__")):
+        method = vars(cls)[name]
+        monkeypatch.setattr(cls, name, lambda *a, _m=method, _n=cls.__name__, **k:
+                            built.update([_n]) or _m(*a, **k))
+    for cls in (Phase, ThetaParams):
+        make = cls._of.__func__
+        monkeypatch.setattr(cls, "_of", classmethod(
+            lambda c, *a, _m=make: built.update([c.__name__]) or _m(c, *a)))
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda *a, _m=init, **k:
+                            built.update([type(a[0]).__name__]) or _m(*a, **k))
+    info = _label_data.cache_info()
+    back = run()
+    assert not built["Fraction"] and not built["RatComplex"]
+    # no miss, and no lookup at all: the data is read off the triple
+    assert _label_data.cache_info() == info
+    assert back == plus
+    for g in elements:
+        for _, p in samples:
+            built.clear()
+            q = gl_act(g, p)
+            assert built == {"Phase": 3, "ThetaParams": 1}
+            assert q._phases == tuple(Phase(*((-z.re, -z.im) if k % 2 else (z.re, z.im)), k)
+                                      for z, k in q.slots())
+
+
 def test_geo_sufficient_condition_cross_check():
     # Narrow phase fans with both gaps at most one and total spread away
     # from two land in the geometric cell.
@@ -716,7 +778,7 @@ def test_phase_order_on_integers_matches_the_phase_records():
                      for _ in range(120)]:
         fs = p.phases()
         ok, gap12, gap23 = _gaps_by_phases(p)
-        assert (_valid_phases(p) is not None) == ok, p
+        assert _phase_gaps(p) == ((gap12, gap23) if ok else None), p
         for f in fs:
             for g in fs:
                 for n in (-1, 0, 1):
@@ -745,8 +807,15 @@ def test_phase_lifts_on_integers_match_the_phase_records():
             assert list(q.values()) == ws and [q.k1, q.k2, q.k3] == ks, (g, p)
     # a direction at the bound is not above it: the lift adds two
     lo = Phase(3, 4, 1)
-    assert [_lift(3, 4, j, lo) for j in (0, 1)] == [2, 3]
-    assert [_lift(-1, 0, j, Phase(-1, 0, -1)) for j in (0, 1)] == [0, 1]
+    assert [_lift(3, 4, j, lo)[0] for j in (0, 1)] == [2, 3]
+    assert [_lift(-1, 0, j, Phase(-1, 0, -1))[0] for j in (0, 1)] == [0, 1]
+    # the flip's integer core: the positive real axis and the lower half-plane
+    # flip, the negative real axis does not, and no zero vector has a direction
+    assert [_upper_ray_ints(*v) for v in ((6, 0), (-6, 0), (4, -6), (-4, 6))] == [
+        (-1, 0, 1), (-1, 0, 0), (-2, 3, 1), (-2, 3, 0)]
+    for ray in (_upper_ray_ints, _upper_ray):
+        with pytest.raises(ValueError, match="zero vector"):
+            ray(0, 0)
     # the negative real axis lands on base + 1, the window's closed end
     for g in EDGE_ELEMENTS:
         q = gl_act(g, _at((-1, 0, 0), (0, 1, 1), (3, 4, 2)))

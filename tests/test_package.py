@@ -171,9 +171,12 @@ SLOPE_SEARCH = ("slope_to_label", "_slope_search")
 NOT_IN_CHART = ("Fraction", "AffPt", "point", "proj", "delta", "classify_point",
                 "point_in_polygon", "_coprime_ints")
 NOT_IN_POLYGON = ("Fraction", "QuadReal", "nsign", "AffPt")
-# the group action, the kernel and transport compute on the parameters'
-# integer vector: no Fraction, no rescaling, no value read or acted on
-CHART_ON_INTS = ("gl_act", "_kernel_ints", "transport_plus_leg", "transport_plus_leg_inverse")
+# the group action, the kernel, transport, the phase-gap pass and the
+# integer core of the upper half-plane flip compute on the parameters'
+# integer vector and the phases' integers: no Fraction, no rescaling, no
+# value read or acted on
+CHART_ON_INTS = ("gl_act", "_kernel_ints", "transport_plus_leg", "transport_plus_leg_inverse",
+                 "_phase_gaps", "_upper_ray_ints")
 NOT_ON_INTS = ("Fraction", "_scaled_ints", "act", "values", "z1", "z2", "z3")
 # the point and polygon decisions take rational points: they name no surd,
 # no Fraction discriminant and no second exclusion rule
@@ -181,8 +184,8 @@ POINT_DECISIONS = ("classify_point", "point_in_polygon")
 NOT_IN_POINT = ("QuadReal", "delta", "is_rational", "_exc_delta")
 # the chart compares and lifts phases on their integers (k, re, im): it
 # builds no shifted Phase record to compare once
-PHASE_ON_INTS = ("gl_act", "_valid_phases", "_classify_cell", "transport_plus_leg",
-                 "transport_plus_leg_inverse", "_lift", "_branch_in_window")
+PHASE_ON_INTS = ("gl_act", "_phase_gaps", "_classify_cell", "transport_plus_leg",
+                 "transport_plus_leg_inverse", "_lift", "_branch_in_window", "_upper_ray_ints")
 # a strip point is decided on its covering label's integer chord and
 # exclusion lines: no point decision builds or reads a tent, a curve
 # segment, a line record or a surd, and only the point walk _tent_at reads
@@ -306,16 +309,18 @@ def _names(tree):
 
 def test_the_chart_decides_on_integers():
     root = Path(stabscope.__file__).parent
-    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("algebraic", "polygon")}
+    trees = {name: ast.parse((root / f"{name}.py").read_text())
+             for name in ("algebraic", "polygon", "geometric")}
     defined = {name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
                for name, tree in trees.items()}
-    assert {"classify_cell_report", "_classify_cell", *CHART_ON_INTS} <= defined["algebraic"]
+    assert ({"classify_cell_report", "_classify_cell", *CHART_ON_INTS}
+            <= defined["algebraic"] | defined["geometric"])
     assert not _names(trees["algebraic"]) & REGION_NAMES
     for source in ("from .lepotier import x", "from . import lepotier", "import stabscope.lepotier",
                    "from .corekit import RegionClass", "def f(m):\n    return m._classify_ints(1)"):
         assert _names(ast.parse(source)) & REGION_NAMES, source
     assert "_in_polygon_ints" in defined["polygon"]
-    assert [_non_integer_names(tree) for tree in trees.values()] == [[], []]
+    assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], []]
     assert _non_integer_names(ast.parse(
         "def classify_cell_report(t, p, depth):\n    kp = KernelPoint.spanned_by(v)\n"
         "    return point_in_polygon(kp.point(), pentagon)")) == [3, 3]
@@ -349,6 +354,10 @@ def test_the_chart_decides_on_integers():
         "def transport_plus_leg_inverse(t2, p2, depth):\n    return Fraction(chi) * p2.z3")) == [2, 2]
     assert _non_integer_names(ast.parse(
         "def transport_plus_leg(t, p, depth):\n    den, (x1, y1, x2, y2, x3, y3) = p._ints")) == []
+    assert _non_integer_names(ast.parse(
+        "def _phase_gaps(p):\n    return [z.im for z in p.values()]")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _upper_ray_ints(p, q):\n    return _upper_ray(Fraction(p), q)")) == [2]
 
 
 def test_the_chart_orders_phases_on_integers():
@@ -356,16 +365,16 @@ def test_the_chart_orders_phases_on_integers():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
     defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
                       if isinstance(node, ast.FunctionDef))
-    assert set(PHASE_ON_INTS) <= {n.name for n in ast.walk(trees["algebraic"])
-                                  if isinstance(n, ast.FunctionDef)}
-    assert _non_integer_names(trees["algebraic"]) == []
+    assert set(PHASE_ON_INTS) <= {n.name for name in ("algebraic", "geometric")
+                                  for n in ast.walk(trees[name]) if isinstance(n, ast.FunctionDef)}
+    assert _non_integer_names(trees["algebraic"]) == _non_integer_names(trees["geometric"]) == []
     # one angle order of upper directions, which Phase and the chart share
     assert defined["_angle_cmp"] == 1
     compare, = (n for n in ast.walk(trees["geometric"])
                 if isinstance(n, ast.FunctionDef) and n.name == "compare")
     assert "_angle_cmp" in _names(compare) and "_angle_cmp" in _names(trees["algebraic"])
     assert _non_integer_names(ast.parse(
-        "def _valid_phases(p):\n    return f1 < f2 < f3 and f1.shifted(1) < f3")) == [2]
+        "def _phase_gaps(p):\n    return f1 < f2 < f3 and f1.shifted(1) < f3")) == [2]
     assert _non_integer_names(ast.parse(
         "def _classify_cell(t, p):\n    gap12_ge1 = f1.shifted(1) <= f2\n"
         "    gap23_ge1 = not _below(f3, -1, f2)")) == [2]
@@ -377,6 +386,8 @@ def test_the_chart_orders_phases_on_integers():
         "    return _branch_in_window(x, y, g3, g2.shifted(1))")) == [2]
     assert _non_integer_names(ast.parse(
         "def _lift(re, im, j, lo):\n    return cand if cand > lo else cand.shifted(2)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _upper_ray_ints(p, q):\n    return Phase(p, q).shifted(-1)")) == [2]
     assert _non_integer_names(ast.parse(
         "def _branch_in_window(x, y, n, lo, hi):\n    def inside(f):\n"
         "        return f.shifted(n) < hi\n    return inside")) == [3]

@@ -279,3 +279,38 @@ def test_derived_attributes_stay_out_of_the_key():
         lazy = algebraic.ThetaParams._of(p._ints, (p.k1, p.k2, p.k3), p._phases)
         assert hash(lazy) == hash(built) and lazy == built and repr(lazy) == repr(built)
         assert lazy.values() == built.values() and lazy._ints == built._ints
+
+
+def _refusals(record):
+    """The AttributeError texts of assigning and deleting each field and an extra name."""
+    names = list(vars(type(record))["__annotations__"]) + ["extra"]
+    return [_refusal(lambda: setattr(record, n, 0)) for n in names] + \
+           [_refusal(lambda: delattr(record, n)) for n in names]
+
+
+def test_records_made_without_their_constructor_are_records():
+    rng = random.Random("records-made")
+    alg, geo = algebraic, geometric
+    for _ in range(SAMPLES):
+        t, p, g = random_triple(rng, 3), random_valid_params(rng), _gl(rng)
+        made = [alg.gl_act(g, p), p]
+        while True:
+            q = random_valid_params(rng)
+            f1, f2, _ = q.phases()
+            if f1.shifted(1) < f2 and alg.classify_cell(t, q, 6) is alg.CellLabel.PLUS_LEG:
+                break
+        made += [alg.transport_plus_leg(t, q, 6)[1], q]
+        for params in list(made):
+            twin = alg.ThetaParams(*params.values(), params.k1, params.k2, params.k3)
+            made += [(params, twin)] + [(f, geo.Phase(f.re, f.im, f.k)) for f in params.phases()]
+        for record, twin in made[4:]:
+            assert record == twin and twin == record and not record != twin
+            assert hash(record) == hash(twin) and repr(record) == repr(twin)
+            assert _refusals(record) == _refusals(twin)
+        # the chart data a triple keeps is derived: out of ==, hash and repr
+        data = alg._triple_data(t)
+        assert vars(t)["_data"] is data
+        twin = triples.ExcTriple(t.E1, t.E2, t.E3, t.pattern, t.base)
+        assert "_data" not in vars(twin) and "_data" not in repr(t)
+        assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+        assert _refusal(lambda: setattr(t, "_data", None)) == "cannot assign to field '_data'"

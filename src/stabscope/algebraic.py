@@ -19,10 +19,7 @@ integers, and its phases as primitive integer directions; the group
 action maps both by the element's integer matrix, transport forms its
 new values on the same vector, and the values are made only when read.
 Phases are compared and lifted on their integers by Phase's angle order,
-validity and both gaps in one pass.  Warm, on a 2-vCPU host, gl_act
-takes about 6 us, classify_cell 3.9 and each transport 11.7 (7.8, 4.8
-and 15 before they ran on bare integers, which took the chart_orbit
-benchmark from 12 468 to 16 054 ops/s, medians of 10 alternating pairs).
+validity and both gaps in one pass.
 
 Exactness convention: a phase is entered as an integer branch plus a
 rational point on the unit circle lying in the upper half-plane, so the
@@ -35,13 +32,12 @@ constructor for convenience.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .corekit import CharVec, _chi2, _primitive, _record, _scaled_ints, cross3, det3, parse_rational
-from .exceptional import CACHE_SIZE, DyadicLabel, _int_char, char_of, eplus
+from .exceptional import _int_char, eplus
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase, RatComplex, ShiftedChar,
                         _angle_cmp, _upper_ray, _upper_ray_ints, in_upper)
 from .polygon import Polygon, _in_polygon_ints
@@ -257,30 +253,26 @@ def _triple_data(t: ExcTriple) -> tuple[int, tuple, Polygon, tuple, int]:
     characters.  Then come the coordinates of the three characters
     scaled by 2, (2 ch0, 2 ch1, 2 ch2), as one integer tuple per
     coordinate, and last the pairing chi(E2, E3) that transport takes.
-    The labels fix all of it, so it is cached by their integers (p, m),
-    and kept on the triple as the derived attribute ``_data``.
+    The labels fix all of it, so it is computed on the triple's first
+    call and kept on it as the derived attribute ``_data``.
     """
     try:
         return t._data
     except AttributeError:
-        object.__setattr__(t, "_data", _label_data(*(x for l in t.labels for x in (l.p, l.m))))
-    return t._data
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _label_data(*pms: int) -> tuple[int, tuple, Polygon, tuple, int]:
-    """_triple_data of the triple of labels p/2^m, from (p1, m1, p2, m2, p3, m3)."""
-    labels = [DyadicLabel(p, m) for p, m in zip(pms[::2], pms[1::2])]
-    v1, v2, v3 = (_int_char(lbl) for lbl in labels)
+        pass
+    labels = t.labels
+    v1, v2, v3 = (_int_char(lbl.p, lbl.m) for lbl in labels)
     d = det3(v1, v2, v3)
     assert d != 0, "triple characters must form a basis"
     duals = (cross3(v2, v3), cross3(v3, v1), cross3(v1, v2))
-    e1, e2, e3 = (char_of(lbl).proj() for lbl in labels)
+    e1, e2, e3 = (b.char.proj() for b in (t.E1, t.E2, t.E3))
     pentagon = Polygon((e1, eplus(labels[0]), e2, eplus(labels[2]), e3),
                        edge_included=(False,) * 5,
                        vertex_included=(False,) * 5)
     doubled = tuple(zip(*((2 * r, 2 * c, e) for r, c, e in (v1, v2, v3))))
-    return d, duals, pentagon, doubled, _chi2(v2, v3) // 2
+    data = d, duals, pentagon, doubled, _chi2(v2, v3) // 2
+    object.__setattr__(t, "_data", data)
+    return data
 
 
 def tr_polygon(t: ExcTriple) -> Polygon:

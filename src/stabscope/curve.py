@@ -4,17 +4,18 @@ A tent is two curve segments, from the label's contact points el and er
 on the half-discriminant parabola down to its apex, one rank-squared
 unit below the projected character, and its exclusion runs from that
 character down to the apex.  Each is built from the integer forms of
-lepotier._tent_ends and checked on them, and cached by the label's
-integers (p, m).  build_curve lists the tents, segments and exclusions
-that meet a slope window, for curve emit; no decision reads them.
+lepotier._tent_ends and checked on them, and cached by the label.
+build_curve lists the tents, segments and exclusions that meet a slope
+window, for curve emit; no decision reads them.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .corekit import AffPt, ProjLine, _record
-from .exceptional import DyadicLabel, _int_char, _label_cache, _labels_between, el, eplus, er
+from .exceptional import CACHE_SIZE, DyadicLabel, _int_char, _labels_between, el, eplus, er
 from .lepotier import _compare, _slope, _tent_ends
 
 
@@ -50,10 +51,10 @@ class Tent:
     exclusion: ExclusionSegment
 
 
-@_label_cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _tent(label: DyadicLabel) -> Tent:
     """The label's tent and exclusion, from its integer character and _tent_ends."""
-    r, c, e = _int_char(label)
+    r, c, e = _int_char(label.p, label.m)
     # the apex (c/r, e/(2r) - 1/r^2) is at discriminant (c^2 - e r + 2)/(2 r^2)
     assert r * r <= c * c - e * r + 2 <= 2 * r * r, "apex left the curve strip"
     el_x, _, er_x, chord_l, chord_r = _tent_ends(label.p, label.m)[:5]
@@ -61,7 +62,7 @@ def _tent(label: DyadicLabel) -> Tent:
                                (1, er_x, chord_r, label.right_neighbor())):
         assert _on_chord(chord, x[2], side), "contact point off its chord"
         # the neighbour's projected character (cn/rn, en/(2 rn)) is on y = (A x + B)/K
-        (k, a, b), (rn, cn, en) = chord, _int_char(nb)
+        (k, a, b), (rn, cn, en) = chord, _int_char(nb.p, nb.m)
         assert 2 * (a * cn + b * rn) == k * en, "chord misses the neighbour"
     # y = (A x + B)/K is the line B + A x - K y = 0
     left_line, right_line = (ProjLine(Fraction(b), Fraction(a), Fraction(-k))

@@ -13,15 +13,16 @@ each label are the closed form of Drezet and Le Potier.  The labels of
 bounded depth over a slope window are listed here too, for the curve
 listing and the walls verb's bundle pool.
 
-Each cached character is held in two forms: the integers (r, c, e) =
-(ch0, ch1, 2 ch2), which are integral since chi(O, E) = r + 3c/2 + ch2
-is, built when its entry is added, and the CharVec, built when char_of
-or ExcBundle.of first asks for it.  This cache and those of the curve
-nodes are keyed by the label's integers (p, m), not by the label.  The
-recursion, the slope search and the segment walk run on the integers,
-and a bundle is checked by the one integer pairing corekit._chi2, which
-is twice euler_chi.  The two contact points of every label of one rank r
-share the radicand 9 r^2 - 4, which is reduced once per rank.
+Below the public functions a label is its integers (p, m) in lowest
+terms, by _lowest, which DyadicLabel shares.  The character cache holds
+only the integers (r, c, e) = (ch0, ch1, 2 ch2), which are integral
+since chi(O, E) = r + 3c/2 + ch2 is; char_of builds its CharVec from
+them on each call.  The recursion, the slope search and both walks run
+on the integers, and a bundle is checked by the one integer pairing
+corekit._chi2, which is twice euler_chi.  The contact points are cached
+once, by _contact on (p, m, side), under el and er; the two contact
+points of every label of one rank r share the radicand 9 r^2 - 4, which
+is reduced once per rank.
 
 Standard triples and mutations live in stabscope.triples; their names
 still resolve here, loaded on first use.
@@ -40,6 +41,20 @@ from .surd import QuadReal, _reduce_radicand, parse_rational
 __getattr__ = _moved(__name__, "triples")
 
 
+def _lowest(p: int, m: int) -> tuple[int, int]:
+    """p/2^m in lowest terms (m == 0 or p odd), for m >= 0.
+
+    The trailing zeros of p, at most m, are shifted out in one step: a
+    search near an integer n meets the labels n*2^m of every depth m.
+    """
+    if m > 0 and not p & 1:
+        k = (p & -p).bit_length() - 1 if p else m
+        if k > m:
+            k = m
+        p, m = p >> k, m - k
+    return p, m
+
+
 class DyadicLabel:
     """An index p / 2^m, stored in lowest terms (m == 0 or p odd)."""
 
@@ -48,13 +63,7 @@ class DyadicLabel:
     def __init__(self, p: int, m: int = 0):
         if m < 0:
             raise ValueError("negative dyadic depth")
-        # shift out the trailing zeros of p, at most m, in one step: a
-        # search near an integer n meets the labels n*2^m of every depth m
-        if m > 0 and not p & 1:
-            k = (p & -p).bit_length() - 1 if p else m
-            if k > m:
-                k = m
-            p, m = p >> k, m - k
+        p, m = _lowest(p, m)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
 
@@ -135,21 +144,20 @@ def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]
 # limit of 4300 digits is about 14 300 bits)
 MAX_RANK_BITS = 1 << 14
 
-# entries kept by each cache of this module, lepotier and algebraic; char_of's
-# dict drops its older half when a lookup misses with this many entries in it
+# entries kept by each cache of this module, lepotier, curve and triples; the
+# character dict drops its older half when a lookup misses with this many in it
 CACHE_SIZE = 1 << 12
 
-# characters computed so far, by the label's integers (p, m): the integers (r, c,
-# e = 2 ch2) and the CharVec (r, c, e/2), or None until char_of first asks for it
-_CHARS: dict[tuple[int, int], list] = {}
+# the integer characters (r, c, e = 2 ch2) computed so far, by the label's
+# integers (p, m)
+_CHARS: dict[tuple[int, int], tuple[int, int, int]] = {}
 
 
-def _recurrence_terms(label: DyadicLabel) -> tuple[DyadicLabel, DyadicLabel, DyadicLabel]:
-    """The helper, base and far labels whose characters give this one's."""
-    p, m = label.p, label.m
+def _recurrence_terms(p: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The helper, base and far labels, as (p, m), whose characters give p/2^m's."""
     if p % 4 == 3:
-        return DyadicLabel(p + 1, m), DyadicLabel(p - 1, m), DyadicLabel(p - 3, m)
-    return DyadicLabel(p - 1, m), DyadicLabel(p + 1, m), DyadicLabel(p + 3, m)
+        return _lowest(p + 1, m), _lowest(p - 1, m), _lowest(p - 3, m)
+    return _lowest(p - 1, m), _lowest(p + 1, m), _lowest(p + 3, m)
 
 
 def char_of(label: DyadicLabel) -> CharVec:
@@ -166,45 +174,42 @@ def char_of(label: DyadicLabel) -> CharVec:
     its next step reads.  A rank above MAX_RANK_BITS bits raises
     ValueError.
     """
-    entry = _CHARS.get((label.p, label.m)) or _fill(label)
-    if entry[1] is None:
-        r, c, e = entry[0]
-        entry[1] = CharVec(r, c, Fraction(e, 2))
-    return entry[1]
+    r, c, e = _int_char(label.p, label.m)
+    return CharVec(r, c, Fraction(e, 2))
 
 
-def _int_char(label: DyadicLabel) -> tuple[int, int, int]:
-    """The integer character (ch0, ch1, 2 ch2) of a label."""
-    return (_CHARS.get((label.p, label.m)) or _fill(label))[0]
+def _int_char(p: int, m: int) -> tuple[int, int, int]:
+    """The integer character (ch0, ch1, 2 ch2) of the label p/2^m, in lowest terms."""
+    return _CHARS.get((p, m)) or _fill(p, m)
 
 
-def _fill(label: DyadicLabel) -> list:
+def _fill(p: int, m: int) -> tuple[int, int, int]:
     """Compute and cache the integer characters of a label missing from the cache."""
     if len(_CHARS) >= CACHE_SIZE:
         for old in list(_CHARS)[:CACHE_SIZE // 2]:
             del _CHARS[old]
-    stack = [label]
+    stack = [(p, m)]
     while stack:
-        lbl = stack[-1]
-        if (lbl.p, lbl.m) in _CHARS:
+        q, k = key = stack[-1]
+        if key in _CHARS:
             stack.pop()
             continue
-        if lbl.m == 0:
-            v = (1, lbl.p, lbl.p * lbl.p)
+        if k == 0:
+            v = (1, q, q * q)
         else:
-            terms = _recurrence_terms(lbl)
-            missing = [t for t in terms if (t.p, t.m) not in _CHARS]
+            terms = _recurrence_terms(q, k)
+            missing = [t for t in terms if t not in _CHARS]
             if missing:
                 stack.extend(missing)
                 continue
-            helper, base, far = (_CHARS[t.p, t.m][0] for t in terms)
-            k = 3 * helper[0]
-            v = tuple(k * b - f for b, f in zip(base, far))
+            helper, base, far = (_CHARS[t] for t in terms)
+            n = 3 * helper[0]
+            v = tuple(n * b - f for b, f in zip(base, far))
             if v[0].bit_length() > MAX_RANK_BITS:
-                raise ValueError(f"rank at label {lbl} exceeds {MAX_RANK_BITS} bits")
-        _CHARS[lbl.p, lbl.m] = [v, None]
+                raise ValueError(f"rank at label {Fraction(q, 1 << k)} exceeds {MAX_RANK_BITS} bits")
+        _CHARS[key] = v
         stack.pop()
-    return _CHARS[label.p, label.m]
+    return _CHARS[p, m]
 
 
 def twist(label: DyadicLabel, k: int) -> CharVec:
@@ -228,10 +233,10 @@ class ExcBundle:
             label = DyadicLabel.parse(label)
         elif not isinstance(label, DyadicLabel):
             label = DyadicLabel.from_value(label)
-        c, v = char_of(label), _int_char(label)
+        v = _int_char(label.p, label.m)
         assert v[0] > 0, "exceptional rank must be positive"
         assert _chi2(v, v) == 2, "exceptionality pairing failed"
-        return cls(label, c)
+        return cls(label, char_of(label))
 
     def __hash__(self):
         # equal bundles share a label; hashing the character's fractions
@@ -247,19 +252,9 @@ class ExcBundle:
         return slope(self.char)
 
 
-def _label_cache(f):
-    """f(label), cached by the label's integers (p, m), so a lookup hashes
-    no DyadicLabel; on a miss f gets the label anew."""
-    at = functools.lru_cache(maxsize=CACHE_SIZE)(lambda p, m: f(DyadicLabel(p, m)))
-    cached = functools.wraps(f)(lambda label: at(label.p, label.m))
-    cached.cache_info, cached.cache_clear = at.cache_info, at.cache_clear
-    return cached
-
-
-@_label_cache
 def eplus(label: DyadicLabel) -> AffPt:
     """The point one rank-squared unit below the projected character."""
-    r, c, e = _int_char(label)
+    r, c, e = _int_char(label.p, label.m)
     return AffPt(Fraction(c, r), Fraction(e * r - 2, 2 * r * r))
 
 
@@ -283,28 +278,30 @@ def _contact_root(r: int) -> tuple[int, int]:
     return _reduce_radicand(1, 9 * r * r - 4)
 
 
-def _contact(label: DyadicLabel, side: int) -> AffPt:
-    """The contact point at the slope x = (P + Q sqrt(D))/S = a + b sqrt(d) of
-    _contact_form, with sqrt(D) = k sqrt(d) from _contact_root; its height
-    (x^2 - 1)/2 is (P^2 + Q^2 D - S^2)/(2 S^2) + a b sqrt(d)."""
-    r, c, _ = _int_char(label)
-    p, q, radicand, s = _contact_form(r, c, side)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _contact(p: int, m: int, side: int) -> AffPt:
+    """The contact point of the label p/2^m on the side -1 (left) or 1 (right).
+
+    Its slope is x = (P + Q sqrt(D))/S = a + b sqrt(d) of _contact_form,
+    with sqrt(D) = k sqrt(d) from _contact_root; its height (x^2 - 1)/2 is
+    (P^2 + Q^2 D - S^2)/(2 S^2) + a b sqrt(d).
+    """
+    r, c, _ = _int_char(p, m)
+    P, Q, D, S = _contact_form(r, c, side)
     k, d = _contact_root(r)
-    x = QuadReal._over(Fraction(p, s), Fraction(q * k, s), d)
-    return AffPt(x, QuadReal._over(Fraction(p * p + q * q * radicand - s * s, 2 * s * s),
+    x = QuadReal._over(Fraction(P, S), Fraction(Q * k, S), d)
+    return AffPt(x, QuadReal._over(Fraction(P * P + Q * Q * D - S * S, 2 * S * S),
                                    x.a * x.b, d))
 
 
-@_label_cache
 def el(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the left neighbour."""
-    return _contact(label, -1)
+    return _contact(label.p, label.m, -1)
 
 
-@_label_cache
 def er(label: DyadicLabel) -> AffPt:
     """Contact point on the discriminant-1/2 parabola toward the right neighbour."""
-    return _contact(label, 1)
+    return _contact(label.p, label.m, 1)
 
 
 def slope_to_label(mu: Fraction) -> DyadicLabel | None:
@@ -320,8 +317,8 @@ def slope_to_label(mu: Fraction) -> DyadicLabel | None:
     the chase stops before it builds a midpoint of rank above den(mu),
     whose rank could pass MAX_RANK_BITS where den(mu) does not.  Each step
     at least doubles the rank, so the chase ends within den(mu).bit_length()
-    steps.  The chase is _slope_search, which builds a label only on a
-    cache miss.
+    steps.  The chase is _slope_search, on the integers (p, m), and only
+    the label found is built.
     """
     mu = Fraction(mu)
     found = _slope_search(mu.numerator, mu.denominator)
@@ -340,7 +337,7 @@ def _slope_search(num: int, den: int) -> tuple[int, int] | None:
         if 3 * ra * rb - cb * ra + ca * rb > den:
             return None
         q = 2 * p + 1
-        r, c, _ = (_CHARS.get((q, m)) or _fill(DyadicLabel(q, m)))[0]
+        r, c, _ = _int_char(q, m)
         t = c * den - num * r
         if t == 0:
             return q, m

@@ -366,7 +366,7 @@ def _stable_in_region(E: ExcBundle, P: AffPt, depth: int) -> Optional[StabResult
     from .lepotier import GeoAnswer, RegionClass, _classify_ints, _contains_ints
     eff = max(depth, E.label.m)
     w, X, Y = _point_ints(P)
-    r, c, e = _int_char(E.label)
+    r, c, e = _int_char(E.label.p, E.label.m)
     answer = _contains_ints((2 * r, 2 * c, e), (w, X, Y), eff, True)
     if ((answer is not GeoAnswer.YES or X * r == c * w and 2 * Y * r == e * w)
             and _classify_ints(w, X, Y, eff) is not RegionClass.GEO_LP):

@@ -30,8 +30,10 @@ with n = X^2 - 2 w Y, 2 w^2 times its discriminant, it is above the strip
 when n < w^2, below it when n > 2 w^2, and reaches the exclusion's top
 when n r^2 >= w^2 (r^2 - 1), r = w/gcd(w, X).  In the strip it takes the
 sign of the covering label's integer chord line on its side of the apex,
-and above the apex it is on the exclusion; only x becomes a Fraction,
-for the point walk.  A character on an exclusion is a
+and above the apex it is on the exclusion.  The point walk finds that
+label as (p, m) on the integer characters, each midpoint's side from the
+sign of X r - c w; x = X/w becomes a Fraction only to be compared with
+the contact point on that side.  A character on an exclusion is a
 multiple of its label's own exactly when it projects to the top, at
 equality.  No decision builds a tent: the tents, segments and exclusions
 that meet a window are stabscope.curve's output, for curve emit, and
@@ -69,8 +71,7 @@ from fractions import Fraction
 
 from . import _moved
 from .corekit import AffPt, CharVec, _point_ints, _primitive, _scaled_ints, cross3
-from .exceptional import (CACHE_SIZE, DyadicLabel, _contact_form, _int_char, _slope_search,
-                          eplus, el, er)
+from .exceptional import CACHE_SIZE, _contact, _contact_form, _int_char, _slope_search
 from .surd import _floor_form, _form_sign, _root_sign
 
 __getattr__ = _moved(__name__, "curve")
@@ -97,24 +98,27 @@ class GeoAnswer(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-def _tent_at(x: Fraction, depth: int) -> DyadicLabel | None:
-    """The label of depth <= depth whose tent's closed slope span contains x, or None.
+def _tent_at(w: int, X: int, depth: int) -> tuple[int, int] | None:
+    """The label (p, m), m <= depth, whose tent's closed slope span holds x = X/w, or None.
 
-    The point walk of classify_point.  It keeps the gap between adjacent
-    labels p/2^m and (p+1)/2^m of x's unit cell that x lies in.  The
-    midpoint label's tent either covers x or lies wholly on one side of
-    it, which picks the half.
+    The point walk of classify_point, for integers with w > 0.  Like
+    _slope_search it keeps the gap between adjacent labels p/2^m and
+    (p+1)/2^m of x's unit cell that x lies in.  The midpoint's tent either
+    covers x or lies wholly on one side of it: x is on the apex's right
+    when X r >= c w, for the midpoint's integer character (r, c, e), and
+    the contact point on that side decides the cover.
     """
-    p = math.floor(x)
-    if x <= er(DyadicLabel(p)).x:
-        return DyadicLabel(p)
-    if x >= el(DyadicLabel(p + 1)).x:
-        return DyadicLabel(p + 1)
+    x, p = Fraction(X, w), X // w
+    if x <= _contact(p, 0, 1).x:
+        return p, 0
+    if x >= _contact(p + 1, 0, -1).x:
+        return p + 1, 0
     for m in range(1, depth + 1):
-        mid = DyadicLabel(2 * p + 1, m)
-        right = x >= eplus(mid).x
-        if (x <= er(mid).x) if right else (x >= el(mid).x):
-            return mid
+        q = 2 * p + 1
+        r, c, _ = _int_char(q, m)
+        right = X * r >= c * w
+        if (x <= _contact(q, m, 1).x) if right else (x >= _contact(q, m, -1).x):
+            return q, m
         p = 2 * p + right
     return None
 
@@ -142,7 +146,7 @@ def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
     the strip when n < w^2 and below it when n > 2 w^2.  Above the strip
     it is on an exclusion when _top_gap is >= 0 and _slope_search finds
     the label of its slope, building none that _CHARS holds.  In the strip
-    only x becomes a Fraction, for the point walk of _strip_class.
+    it is _strip_class.
     """
     n, w2 = X * X - 2 * w * Y, w * w
     if n < w2:
@@ -176,10 +180,10 @@ def _strip_class(w: int, X: int, Y: int, depth: int) -> RegionClass:
     on the exclusion: a strip point's discriminant is at least 1/2, and the
     exclusion's top, at (1/2)(1 - 1/r^2), is below that.
     """
-    label = _tent_at(Fraction(X, w), depth)
-    if label is None:
+    found = _tent_at(w, X, depth)
+    if found is None:
         return RegionClass.UNKNOWN
-    _, apex_x, _, chord_l, chord_r, _, _ = _tent_ends(label.p, label.m)
+    _, apex_x, _, chord_l, chord_r, _, _ = _tent_ends(*found)
     c, _, _, r = apex_x[2]
     k, a, b = chord_l if X * r <= c * w else chord_r
     sign = k * Y - a * X - b * w
@@ -243,7 +247,7 @@ def _tent_ends(p: int, m: int) -> tuple[tuple, ...]:
     through the apex (c/r, e/(2r) - 1/r^2), and the exclusion's bottom
     and top heights, each as a line (K, A, B), y = (A x + B)/K with K = 2 r^2.
     """
-    r, c, e = _int_char(DyadicLabel(p, m))
+    r, c, e = _int_char(p, m)
     k, bottom = 2 * r * r, e * r - 2
     return (_slope(*_contact_form(r, c, -1)), _slope(c, 0, 0, r),
             _slope(*_contact_form(r, c, 1)),

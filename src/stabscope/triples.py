@@ -75,7 +75,7 @@ def _triple_at(pattern: TriplePattern, p: int, m: int) -> ExcTriple:
     if m == 0 and pattern is not TriplePattern.ADJACENT:
         return _triple_at(TriplePattern.ADJACENT, labels[1].p, 0)
     b1, b2, b3 = (ExcBundle.of(l) for l in labels)
-    v1, v2, v3 = (_int_char(l) for l in labels)
+    v1, v2, v3 = (_int_char(l.p, l.m) for l in labels)
     assert labels[0] < labels[1] < labels[2], "triple labels out of order"
     assert _chi2(v2, v1) == 0 and _chi2(v3, v1) == 0 and _chi2(v3, v2) == 0, \
         "pairing does not vanish on the triple"

@@ -5,6 +5,7 @@ Exact phase inputs are built from rational points on the unit circle
 """
 
 import functools
+import math
 import os
 import random
 from collections import Counter
@@ -18,8 +19,8 @@ import stabscope
 from stabscope import curve, lepotier
 from stabscope.algebraic import ThetaParams, validate_params
 from stabscope.corekit import to_fraction
-from stabscope.exceptional import (DyadicLabel, ExcTriple, TriplePattern, slope_to_label,
-                                   triple_from)
+from stabscope.exceptional import (DyadicLabel, ExcTriple, TriplePattern, el, eplus, er,
+                                   slope_to_label, triple_from)
 from stabscope.lepotier import RegionClass
 from stabscope.surd import nsign
 
@@ -118,10 +119,11 @@ def strip_by_tent(x, y, depth):
     """The strip rule at a rational (x, y) on the covering label's tent, built,
     and its Fraction height on the chord on the apex's side of x.
     """
-    label = lepotier._tent_at(x, depth)
-    if label is None:
+    x = to_fraction(x)
+    found = lepotier._tent_at(x.denominator, x.numerator, depth)
+    if found is None:
         return RegionClass.UNKNOWN
-    tent = curve._tent(label)
+    tent = curve._tent(DyadicLabel(*found))
     yt = tent_height(tent, x)
     if y == yt:
         return RegionClass.ON_CURVE
@@ -130,6 +132,30 @@ def strip_by_tent(x, y, depth):
     if x == tent.apex.x and y <= tent.exclusion.y_top:
         return RegionClass.ON_EXCLUSION
     return RegionClass.GEO_LP
+
+
+def label_walk(x, depth, reads):
+    """lepotier._tent_at as it was on labels: the DyadicLabel of depth <= depth
+    whose tent's closed slope span holds the rational x, or None, by the tree
+    walk that takes each midpoint's side from eplus and its cover from el or
+    er.  Each contact point it reads is appended to reads as (p, m, side).
+    """
+    def contact(label, side):
+        reads.append((label.p, label.m, side))
+        return (er if side > 0 else el)(label).x
+
+    p = math.floor(x)
+    if x <= contact(DyadicLabel(p), 1):
+        return DyadicLabel(p)
+    if x >= contact(DyadicLabel(p + 1), -1):
+        return DyadicLabel(p + 1)
+    for m in range(1, depth + 1):
+        mid = DyadicLabel(2 * p + 1, m)
+        right = x >= eplus(mid).x
+        if (x <= contact(mid, 1)) if right else (x >= contact(mid, -1)):
+            return mid
+        p = 2 * p + right
+    return None
 
 
 # Exceptional slopes by arithmetic alone, an oracle independent of the label

@@ -10,7 +10,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from conftest import (UPPER_UNITS, in_polygon_by_fractions, label_calls, random_triple,
                       random_valid_params, region_by_fractions)
 from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
-                                 _branch_in_window, _kernel_ints, _label_data, _lift,
+                                 _branch_in_window, _kernel_ints, _lift,
                                  _phase_gaps, _triple_data,
                                  charge_from_params, classify_cell,
                                  classify_cell_report, gl_act, gl_inverse,
@@ -19,6 +19,7 @@ from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
                                  transport_plus_leg_inverse, validate_params)
 from stabscope.corekit import (AffPt, CharVec, _scaled_ints, euler_chi,
                                point_in_polygon)
+import stabscope.algebraic as algebraic
 import stabscope.triples as tr
 from stabscope.exceptional import (DyadicLabel, TriplePattern, _labels_between, char_of,
                                    detect_triple, el, eplus, er, mutate_left, mutate_right,
@@ -483,11 +484,15 @@ def test_warm_chart_ops_build_only_what_they_return(monkeypatch):
                 gl_act(g, p)
         return [transport_plus_leg_inverse(*transport_plus_leg(t, p, 6), 6) for t, p in plus]
 
+    # each computation of a triple's data takes the one det3 of algebraic
+    computed = Counter()
+    det3 = algebraic.det3
+    monkeypatch.setattr(algebraic, "det3", lambda *v: computed.update(["det3"]) or det3(*v))
     for t in triples:
         vars(t).pop("_data", None)
-    _label_data.cache_clear()
     assert run() == plus
-    assert 0 < _label_data.cache_info().misses <= len(triples)
+    assert 0 < computed["det3"] <= len(triples)
+    computed.clear()
     built = Counter()
     for cls, name in ((Fraction, "__new__"), (RatComplex, "__init__")):
         method = vars(cls)[name]
@@ -500,11 +505,10 @@ def test_warm_chart_ops_build_only_what_they_return(monkeypatch):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda *a, _m=init, **k:
                             built.update([type(a[0]).__name__]) or _m(*a, **k))
-    info = _label_data.cache_info()
     back = run()
     assert not built["Fraction"] and not built["RatComplex"]
-    # no miss, and no lookup at all: the data is read off the triple
-    assert _label_data.cache_info() == info
+    # no computation: the data is read off the triple
+    assert computed == Counter()
     assert back == plus
     for g in elements:
         for _, p in samples:

@@ -56,6 +56,7 @@ def test_label_canonical_form():
 
 def test_label_order_and_neighbors():
     assert lab("1/2") < lab("3/4") < lab("1")
+    assert lab("1/2") <= lab("1/2") <= lab("3/4") and not lab("1") <= lab("3/4")
     assert lab("3/4").left_neighbor() == lab("1/2")
     assert lab("3/4").right_neighbor() == lab("1")
     assert lab("1/2").shift(1) == lab("3/2")
@@ -292,9 +293,12 @@ def test_slope_to_label():
     # bits, and just below its slope the next midpoint would rank past
     # MAX_RANK_BITS, above den, so the search must not build it
     label = DyadicLabel((2 ** 20 + 1) // 3, 19)
-    r, c, _ = ex._int_char(label)
+    r, c, _ = ex._int_char(label.p, label.m)
     assert slope_to_label(Fraction(c, r)) == label
     assert slope_to_label(Fraction(3 * c - 1, 3 * r)) is None
+    # one level deeper the rank limit is passed, and its error names the label
+    with pytest.raises(ValueError, match=r"^rank at label 699051/1048576 exceeds 16384 bits$"):
+        char_of(DyadicLabel((2 ** 21 + 1) // 3, 20))
 
 
 @functools.cache
@@ -349,7 +353,7 @@ def _oracle_cases():
     rng = random.Random(2828)
     for _ in range(30):
         m = rng.randint(8, 16)
-        r, c, _ = ex._int_char(DyadicLabel(rng.randrange(-1 << m, 2 << m) | 1, m))
+        r, c, _ = ex._int_char(rng.randrange(-1 << m, 2 << m) | 1, m)
         k = rng.randint(2, 9)
         cases += [(c, r), (c * k + 1, r * k), (c * k - 1, r * k), (c + r, r)]
     return cases
@@ -559,9 +563,9 @@ def test_contact_points_reduce_each_radicand_once(monkeypatch):
     # the points are those QuadReal builds on the unreduced radicand
     labels = [*ex._labels_between(Fraction(-2), Fraction(2), 6)]
     labels += [DyadicLabel(rng.randrange(1 << m) | 1, m) for m in rng.choices(range(8, 14), k=20)]
-    assert any(9 * ex._int_char(label)[0] ** 2 - 4 > _FACTOR_LIMIT for label in labels)
+    assert any(9 * ex._int_char(label.p, label.m)[0] ** 2 - 4 > _FACTOR_LIMIT for label in labels)
     for label in labels:
-        r, c, _ = ex._int_char(label)
+        r, c, _ = ex._int_char(label.p, label.m)
         for point, side in ((el(label), -1), (er(label), 1)):
             p, q, d, s = ex._contact_form(r, c, side)
             x = QuadReal(Fraction(p, s), Fraction(q, s), d)
@@ -571,15 +575,15 @@ def test_contact_points_reduce_each_radicand_once(monkeypatch):
     # a cold curve listing reduces one radicand per rank, not two per tent
     reduce, calls = ex._reduce_radicand, []
     monkeypatch.setattr(ex, "_reduce_radicand", lambda b, d: calls.append(d) or reduce(b, d))
-    for cached in (el, er, eplus, ex._contact_root, cv._tent, lp._tent_ends):
+    for cached in (ex._contact, ex._contact_root, cv._tent, lp._tent_ends):
         cached.cache_clear()
     tents = cv.build_curve(6, (Fraction(-2), Fraction(2))).tents
-    ranks = {ex._int_char(t.label)[0] for t in tents}
+    ranks = {ex._int_char(t.label.p, t.label.m)[0] for t in tents}
     assert len(tents) == 257 and len(calls) == len(set(calls)) == len(ranks) == 33
 
 
 def test_caches_stay_bounded_and_rebuild_evicted_characters():
-    cached = (ex.eplus, ex.el, ex.er, ex._contact_root, cv._tent, lp._tent_ends)
+    cached = (ex._contact, ex._contact_root, cv._tent, lp._tent_ends)
     assert all(f.cache_info().maxsize == ex.CACHE_SIZE for f in cached)
     # 4 224 labels of depth 6 in 132 unit cells, more than any cache keeps
     labels = [DyadicLabel(p, 6) for p in range(-64 * 66 + 1, 64 * 66, 2)]
@@ -636,10 +640,9 @@ def test_integer_characters_match_the_fraction_ones():
     # the 64 labels p/16 in [-2, 2), all those of depth at most 4
     labels = [DyadicLabel(p, 4) for p in range(-32, 32)]
     chars = [char_of(lbl) for lbl in labels]
-    ints = [ex._int_char(lbl) for lbl in labels]
+    ints = [ex._int_char(lbl.p, lbl.m) for lbl in labels]
     for lbl, c, v in zip(labels, chars, ints):
         assert v == (c.ch0, c.ch1, 2 * c.ch2) and all(type(x) is int for x in v), lbl
-        assert char_of(lbl) is char_of(lbl)
     for a, b in itertools.product(range(64), repeat=2):
         assert _chi2(ints[a], ints[b]) == 2 * euler_chi(chars[a], chars[b]), (labels[a], labels[b])
     # every ordered triple (x, a, b): the determinant of the characters is
@@ -654,13 +657,16 @@ def test_integer_characters_match_the_fraction_ones():
 
 def test_a_character_vector_is_built_only_when_asked_for(monkeypatch):
     # the search and the walks read only the integer characters, so filling
-    # the cache builds no CharVec; char_of builds one on its first call and keeps it
+    # the cache builds no CharVec; char_of builds one from them on each call
     monkeypatch.setattr(ex, "_CHARS", {})
+    built = []
+    make = CharVec.__init__
+    monkeypatch.setattr(CharVec, "__init__", lambda *a: built.append(a[1:]) or make(*a))
     assert slope_to_label(Fraction(1, 10 ** 40)) is None
-    assert len(ex._CHARS) > 90 and all(c is None for _, c in ex._CHARS.values())
+    assert len(ex._CHARS) > 90 and built == []
+    assert all(len(v) == 3 and all(type(x) is int for x in v) for v in ex._CHARS.values())
     deepest = DyadicLabel(*max(ex._CHARS, key=lambda key: key[1]))
-    r, c, e = ex._int_char(deepest)
+    r, c, e = ex._int_char(deepest.p, deepest.m)
     got = char_of(deepest)
-    assert got == CharVec(r, c, Fraction(e, 2)) and ex._CHARS[deepest.p, deepest.m][1] is got
-    assert char_of(deepest) is got and ExcBundle.of(deepest).char is got
-    assert sum(c is not None for _, c in ex._CHARS.values()) == 1
+    assert built == [(r, c, Fraction(e, 2))]
+    assert got == CharVec(r, c, Fraction(e, 2)) and ExcBundle.of(deepest).char == got

@@ -106,6 +106,8 @@ def test_phase_representation():
     with pytest.raises(ValueError):
         Phase(1, -1, 0)
     assert abs(Phase(-1, 1, 2).approx() - 2.75) < 1e-12
+    # a quarter-turn value prints exactly, any other approximated
+    assert str(Phase(-1, 1, 2)) == "11/4" and str(Phase(2, 3, 0)) == "~0.312833"
 
 
 def test_phase_examples():

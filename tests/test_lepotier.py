@@ -11,9 +11,9 @@ import mpmath
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import label_calls, region_by_fractions, strip_by_tent, tent_height
+from conftest import label_calls, label_walk, region_by_fractions, strip_by_tent, tent_height
 
-from stabscope import curve, geometric, lepotier
+from stabscope import curve, exceptional, geometric, lepotier
 from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _point_ints, _primitive,
                                _scaled_ints, cross3, point_in_polygon, slope, to_fraction)
 from stabscope.exceptional import (DyadicLabel, ExcBundle, _int_char, char_of, el, eplus,
@@ -747,8 +747,9 @@ def test_integer_region_core_matches_the_fraction_rule():
     ranks = []
     while len(ranks) < 400:
         m = rng.randint(0, 16)
-        r, c, e = _int_char(DyadicLabel(2 * rng.randint(-3 << m, 3 << m) + 1, m + 1)
-                            if rng.random() < 0.9 else DyadicLabel(rng.randint(-6, 6)))
+        label = (DyadicLabel(2 * rng.randint(-3 << m, 3 << m) + 1, m + 1)
+                 if rng.random() < 0.9 else DyadicLabel(rng.randint(-6, 6)))
+        r, c, e = _int_char(label.p, label.m)
         if r > 10 ** 6:
             continue
         ranks.append(r)
@@ -813,9 +814,9 @@ def _strip_points(rng, cell, count):
         den = rng.choice((1, 3, 7, 64, 1000, 2 ** 20 + 7))
         x = cell + Fraction(rng.randint(-den, 2 * den), den)
         y = x * x / 2 - Fraction(rng.randint(512, 1024), 1024)
-        label = lepotier._tent_at(x, 8)
-        if label is not None and rng.random() < 0.3:
-            y = tent_height(curve._tent(label), x)
+        found = lepotier._tent_at(x.denominator, x.numerator, 8)
+        if found is not None and rng.random() < 0.3:
+            y = tent_height(curve._tent(DyadicLabel(*found)), x)
         points.append((x, y))
     return points
 
@@ -834,7 +835,7 @@ def _strip_edges():
     eps, unit = Fraction(1, 2 ** 60), 1 << 60
     edges = []
     for label in _strip_labels():
-        tent, (r, _, e) = curve._tent(label), _int_char(label)
+        tent, (r, _, e) = curve._tent(label), _int_char(label.p, label.m)
         apex, top = tent.apex, Fraction(e, 2 * r)
         near_contacts = (Fraction(math.floor(el(label).x * unit) + 1, unit),
                          Fraction(math.floor(er(label).x * unit), unit))
@@ -869,7 +870,7 @@ def test_strip_verdicts_on_integer_lines_match_the_tent_rule():
     # 2^-60 above the exclusion's top, at discriminant below (1/2)(1 - 1/r^2)
     # < 1/2, a point is above the strip, which _strip_class never sees
     for label in _strip_labels():
-        (r, c, e), eps = _int_char(label), Fraction(1, 2 ** 60)
+        (r, c, e), eps = _int_char(label.p, label.m), Fraction(1, 2 ** 60)
         above = AffPt(Fraction(c, r), Fraction(e, 2 * r) + eps)
         assert strip_by_tent(above.x, above.y, label.m) is RegionClass.GEO_LP, label
         assert classify_point(above, label.m) is RegionClass.GEO_LP, label
@@ -892,7 +893,7 @@ def test_strip_verdicts_build_no_tent(monkeypatch):
     tent = curve._tent
 
     def cold():
-        for cached in (tent, lepotier._tent_ends, el, er, eplus):
+        for cached in (tent, lepotier._tent_ends, exceptional._contact):
             cached.cache_clear()
 
     def refuse(label):
@@ -903,6 +904,52 @@ def test_strip_verdicts_build_no_tent(monkeypatch):
     assert [classify_point(p, depth) for p, depth in zip(points, depths)] == classes
     cold()
     assert [dlp_exists(v, depth) for v, depth in zip(chars, depths)] == answers
+
+
+def _walk_inputs(rng):
+    """Rationals for the point walk: the apex slope c/r of every label of
+    depth <= 4 in three cells and of seeded labels of depth 5 to 12, the two
+    dyadic slopes 2^-60 apart around each of their contact slopes, and
+    seeded fractions.
+    """
+    unit = 1 << 60
+    labels = {DyadicLabel(p, 4) for n in (-3, 0, 7) for p in range(n << 4, (n + 1 << 4) + 1)}
+    labels |= {DyadicLabel(rng.randrange(-3 << m, 8 << m) | 1, m)
+               for m in rng.choices(range(5, 13), k=24)}
+    xs = []
+    for label in sorted(labels):
+        r, c, _ = _int_char(label.p, label.m)
+        xs.append(Fraction(c, r))
+        for point in (el(label), er(label)):
+            below = Fraction(math.floor(point.x * unit), unit)
+            xs += [below, below + Fraction(1, unit)]
+    xs += [Fraction(rng.randint(-400, 900), rng.choice((1, 3, 7, 64, 1000, 2 ** 20 + 7)))
+           for _ in range(60)]
+    return xs
+
+
+def test_the_point_walk_matches_the_label_walk(monkeypatch):
+    # conftest.label_walk is the walk as it was on DyadicLabel, eplus, el and
+    # er; the walk on (p, m) gives its label and reads the same contact
+    # points, one per step, on the side of the apex that x is on
+    rng = random.Random(3838)
+    xs = _walk_inputs(rng)
+    reads = []
+    contact = lepotier._contact
+    monkeypatch.setattr(lepotier, "_contact",
+                        lambda p, m, side: reads.append((p, m, side)) or contact(p, m, side))
+    found = Counter()
+    for x in xs:
+        for depth in range(13):
+            want_reads = []
+            want = label_walk(x, depth, want_reads)
+            reads.clear()
+            got = lepotier._tent_at(x.denominator, x.numerator, depth)
+            assert got == (None if want is None else (want.p, want.m)), (x, depth)
+            assert reads == want_reads, (x, depth)
+            found[None if want is None else want.m] += 1
+    # every depth of label is found, and some slopes stay uncovered
+    assert set(range(13)) <= set(found) and found[None] > 100
 
 
 def test_tent_exclusion_is_the_characters_vertical():
@@ -1387,7 +1434,7 @@ def test_integer_forms_match_the_surd_ones():
 
 
 def _cold_tents():
-    for cached in (curve._tent, lepotier._tent_ends, el, er, eplus):
+    for cached in (curve._tent, lepotier._tent_ends, exceptional._contact):
         cached.cache_clear()
 
 
@@ -1405,9 +1452,10 @@ def test_tent_checks_catch_seeded_mutations(monkeypatch):
         p, q, d, s = form(r, c, side)
         return (p, -q if side < 0 else q, d, s)
 
-    def left_neighbour_moved(lbl):
-        r, c, e = int_char(lbl)
-        return (r, c, e + 2) if lbl == label.left_neighbor() else (r, c, e)
+    def left_neighbour_moved(p, m):
+        r, c, e = int_char(p, m)
+        nb = label.left_neighbor()
+        return (r, c, e + 2) if (p, m) == (nb.p, nb.m) else (r, c, e)
 
     mutations = [(curve, "_tent_ends", right_chord_b_plus_one, "contact point off its chord"),
                  (lepotier, "_contact_form", left_contact_other_root, "contact point off its chord"),
@@ -1608,12 +1656,12 @@ def test_the_segment_walk_leaves_the_surd_points_alone():
         b = _random_point(rng, a.x - Fraction(1, 2), a.x + Fraction(1, 2))
         if a.x != b.x:
             segments.append((a, b, rng.randint(0, 6)))
-    caches = (el, er, eplus, curve._tent, lepotier._tent_ends)
+    caches = (exceptional._contact, curve._tent, lepotier._tent_ends)
     for cache in caches:
         cache.cache_clear()
     answers = {geo_contains_segment(a, b, depth, exclude_a=True) for a, b, depth in segments}
     assert answers == set(GeoAnswer) and lepotier._tent_ends.cache_info().currsize > 0
-    assert [cache.cache_info().currsize for cache in caches[:4]] == [0, 0, 0, 0]
+    assert [cache.cache_info().currsize for cache in caches[:2]] == [0, 0]
 
 
 def _label_keyed_segment(a, b, depth, exclude_a=False):
@@ -1670,7 +1718,7 @@ def _label_keyed_segment(a, b, depth, exclude_a=False):
         p, k = gaps.pop()
         lo, hi = span(ends_of(DyadicLabel(p, k))[2], ends_of(DyadicLabel(p + 1, k))[0], ends)
         mid = DyadicLabel(2 * p + 1, k + 1)
-        r2 = _int_char(mid)[0] ** 2
+        r2 = _int_char(mid.p, mid.m)[0] ** 2
         if compare(lo, hi) > 0 or (lepotier._disc_sign(seg, r2, lo[2]) < 0
                                    and lepotier._disc_sign(seg, r2, hi[2]) < 0):
             continue
@@ -1716,7 +1764,7 @@ def _slice_points(rng, n, depth):
     given depth, between that midpoint's exclusion top and discriminant 1/2:
     the gap is open there, at the budget depth and at any budget below it."""
     mid = DyadicLabel(2 * ((n << depth) + rng.randrange(1 << depth)) + 1, depth + 1)
-    r, c, _ = _int_char(mid)
+    r, c, _ = _int_char(mid.p, mid.m)
     for _ in range(2):
         x = Fraction(c, r) + Fraction(rng.choice((-1, 1)), r * r << rng.randint(8, 40))
         delta = (1 - Fraction(1, r * r) * Fraction(rng.randint(1, 9), 10)) / 2
@@ -1776,10 +1824,10 @@ def test_warm_segment_and_stability_tests_build_and_hash_no_label(monkeypatch, c
     argv = ["stab-region", "--label", "3/8", "--grid=-1,3/2,1,2,6", "--depth", "5"]
     assert label_calls(monkeypatch, lambda: run(argv)) == Counter({"__init__": 1})
     assert capsys.readouterr().out.count("Stable") > 20
-    # the point walk in the strip still names its labels, but hashes none
+    # the point walk in the strip runs on the integers (p, m): it builds no label
     strip = [P for P in points if Fraction(1, 2) <= P.delta() <= 1]
-    calls = label_calls(monkeypatch, lambda: [classify_point(P, 8) for P in strip])
-    assert strip and calls["__init__"] > 0 and calls["__hash__"] == 0
+    assert strip
+    assert label_calls(monkeypatch, lambda: [classify_point(P, 8) for P in strip]) == Counter()
     # a point on an exclusion above the strip is found by the integer slope
     # search, which builds no label that the character cache holds
     on_exclusion = []
@@ -1857,7 +1905,8 @@ def test_a_stable_strip_point_takes_no_point_walk(monkeypatch):
     assert len(stable) >= 2
     walks = []
     tent_at = lepotier._tent_at
-    monkeypatch.setattr(lepotier, "_tent_at", lambda x, depth: walks.append(x) or tent_at(x, depth))
+    monkeypatch.setattr(lepotier, "_tent_at",
+                        lambda w, X, depth: walks.append(Fraction(X, w)) or tent_at(w, X, depth))
     assert [exc_stable_at(E, P, 8) for P in stable] == [exc_stable_at(E, P, 8) for P in stable]
     assert walks == []
     # classify_point itself still takes the point walk

@@ -193,6 +193,13 @@ PHASE_ON_INTS = ("gl_act", "_phase_gaps", "_classify_cell", "transport_plus_leg"
 STRIP_DECISIONS = ("_strip_class", "_classify_ints", "classify_point", "dlp_exists")
 NOT_IN_STRIP = ("Tent", "_tent", "y_on", "ProjLine", "CurveSegment", "QuadReal",
                 "el", "er", "eplus")
+# below the public functions a label is its integers (p, m): the point walk,
+# the character cache and its recursion, the contact points, the slope search
+# and the segment walk's label entries build no DyadicLabel and read no apex
+# point or CharVec
+ON_LABEL_INTS = ("_tent_at", "_strip_class", "_int_char", "_fill", "_recurrence_terms",
+                 "_contact", "_slope_search", "_tent_ends")
+NOT_ON_LABEL_INTS = ("DyadicLabel", "eplus", "char_of")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE},
            **{name: NOT_IN_SEARCH for name in SLOPE_SEARCH},
@@ -204,6 +211,8 @@ for _name in PHASE_ON_INTS:
     REFUSED[_name] = (*REFUSED.get(_name, ()), "shifted")
 for _name in STRIP_DECISIONS:
     REFUSED[_name] = (*REFUSED.get(_name, ()), *NOT_IN_STRIP)
+for _name in ON_LABEL_INTS:
+    REFUSED[_name] = (*REFUSED.get(_name, ()), *NOT_ON_LABEL_INTS)
 
 
 def _non_integer_names(tree):
@@ -233,6 +242,10 @@ def test_the_segment_walk_signs_stay_on_integers():
     assert set(INTEGER_SIGNS) - set(SURD_KERNELS) - {"_on_chord"} <= defined["lepotier"]
     assert "_on_chord" in defined["curve"]
     assert set(SLOPE_SEARCH) <= defined["exceptional"]
+    assert {"_int_char", "_fill", "_recurrence_terms", "_contact"} <= defined["exceptional"]
+    assert {"_tent_at", "_strip_class", "_tent_ends"} <= defined["lepotier"]
+    # the point walk reads its contact points through exceptional._contact alone
+    assert not {"DyadicLabel", "el", "er", "eplus"} & _names(trees["lepotier"])
     assert set(STRIP_DECISIONS) <= defined["lepotier"]
     assert "_stable_in_region" in defined["geometric"]
     assert [_non_integer_names(tree) for tree in trees.values()] == [[], [], [], [], []]
@@ -282,9 +295,31 @@ def test_the_segment_walk_signs_stay_on_integers():
         "def slope_to_label(mu):\n    return slope(char_of(mu))")) == [2, 2]
     assert _non_integer_names(ast.parse("def slope_to_label(mu):\n    return Fraction(mu)")) == []
     assert _non_integer_names(ast.parse(
-        "def _slope_search(num, den):\n    return char_of(DyadicLabel(q, m)).ch1")) == [2]
+        "def _slope_search(num, den):\n    return char_of(DyadicLabel(q, m)).ch1")) == [2, 2]
     assert _non_integer_names(ast.parse(
-        "def _slope_search(num, den):\n    return _CHARS.get((q, m)) or _fill(DyadicLabel(q, m))")) == []
+        "def _slope_search(num, den):\n    return _CHARS.get((q, m)) or _fill(DyadicLabel(q, m))")) == [2]
+    assert _non_integer_names(ast.parse("def _slope_search(num, den):\n    return _int_char(q, m)")) == []
+    assert _non_integer_names(ast.parse(
+        "def _tent_at(w, X, depth):\n    mid = DyadicLabel(2 * p + 1, m)\n"
+        "    return X * r >= c * w or Fraction(X, w) >= eplus(mid).x")) == [2, 3]
+    assert _non_integer_names(ast.parse(
+        "def _tent_at(w, X, depth):\n    r, c, _ = _int_char(q, m)\n"
+        "    return Fraction(X, w) <= _contact(q, m, 1).x")) == []
+    assert _non_integer_names(ast.parse(
+        "def _strip_class(w, X, Y, depth):\n    return _tent_ends(*_tent_at(w, X, depth))")) == []
+    assert _non_integer_names(ast.parse(
+        "def _strip_class(w, X, Y, depth):\n    label = DyadicLabel(*_tent_at(w, X, depth))")) == [2]
+    assert _non_integer_names(ast.parse("def _int_char(p, m):\n    return char_of(label)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _fill(p, m):\n    raise ValueError(f'rank at label {DyadicLabel(q, k)}')")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _fill(p, m):\n    raise ValueError(f'rank at label {Fraction(q, 1 << k)}')")) == []
+    assert _non_integer_names(ast.parse(
+        "def _recurrence_terms(p, m):\n    return DyadicLabel(p + 1, m), _lowest(p - 1, m)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _contact(p, m, side):\n    return exceptional.char_of(label).ch0")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _tent_ends(p, m):\n    return _int_char(DyadicLabel(p, m))")) == [2]
     assert _non_integer_names(ast.parse("def is_exceptional_char(v):\n    return slope(v)")) == []
 
 
@@ -397,7 +432,7 @@ def test_the_chart_orders_phases_on_integers():
 # predicates of corekit and lepotier that nothing called
 GONE = {"_coprime_ints", "_origin_in_polygon", "_exc_delta", "HALF", "ray_above",
         "_halfplane_dir", "vec", "cross2", "x_range", "contains", "same_line", "through",
-        "edges", "covers_y"}
+        "edges", "covers_y", "_label_cache", "_label_data"}
 
 
 def test_decisions_take_rational_points():

@@ -66,11 +66,6 @@ def _ch(args) -> CharVec:
     return CharVec(*(parse_rational(t) for t in (args.ch0, args.ch1, args.ch2)))
 
 
-def _strict(args, unknown: bool) -> int:
-    """A deciding verb's exit code: with --strict an Unknown verdict exits 3."""
-    return 3 if args.strict and unknown else 0
-
-
 def _exc(args) -> int:
     label = DyadicLabel.parse(args.label)
     if args.what == "char":
@@ -100,17 +95,14 @@ def _curve(args) -> int:
 
 
 def _classify_point(args) -> int:
-    from .lepotier import RegionClass, classify_point
+    from .lepotier import classify_point
     result = classify_point(AffPt(parse_rational(args.x), parse_rational(args.y)), args.depth)
-    _emit({"class": result.value})
-    return _strict(args, result is RegionClass.UNKNOWN)
+    return _emit({"class": result.value})
 
 
 def _dlp(args) -> int:
-    from .lepotier import DlpResult, dlp_exists
-    result = dlp_exists(_ch(args), args.depth)
-    _emit({"result": result.value})
-    return _strict(args, result is DlpResult.UNKNOWN)
+    from .lepotier import dlp_exists
+    return _emit({"result": dlp_exists(_ch(args), args.depth).value})
 
 
 def _charge(args) -> int:
@@ -138,14 +130,14 @@ def _stab_region(args) -> int:
     saw_unknown = False
     for y in ys:
         for x in xs:
-            # None off the region, at the larger of --depth and the label's depth
+            # None off the region
             result = _stable_in_region(E, AffPt(x, y), args.depth)
             if result is None:
                 continue
             saw_unknown = saw_unknown or result is StabResult.UNKNOWN
             lines.append(f"{format_rational(x)},{format_rational(y)},{result.value}")
     sys.stdout.write("\n".join(lines) + "\n")
-    return _strict(args, saw_unknown)
+    return 3 if args.strict and saw_unknown else 0
 
 
 def _later(name: str):

@@ -329,23 +329,32 @@ def _slope_search(num: int, den: int) -> tuple[int, int] | None:
     """slope_to_label(num/den) as (p, m), for num/den in lowest terms."""
     if den == 1:
         return num, 0
+    return next(((q, m) for q, m, _, t in _midpoints(num, den) if t == 0), None)
+
+
+def _midpoints(num: int, den: int):
+    """The midpoints of the gaps that hold num/den, den > 0 and in lowest terms.
+
+    For each, from num/den's unit cell down, it yields (q, m, r, t): the
+    label q/2^m, its rank r, and t = c den - num r for its degree c, of the
+    sign of c/r - num/den.  The next gap is the half on num/den's side, the left
+    one when t > 0.  It stops before a midpoint would rank above den, so it
+    builds no character of more bits than den.
+    """
     # the target lies between the adjacent labels p/2^(m-1) and (p+1)/2^(m-1)
     # of slopes ca/ra < mu < cb/rb, first the integers p and p + 1
-    p = num // den
+    p, m = num // den, 1
     ra, ca, rb, cb = 1, p, 1, p + 1
-    for m in range(1, den.bit_length() + 1):
-        if 3 * ra * rb - cb * ra + ca * rb > den:
-            return None
+    while 3 * ra * rb - cb * ra + ca * rb <= den:
         q = 2 * p + 1
         r, c, _ = _int_char(q, m)
         t = c * den - num * r
-        if t == 0:
-            return q, m
+        yield q, m, r, t
         if t < 0:
             p, ra, ca = q, r, c
         else:
             p, rb, cb = 2 * p, r, c
-    return None
+        m += 1
 
 
 def is_exceptional_char(v: CharVec) -> bool:

@@ -357,19 +357,18 @@ class StabResult(enum.Enum):
 
 def _stable_in_region(E: ExcBundle, P: AffPt, depth: int) -> Optional[StabResult]:
     """The verdict of exc_stable_at, or None when P is off the geometric
-    region at max(depth, E.label.m); stab-region skips such a point.  P's
-    integer vector (w, X, Y) serves the walk, whose other end is E's
+    region; stab-region skips such a point.  P's integer vector (w, X, Y)
+    serves the walk, at max(depth, E.label.m), whose other end is E's
     projected character (2r, 2c, e), from E's (r, c, e), and P's class.  A
     walk that clears the segment has cleared P, so P is classified only on
     another answer, or at E's own point, which the walk excuses.
     """
     from .lepotier import GeoAnswer, RegionClass, _classify_ints, _contains_ints
-    eff = max(depth, E.label.m)
     w, X, Y = _point_ints(P)
     r, c, e = _int_char(E.label.p, E.label.m)
-    answer = _contains_ints((2 * r, 2 * c, e), (w, X, Y), eff, True)
+    answer = _contains_ints((2 * r, 2 * c, e), (w, X, Y), max(depth, E.label.m), True)
     if ((answer is not GeoAnswer.YES or X * r == c * w and 2 * Y * r == e * w)
-            and _classify_ints(w, X, Y, eff) is not RegionClass.GEO_LP):
+            and _classify_ints(w, X, Y) is not RegionClass.GEO_LP):
         return None
     if answer is GeoAnswer.UNKNOWN:
         return StabResult.UNKNOWN
@@ -388,7 +387,7 @@ def exc_stable_at(E: ExcBundle, P: AffPt, depth: int) -> StabResult:
     stable object, otherwise its single shift is.  The refinement depth
     is raised to the label's own depth so the bundle's anchoring data
     is always present in the approximation; unless the walk clears the
-    segment, P is classified at that depth too, and off the region refused.
+    segment, P is classified too, and off the region refused.
     The rule lives in _stable_in_region, which stab-region calls too.
     """
     result = _stable_in_region(E, P, depth)

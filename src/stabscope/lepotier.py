@@ -6,38 +6,40 @@ the projected character, and a vertical exclusion segment from that
 character down to the tent apex.  Tents are disjoint and ordered like
 their labels, so no decision needs the whole curve.
 
-A point walks down the label tree of its unit cell: the midpoint label's
-tent either covers the slope or lies on one side of it, so a point costs
-one step per unit of depth.  A segment visits the integer labels of the
-unit cells of its slope span where its discriminant reaches 0, at most a
-few cells at each end, then the gaps between adjacent labels p/2^k and
-(p+1)/2^k in those cells.  The midpoint of the gap between slopes a < b
-<= a + 1 of ranks r_a, r_b has rank r = r_a * r_b * (3 - (b - a)), at least
-2 * r_a * r_b, so by induction no label of the gap ranks below it, and a
-segment whose discriminant stays below (1/2)(1 - 1/r^2) over the gap clears
-it at any depth.  Otherwise the midpoint label's exclusion and chords are
-checked and both halves are walked; a gap still open at the depth budget
-makes the answer Unknown.  A vertical segment at slope x is walked as the
-level segment at its lower end over the span [x, x], so it takes the same
-cells, gaps, bounds and chords as any other.  Above
-the strip only the label of rank r = den(x) can have the slope x, so a
-point is on an exclusion exactly when its discriminant reaches
-(1/2)(1 - 1/r^2) and _slope_search finds that label; that search stops at
-rank r and takes no budget, so there every depth gives the same answer.
-Points and segment ends are rational, and a surd one is refused with a
-ValueError.  A point is decided on its integer vector (w, X, Y), w > 0:
-with n = X^2 - 2 w Y, 2 w^2 times its discriminant, it is above the strip
-when n < w^2, below it when n > 2 w^2, and reaches the exclusion's top
-when n r^2 >= w^2 (r^2 - 1), r = w/gcd(w, X).  In the strip it takes the
-sign of the covering label's integer chord line on its side of the apex,
-and above the apex it is on the exclusion.  The point walk finds that
-label as (p, m) on the integer characters, each midpoint's side from the
-sign of X r - c w; x = X/w becomes a Fraction only to be compared with
-the contact point on that side.  A character on an exclusion is a
-multiple of its label's own exactly when it projects to the top, at
-equality.  No decision builds a tent: the tents, segments and exclusions
-that meet a window are stabscope.curve's output, for curve emit, and
-their names still resolve here, loaded on first use.
+A point at slope num/den walks down the label tree of its unit cell: the
+midpoint label's tent either covers the slope or lies on one side of it.
+Every rational slope is under a tent of rank at most den, and the walk
+stops at that rank, so a point takes no depth budget.  A segment visits
+the integer labels of the unit cells of its slope span where its
+discriminant reaches 0, at most a few cells at each end, then the gaps
+between adjacent labels p/2^k and (p+1)/2^k in those cells.  The
+midpoint of the gap between slopes a < b <= a + 1 of ranks r_a, r_b has
+rank r = r_a * r_b * (3 - (b - a)), at least 2 * r_a * r_b, so by induction no
+label of the gap ranks below it, and a segment whose discriminant stays
+below (1/2)(1 - 1/r^2) over the gap clears it at any depth.  Otherwise
+the midpoint label's exclusion and chords are checked and both halves
+are walked; a gap still open at the depth budget makes the answer
+Unknown.  A vertical segment at slope x is walked as the level segment at
+its lower end over the span [x, x], so it takes the same cells, gaps,
+bounds and chords as any other.  Above the strip only the label of rank
+r = den(x) can have the slope x, so a point is on an exclusion exactly
+when its discriminant reaches (1/2)(1 - 1/r^2) and _slope_search finds
+that label, by the same descent, exceptional._midpoints, as the point
+walk.  Points and segment ends are rational, and a surd one is refused
+with a ValueError.  A point is decided on its integer vector (w, X, Y),
+w > 0: with n = X^2 - 2 w Y, 2 w^2 times its discriminant, it is above the
+strip when n < w^2, below it when n > 2 w^2, and reaches the exclusion's
+top when n r^2 >= w^2 (r^2 - 1), r = w/gcd(w, X).  In the strip it takes
+the sign of the covering label's integer chord line on its side of the
+apex, and above the apex it is on the exclusion.  The point walk finds
+that label as (p, m) on the integer characters, each midpoint's side
+from the sign of c den - num r; x becomes a Fraction only to be compared
+with the contact point on that side, where |x - c/r| r^2 <= 0.4.  A
+character on an exclusion is a multiple of its label's own exactly when
+it projects to the top, at equality.  No decision builds a tent: the
+tents, segments and exclusions that meet a window are stabscope.curve's
+output, for curve emit, and their names still resolve here, loaded on
+first use.
 
 The segment walk takes its signs on integers, from its ends' integer
 vectors w (1, x, y), w > 0.  Its line y = m x + c is their cross3, made
@@ -71,7 +73,7 @@ from fractions import Fraction
 
 from . import _moved
 from .corekit import AffPt, CharVec, _point_ints, _primitive, _scaled_ints, cross3
-from .exceptional import CACHE_SIZE, _contact, _contact_form, _int_char, _slope_search
+from .exceptional import CACHE_SIZE, _contact, _contact_form, _int_char, _midpoints, _slope_search
 from .surd import _floor_form, _form_sign, _root_sign
 
 __getattr__ = _moved(__name__, "curve")
@@ -98,68 +100,67 @@ class GeoAnswer(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-def _tent_at(w: int, X: int, depth: int) -> tuple[int, int] | None:
-    """The label (p, m), m <= depth, whose tent's closed slope span holds x = X/w, or None.
+def _tent_at(num: int, den: int) -> tuple[int, int]:
+    """The label (p, m) whose tent's closed slope span holds x = num/den, in lowest terms.
 
-    The point walk of classify_point, for integers with w > 0.  Like
-    _slope_search it keeps the gap between adjacent labels p/2^m and
-    (p+1)/2^m of x's unit cell that x lies in.  The midpoint's tent either
-    covers x or lies wholly on one side of it: x is on the apex's right
-    when X r >= c w, for the midpoint's integer character (r, c, e), and
-    the contact point on that side decides the cover.
+    The point walk of classify_point.  Every rational slope is under a tent
+    (Drezet-Le Potier), one of rank at most den: a tent of slope c/r reaches
+    less than 0.382/r^2 from c/r, and |x - c/r| >= 1/(r den) unless x = c/r.
+    So the walk is exceptional._midpoints, which stops at rank den.  Each
+    midpoint's tent either covers x or lies wholly on one side of it: x is
+    on the apex's right when t = c den - num r <= 0.  When 5 |t| r > 2 den,
+    |x - c/r| r^2 > 0.4 and the tent misses x; otherwise the contact point
+    on x's side decides the cover.
     """
-    x, p = Fraction(X, w), X // w
+    x, p = Fraction(num, den), num // den
     if x <= _contact(p, 0, 1).x:
         return p, 0
     if x >= _contact(p + 1, 0, -1).x:
         return p + 1, 0
-    for m in range(1, depth + 1):
-        q = 2 * p + 1
-        r, c, _ = _int_char(q, m)
-        right = X * r >= c * w
-        if (x <= _contact(q, m, 1).x) if right else (x >= _contact(q, m, -1).x):
+    for q, m, r, t in _midpoints(num, den):
+        if 5 * abs(t) * r <= 2 * den and (
+                x <= _contact(q, m, 1).x if t <= 0 else x >= _contact(q, m, -1).x):
             return q, m
-        p = 2 * p + right
-    return None
+    raise AssertionError(f"no tent covers {x}")
 
 
 def classify_point(p: AffPt, depth: int) -> RegionClass:
     """Locate a rational plane point relative to the curve and the exclusion segments.
 
-    Above the strip the only question is membership in an exclusion
-    segment, which takes no budget, so there the answer is the same at
-    every depth; inside the strip the covering label's chord and exclusion
-    lines (when one covers x at this depth) settle the answer for good, and
-    uncovered strip slopes remain Unknown because deeper tents accumulate
-    there.  The point is decided by _classify_ints on its integer vector; a
-    surd point is refused with to_fraction's ValueError.
+    The answer takes no budget, so it is the same at every depth, which is
+    only checked: above the strip the only question is membership in an
+    exclusion segment, and inside it the covering label's chord and
+    exclusion lines settle the answer.  The point is decided by
+    _classify_ints on its integer vector; a surd point is refused with
+    to_fraction's ValueError.
     """
     if depth < 0:
         raise ValueError("negative depth")
-    return _classify_ints(*_point_ints(p), depth)
+    return _classify_ints(*_point_ints(p))
 
 
-def _classify_ints(w: int, X: int, Y: int, depth: int) -> RegionClass:
+def _classify_ints(w: int, X: int, Y: int) -> RegionClass:
     """classify_point at the point (X/w, Y/w), for integers with w > 0.
 
     n = X^2 - 2 w Y is 2 w^2 times the discriminant, so the point is above
     the strip when n < w^2 and below it when n > 2 w^2.  Above the strip
     it is on an exclusion when _top_gap is >= 0 and _slope_search finds
     the label of its slope, building none that _CHARS holds.  In the strip
-    it is _strip_class.
+    it is _strip_class.  Both take x = X/w as num/den, reduced once.
     """
     n, w2 = X * X - 2 * w * Y, w * w
-    if n < w2:
-        g = math.gcd(w, X)
-        if _top_gap(w, X, n) >= 0 and _slope_search(X // g, w // g) is not None:
-            return RegionClass.ON_EXCLUSION
-        return RegionClass.GEO_LP
     if n > 2 * w2:
         return RegionClass.BELOW_CURVE
-    return _strip_class(w, X, Y, depth)
+    g = math.gcd(w, X)
+    num, den = X // g, w // g
+    if n >= w2:
+        return _strip_class(w, X, Y, num, den)
+    if _top_gap(w, n, den) >= 0 and _slope_search(num, den) is not None:
+        return RegionClass.ON_EXCLUSION
+    return RegionClass.GEO_LP
 
 
-def _top_gap(w: int, X: int, n: int) -> int:
+def _top_gap(w: int, n: int, r: int) -> int:
     """n r^2 - w^2 (r^2 - 1), for n = X^2 - 2 w Y and r = den(X/w) = w/gcd(w, X).
 
     This is 2 w^2 r^2 times the discriminant of (X/w, Y/w) less
@@ -168,22 +169,20 @@ def _top_gap(w: int, X: int, n: int) -> int:
     exclusion spans the discriminants from (1/2)(1 - 1/r^2) to
     (1/2)(1 + 1/r^2).
     """
-    r2 = (w // math.gcd(w, X)) ** 2
+    r2 = r * r
     return n * r2 - w * w * (r2 - 1)
 
 
-def _strip_class(w: int, X: int, Y: int, depth: int) -> RegionClass:
+def _strip_class(w: int, X: int, Y: int, num: int, den: int) -> RegionClass:
     """_classify_ints in the strip, by the signs of the covering label's _tent_ends lines.
 
-    K Y - A X - B w has the sign of the height less that of y = (A x + B)/K on
-    the chord on x's side of the apex c/r.  A point above the apex at c/r is
-    on the exclusion: a strip point's discriminant is at least 1/2, and the
-    exclusion's top, at (1/2)(1 - 1/r^2), is below that.
+    num/den is X/w in lowest terms.  K Y - A X - B w has the sign of the height
+    less that of y = (A x + B)/K on the chord on x's side of the apex c/r.  A
+    point above the apex at c/r is on the exclusion: a strip point's
+    discriminant is at least 1/2, and the exclusion's top, at (1/2)(1 - 1/r^2),
+    is below that.
     """
-    found = _tent_at(w, X, depth)
-    if found is None:
-        return RegionClass.UNKNOWN
-    _, apex_x, _, chord_l, chord_r, _, _ = _tent_ends(*found)
+    _, apex_x, _, chord_l, chord_r, _, _ = _tent_ends(*_tent_at(num, den))
     c, _, _, r = apex_x[2]
     k, a, b = chord_l if X * r <= c * w else chord_r
     sign = k * Y - a * X - b * w
@@ -202,22 +201,21 @@ def dlp_exists(v: CharVec, depth: int) -> DlpResult:
     v is read as an integer vector (w, X, Y) with w > 0, a positive
     multiple of (ch0, ch1, ch2).  On an exclusion at slope x, v is a
     multiple of an exceptional character exactly when it projects to the
-    top, of discriminant (1/2)(1 - 1/den(x)^2), where _top_gap is 0.
-    Above the strip the verdict takes no budget; only a point in the
-    strip whose covering tent is deeper than depth answers Unknown.
+    top, of discriminant (1/2)(1 - 1/den(x)^2), where _top_gap is 0.  The
+    verdict takes no budget, so depth is only checked, and it is never
+    Unknown.
     """
     if v.ch0 <= 0:
         raise ValueError("existence test requires positive rank")
     if depth < 0:
         raise ValueError("negative depth")
     _, (w, X, Y) = _scaled_ints((v.ch0, v.ch1, v.ch2))
-    cls = _classify_ints(w, X, Y, depth)
-    if cls is RegionClass.ON_EXCLUSION and _top_gap(w, X, X * X - 2 * w * Y) == 0:
+    cls = _classify_ints(w, X, Y)
+    if (cls is RegionClass.ON_EXCLUSION
+            and _top_gap(w, X * X - 2 * w * Y, w // math.gcd(w, X)) == 0):
         return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
-    if cls is RegionClass.UNKNOWN:
-        return DlpResult.UNKNOWN
     return DlpResult.NO
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import stabscope
-from stabscope import curve, lepotier
+from stabscope import curve
 from stabscope.algebraic import ThetaParams, validate_params
 from stabscope.corekit import to_fraction
 from stabscope.exceptional import (DyadicLabel, ExcTriple, TriplePattern, el, eplus, er,
@@ -99,7 +99,7 @@ def tent_height(tent, x):
     return (tent.left if x <= tent.apex.x else tent.right).line.y_at(x)
 
 
-def region_by_fractions(p, depth):
+def region_by_fractions(p):
     """classify_point at a rational point, on AffPt.delta and the exclusion rule."""
     d = p.delta()
     if d < Fraction(1, 2):
@@ -112,18 +112,17 @@ def region_by_fractions(p, depth):
         return RegionClass.GEO_LP
     if d > 1:
         return RegionClass.BELOW_CURVE
-    return strip_by_tent(p.x, p.y, depth)
+    return strip_by_tent(p.x, p.y)
 
 
-def strip_by_tent(x, y, depth):
-    """The strip rule at a rational (x, y) on the covering label's tent, built,
-    and its Fraction height on the chord on the apex's side of x.
+def strip_by_tent(x, y):
+    """The strip rule at a rational (x, y) on the tent of the label_walk label,
+    built, and its Fraction height on the chord on the apex's side of x.
     """
     x = to_fraction(x)
-    found = lepotier._tent_at(x.denominator, x.numerator, depth)
-    if found is None:
-        return RegionClass.UNKNOWN
-    tent = curve._tent(DyadicLabel(*found))
+    label, covered = label_walk(x)
+    assert covered, x
+    tent = curve._tent(label)
     yt = tent_height(tent, x)
     if y == yt:
         return RegionClass.ON_CURVE
@@ -134,28 +133,35 @@ def strip_by_tent(x, y, depth):
     return RegionClass.GEO_LP
 
 
-def label_walk(x, depth, reads):
-    """lepotier._tent_at as it was on labels: the DyadicLabel of depth <= depth
-    whose tent's closed slope span holds the rational x, or None, by the tree
-    walk that takes each midpoint's side from eplus and its cover from el or
-    er.  Each contact point it reads is appended to reads as (p, m, side).
+def label_walk(x, depth=None, reads=None):
+    """The point walk as it was on labels, by the tree walk that takes each
+    midpoint's side from eplus and its cover from el or er: the DyadicLabel
+    whose tent's closed slope span holds the rational x and True, or else
+    the open gap's midpoint label and False.  It stops at depth, or with no
+    depth before a midpoint ranks above den(x): a tent of rank r reaches
+    less than 1/(2 r^2) from its slope, which is then a convergent of x
+    (Legendre), of rank at most den(x).  Each contact point it reads is
+    appended to reads as (p, m, side).
     """
     def contact(label, side):
-        reads.append((label.p, label.m, side))
+        if reads is not None:
+            reads.append((label.p, label.m, side))
         return (er if side > 0 else el)(label).x
 
-    p = math.floor(x)
+    p, m = math.floor(x), 1
     if x <= contact(DyadicLabel(p), 1):
-        return DyadicLabel(p)
+        return DyadicLabel(p), True
     if x >= contact(DyadicLabel(p + 1), -1):
-        return DyadicLabel(p + 1)
-    for m in range(1, depth + 1):
+        return DyadicLabel(p + 1), True
+    while True:
         mid = DyadicLabel(2 * p + 1, m)
-        right = x >= eplus(mid).x
+        apex = eplus(mid).x
+        if m > depth if depth is not None else apex.denominator > x.denominator:
+            return mid, False
+        right = x >= apex
         if (x <= contact(mid, 1)) if right else (x >= contact(mid, -1)):
-            return mid
-        p = 2 * p + right
-    return None
+            return mid, True
+        p, m = 2 * p + right, m + 1
 
 
 # Exceptional slopes by arithmetic alone, an oracle independent of the label

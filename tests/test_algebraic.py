@@ -541,7 +541,7 @@ def _report_by_charge_solve(t, p, depth):
 
     The region test takes no part in the decision: the Fraction reference
     of it is run on every kernel point inside the pentagon as an oracle,
-    and wherever it decides at this depth it must find the point GeoLP.
+    and it must find the point GeoLP.
     """
     _, gap12_ge1, gap23_ge1 = _gaps_by_phases(p)
     if gap12_ge1 and gap23_ge1:
@@ -555,8 +555,8 @@ def _report_by_charge_solve(t, p, depth):
     elif not in_polygon_by_fractions(kp.point(), mz_polygon(t)):
         reason = "kernel point outside the open pentagon"
     else:
-        region = region_by_fractions(kp.point(), depth)
-        assert region in (RegionClass.GEO_LP, RegionClass.UNKNOWN), (t.labels, kp, region)
+        region = region_by_fractions(kp.point())
+        assert region is RegionClass.GEO_LP, (t.labels, kp, region)
         if Z.w1.re * Z.w2.im - Z.w1.im * Z.w2.re <= 0:
             reason = "orientation determinant not positive"
         else:

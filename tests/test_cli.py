@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import fresh_run
 from stabscope.algebraic import ThetaParams
+from stabscope.exceptional import _int_char
 from stabscope import lepotier
 from stabscope.cli import _VERBS, run
 from stabscope.geometric import RatComplex
@@ -98,20 +100,27 @@ def test_a_deep_label_in_no_pattern_is_refused_as_no_triple(capsys):
     assert _one_json_error(capsys, argv) == {"error": "labels do not form a standard triple pattern"}
 
 
+# the one grid point (-7/10, -16/75), whose segment from E = O meets a gap
+# still open at depth 0
+_OPEN_AT_0 = ["stab-region", "--label", "0", "--grid=-7/10,-7/10,-16/75,-16/75,2"]
+
+
 def test_strict_unknown_exits_3(capsys):
-    argv = ["classify-point", "--x", "1/2", "--y=-3/8", "--depth", "0"]
+    argv = _OPEN_AT_0 + ["--depth", "0"]
     assert run(argv) == 0
-    assert json.loads(capsys.readouterr().out) == {"class": "Unknown"}
+    assert capsys.readouterr().out == "x,y,result\n-7/10,-16/75,Unknown\n"
     assert run(argv + ["--strict"]) == 3
+    assert capsys.readouterr().out.endswith(",Unknown\n")
+    # a rational point takes no budget, so it is never Unknown
+    argv = ["classify-point", "--x", "1/2", "--y=-3/8", "--depth", "0", "--strict"]
+    assert _json(capsys, argv) == {"class": "OnExclusion"}
 
 
 def test_env_depth_default(capsys, monkeypatch):
     monkeypatch.setenv("STABSCOPE_DEPTH", "0")
-    out = _json(capsys, ["classify-point", "--x", "1/2", "--y=-3/8"])
-    assert out == {"class": "Unknown"}
-    out = _json(capsys, ["classify-point", "--x", "1/2", "--y=-3/8",
-                         "--depth", "4"])
-    assert out == {"class": "OnExclusion"}
+    assert _ok(capsys, _OPEN_AT_0).splitlines()[1:] == ["-7/10,-16/75,Unknown"]
+    assert _ok(capsys, _OPEN_AT_0 + ["--depth", "4"]).splitlines()[1:] == \
+        ["-7/10,-16/75,StableUnshifted"]
 
 
 def test_triple_and_mutate(capsys):
@@ -565,6 +574,34 @@ def test_deepest_slope_search_in_a_fresh_process(verb, n, k, extra, want):
     assert seconds < 3.0
 
 
+# the deepest strip point the CLI can reach: the apex slope c/r of the label
+# 1/2^m, where the ranks of labels grow slowest, at the largest m whose rank
+# prints in fewer than 4300 digits, and at discriminant 3/4 + (0..1)/r.  The
+# point walk descends all m levels, as no tent of smaller rank covers c/r.
+@functools.cache
+def _deepest_strip_point():
+    m = 10285
+    (r, c, _), (next_rank, _, _) = _int_char(1, m), _int_char(1, m + 1)
+    assert len(str(r)) < 4300 <= len(str(next_rank))
+    k = (2 * c * c - 3 * r * r) // (4 * r)
+    return r, c, k
+
+
+@pytest.mark.parametrize("verb,want", [("classify-point", {"class": "BelowCurve"}),
+                                       ("dlp", {"result": "Yes"})])
+def test_deepest_strip_point_in_a_fresh_process(verb, want):
+    r, c, k = _deepest_strip_point()
+    x, y = Fraction(c, r), Fraction(k, r)
+    assert Fraction(3, 4) <= x * x / 2 - y < 1
+    argv = (["classify-point", "--x", str(x), f"--y={y}"] if verb == "classify-point"
+            else ["dlp", "--ch0", str(r), "--ch1", str(c), f"--ch2={k}"])
+    assert max(len(digits) for a in argv for digits in re.findall(r"\d+", a)) < 4300
+    done, seconds = fresh_run(argv)
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout) == want
+    assert seconds < 15.0
+
+
 @pytest.mark.parametrize("depth", ["0", "1", "8"])
 def test_exceptional_multiple_is_found_at_every_depth(depth):
     # 2 O(1/2)'s character, whose label 1/2 is one level deep
@@ -888,9 +925,9 @@ def test_walls_skip_a_bundle_parallel_to_the_class(capsys):
 
 
 def test_unknown_verdicts_exit_3_under_strict(capsys):
+    # a character takes no budget: the depth-1 label 1/2 decides it at depth 0
     argv = ["dlp", "--ch0", "2", "--ch1", "1", "--ch2=-3/2", "--strict"]
-    assert run(argv + ["--depth", "0"]) == 3
-    assert json.loads(capsys.readouterr().out) == {"result": "Unknown"}
+    assert _json(capsys, argv + ["--depth", "0"]) == {"result": "Yes"}
     assert _json(capsys, argv + ["--depth", "1"]) == {"result": "Yes"}
     argv = ["stab-region", "--label", "0", "--grid=-7/10,-6/10,-16/75,-16/75,2", "--strict"]
     # the grid's one row of y
@@ -931,9 +968,9 @@ def test_stab_region_classifies_each_grid_point_once(capsys, monkeypatch):
     calls = []
     classify = lepotier._classify_ints
 
-    def counted(w, X, Y, depth):
+    def counted(w, X, Y):
         calls.append((w, X, Y))
-        return classify(w, X, Y, depth)
+        return classify(w, X, Y)
 
     monkeypatch.setattr(lepotier, "_classify_ints", counted)
     out = _ok(capsys, ["stab-region", "--label", "0",

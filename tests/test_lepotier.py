@@ -11,7 +11,8 @@ import mpmath
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import label_calls, label_walk, region_by_fractions, strip_by_tent, tent_height
+from conftest import (_arith_cover, label_calls, label_walk, region_by_fractions, strip_by_tent,
+                      tent_height)
 
 from stabscope import curve, exceptional, geometric, lepotier
 from stabscope.corekit import (AffPt, CharVec, Polygon, ProjLine, _point_ints, _primitive,
@@ -280,10 +281,10 @@ def test_geo_contains_segment_detects_deep_crossing():
     assert geo_contains_segment(a, b, 3, exclude_a=True) is GeoAnswer.NO
 
 
-def test_unknown_in_uncovered_gap_on_contact_parabola():
+def test_a_point_in_an_uncovered_gap_on_the_contact_parabola_is_decided():
     # Between two adjacent tents there is a slope gap no depth-3 segment
-    # covers; a point of the contact parabola inside that gap cannot be
-    # decided at depth 3, though more depth may still resolve it.
+    # covers; a point of the contact parabola inside that gap is under a
+    # deeper tent, which the point walk finds at every depth.
     depth = 3
     approx = build_curve(depth, (Fraction(0), Fraction(1)))
     tents = [t for t in approx.tents if nsign(t.apex.x) >= 0]
@@ -295,10 +296,10 @@ def test_unknown_in_uncovered_gap_on_contact_parabola():
     x = (lo_above + hi_below) / 2
     assert nsign(x - lo) > 0 and nsign(hi - x) > 0
     p = AffPt(x, x * x / 2 - Fraction(1, 2))
-    assert classify_point(p, depth) is RegionClass.UNKNOWN
-    later = classify_point(p, depth + 4)
-    assert later in (RegionClass.UNKNOWN, RegionClass.GEO_LP,
-                     RegionClass.ON_CURVE)
+    assert not label_walk(x, depth)[1]
+    want = region_by_fractions(p)
+    assert want in (RegionClass.GEO_LP, RegionClass.ON_CURVE)
+    assert all(classify_point(p, d) is want for d in (0, depth, depth + 4))
 
 
 # Reference decisions from every tent and exclusion that build_curve
@@ -337,17 +338,21 @@ def _exclusion_hit(label, p):
 
 
 def _reference_point(p, depth):
+    """classify_point from the tents of depth <= depth that build_curve lists,
+    or where none covers p.x, of the depth of conftest.label_walk's label."""
     half = Fraction(1, 2)
     if p.delta() < half:
         assert p.x.denominator.bit_length() <= _LABEL_DEPTH
         label = _labels_by_slope(math.floor(p.x)).get(p.x)
         return RegionClass.ON_EXCLUSION if _exclusion_hit(label, p) else RegionClass.GEO_LP
-    approx = _curve_near(p.x, p.x, depth)
     if p.delta() > 1:
         return RegionClass.BELOW_CURVE
-    tents = [t for t in approx.tents if t.left.start.x <= p.x <= t.right.end.x]
-    if not tents:
-        return RegionClass.UNKNOWN
+    for depth in (depth, label_walk(p.x)[0].m):
+        approx = _curve_near(p.x, p.x, depth)
+        tents = [t for t in approx.tents if t.left.start.x <= p.x <= t.right.end.x]
+        if tents:
+            break
+    assert len(tents) == 1, p
     yt = tent_height(tents[0], p.x)
     if p.y == yt:
         return RegionClass.ON_CURVE
@@ -489,6 +494,18 @@ def test_depth_is_cheap_above_the_strip():
     top = char_of(DyadicLabel(5, 3)).proj()
     assert classify_point(top, 100000) is RegionClass.ON_EXCLUSION
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_deep_strip_point_takes_no_budget():
+    # the apex slope c/r of the label 1/2^4000, a 5 554-bit rank, at
+    # discriminant 3/4: below the apex, at the default depth, in under 1 s
+    r, c, _ = _int_char(1, 4000)
+    x = Fraction(c, r)
+    p = AffPt(x, x * x / 2 - Fraction(3, 4))
+    start = time.perf_counter()
+    assert classify_point(p, 8) is RegionClass.BELOW_CURVE
+    assert time.perf_counter() - start < 1.0
+    assert dlp_exists(CharVec(r, c, r * p.y), 0) is DlpResult.YES
 
 
 def _apexes_on_segment(a, b, exclude_a):
@@ -662,27 +679,30 @@ def test_vertical_segment_at_uncovered_slope_uses_the_local_bound():
 
 
 def test_unknown_verdicts_are_decided_by_a_larger_budget():
+    # a point's verdict takes no budget: the depth-1 label 1/2 covers v's slope
     v = CharVec(2, 1, Fraction(-3, 2))
-    assert dlp_exists(v, 0) is DlpResult.UNKNOWN
-    assert all(dlp_exists(v, d) is DlpResult.YES for d in (1, 2, 3))
+    assert not label_walk(v.proj().x, 0)[1]
+    assert all(dlp_exists(v, d) is DlpResult.YES for d in (0, 1, 2, 3))
     E, P = ExcBundle.of("0"), pt("-7/10", "-16/75")
     assert exc_stable_at(E, P, 0) is StabResult.UNKNOWN
     assert all(exc_stable_at(E, P, d) is StabResult.STABLE_UNSHIFTED for d in (1, 2, 3))
 
 
 def test_a_larger_budget_keeps_dlp_verdicts():
-    unknowns = 0
+    # no verdict is Unknown and every depth gives the same one, also where
+    # the covering tent is deeper than the budget
+    deeper = 0
     for r in range(1, 9):
         for c in range(r + 1):
             for k in range(-40, 41):
                 v = CharVec(r, c, Fraction(k, 2))
-                if not Fraction(1, 4) <= v.proj().delta() <= Fraction(11, 10):
+                p = v.proj()
+                if not Fraction(1, 4) <= p.delta() <= Fraction(11, 10):
                     continue
                 got = [dlp_exists(v, d) for d in range(6)]
-                unknowns += DlpResult.UNKNOWN in got
-                decided = [g for g in got if g is not DlpResult.UNKNOWN]
-                assert decided == decided[-1:] * len(decided), (v, got)
-    assert unknowns > 20
+                assert DlpResult.UNKNOWN not in got and got == got[:1] * 6, (v, got)
+                deeper += Fraction(1, 2) <= p.delta() <= 1 and not label_walk(p.x, 0)[1]
+    assert deeper > 20
 
 
 def _old_dlp(v, depth):
@@ -692,7 +712,7 @@ def _old_dlp(v, depth):
         return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
-    return DlpResult.UNKNOWN if cls is RegionClass.UNKNOWN else DlpResult.NO
+    return DlpResult.NO
 
 
 def _integral_chars(cell, max_rank, lo, hi):
@@ -727,15 +747,15 @@ def _ints_of(x, y):
     return d, x.numerator * y.denominator, y.numerator * x.denominator
 
 
-def _dlp_by_fractions(v, depth):
+def _dlp_by_fractions(v):
     """dlp_exists as it was taken in Fractions: the discriminant read twice."""
     p = v.proj()
-    cls = region_by_fractions(p, depth)
+    cls = region_by_fractions(p)
     if cls is RegionClass.ON_EXCLUSION and p.delta() == (1 - Fraction(1, p.x.denominator ** 2)) / 2:
         return DlpResult.YES_EXCEPTIONAL
     if cls in (RegionClass.BELOW_CURVE, RegionClass.ON_CURVE):
         return DlpResult.YES
-    return DlpResult.UNKNOWN if cls is RegionClass.UNKNOWN else DlpResult.NO
+    return DlpResult.NO
 
 
 def test_integer_region_core_matches_the_fraction_rule():
@@ -774,49 +794,50 @@ def test_integer_region_core_matches_the_fraction_rule():
     seen = Counter()
     for x, y in points:
         p = AffPt(x, y)
+        want = region_by_fractions(p)
         for depth in (0, rng.randint(1, 6)):
-            want = region_by_fractions(p, depth)
             seen[want] += 1
             assert classify_point(p, depth) is want, (p, depth)
             # any positive multiple of the vector gives the same answer
             w, X, Y = _ints_of(x, y)
             k = rng.randint(1, 50)
-            assert lepotier._classify_ints(k * w, k * X, k * Y, depth) is want, (p, depth, k)
-    assert set(seen) == set(RegionClass) and seen[RegionClass.ON_CURVE] > 50
+            assert lepotier._classify_ints(k * w, k * X, k * Y) is want, (p, k)
+    assert set(seen) == set(RegionClass) - {RegionClass.UNKNOWN}
+    assert seen[RegionClass.ON_CURVE] > 50
     exceptional = 0
     for v in chars:
         depth = rng.randint(0, 4)
-        want = _dlp_by_fractions(v, depth)
+        want = _dlp_by_fractions(v)
         exceptional += want is DlpResult.YES_EXCEPTIONAL
         assert dlp_exists(v, depth) is want, (v, depth)
     assert exceptional > 300
 
 
 def test_classify_point_at_the_half_discriminant_takes_the_point_walk():
-    # at discriminant exactly 1/2 a point is in the strip: at slope 1/2,
-    # which depth 0 leaves uncovered, it is Unknown, not on the exclusion
-    # of the label 1/2 that depth 1 finds below it
+    # at discriminant exactly 1/2 a point is in the strip: at slope 1/2 it
+    # is on the exclusion of the label 1/2 below it, which the point walk
+    # finds at every depth, though depth 0 lists no tent covering 1/2
     p = pt("1/2", "-3/8")
     assert p.delta() == Fraction(1, 2)
-    assert classify_point(p, 0) is RegionClass.UNKNOWN
-    assert classify_point(p, 1) is RegionClass.ON_EXCLUSION
+    assert not label_walk(p.x, 0)[1]
+    assert classify_point(p, 0) is classify_point(p, 1) is RegionClass.ON_EXCLUSION
     # the exclusion top of the label 1/2, at y = -1/4, over d = 8 and over 2
     top = pt("1/2", "-1/4")
-    assert lepotier._classify_ints(8, 4, -2, 0) is classify_point(top, 0) is RegionClass.ON_EXCLUSION
+    assert lepotier._classify_ints(8, 4, -2) is classify_point(top, 0) is RegionClass.ON_EXCLUSION
 
 
 def _strip_points(rng, cell, count):
     """Seeded points at discriminants 1/2 to 1 near a unit cell, some on the
-    chord that covers them at depth 8.
+    chord that covers them at depth 8 of label_walk.
     """
     points = []
     for _ in range(count):
         den = rng.choice((1, 3, 7, 64, 1000, 2 ** 20 + 7))
         x = cell + Fraction(rng.randint(-den, 2 * den), den)
         y = x * x / 2 - Fraction(rng.randint(512, 1024), 1024)
-        found = lepotier._tent_at(x.denominator, x.numerator, 8)
-        if found is not None and rng.random() < 0.3:
-            y = tent_height(curve._tent(DyadicLabel(*found)), x)
+        label, covered = label_walk(x, 8)
+        if covered and rng.random() < 0.3:
+            y = tent_height(curve._tent(label), x)
         points.append((x, y))
     return points
 
@@ -856,28 +877,28 @@ def test_strip_verdicts_on_integer_lines_match_the_tent_rule():
     for cell in (0, 10, 300, 9000):
         for x, y in _strip_points(rng, cell, 60):
             w, X, Y = _ints_of(x, y)
+            want = strip_by_tent(x, y)
+            assert lepotier._strip_class(w, X, Y, x.numerator, x.denominator) is want, (x, y)
             for depth in range(9):
-                want = strip_by_tent(x, y, depth)
                 seen[want] += 1
-                assert lepotier._strip_class(w, X, Y, depth) is want, (x, y, depth)
                 if Fraction(1, 2) <= x * x / 2 - y <= 1:
                     assert classify_point(AffPt(x, y), depth) is want, (x, y, depth)
-    assert set(seen) == set(RegionClass) and seen[RegionClass.ON_CURVE] > 100
+    assert set(seen) == set(RegionClass) - {RegionClass.UNKNOWN}
+    assert seen[RegionClass.ON_CURVE] > 100
     for label, x, y, want in _strip_edges():
         w, X, Y = _ints_of(x, y)
-        assert strip_by_tent(x, y, label.m) is want, (label, x, y)
-        assert lepotier._strip_class(w, X, Y, label.m) is want, (label, x, y)
+        assert strip_by_tent(x, y) is want, (label, x, y)
+        assert lepotier._strip_class(w, X, Y, x.numerator, x.denominator) is want, (label, x, y)
     # 2^-60 above the exclusion's top, at discriminant below (1/2)(1 - 1/r^2)
     # < 1/2, a point is above the strip, which _strip_class never sees
     for label in _strip_labels():
         (r, c, e), eps = _int_char(label.p, label.m), Fraction(1, 2 ** 60)
         above = AffPt(Fraction(c, r), Fraction(e, 2 * r) + eps)
-        assert strip_by_tent(above.x, above.y, label.m) is RegionClass.GEO_LP, label
+        assert strip_by_tent(above.x, above.y) is RegionClass.GEO_LP, label
         assert classify_point(above, label.m) is RegionClass.GEO_LP, label
-    # the slope 1/2 is left uncovered at depth 0, and the label 1/2 covers it at depth 1
+    # the label 1/2 covers the slope 1/2, which no tent of depth 0 covers
     w, X, Y = _ints_of(Fraction(1, 2), Fraction(-3, 8))
-    assert lepotier._strip_class(w, X, Y, 0) is RegionClass.UNKNOWN
-    assert lepotier._strip_class(w, X, Y, 1) is RegionClass.ON_EXCLUSION
+    assert lepotier._strip_class(w, X, Y, 1, 2) is RegionClass.ON_EXCLUSION
 
 
 def test_strip_verdicts_build_no_tent(monkeypatch):
@@ -888,8 +909,8 @@ def test_strip_verdicts_build_no_tent(monkeypatch):
     depths = [rng.randint(0, 8) for _ in points]
     classes = [classify_point(p, depth) for p, depth in zip(points, depths)]
     answers = [dlp_exists(v, depth) for v, depth in zip(chars, depths)]
-    assert set(classes) == set(RegionClass)
-    assert set(answers) == {DlpResult.YES, DlpResult.NO, DlpResult.UNKNOWN}
+    assert set(classes) == set(RegionClass) - {RegionClass.UNKNOWN}
+    assert set(answers) == {DlpResult.YES, DlpResult.NO}
     tent = curve._tent
 
     def cold():
@@ -930,26 +951,41 @@ def _walk_inputs(rng):
 
 def test_the_point_walk_matches_the_label_walk(monkeypatch):
     # conftest.label_walk is the walk as it was on DyadicLabel, eplus, el and
-    # er; the walk on (p, m) gives its label and reads the same contact
-    # points, one per step, on the side of the apex that x is on
+    # er, taken to the rank bound; the walk on (p, m) gives its label, and of
+    # the contact points it read, reads those of the integer labels and of
+    # the midpoints within 0.4/r^2 of x, in the same order
     rng = random.Random(3838)
     xs = _walk_inputs(rng)
     reads = []
     contact = lepotier._contact
     monkeypatch.setattr(lepotier, "_contact",
                         lambda p, m, side: reads.append((p, m, side)) or contact(p, m, side))
-    found = Counter()
+    found, skipped = Counter(), 0
     for x in xs:
-        for depth in range(13):
-            want_reads = []
-            want = label_walk(x, depth, want_reads)
-            reads.clear()
-            got = lepotier._tent_at(x.denominator, x.numerator, depth)
-            assert got == (None if want is None else (want.p, want.m)), (x, depth)
-            assert reads == want_reads, (x, depth)
-            found[None if want is None else want.m] += 1
-    # every depth of label is found, and some slopes stay uncovered
-    assert set(range(13)) <= set(found) and found[None] > 100
+        want_reads = []
+        want, covered = label_walk(x, reads=want_reads)
+        reads.clear()
+        assert covered and lepotier._tent_at(x.numerator, x.denominator) == (want.p, want.m), x
+        near = [(p, m, side) for p, m, side in want_reads if m == 0
+                or abs(x - eplus(DyadicLabel(p, m)).x) * _int_char(p, m)[0] ** 2 <= Fraction(2, 5)]
+        assert reads == near, x
+        found[want.m] += 1
+        skipped += len(want_reads) - len(near)
+    # labels of every depth are found, and the filter spares many surds
+    assert set(range(13)) <= set(found) and skipped > 300
+
+
+def test_the_point_walk_matches_the_arithmetic_cover():
+    # conftest._arith_cover finds the covering label's slope by continued
+    # fractions and the arithmetic label rule, with no label tree
+    rng = random.Random(3939)
+    xs = _walk_inputs(rng)
+    for _ in range(1500):
+        den = rng.randint(1, 10 ** rng.randint(1, 9))
+        xs.append(Fraction(rng.randint(-3 * den, 3 * den), den))
+    for x in xs:
+        r, c, _ = _int_char(*lepotier._tent_at(x.numerator, x.denominator))
+        assert _arith_cover(x.numerator, x.denominator) == (c, r), x
 
 
 def test_tent_exclusion_is_the_characters_vertical():
@@ -1006,33 +1042,12 @@ def test_contact_points_classify_on_the_curve():
 # The segment walk decided with QuadReal arithmetic alone, without rational
 # brackets or integer signs, and over every unit cell of the slope span: the
 # exact reference of the filtered walk.  A vertical segment is held against
-# the tent that covers its slope, found by walking the QuadReal contact points.
+# the tent that covers its slope, found by conftest.label_walk on the QuadReal
+# contact points.
 
 def _integer_apex(p):
     """Whether p is (n, n^2/2) for an integer n, the top of the rank-1 exclusion at n."""
     return p.x.denominator == 1 and p.delta() == 0
-
-
-def _covering_tent(x, depth):
-    """The tent of depth <= depth whose span holds x, by comparing x with
-    the QuadReal contact points, or else the open gap's midpoint label.
-    """
-    p = math.floor(x)
-    if x <= er(DyadicLabel(p)).x:
-        return curve._tent(DyadicLabel(p))
-    if x >= el(DyadicLabel(p + 1)).x:
-        return curve._tent(DyadicLabel(p + 1))
-    for m in range(1, depth + 1):
-        mid = DyadicLabel(2 * p + 1, m)
-        if x < eplus(mid).x:
-            if x >= el(mid).x:
-                return curve._tent(mid)
-            p = 2 * p
-        else:
-            if x <= er(mid).x:
-                return curve._tent(mid)
-            p = 2 * p + 1
-    return DyadicLabel(2 * p + 1, depth + 1)
 
 
 def _exact_vertical(a, b, depth, exclude_a):
@@ -1040,13 +1055,14 @@ def _exact_vertical(a, b, depth, exclude_a):
     bound of the open gap's midpoint at its lower end.
     """
     x, (y_lo, y_hi) = a.x, sorted((a.y, b.y))
-    tent = _covering_tent(x, depth)
-    if isinstance(tent, DyadicLabel):
+    label, covered = label_walk(x, depth)
+    if not covered:
         # no label of the gap ranks below its midpoint, and the lower end
         # has the larger discriminant
-        r = char_of(tent).ch0
+        r = char_of(label).ch0
         clear = x * x / 2 - y_lo < Fraction(1, 2) - Fraction(1, 2 * r * r)
         return GeoAnswer.YES if clear else GeoAnswer.UNKNOWN
+    tent = curve._tent(label)
     if tent.apex.x == x:
         exc = tent.exclusion
         lo, hi = max(y_lo, exc.y_bottom), min(y_hi, exc.y_top)
@@ -1388,7 +1404,8 @@ def test_twist_by_a_line_bundle_keeps_every_verdict():
         assert geo_contains_segment(_twist(a, n), _twist(b, n), depth,
                                     exclude_a=exclude_a) is got, (a, b, n, depth)
         answers.add(got)
-    assert classes == set(RegionClass) and dlps == set(DlpResult)
+    assert classes == set(RegionClass) - {RegionClass.UNKNOWN}
+    assert dlps == set(DlpResult) - {DlpResult.UNKNOWN}
     assert answers == set(GeoAnswer)
 
 
@@ -1877,11 +1894,12 @@ def test_the_walk_first_rule_matches_the_classify_first_rule(monkeypatch):
                 if _label_keyed_stability(E, P, 400) is None:
                     off.append((E, P))
     # stable and unstable above the strip and inside it, Unknown in open
-    # gaps, and every class off the region
+    # gaps, and every class but Unknown off the region
     for want in (StabResult.STABLE_UNSHIFTED, StabResult.STABLE_SHIFTED, StabResult.NOT_STABLE):
         assert verdicts[want, False, RegionClass.GEO_LP] and verdicts[want, True, RegionClass.GEO_LP]
     assert verdicts[StabResult.UNKNOWN, True, RegionClass.GEO_LP]
-    assert {cls for want, _, cls in verdicts if want is None} == set(RegionClass) - {RegionClass.GEO_LP}
+    assert ({cls for want, _, cls in verdicts if want is None}
+            == set(RegionClass) - {RegionClass.GEO_LP, RegionClass.UNKNOWN})
     # off the region at depth 400 the walk still answers None, and it looks
     # up the same labels as at depth 40: it stops where the point's class does
     tent_ends = lepotier._tent_ends
@@ -1906,7 +1924,7 @@ def test_a_stable_strip_point_takes_no_point_walk(monkeypatch):
     walks = []
     tent_at = lepotier._tent_at
     monkeypatch.setattr(lepotier, "_tent_at",
-                        lambda w, X, depth: walks.append(Fraction(X, w)) or tent_at(w, X, depth))
+                        lambda num, den: walks.append(Fraction(num, den)) or tent_at(num, den))
     assert [exc_stable_at(E, P, 8) for P in stable] == [exc_stable_at(E, P, 8) for P in stable]
     assert walks == []
     # classify_point itself still takes the point walk

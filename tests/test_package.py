@@ -163,7 +163,7 @@ NOT_IN_STABILITY = ("proj", "slope", "to_fraction", "Fraction", "_tent_at", "_st
 # input is a Fraction, but it takes no CharVec, Fraction slope or surd, and
 # neither does its integer core
 NOT_IN_SEARCH = ("QuadReal", "char_of", "slope")
-SLOPE_SEARCH = ("slope_to_label", "_slope_search")
+SLOPE_SEARCH = ("slope_to_label", "_slope_search", "_midpoints")
 # the chart classifier decides its kernel point on the kernel's integer
 # vector and builds the report's KernelPoint from it after the decision, and
 # the polygon core takes a rational point's signs on integers, comparing
@@ -194,11 +194,11 @@ STRIP_DECISIONS = ("_strip_class", "_classify_ints", "classify_point", "dlp_exis
 NOT_IN_STRIP = ("Tent", "_tent", "y_on", "ProjLine", "CurveSegment", "QuadReal",
                 "el", "er", "eplus")
 # below the public functions a label is its integers (p, m): the point walk,
-# the character cache and its recursion, the contact points, the slope search
-# and the segment walk's label entries build no DyadicLabel and read no apex
-# point or CharVec
+# the character cache and its recursion, the contact points, the slope search,
+# the descent they share and the segment walk's label entries build no
+# DyadicLabel and read no apex point or CharVec
 ON_LABEL_INTS = ("_tent_at", "_strip_class", "_int_char", "_fill", "_recurrence_terms",
-                 "_contact", "_slope_search", "_tent_ends")
+                 "_contact", "_slope_search", "_midpoints", "_tent_ends")
 NOT_ON_LABEL_INTS = ("DyadicLabel", "eplus", "char_of")
 REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_PREAMBLE for name in SEGMENT_PREAMBLE},

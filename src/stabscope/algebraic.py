@@ -10,10 +10,11 @@ the left-mutated triple and back.
 
 The classifier never solves for the charge: its kernel is written
 directly in the triple's characters and the three values, in integers,
-as a primitive vector (w, X, Y) tested against the open pentagon, with
-no Fraction between the values and the verdict and no region test
-(classify_cell_report gives the argument).  A triple keeps its pentagon,
-dual basis and transport pairing from its first chart call on.  A point
+as a vector (w, X, Y) tested against the open pentagon's five side
+lines by their signs, with no Fraction, gcd or crossing count between
+the values and the verdict and no region test (classify_cell_report
+gives the argument).  A triple keeps its pentagon, its side lines, dual
+basis and transport pairing from its first chart call on.  A point
 keeps its values as one integer vector, a common denominator and six
 integers, and its phases as primitive integer directions; the group
 action maps both by the element's integer matrix, transport forms its
@@ -36,11 +37,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .corekit import CharVec, _chi2, _primitive, _record, _scaled_ints, cross3, det3, parse_rational
-from .exceptional import _int_char, eplus
+from .corekit import (AffPt, CharVec, _chi2, _primitive, _record, _scaled_ints, cross3, det3,
+                      format_rational, parse_rational)
+from .exceptional import _int_char
 from .geometric import (GeneralCharge, GLElement, KernelPoint, Phase, RatComplex, ShiftedChar,
                         _angle_cmp, _upper_ray, _upper_ray_ints, in_upper)
-from .polygon import Polygon, _in_polygon_ints
+from .polygon import Polygon
 from .surd import QuadReal
 from .triples import ExcTriple, mutate_left, mutate_right
 
@@ -182,7 +184,7 @@ class ThetaParams:
 
     def to_json(self) -> dict:
         return {
-            "z": [[str(z.re), str(z.im)] for z in self.values()],
+            "z": [[format_rational(z.re), format_rational(z.im)] for z in self.values()],
             "k": [self.k1, self.k2, self.k3],
         }
 
@@ -245,32 +247,42 @@ def charge_from_params(t: ExcTriple, p: ThetaParams) -> GeneralCharge:
         for i, s in enumerate((1, 1, 2))))
 
 
-def _triple_data(t: ExcTriple) -> tuple[int, tuple, Polygon, tuple, int]:
-    """The determinant, dual basis and pentagon of a triple.
+def _triple_data(t: ExcTriple) -> tuple[int, tuple, Polygon, tuple, int, tuple]:
+    """The determinant, dual basis, pentagon and pentagon side lines of a triple.
 
     The determinant and dual basis are those of the integer characters
     v_j = (ch0, ch1, 2 ch2), so the determinant is twice det3 of the
     characters.  Then come the coordinates of the three characters
     scaled by 2, (2 ch0, 2 ch1, 2 ch2), as one integer tuple per
-    coordinate, and last the pairing chi(E2, E3) that transport takes.
-    The labels fix all of it, so it is computed on the triple's first
-    call and kept on it as the derived attribute ``_data``.
+    coordinate, the pairing chi(E2, E3) that transport takes, and the
+    pentagon's five side lines, for _in_pentagon.  The pentagon's
+    vertices are integer vectors (w, X, Y), w > 0, of the points
+    (X/w, Y/w): e_j is (2r, 2c, e) and its dropped point
+    (2r^2, 2cr, er - 2), for v_j = (r, c, e); side i's line is cross3 of
+    its ends.  The labels fix all of it, so it is computed on the triple's
+    first call and kept on it as the derived attribute ``_data``.
     """
     try:
         return t._data
     except AttributeError:
         pass
-    labels = t.labels
-    v1, v2, v3 = (_int_char(lbl.p, lbl.m) for lbl in labels)
+    v1, v2, v3 = (_int_char(lbl.p, lbl.m) for lbl in t.labels)
     d = det3(v1, v2, v3)
     assert d != 0, "triple characters must form a basis"
     duals = (cross3(v2, v3), cross3(v3, v1), cross3(v1, v2))
-    e1, e2, e3 = (b.char.proj() for b in (t.E1, t.E2, t.E3))
-    pentagon = Polygon((e1, eplus(labels[0]), e2, eplus(labels[2]), e3),
+    e1, e2, e3 = ((2 * r, 2 * c, e) for r, c, e in (v1, v2, v3))
+    (r1, c1, f1), (r3, c3, f3) = v1, v3
+    ring = (e1, (2 * r1 * r1, 2 * c1 * r1, f1 * r1 - 2), e2,
+            (2 * r3 * r3, 2 * c3 * r3, f3 * r3 - 2), e3)
+    pentagon = Polygon(tuple(AffPt(Fraction(X, w), Fraction(Y, w)) for w, X, Y in ring),
                        edge_included=(False,) * 5,
                        vertex_included=(False,) * 5)
-    doubled = tuple(zip(*((2 * r, 2 * c, e) for r, c, e in (v1, v2, v3))))
-    data = d, duals, pentagon, doubled, _chi2(v2, v3) // 2
+    sides = tuple(cross3(a, b) for a, b in zip(ring, ring[1:] + ring[:1]))
+    # the chords' slopes mu1 + 3/2 and mu3 - 3/2 differ by 3 - (mu3 - mu1) > 0, so
+    # the pentagon turns clockwise at e2, with E3's dropped point strictly right
+    # of E1's chord: _in_pentagon's OR takes that reflex vertex
+    assert sum(a * x for a, x in zip(sides[1], ring[3])) < 0, "e2 is not a reflex vertex"
+    data = d, duals, pentagon, tuple(zip(e1, e2, e3)), _chi2(v2, v3) // 2, sides
     object.__setattr__(t, "_data", data)
     return data
 
@@ -348,56 +360,72 @@ def classify_cell_report(t: ExcTriple, p: ThetaParams, depth: int) -> CellReport
     ch0(v) / det3(c1, c2, c3).  It is computed in integers, on the
     values' integer vector ``_ints`` and the characters scaled by
     2, against the determinant of the integer characters, which is
-    twice det3; a positive scale changes neither the kernel line's
-    primitive generator nor the sign of ch0(v).  That generator
-    (w, X, Y), with c (w, X, Y) a positive multiple of v, has w > 0 when
-    its rank is not zero, so ch0(v) has the sign of c.  The kernel point
-    (X/w, Y/w) meets the pentagon on these integers, and the report's
-    KernelPoint is built from them once the cell is decided;
-    classify_cell builds none.
+    twice det3; a positive scale changes neither the kernel line nor the
+    signs of v.  So the rank-zero and orientation tests read the sign of
+    w = ch0(v) alone, and the kernel point (X/w, Y/w) meets the pentagon by
+    five integer signs on v = (w, X, Y), negated when w < 0 (_in_pentagon).
+    No gcd is taken to decide: the report's KernelPoint, the primitive
+    generator of v, is built once the cell is decided; classify_cell
+    builds none.
     """
-    label, reason, gen = _classify_cell(t, p)
-    return CellReport(label, depth, None if gen is None else KernelPoint(CharVec(*gen)), reason)
+    label, reason, v = _classify_cell(t, p)
+    kernel = None if v is None else KernelPoint(CharVec(*_primitive(v)[1]))
+    return CellReport(label, depth, kernel, reason)
 
 
 def _classify_cell(t: ExcTriple, p: ThetaParams
                    ) -> tuple[CellLabel, str, Optional[tuple[int, int, int]]]:
-    """The cell, the reason and the kernel generator (None in the pure tail)."""
+    """The cell, the reason and the kernel vector (None in the pure tail)."""
     gaps = _phase_gaps(p)
     if gaps is None:
         raise ValueError("invalid chart parameters")
     gap12_ge1, gap23_ge1 = gaps
     if gap12_ge1 and gap23_ge1:
         return CellLabel.PURE_CELL, "both phase gaps are at least one", None
-    d, _, pentagon, doubled, _ = _triple_data(t)
-    c, gen = _kernel_ints(p._ints[1], doubled)
-    w, X, Y = gen
+    d, _, _, doubled, _, sides = _triple_data(t)
+    v = _kernel_ints(p._ints[1], doubled)
+    w, X, Y = v
     if w == 0:
         reason = "kernel line has rank zero"
-    elif not _in_polygon_ints(w, X, Y, pentagon):
+    elif not (_in_pentagon(w, X, Y, sides) if w > 0 else _in_pentagon(-w, -X, -Y, sides)):
         reason = "kernel point outside the open pentagon"
-    elif c * d <= 0:
+    elif (w > 0) != (d > 0):
         reason = "orientation determinant not positive"
     else:
-        return CellLabel.GEO_CELL, "kernel point in the pentagon and region", gen
+        return CellLabel.GEO_CELL, "kernel point in the pentagon and region", v
     # a leg: not both gaps are at least one, or the pure tail had returned
     label, gap = (CellLabel.MINUS_LEG, "lower") if gap23_ge1 else (CellLabel.PLUS_LEG, "upper")
-    return label, f"{reason}; {gap} phase gap below one", gen
+    return label, f"{reason}; {gap} phase gap below one", v
 
 
-def _kernel_ints(xs: tuple, doubled: tuple) -> tuple[int, tuple[int, int, int]]:
-    """The kernel's generator and c, with c times it a positive multiple of
-    (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3, from the values' integer
-    vector's six integers (x1, y1, x2, y2, x3, y3).
-
-    The generator is KernelPoint's: the primitive integer vector whose
-    first nonzero coordinate is positive.
+def _kernel_ints(xs: tuple, doubled: tuple) -> tuple[int, int, int]:
+    """A positive multiple of (z2 x z3) c1 + (z3 x z1) c2 + (z1 x z2) c3,
+    which spans the kernel, from the values' integer vector's six integers
+    (x1, y1, x2, y2, x3, y3) and the characters scaled by 2.
     """
     a1, a2, a3 = cross3(xs[::2], xs[1::2])
     (r1, r2, r3), (c1, c2, c3), (e1, e2, e3) = doubled
     v = (a1 * r1 + a2 * r2 + a3 * r3, a1 * c1 + a2 * c2 + a3 * c3, a1 * e1 + a2 * e2 + a3 * e3)
     assert any(v), "a degenerate charge is in the pure tail"
-    return _primitive(v)
+    return v
+
+
+def _in_pentagon(w: int, X: int, Y: int, sides: tuple) -> bool:
+    """Whether (X/w, Y/w), for integers with w > 0, lies in the open
+    pentagon of a triple, on _triple_data's five side lines.
+
+    A side's line is cross3 of its ends' vectors, so its dot product with
+    (w, X, Y) is det3 of the two ends and the point: positive exactly when
+    the point is strictly left of the side.  The counterclockwise pentagon
+    has one reflex vertex, e2, where the chords meet, so it is the part of
+    the strip between the two exclusion sides and below the top side that
+    lies above the lower of the two chord lines: the point is inside when
+    it is left of those three sides and of at least one chord.
+    """
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) = sides
+    return (a0 * w + b0 * X + c0 * Y > 0 and a3 * w + b3 * X + c3 * Y > 0
+            and a4 * w + b4 * X + c4 * Y > 0
+            and (a1 * w + b1 * X + c1 * Y > 0 or a2 * w + b2 * X + c2 * Y > 0))
 
 
 def stable_set_pure(t: ExcTriple) -> tuple[ShiftedChar, ShiftedChar, ShiftedChar]:

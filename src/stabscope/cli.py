@@ -26,6 +26,7 @@ from typing import Sequence
 # every verb needs these; handlers import the rest, so a run loads only those
 from .corekit import AffPt, CharVec, format_rational, parse_rational
 from .exceptional import DyadicLabel, ExcBundle, el, eplus, er
+from .surd import _digit_limit_error
 
 ENV_DEPTH = "STABSCOPE_DEPTH"
 DEFAULT_DEPTH = 8
@@ -41,7 +42,12 @@ class _Parser(argparse.ArgumentParser):
 # outputs print none unless they fail
 def _emit(payload) -> int:
     import json
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True)
+    except ValueError:
+        # an int of the payload, such as a surd's radicand, past the digit limit
+        raise _digit_limit_error() from None
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import _moved
 from .corekit import AffPt, CharVec, _chi2, _record, slope
-from .surd import QuadReal, _reduce_radicand, parse_rational
+from .surd import QuadReal, _reduce_radicand, format_rational, parse_rational
 
 __getattr__ = _moved(__name__, "triples")
 
@@ -110,7 +110,7 @@ class DyadicLabel:
         return hash((self.p, self.m))
 
     def __str__(self) -> str:
-        return str(self.value)
+        return format_rational(self.value)
 
     def __repr__(self) -> str:
         return f"DyadicLabel({self})"
@@ -140,8 +140,9 @@ def _labels_between(lo: Fraction, hi: Fraction, depth: int) -> list[DyadicLabel]
     return out
 
 
-# a rank of more bits no longer prints as decimal text (Python's default
-# limit of 4300 digits is about 14 300 bits)
+# a rank of more bits is refused.  Python writes an integer of at most 4300
+# digits by default, about 14 300 bits, so a rank between that and this bound
+# is computed but not written: the output raises the digit limit's ValueError
 MAX_RANK_BITS = 1 << 14
 
 # entries kept by each cache of this module, lepotier, curve and triples; the

@@ -1,7 +1,10 @@
-"""Polygons with per-edge and per-vertex inclusion flags, for the chart's cells.
+"""Polygons with per-edge and per-vertex inclusion flags: the chart's triangle and pentagon.
 
 A rational point is decided by one integer core, _in_polygon_ints, on
-its homogeneous vector (w, X, Y), w > 0, with plain integer signs.
+its homogeneous vector (w, X, Y), w > 0, with plain integer signs.  The
+chart decides its cells without it, by five signs on the pentagon's side
+lines (algebraic._in_pentagon); this core is point_in_polygon's and the
+oracle that those signs are tested against.
 """
 
 from __future__ import annotations

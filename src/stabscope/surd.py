@@ -14,6 +14,7 @@ and the order (_form_sign) and floor (_floor_form) of integer forms
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -42,7 +43,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """The text p/q of a rational, or the digit limit's ValueError."""
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _digit_limit_error() -> ValueError:
+    """The error for a number whose decimal text would pass Python's digit
+    limit, which str and json.dumps meet with a hint to raise the limit."""
+    return ValueError(f"a number to write has more than {sys.get_int_max_str_digits()} digits, "
+                      "the limit Python puts on the decimal text of an integer")
 
 
 def _reduce_radicand(b: Fraction, d: int) -> tuple[Fraction, int]:

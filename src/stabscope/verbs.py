@@ -93,7 +93,7 @@ def _chart(args) -> tuple[ExcTriple, ThetaParams, bool]:
 def _params_json(p: ThetaParams) -> dict:
     data = p.to_json()
     data["slots_arg"] = ",".join(
-        f"{z.re}:{z.im}:{k}" for z, k in p.slots())
+        f"{format_rational(z.re)}:{format_rational(z.im)}:{k}" for z, k in p.slots())
     data["m_approx"] = [float(m) for m in p.magnitudes()]
     data["phi_approx"] = [f.approx() for f in p.phases()]
     return data

@@ -10,14 +10,14 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from conftest import (UPPER_UNITS, in_polygon_by_fractions, label_calls, random_triple,
                       random_valid_params, region_by_fractions)
 from stabscope.algebraic import (CellLabel, CellReport, ThetaParams, _below,
-                                 _branch_in_window, _kernel_ints, _lift,
+                                 _branch_in_window, _in_pentagon, _kernel_ints, _lift,
                                  _phase_gaps, _triple_data,
                                  charge_from_params, classify_cell,
                                  classify_cell_report, gl_act, gl_inverse,
                                  mz_polygon, stable_set_pure, tr_polygon,
                                  transport_plus_leg,
                                  transport_plus_leg_inverse, validate_params)
-from stabscope.corekit import (AffPt, CharVec, _scaled_ints, euler_chi,
+from stabscope.corekit import (AffPt, CharVec, _primitive, _scaled_ints, euler_chi,
                                point_in_polygon)
 import stabscope.algebraic as algebraic
 import stabscope.triples as tr
@@ -217,6 +217,45 @@ def test_integer_polygon_core_matches_the_fraction_loop():
                 k = rng.randint(1, 50)
                 assert _in_polygon_ints(k * w, k * X, k * Y, poly) is got, (t.labels, p, k)
     assert inside > 500 and outside > 500
+
+
+def test_pentagon_signs_match_the_crossing_loop():
+    # the chart's five-sign pentagon test against the polygon core's crossing
+    # count, on every pattern at base depths 0-7 in the cells -50..50, at the
+    # vertices (e2 among them), the edge midpoints, points on each side's line
+    # past both ends, and lattice points at three scales on a frame around it
+    rng = random.Random(4040)
+    inside = outside = 0
+    for pattern in TriplePattern:
+        for m in range(8):
+            for _ in range(12):
+                p = rng.randint(-50 << m, (50 << m) - 1) | (m > 0)
+                t = triple_from(pattern, DyadicLabel(p, m))
+                sides = _triple_data(t)[5]
+                pentagon = mz_polygon(t)
+                den, verts = pentagon.scaled
+                points = [(den, x, y) for x, y in verts]
+                for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+                    # a + (i/k)(b - a): the midpoint, then before a and past b
+                    for i, k in ((1, 2), (-1, 3), (-2, 1), (4, 3), (3, 1)):
+                        points.append((k * den, (k - i) * ax + i * bx, (k - i) * ay + i * by))
+                # lattices of three scales on the frame of e1, the top side and
+                # both exclusions' drops, which holds the pentagon, and past it
+                (ox, oy), (dx, dy) = verts[0], verts[1]
+                u = (verts[4][0] - ox, verts[4][1] - oy)
+                v = (dx - ox + verts[3][0] - verts[4][0], dy - oy + verts[3][1] - verts[4][1])
+                for n in (3, 6, 10):
+                    steps = range(-(n // 4), n + n // 4 + 1)
+                    points += [(n * den, n * ox + i * u[0] + j * v[0], n * oy + i * u[1] + j * v[1])
+                               for i in steps for j in steps]
+                for w, X, Y in points:
+                    want = _in_polygon_ints(w, X, Y, pentagon)
+                    assert _in_pentagon(w, X, Y, sides) is want, (t.labels, (w, X, Y))
+                    k = rng.randint(2, 50)
+                    assert _in_pentagon(k * w, k * X, k * Y, sides) is want
+                    inside += want
+                    outside += not want
+    assert inside > 10000 and outside > 10000
 
 
 def test_classify_pure_from_floats():
@@ -871,8 +910,8 @@ def test_carried_phases_match_rebuilt_ones(case, entries, branch):
         public = tuple(Phase(*((-z.re, -z.im) if k % 2 else (z.re, z.im)), k)
                        for z, k in params.slots())
         assert params.phases() == by_fields.phases() == public
-        # the generator is KernelPoint's, and c * v a positive multiple of w
-        c, v = _kernel_ints(params._ints[1], _triple_data(t)[3])
+        # the kernel vector's generator is KernelPoint's, and c * v a positive multiple of w
+        c, v = _primitive(_kernel_ints(params._ints[1], _triple_data(t)[3]))
         w = _kernel_by_fractions(t, params)
         assert tuple(KernelPoint.spanned_by(w).gen) == v
         assert (c * v[0] > 0) == (w[0] > 0) and (v[0] == 0) == (w[0] == 0)

@@ -602,6 +602,38 @@ def test_deepest_strip_point_in_a_fresh_process(verb, want):
     assert seconds < 15.0
 
 
+# the label 1/2^10285 of _deepest_strip_point: its character, and the triple
+# that the left mutation of (0, 1/2^10285, 1/2^10284) builds, write every
+# number in fewer than 4300 digits
+@pytest.mark.parametrize("argv,want", [
+    (["exc", "char", f"1/{2 ** 10285}"], {"char": [str(x) for x in _int_char(1, 10285)[:2]]}),
+    (["mutate", "left", "--triple", f"0,1/{2 ** 10285},1/{2 ** 10284}"],
+     {"labels": ["0", f"1/{2 ** 10286}", f"1/{2 ** 10285}"]}),
+], ids=["exc-char", "mutate"])
+def test_deepest_printable_label_in_a_fresh_process(argv, want):
+    done, seconds = fresh_run(argv)
+    assert done.returncode == 0 and done.stderr == b""
+    out = json.loads(done.stdout)
+    for key, values in want.items():
+        assert out[key][:len(values)] == values
+    assert seconds < 15.0
+
+
+# the rank of the label 1/2^11800, and the kernel generator of this chart
+# point on the triple of 1/2^10285, have more than 4300 digits
+@pytest.mark.parametrize("argv", [
+    ["exc", "char", f"1/{2 ** 11800}"],
+    ["classify-cell", "--triple", f"0,1/{2 ** 10285},1/{2 ** 10284}", f"--slots={TRANSPORT_SLOTS}"],
+], ids=["exc-char", "classify-cell"])
+def test_a_number_past_the_digit_limit_exits_2_in_a_fresh_process(argv):
+    done, seconds = fresh_run(argv)
+    assert done.returncode == 2 and done.stdout == b""
+    line, = done.stderr.splitlines()
+    assert "more than 4300 digits" in json.loads(line)["error"]
+    assert b"set_int_max_str_digits" not in done.stderr
+    assert seconds < 15.0
+
+
 @pytest.mark.parametrize("depth", ["0", "1", "8"])
 def test_exceptional_multiple_is_found_at_every_depth(depth):
     # 2 O(1/2)'s character, whose label 1/2 is one level deep

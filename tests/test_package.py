@@ -171,13 +171,17 @@ SLOPE_SEARCH = ("slope_to_label", "_slope_search", "_midpoints")
 NOT_IN_CHART = ("Fraction", "AffPt", "point", "proj", "delta", "classify_point",
                 "point_in_polygon", "_coprime_ints")
 NOT_IN_POLYGON = ("Fraction", "QuadReal", "nsign", "AffPt")
-# the group action, the kernel, transport, the phase-gap pass and the
-# integer core of the upper half-plane flip compute on the parameters'
-# integer vector and the phases' integers: no Fraction, no rescaling, no
-# value read or acted on
-CHART_ON_INTS = ("gl_act", "_kernel_ints", "transport_plus_leg", "transport_plus_leg_inverse",
-                 "_phase_gaps", "_upper_ray_ints")
-NOT_ON_INTS = ("Fraction", "_scaled_ints", "act", "values", "z1", "z2", "z3")
+# the group action, the kernel, the pentagon's five signs, transport, the
+# phase-gap pass and the integer core of the upper half-plane flip compute on
+# the parameters' integer vector and the phases' integers: no Fraction or
+# surd, no rescaling, no value read or acted on
+CHART_ON_INTS = ("gl_act", "_kernel_ints", "_in_pentagon", "transport_plus_leg",
+                 "transport_plus_leg_inverse", "_phase_gaps", "_upper_ray_ints")
+NOT_ON_INTS = ("Fraction", "QuadReal", "_scaled_ints", "act", "values", "z1", "z2", "z3")
+# a cell is decided on the raw kernel vector by the pentagon's side-line
+# signs: no gcd and no crossing count (only the report takes _primitive)
+CELL_DECISION = ("_classify_cell", "_kernel_ints", "_in_pentagon")
+NOT_IN_CELL = ("_primitive", "gcd", "_in_polygon_ints")
 # the point and polygon decisions take rational points: they name no surd,
 # no Fraction discriminant and no second exclusion rule
 POINT_DECISIONS = ("classify_point", "point_in_polygon")
@@ -209,6 +213,8 @@ REFUSED = {**{name: NOT_INTEGER for name in INTEGER_SIGNS},
            **{name: NOT_IN_POINT for name in POINT_DECISIONS}}
 for _name in PHASE_ON_INTS:
     REFUSED[_name] = (*REFUSED.get(_name, ()), "shifted")
+for _name in CELL_DECISION:
+    REFUSED[_name] = (*REFUSED.get(_name, ()), *NOT_IN_CELL)
 for _name in STRIP_DECISIONS:
     REFUSED[_name] = (*REFUSED.get(_name, ()), *NOT_IN_STRIP)
 for _name in ON_LABEL_INTS:
@@ -377,6 +383,17 @@ def test_the_chart_decides_on_integers():
     assert _non_integer_names(ast.parse("def point_in_polygon(p, poly):\n    return nsign(p.x)")) == []
     assert _non_integer_names(ast.parse(
         "def _classify_cell(t, p):\n    return point_in_polygon(AffPt(x, y), pentagon)")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _classify_cell(t, p):\n    c, gen = _primitive(v)\n"
+        "    return math.gcd(*v), _in_polygon_ints(*gen, pentagon)")) == [2, 3, 3]
+    assert _non_integer_names(ast.parse(
+        "def _kernel_ints(xs, doubled):\n    return _primitive(v)")) == [2]
+    assert _non_integer_names(ast.parse(
+        "def _in_pentagon(w, X, Y, sides):\n    return QuadReal(X) > Fraction(w)")) == [2, 2]
+    assert _non_integer_names(ast.parse(
+        "def _in_pentagon(w, X, Y, sides):\n    return a0 * w + b0 * X + c0 * Y > 0")) == []
+    assert _non_integer_names(ast.parse(
+        "def classify_cell_report(t, p, depth):\n    return KernelPoint(CharVec(*_primitive(v)[1]))")) == []
     assert _non_integer_names(ast.parse(
         "def gl_act(g, p):\n    zs = [g.act(z) for z in p.values()]\n    return ThetaParams._of(zs)")) == [2, 2]
     assert sorted(_non_integer_names(ast.parse(
